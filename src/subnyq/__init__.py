@@ -44,7 +44,6 @@ from .sampling import (
     s_tilde_single,
 )
 from .waterfill import (
-    ConvergenceError,
     RateSpec,
     UnattainableRateError,
     WaterfillError,

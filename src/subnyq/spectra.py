@@ -211,18 +211,29 @@ def evaluate(S: SpectralDensity, f: float) -> float:
     return S.evaluate(f)
 
 
-def integrate(S: SpectralDensity, F: FrequencySet | None = None) -> float:
-    """Integral of S over F; over the whole line when F is omitted."""
-    if F is None:
-        return S.total_power()
-    total = 0.0
+def _density_pieces(S: SpectralDensity, F: FrequencySet | None = None):
+    """(width, value) pieces of S, optionally restricted to F (mirror included)."""
+    widths, vals = [], []
     for iv, v in S.segments:
         for half in ((iv.lo, iv.hi), (-iv.hi, -iv.lo)):
+            if F is None:
+                widths.append(half[1] - half[0])
+                vals.append(v)
+                continue
             for g in F.intervals:
                 lo, hi = max(half[0], g.lo), min(half[1], g.hi)
                 if hi > lo:
-                    total += (hi - lo) * v
-    return total
+                    widths.append(hi - lo)
+                    vals.append(v)
+    if not widths:
+        return np.array([1.0]), np.array([0.0])
+    return np.array(widths), np.array(vals)
+
+
+def integrate(S: SpectralDensity, F: FrequencySet | None = None) -> float:
+    """Integral of S over F; over the whole line when F is omitted."""
+    w, v = _density_pieces(S, F)
+    return float(np.sum(w * v))
 
 
 def aliased_sum(S: SpectralDensity, fs: float, f: float) -> float:

@@ -6,8 +6,10 @@ pair on a piecewise-constant curve (or a family of eigenvalue curves):
     R(theta) = 1/2 * sum_p int log2+ [lambda_p(f) / theta] df
     D(theta) = mmse + sum_p int min{lambda_p(f), theta} df
 
-The solver inverts R(theta) by bisection.  Logarithms are base 2 throughout,
-so rates are in bits and the flat-spectrum closed forms come out exact.
+R(theta) is piecewise log-linear, so the solver reads the water level off
+sorted values and cumulative sums in closed form.  Logarithms are base 2
+throughout, so rates are in bits and the flat-spectrum closed forms come out
+exact.
 """
 
 from __future__ import annotations
@@ -29,14 +31,11 @@ from .sampling import (
 )
 from .spectra import (
     ComplexGainProfile,
-    FrequencySet,
     SpectralDensity,
     SpectrumError,
-    _dedup,
+    _density_pieces,
     _pw_aliased,
-    _pw_eval,
     _pw_from_density,
-    integrate,
     snr_ratio,
     superlevel_set_of_measure,
 )
@@ -44,14 +43,12 @@ from .spectra import (
 __all__ = [
     "WaterfillError",
     "UnattainableRateError",
-    "ConvergenceError",
     "RateSpec",
     "WaterfillSolution",
     "rate_of_theta",
     "distortion_of_theta",
     "solve_theta_for_rate",
     "idrf_stationary",
-    "idrf_discrete",
     "idrf_vector",
     "drf_sampled_single",
     "drf_sampled_multi",
@@ -74,18 +71,13 @@ class UnattainableRateError(WaterfillError):
     """Positive rate requested from an identically-zero spectrum."""
 
 
-class ConvergenceError(WaterfillError):
-    """Bisection failed to bracket the requested rate."""
-
-
 @dataclass(frozen=True)
 class RateSpec:
     value: float
     unit: str = BITS_PER_TIME
 
     def __post_init__(self):
-        if self.value < 0:
-            raise WaterfillError(f"rate must be >= 0, got {self.value}")
+        _check_rate(self.value)
         if self.unit not in (BITS_PER_TIME, BITS_PER_SAMPLE):
             raise WaterfillError(f"unknown rate unit {self.unit!r}")
 
@@ -93,6 +85,11 @@ class RateSpec:
         if self.unit == BITS_PER_SAMPLE:
             return self.value * fs
         return self.value
+
+
+def _check_rate(R) -> None:
+    if not (math.isfinite(R) and R >= 0):
+        raise WaterfillError(f"rate must be finite and >= 0, got {R}")
 
 
 def _as_rate(R, fs: float | None = None) -> float:
@@ -103,8 +100,7 @@ def _as_rate(R, fs: float | None = None) -> float:
             return R.per_time(fs)
         return R.value
     R = float(R)
-    if R < 0:
-        raise WaterfillError(f"rate must be >= 0, got {R}")
+    _check_rate(R)
     return R
 
 
@@ -159,71 +155,52 @@ def distortion_of_theta(sigma2: float, curves, theta: float) -> WaterfillSolutio
 
 
 def solve_theta_for_rate(curves, R, fs: float | None = None) -> float:
-    """Water level theta with rate_of_theta(theta) = R, by bisection.
+    """Water level theta with rate_of_theta(theta) = R, in closed form.
 
-    R = 0 returns the curve maximum (rate exactly 0 there).  When the rate
-    function has a flat stretch at the requested R, any theta on the stretch
-    may come back; the distortion is identical for all of them.
+    With the k largest values active, 2R = S_k - W_k log2(theta), where W_k
+    and S_k are the cumulative sums of w and w log2(v) over the values sorted
+    largest first.  The active set is the smallest k whose rate at the next
+    value down reaches R.  R = 0 returns the curve maximum.  Theta is formed
+    from its log2, so it is exact down to the smallest subnormal and
+    underflows to 0.0 beyond it.
     """
     R = _as_rate(R, fs)
     w, v = _pieces(curves)
-    mask = w > 0
-    vmax = float(np.max(v[mask])) if np.any(mask) else 0.0
-    if vmax <= 0:
+    keep = (w > 0) & (v > 0)
+    if not np.any(keep):
         if R > 0:
             raise UnattainableRateError(
                 "curve is identically zero; no positive rate is attainable"
             )
         return 0.0
+    order = np.argsort(-v[keep])
+    w, v = w[keep][order], v[keep][order]
     if R == 0:
-        return vmax
-    tol = max(1e-10, 1e-9 * R)
-    lo = vmax
-    for _ in range(4096):
-        lo *= 0.5
-        if rate_of_theta(curves, lo) >= R:
-            break
-    else:
-        raise ConvergenceError("could not bracket the requested rate from below")
-    hi = 2.0 * lo if lo < vmax / 2 else vmax
-    hi = min(max(hi, lo), vmax)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r = rate_of_theta(curves, mid)
-        if abs(r - R) <= tol:
-            return mid
-        if r > R:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(f"bisection did not reach rate {R} within 200 iterations")
+        return float(v[0])
+    log_v = np.log2(v)
+    W = np.cumsum(w)
+    S = np.cumsum(w * log_v)
+    rate_at_next_value = 0.5 * (S[:-1] - W[:-1] * log_v[1:])
+    k = int(np.count_nonzero(rate_at_next_value < R))
+    return float(np.exp2((S[k] - 2.0 * R) / W[k]))
+
+
+def _solution(curves, R: float, mmse: float, scale: float = 1.0) -> WaterfillSolution:
+    """Solve at rate R; distortion is mmse plus scale times the lossy integral.
+
+    The lossy integral is read off the curve, so a zero curve and a theta
+    that underflowed to 0.0 both give a zero lossy part without a special
+    case, and the solution reports the requested rate.
+    """
+    w, v = _pieces(curves)
+    theta = solve_theta_for_rate((w, v), R)
+    lossy = scale * float(np.sum(w * np.minimum(v, theta)))
+    return WaterfillSolution(theta, R, mmse + lossy, mmse, lossy)
 
 
 def _waterfill(sigma2: float, curves, R, fs: float | None = None) -> WaterfillSolution:
-    theta = solve_theta_for_rate(curves, R, fs)
-    if theta == 0.0:
-        # zero curve at zero rate
-        return WaterfillSolution(0.0, 0.0, sigma2, sigma2, 0.0)
-    return distortion_of_theta(sigma2, curves, theta)
-
-
-def _density_pieces(S: SpectralDensity, F: FrequencySet | None = None):
-    """(width, value) pieces of S, optionally restricted to F (mirror included)."""
-    widths, vals = [], []
-    for iv, v in S.segments:
-        for half in ((iv.lo, iv.hi), (-iv.hi, -iv.lo)):
-            if F is None:
-                widths.append(half[1] - half[0])
-                vals.append(v)
-                continue
-            for g in F.intervals:
-                lo, hi = max(half[0], g.lo), min(half[1], g.hi)
-                if hi > lo:
-                    widths.append(hi - lo)
-                    vals.append(v)
-    if not widths:
-        return np.array([1.0]), np.array([0.0])
-    return np.array(widths), np.array(vals)
+    w, v = _pieces(curves)
+    return _solution((w, v), _as_rate(R, fs), sigma2 - float(np.sum(w * v)))
 
 
 def idrf_stationary(
@@ -243,15 +220,6 @@ def idrf_stationary(
     return _waterfill(sigma2, (w, v), R)
 
 
-def idrf_discrete(curve: ScalarCurve, sigma2: float, rate_per_sample) -> WaterfillSolution:
-    """Discrete-time counterpart on a 1-periodic conditional spectrum.
-
-    curve lives on normalized frequency (-1/2, 1/2); the rate is bits per
-    sample and the returned solution's rate field is in the same unit.
-    """
-    return _waterfill(sigma2, curve, rate_per_sample)
-
-
 def idrf_vector(curves, M: int, rate_per_symbol, mmse: float) -> WaterfillSolution:
     """Vector source seen through a vector observation: eigenvalue waterfill.
 
@@ -260,13 +228,7 @@ def idrf_vector(curves, M: int, rate_per_symbol, mmse: float) -> WaterfillSoluti
     """
     if M < 1:
         raise WaterfillError(f"M must be >= 1, got {M}")
-    theta = solve_theta_for_rate(curves, rate_per_symbol)
-    if theta == 0.0:
-        return WaterfillSolution(0.0, 0.0, mmse, mmse, 0.0)
-    w, v = _pieces(curves)
-    lossy = float(np.sum(w * np.minimum(v, theta))) / M
-    rate = rate_of_theta(curves, theta)
-    return WaterfillSolution(theta, rate, mmse + lossy, mmse, lossy)
+    return _solution(curves, _as_rate(rate_per_symbol), mmse, 1.0 / M)
 
 
 def drf_sampled_single(
@@ -374,9 +336,7 @@ def polyphase_lower_bound(
         curve = polyphase_conditional_psd(Sx, Sn, H, fs, j / N_delta)
         if curve.max_value() <= 0:
             continue
-        theta = solve_theta_for_rate(curve, r_bar)
-        w, v = curve.pieces()
-        lossy += float(np.sum(w * np.minimum(v, theta)))
+        lossy += _solution(curve, r_bar, 0.0).lossy_part
     return mmse + lossy / N_delta
 
 
@@ -394,13 +354,4 @@ def drf_of_estimator(
     drf_sampled_single at the same rate (separation).
     """
     curve = s_tilde_single(Sx, Sn, H, fs)
-    sigma2_est = curve.integral()
-    R = _as_rate(R, fs)
-    if curve.max_value() <= 0:
-        if R > 0:
-            raise UnattainableRateError("estimator process is identically zero")
-        return WaterfillSolution(0.0, 0.0, 0.0, 0.0, 0.0)
-    theta = solve_theta_for_rate(curve, R)
-    w, v = curve.pieces()
-    lossy = float(np.sum(w * np.minimum(v, theta)))
-    return WaterfillSolution(theta, rate_of_theta(curve, theta), lossy, 0.0, lossy)
+    return _solution(curve, _as_rate(R, fs), 0.0)

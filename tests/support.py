@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
+
 from subnyq.spectra import ComplexGainProfile, SpectralDensity
+from subnyq.waterfill import rate_of_theta
 
 SIGMA2 = 1.0
 
@@ -77,3 +80,41 @@ def random_density(rng, max_segments=5, f_hi=2.0, v_hi=2.0):
     if not segs:
         segs = [(0.25, 1.0, 1.0)]
     return SpectralDensity(tuple(segs))
+
+
+def bisection_tolerance(R):
+    """Rate residual at which bisect_theta_for_rate stops."""
+    return max(1e-10, 1e-9 * R)
+
+
+def bisect_theta_for_rate(w, v, R):
+    """Loop reference for solve_theta_for_rate: water level by bisection.
+
+    Halves theta down from the curve maximum until the rate reaches R, then
+    bisects until the rate is within bisection_tolerance(R) of R.  Needs a
+    piece with w > 0 and v > 0.
+    """
+    curve = (np.asarray(w, dtype=float), np.asarray(v, dtype=float))
+    vmax = float(np.max(curve[1][curve[0] > 0]))
+    if R == 0:
+        return vmax
+    tol = bisection_tolerance(R)
+    lo = vmax
+    for _ in range(4096):
+        lo *= 0.5
+        if rate_of_theta(curve, lo) >= R:
+            break
+    else:
+        raise RuntimeError("could not bracket the requested rate from below")
+    hi = 2.0 * lo if lo < vmax / 2 else vmax
+    hi = min(max(hi, lo), vmax)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        r = rate_of_theta(curve, mid)
+        if abs(r - R) <= tol:
+            return mid
+        if r > R:
+            lo = mid
+        else:
+            hi = mid
+    raise RuntimeError(f"bisection did not reach rate {R} within 200 iterations")

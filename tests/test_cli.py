@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +29,7 @@ def write_config(tmp_path, doc, name="cfg.json"):
 
 
 def read_rows(path):
-    lines = open(path).read().strip().split("\n")
+    lines = Path(path).read_text().strip().split("\n")
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
 
@@ -161,13 +162,13 @@ class TestRunModes:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert run(cfg, "drf", out=a) == 0
         assert run(cfg, "drf", out=b) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_ndjson_format(self, tmp_path):
         cfg = write_config(tmp_path, RECT_CONFIG)
         out = str(tmp_path / "out.ndjson")
         assert run(cfg, "drf", out=out, fmt="ndjson") == 0
-        obj = json.loads(open(out).read().strip())
+        obj = json.loads(Path(out).read_text().strip())
         assert obj["distortion"] == pytest.approx(0.53125, rel=1e-9)
         assert obj["fs"] == 0.5
 
@@ -206,6 +207,13 @@ class TestExitCodes:
         doc["rates"] = {"values": []}
         assert run(write_config(tmp_path, doc), "drf") == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rate(self, tmp_path, capsys, value):
+        doc = dict(RECT_CONFIG)
+        doc["rates"] = {"values": [value]}
+        assert run(write_config(tmp_path, doc), "drf") == 2
+        assert "rates.values invalid" in capsys.readouterr().err
 
     def test_unattainable_rate(self, tmp_path, capsys):
         doc = dict(RECT_CONFIG)
@@ -274,6 +282,6 @@ class TestFigures:
 
     def test_figure_ndjson(self, tmp_path):
         assert reproduce_figure("af-sets", str(tmp_path), fmt="ndjson") == 0
-        lines = open(tmp_path / "af-sets.ndjson").read().strip().split("\n")
+        lines = (tmp_path / "af-sets.ndjson").read_text().strip().split("\n")
         obj = json.loads(lines[0])
         assert set(obj) == {"fs", "P", "branch", "lo", "hi"}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from subnyq.sampling import SamplerSpec, mmse_single, s_tilde_single
 from subnyq.spectra import ComplexGainProfile, SpectralDensity
 from subnyq.waterfill import (
     BITS_PER_SAMPLE,
-    ConvergenceError,
     RateSpec,
     UnattainableRateError,
     WaterfillError,
@@ -29,6 +29,8 @@ from subnyq.waterfill import (
 from support import (
     bandpass_density,
     bandpass_drf_closed,
+    bisect_theta_for_rate,
+    bisection_tolerance,
     random_density,
     rect_density,
     rect_drf_closed,
@@ -88,6 +90,32 @@ class TestParametricCore:
         for R in (0.1, 1.0, 7.5):
             theta = solve_theta_for_rate(TWO, R)
             assert rate_of_theta(TWO, theta) == pytest.approx(R, abs=max(1e-10, 1e-9 * R))
+
+    def test_closed_form_matches_bisection_reference(self):
+        rng = np.random.default_rng(1405)
+        for _ in range(500):
+            n = int(rng.integers(1, 9))
+            pool = np.append(rng.uniform(0.0, 4.0, size=3), 0.0)
+            v = np.where(rng.random(n) < 0.5, rng.choice(pool, size=n),
+                         rng.uniform(0.0, 4.0, size=n))
+            v *= 10.0 ** rng.uniform(-3.0, 3.0)
+            w = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.05, 1.0, size=n))
+            if not np.any((w > 0) & (v > 0)):
+                continue
+            R = rng.uniform(0.0, 6.0)
+            theta = solve_theta_for_rate((w, v), R)
+            assert abs(rate_of_theta((w, v), theta) - R) <= 1e-12 * max(1.0, R)
+            ref = bisect_theta_for_rate(w, v, R)
+            w_active = np.sum(w[v > max(theta, ref)])
+            bound = 2 * math.log(2) * bisection_tolerance(R) / w_active
+            assert abs(math.log(ref / theta)) <= bound + 1e-12
+
+    @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, R):
+        with pytest.raises(WaterfillError, match=f"got {R}"):
+            RateSpec(R)
+        with pytest.raises(WaterfillError, match=f"got {R}"):
+            solve_theta_for_rate(FLAT, R)
 
     def test_decomposition_invariant_enforced(self):
         with pytest.raises(WaterfillError):
@@ -171,6 +199,17 @@ class TestDrfSampledSingle:
     def test_rate_zero(self):
         sol = drf_sampled_single(rect_density(), rect_noise(5.0), None, 0.7, 0.0)
         assert sol.distortion == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("R", [260.0, 1000.0])
+    def test_huge_rate_gives_mmse_part(self, R):
+        # theta = 2^(-4R): subnormal at R = 260, underflowed to 0.0 at R = 1000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = drf_sampled_single(rect_density(), zero_density(), None, 0.5, R)
+        mmse = mmse_single(rect_density(), zero_density(), None, 0.5)
+        assert sol.distortion == pytest.approx(mmse, abs=1e-12)
+        assert sol.lossy_part >= 0.0
+        assert sol.rate == R
 
     def test_super_nyquist_equals_stationary(self):
         for R in (0.5, 2.0):
