@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .sampling import _source_and_observation
 from .spectra import (
     BP_TOL,
     ComplexGainProfile,
@@ -25,7 +26,6 @@ from .spectra import (
     SpectrumError,
     _dedup,
     _pw_eval,
-    _pw_from_density,
     _pw_from_gain,
     _pw_support_radius,
     _Pw,
@@ -128,13 +128,8 @@ def covariance_from_psd(S: SpectralDensity, tau) -> float | np.ndarray:
 def _observation_segments(Sx, Sn, H):
     """(Sx*H segments, (Sx+Sn)*H^2 segments) on f >= 0, filter folded in."""
     hw = _real_even_gain_pw(H)
-    px = _pw_from_density(Sx)
-    pn = _pw_from_density(Sn)
-    parts = [px.bp, pn.bp] + ([hw.bp] if hw is not None else [])
-    bp = _dedup(np.concatenate(parts))
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    x = _pw_eval(px, mids)
-    z = x + _pw_eval(pn, mids)
+    extra_bp = [] if hw is None else [hw.bp]
+    bp, mids, x, z = _source_and_observation(Sx, Sn, *extra_bp)
     g = np.ones_like(mids) if hw is None else np.real(_pw_eval(hw, mids))
     xz = _Pw(bp, x * g)
     zz = _Pw(bp, z * g * g)

@@ -10,16 +10,14 @@ the polyphase decomposition used by the distortion lower bound.
 Scalar paths are exact: inputs are piecewise-constant, and every grid is
 refined by the translate lattice before values are read off, so the curves
 returned here are the true piecewise-constant functions, not samples of them.
-The matrix path evaluates on a frequency grid, but since the matrix entries
-are themselves piecewise-constant the grid is refined by their breakpoints
-and the eigenvalue curves come out exact as well.
+The matrix path is exact too: every matrix entry is piecewise-constant, so
+its cells are the union of the entries' aliased breakpoints, and the
+eigenvalues are read off once per cell.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,13 +60,6 @@ __all__ = [
     "landau_mmse_bound",
     "polyphase_conditional_psd",
 ]
-
-
-def _thread_count() -> int:
-    env = os.environ.get("SUBNYQ_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -148,34 +139,30 @@ class EigenCurves:
         return float(np.sum(self.widths() * self.lam.sum(axis=1)))
 
 
-def _gain_abs2(H: ComplexGainProfile | None) -> _Pw | None:
-    if H is None:
-        return None
-    pw = _pw_from_gain(H)
-    return _Pw(pw.bp, np.abs(pw.vals) ** 2)
+def _source_and_observation(Sx, Sn, *extra_bp: np.ndarray):
+    """(bp, mids, x, z): Sx and z = Sx+Sn on one grid of cells.
 
-
-def _mul_opt(pw: _Pw, weight: _Pw | None) -> _Pw:
-    """pw * weight with weight=None meaning identically 1."""
-    if weight is None:
-        return pw
-    bp = _dedup(np.concatenate([pw.bp, weight.bp]))
+    bp merges the breakpoints of Sx, Sn and any extra breakpoint arrays (a
+    filter's, so that it too is constant on every cell); x and z are the
+    values at the cell midpoints mids.
+    """
+    px = _pw_from_density(Sx)
+    pn = _pw_from_density(Sn)
+    bp = _dedup(np.concatenate([px.bp, pn.bp, *extra_bp]))
     mids = 0.5 * (bp[:-1] + bp[1:])
-    return _Pw(bp, _pw_eval(pw, mids) * _pw_eval(weight, mids))
+    x = _pw_eval(px, mids)
+    return bp, mids, x, x + _pw_eval(pn, mids)
 
 
 def _single_branch_pws(Sx, Sn, H):
     """Numerator Sx^2|H|^2 and denominator (Sx+Sn)|H|^2 as full-line pieces."""
-    px = _pw_from_density(Sx)
-    pn = _pw_from_density(Sn)
-    bp = _dedup(np.concatenate([px.bp, pn.bp]))
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    x = _pw_eval(px, mids)
-    z = x + _pw_eval(pn, mids)
-    w = _gain_abs2(H)
-    num = _mul_opt(_Pw(bp, x * x), w)
-    den = _mul_opt(_Pw(bp, z), w)
-    return num, den
+    if H is None:
+        bp, _, x, z = _source_and_observation(Sx, Sn)
+        return _Pw(bp, x * x), _Pw(bp, z)
+    h = _pw_from_gain(H)
+    bp, mids, x, z = _source_and_observation(Sx, Sn, h.bp)
+    w = np.abs(_pw_eval(h, mids)) ** 2
+    return _Pw(bp, x * x * w), _Pw(bp, z * w)
 
 
 def _safe_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -257,21 +244,15 @@ def mmse_single(
 
 
 def _pair_pws(Sx, Sn, spec: SamplerSpec):
-    """For each branch pair (i,j): conj(H_i)H_j times (Sx+Sn) and times Sx^2."""
-    px = _pw_from_density(Sx)
-    pn = _pw_from_density(Sn)
-    bp0 = _dedup(np.concatenate([px.bp, pn.bp]))
-    m0 = 0.5 * (bp0[:-1] + bp0[1:])
-    x = _pw_eval(px, m0)
-    z = x + _pw_eval(pn, m0)
+    """(i, j, pz, pk) for each branch pair i <= j: conj(H_i)H_j times (Sx+Sn)
+    and times Sx^2."""
+    bp0, _, x, z = _source_and_observation(Sx, Sn)
     base_z = _Pw(bp0, z.astype(complex))
     base_k = _Pw(bp0, (x * x).astype(complex))
     gains = [None if b is None else _pw_from_gain(b) for b in spec.branches]
-    P = spec.P
-    pair_z: list[list[_Pw]] = [[None] * P for _ in range(P)]
-    pair_k: list[list[_Pw]] = [[None] * P for _ in range(P)]
-    for i in range(P):
-        for j in range(i, P):
+    pairs = []
+    for i in range(spec.P):
+        for j in range(i, spec.P):
             gi, gj = gains[i], gains[j]
             if gi is None and gj is None:
                 pz, pk = base_z, base_k
@@ -286,9 +267,8 @@ def _pair_pws(Sx, Sn, spec: SamplerSpec):
                     w = w * _pw_eval(gj, mids)
                 pz = _Pw(bp, _pw_eval(base_z, mids) * w)
                 pk = _Pw(bp, _pw_eval(base_k, mids) * w)
-            pair_z[i][j] = pz
-            pair_k[i][j] = pk
-    return pair_z, pair_k
+            pairs.append((i, j, pz, pk))
+    return pairs
 
 
 def _alias_eval(pw: _Pw, pts: np.ndarray, fs: float, kmax: int) -> np.ndarray:
@@ -298,26 +278,19 @@ def _alias_eval(pw: _Pw, pts: np.ndarray, fs: float, kmax: int) -> np.ndarray:
     return out
 
 
-def _matrices_on_points(Sx, Sn, spec, pts: np.ndarray):
+def _matrices_on_points(pairs, P: int, fs: float, pts: np.ndarray):
     """Aliased S_Y and K matrices stacked over the given frequencies."""
-    pair_z, pair_k = _pair_pws(Sx, Sn, spec)
-    P = spec.P
-    n = len(pts)
-    kmax = 1
-    for i in range(P):
-        for j in range(i, P):
-            kmax = max(kmax, _translate_count(pair_z[i][j], spec.fs, spec.fs / 2.0))
-    sy = np.zeros((n, P, P), dtype=complex)
-    kk = np.zeros((n, P, P), dtype=complex)
-    for i in range(P):
-        for j in range(i, P):
-            az = _alias_eval(pair_z[i][j], pts, spec.fs, kmax)
-            ak = _alias_eval(pair_k[i][j], pts, spec.fs, kmax)
-            sy[:, i, j] = az
-            kk[:, i, j] = ak
-            if i != j:
-                sy[:, j, i] = np.conj(az)
-                kk[:, j, i] = np.conj(ak)
+    kmax = max([1] + [_translate_count(pz, fs, fs / 2.0) for _, _, pz, _ in pairs])
+    sy = np.zeros((len(pts), P, P), dtype=complex)
+    kk = np.zeros((len(pts), P, P), dtype=complex)
+    for i, j, pz, pk in pairs:
+        az = _alias_eval(pz, pts, fs, kmax)
+        ak = _alias_eval(pk, pts, fs, kmax)
+        sy[:, i, j] = az
+        kk[:, i, j] = ak
+        if i != j:
+            sy[:, j, i] = np.conj(az)
+            kk[:, j, i] = np.conj(ak)
     return sy, kk
 
 
@@ -329,7 +302,8 @@ def build_branch_matrices(
     Entry (i,j) of S_Y is the fs-aliased sum of (Sx+Sn) conj(H_i) H_j, and of
     K the same with Sx^2 in place of (Sx+Sn).
     """
-    sy, kk = _matrices_on_points(Sx, Sn, spec, np.array([float(f)]))
+    sy, kk = _matrices_on_points(_pair_pws(Sx, Sn, spec), spec.P, spec.fs,
+                                 np.array([float(f)]))
     my, mk = HermitianMatrix(sy[0]), HermitianMatrix(kk[0])
     for m in (my, mk):
         w = hermitian_eig(m).eigenvalues
@@ -338,50 +312,33 @@ def build_branch_matrices(
     return my, mk
 
 
-def _grid_for_spec(Sx, Sn, spec: SamplerSpec, N_grid: int) -> np.ndarray:
-    """Cell edges on (-fs/2, fs/2): uniform grid refined by exact breakpoints."""
-    lo, hi = -spec.fs / 2.0, spec.fs / 2.0
-    pts = [np.linspace(lo, hi, N_grid + 1)]
-    pair_z, pair_k = _pair_pws(Sx, Sn, spec)
-    for row in (pair_z, pair_k):
-        for i in range(spec.P):
-            for j in range(i, spec.P):
-                pts.append(_alias_grid(row[i][j], spec.fs, lo, hi))
-    return _dedup(np.concatenate(pts))
+def _grid_for_spec(pairs, fs: float) -> np.ndarray:
+    """Cell edges on (-fs/2, fs/2): {-fs/2, fs/2} and every aliased breakpoint
+    of every matrix entry, so each entry is constant on each cell."""
+    lo, hi = -fs / 2.0, fs / 2.0
+    return _dedup(np.concatenate([_alias_grid(pw, fs, lo, hi)
+                                  for _, _, pz, pk in pairs for pw in (pz, pk)]))
 
 
 def eigen_curves_multi(
     Sx: SpectralDensity,
     Sn: SpectralDensity,
     spec: SamplerSpec,
-    N_grid: int = 2048,
 ) -> EigenCurves:
     """Eigenvalue curves of the normalized conditional matrix spectrum.
 
-    At each grid cell midpoint: lambda(S_Y^{-1/2} K S_Y^{-1/2}), ascending.
-    Cells are refined by the exact matrix breakpoints, and midpoints of
-    different cells are independent, so the work is mapped over a thread pool.
+    On each cell between consecutive aliased breakpoints of the matrix
+    entries: lambda(S_Y^{-1/2} K S_Y^{-1/2}) at the cell midpoint, ascending.
+    The matrices are constant on each cell, so these are the exact curves.
     """
-    if N_grid < 16:
-        raise SpectrumError(f"N_grid must be >= 16, got {N_grid}")
-    bp = _grid_for_spec(Sx, Sn, spec, N_grid)
+    pairs = _pair_pws(Sx, Sn, spec)
+    bp = _grid_for_spec(pairs, spec.fs)
     mids = 0.5 * (bp[:-1] + bp[1:])
-    sy, kk = _matrices_on_points(Sx, Sn, spec, mids)
-    P = spec.P
-
-    def eig_block(rng):
-        out = np.empty((len(rng), P))
-        for row, idx in enumerate(rng):
-            t = inv_sqrt_psd(HermitianMatrix(sy[idx])).entries
-            m = t @ kk[idx] @ t
-            out[row] = hermitian_eig(HermitianMatrix(m)).eigenvalues
-        return out
-
-    chunks = np.array_split(np.arange(len(mids)), _thread_count())
-    chunks = [c for c in chunks if len(c)]
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        blocks = list(pool.map(eig_block, chunks))
-    lam = np.vstack(blocks) if blocks else np.empty((0, P))
+    sy, kk = _matrices_on_points(pairs, spec.P, spec.fs, mids)
+    lam = np.empty((len(mids), spec.P))
+    for c in range(len(mids)):
+        t = inv_sqrt_psd(HermitianMatrix(sy[c])).entries
+        lam[c] = hermitian_eig(HermitianMatrix(t @ kk[c] @ t)).eigenvalues
 
     lam_max = float(lam.max(initial=0.0))
     if lam.size and float(lam.min()) < -1e-10 * max(1.0, lam_max):
@@ -398,9 +355,8 @@ def mmse_multi(
     Sx: SpectralDensity,
     Sn: SpectralDensity,
     spec: SamplerSpec,
-    N_grid: int = 2048,
 ) -> float:
-    curves = eigen_curves_multi(Sx, Sn, spec, N_grid)
+    curves = eigen_curves_multi(Sx, Sn, spec)
     val = Sx.total_power() - curves.trace_integral()
     if val < -1e-9 * max(1.0, Sx.total_power()):
         raise SpectrumError(f"negative mmse {val}")
@@ -478,22 +434,16 @@ def polyphase_conditional_psd(
     """
     if fs <= 0:
         raise SpectrumError(f"fs must be positive, got {fs}")
-    px = _pw_from_density(Sx)
-    pn = _pw_from_density(Sn)
-    bp0 = _dedup(np.concatenate([px.bp, pn.bp]))
-    m0 = 0.5 * (bp0[:-1] + bp0[1:])
-    x = _pw_eval(px, m0)
-    z = x + _pw_eval(pn, m0)
-    hw = None if H is None else _pw_from_gain(H)
-    if hw is None:
-        sxz = _Pw(bp0, x.astype(complex))
-        den = _Pw(bp0, z)
+    if H is None:
+        bp, _, x, z = _source_and_observation(Sx, Sn)
+        sxz = _Pw(bp, x.astype(complex))
+        den = _Pw(bp, z)
     else:
-        bp = _dedup(np.concatenate([bp0, hw.bp]))
-        mids = 0.5 * (bp[:-1] + bp[1:])
+        hw = _pw_from_gain(H)
+        bp, mids, x, z = _source_and_observation(Sx, Sn, hw.bp)
         g = _pw_eval(hw, mids)
-        sxz = _Pw(bp, _pw_eval(_Pw(bp0, x.astype(complex)), mids) * np.conj(g))
-        den = _Pw(bp, np.real(_pw_eval(_Pw(bp0, z.astype(complex)), mids)) * np.abs(g) ** 2)
+        sxz = _Pw(bp, x.astype(complex) * np.conj(g))
+        den = _Pw(bp, z * np.abs(g) ** 2)
     lo, hi = -fs / 2.0, fs / 2.0
     grid = _dedup(np.concatenate([_alias_grid(sxz, fs, lo, hi),
                                   _alias_grid(den, fs, lo, hi)]))

@@ -134,7 +134,9 @@ def rate_of_theta(curves, theta: float) -> float:
     above = v > theta
     if not np.any(above):
         return 0.0
-    return float(0.5 * np.sum(w[above] * np.log2(v[above] / theta)))
+    # log2(v) - log2(theta), not log2(v / theta): the quotient overflows
+    # when theta is subnormal
+    return float(0.5 * np.sum(w[above] * (np.log2(v[above]) - math.log2(theta))))
 
 
 def distortion_of_theta(sigma2: float, curves, theta: float) -> WaterfillSolution:
@@ -249,11 +251,10 @@ def drf_sampled_multi(
     Sn: SpectralDensity,
     spec: SamplerSpec,
     R,
-    N_grid: int = 2048,
 ) -> WaterfillSolution:
     """Same as drf_sampled_single but for a P-branch filter bank."""
     sigma2 = Sx.total_power()
-    curves = eigen_curves_multi(Sx, Sn, spec, N_grid)
+    curves = eigen_curves_multi(Sx, Sn, spec)
     return _waterfill(sigma2, curves, R, spec.fs)
 
 

@@ -154,7 +154,7 @@ class TestRunModes:
         assert abs(row["mmse_exact"] - row["mmse_window"]) <= 0.03
         assert abs(row["drf_exact"] - row["drf_block"]) <= 0.03
 
-    def test_deterministic_output(self, tmp_path):
+    def test_deterministic_output(self, tmp_path, monkeypatch):
         doc = dict(RECT_CONFIG)
         doc["sampler"] = {"fs": {"start": 0.2, "stop": 1.2, "step": 0.1}}
         doc["rates"] = {"values": [0.5, 1.0, 2.0]}
@@ -163,6 +163,31 @@ class TestRunModes:
         assert run(cfg, "drf", out=a) == 0
         assert run(cfg, "drf", out=b) == 0
         assert Path(a).read_bytes() == Path(b).read_bytes()
+        outs = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("SUBNYQ_THREADS", threads)
+            outs.append(str(tmp_path / f"t{threads}.csv"))
+            assert run(cfg, "drf", out=outs[-1]) == 0
+        assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
+        assert Path(outs[0]).read_bytes() == Path(a).read_bytes()
+
+    def test_grid_is_ignored(self, tmp_path):
+        doc = dict(BANDPASS_CONFIG)
+        doc["sampler"] = {"fs": [1.2], "P": 2,
+                          "filters": [[[-2.0, 0.0, 1.0]], [[0.0, 2.0, 0.0, 1.0]]]}
+        doc["noise"] = {"segments": [[0.0, 2.0, 0.1]]}
+        plain, gridded = write_config(tmp_path, doc), write_config(
+            tmp_path, dict(doc, grid=8), name="gridded.json")
+        outs = {}
+        for name, argv in (("plain", ["--config", plain]),
+                           ("flag", ["--config", plain, "--grid", "16"]),
+                           ("key", ["--config", gridded])):
+            outs[name] = str(tmp_path / f"{name}.csv")
+            assert main(["drf", *argv, "--out", outs[name]]) == 0
+        ref = Path(outs["plain"]).read_bytes()
+        assert len(ref.splitlines()) == 2
+        assert Path(outs["flag"]).read_bytes() == ref
+        assert Path(outs["key"]).read_bytes() == ref
 
     def test_ndjson_format(self, tmp_path):
         cfg = write_config(tmp_path, RECT_CONFIG)
@@ -222,6 +247,37 @@ class TestExitCodes:
         out = str(tmp_path / "x.csv")
         assert run(write_config(tmp_path, doc), "drf", out=out) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [
+        "fs-without-stop", "top-level-list", "rates-not-object",
+        "source-not-object", "P-not-integer", "P-fractional", "oracle-K-zero",
+        "oracle-phases-zero", "threads-not-integer",
+    ])
+    def test_config_errors_exit_2(self, tmp_path, capsys, monkeypatch, case):
+        doc = dict(RECT_CONFIG)
+        if case == "fs-without-stop":
+            doc["sampler"] = {"fs": {"start": 0.2, "step": 0.1}}
+        elif case == "top-level-list":
+            doc = [RECT_CONFIG]
+        elif case == "rates-not-object":
+            doc["rates"] = [1.0]
+        elif case == "source-not-object":
+            doc["source"] = [[0.0, 0.5, 1.0]]
+        elif case == "P-not-integer":
+            doc["sampler"] = {"fs": [0.5], "P": "two"}
+        elif case == "P-fractional":
+            doc["sampler"] = {"fs": [0.5], "P": 1.5}
+        elif case == "oracle-K-zero":
+            doc["oracle"] = {"K": 0}
+        elif case == "oracle-phases-zero":
+            doc["oracle"] = {"phases": 0}
+        elif case == "threads-not-integer":
+            monkeypatch.setenv("SUBNYQ_THREADS", "abc")
+        out = str(tmp_path / "x.csv")
+        assert main(["oracle-check", "--config", write_config(tmp_path, doc),
+                     "--out", out]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not Path(out).exists()
 
     def test_main_requires_config(self, capsys):
         assert main(["drf"]) == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subnyq.linalg import HermitianMatrix, hermitian_eig, inv_sqrt_psd
 from subnyq.sampling import (
     SamplerSpec,
     build_branch_matrices,
@@ -144,7 +145,7 @@ class TestBranchMatrices:
 class TestEigenCurves:
     def test_p1_matches_scalar_curve(self):
         spec = SamplerSpec(0.7, (None,))
-        curves = eigen_curves_multi(rect_density(), zero_density(), spec, 64)
+        curves = eigen_curves_multi(rect_density(), zero_density(), spec)
         scalar = s_tilde_single(rect_density(), zero_density(), None, 0.7)
         mids = 0.5 * (curves.bp[:-1] + curves.bp[1:])
         for i, m in enumerate(mids):
@@ -152,7 +153,7 @@ class TestEigenCurves:
 
     def test_disjoint_indicators_select_translates(self):
         spec = SamplerSpec(2.0, bandpass_branches())
-        curves = eigen_curves_multi(bandpass_density(), zero_density(), spec, 64)
+        curves = eigen_curves_multi(bandpass_density(), zero_density(), spec)
         # on every cell one branch sees the band (value 0.5), the other nothing
         assert np.allclose(curves.lam[:, 1], 0.5)
         assert np.allclose(curves.lam[:, 0], 0.0, atol=1e-12)
@@ -160,16 +161,36 @@ class TestEigenCurves:
     def test_offband_filters_give_zero(self):
         h = ComplexGainProfile([(5.0, 6.0, 1.0)])
         spec = SamplerSpec(1.0, (h,))
-        curves = eigen_curves_multi(rect_density(), zero_density(), spec, 32)
+        curves = eigen_curves_multi(rect_density(), zero_density(), spec)
         assert np.allclose(curves.lam, 0.0)
 
-    def test_grid_floor_enforced(self):
-        with pytest.raises(SpectrumError):
-            eigen_curves_multi(rect_density(), zero_density(), SamplerSpec(1.0, (None,)), 8)
+    @pytest.mark.parametrize("case", ["P1", "P2", "P3-complex-one-sided"])
+    def test_eigenvalues_constant_on_each_cell(self, case):
+        bimodal = SpectralDensity(((0.0, 0.4, 1.0), (0.4, 0.8, 0.2),
+                                   (0.8, 1.2, 0.8), (1.2, 1.6, 0.1)))
+        Sx, Sn, spec = {
+            "P1": (triangular_density(), rect_noise(2.0, 1.0), SamplerSpec(0.7, (None,))),
+            "P2": (triangular_density(), rect_noise(2.0, 1.0),
+                   SamplerSpec(0.9, (None, ComplexGainProfile([(-0.3, 0.7, 1.0)])))),
+            "P3-complex-one-sided": (bimodal, rect_noise(0.05, 1.6), SamplerSpec(0.48, (
+                ComplexGainProfile([(-1.6, 1.6, 1.0)]),
+                ComplexGainProfile([(-1.6, 0.0, 1.0), (0.0, 1.6, 1j)]),
+                ComplexGainProfile([(-1.6, -0.8, 0.5 + 0.5j), (-0.8, 0.8, 1.0 - 1.0j),
+                                    (0.8, 1.6, 2j)]),
+            ))),
+        }[case]
+        curves = eigen_curves_multi(Sx, Sn, spec)
+        assert curves.lam.shape == (len(curves.bp) - 1, spec.P)
+        for (a, b), lam in zip(zip(curves.bp[:-1], curves.bp[1:]), curves.lam):
+            for f in (a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0):
+                sy, kk = build_branch_matrices(Sx, Sn, spec, f)
+                t = inv_sqrt_psd(sy).entries
+                w = hermitian_eig(HermitianMatrix(t @ kk.entries @ t)).eigenvalues
+                np.testing.assert_allclose(np.maximum(w, 0.0), lam, rtol=0, atol=1e-12)
 
     def test_power_conservation(self):
         spec = SamplerSpec(0.9, (None, None))
-        curves = eigen_curves_multi(triangular_density(), rect_noise(2.0, 1.0), spec, 128)
+        curves = eigen_curves_multi(triangular_density(), rect_noise(2.0, 1.0), spec)
         sigma2 = triangular_density().total_power()
         assert curves.trace_integral() <= sigma2 + 1e-9
 
@@ -177,18 +198,18 @@ class TestEigenCurves:
 class TestMmseMulti:
     def test_p1_matches_single(self):
         spec = SamplerSpec(0.6, (None,))
-        a = mmse_multi(rect_density(), rect_noise(5.0), spec, 64)
+        a = mmse_multi(rect_density(), rect_noise(5.0), spec)
         b = mmse_single(rect_density(), rect_noise(5.0), None, 0.6)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_bandpass_alias_free_capture(self):
         spec = SamplerSpec(2.0, bandpass_branches())
-        assert mmse_multi(bandpass_density(), zero_density(), spec, 64) == pytest.approx(0.0, abs=1e-9)
+        assert mmse_multi(bandpass_density(), zero_density(), spec) == pytest.approx(0.0, abs=1e-9)
 
     def test_offband_filters_keep_full_variance(self):
         h = ComplexGainProfile([(5.0, 6.0, 1.0)])
         spec = SamplerSpec(1.0, (h,))
-        assert mmse_multi(rect_density(), zero_density(), spec, 32) == pytest.approx(1.0)
+        assert mmse_multi(rect_density(), zero_density(), spec) == pytest.approx(1.0)
 
 
 class TestMaximalAfSets:

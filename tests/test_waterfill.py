@@ -63,6 +63,11 @@ class TestParametricCore:
         sol = distortion_of_theta(1.0, FLAT, 0.0)
         assert sol.distortion == pytest.approx(sol.mmse_part)
 
+    def test_rate_at_subnormal_theta(self):
+        # v / theta would overflow; the rate is 1/2 * 0.5 * log2(1 / 2**-1040)
+        sol = distortion_of_theta(1.0, ([0.5], [1.0]), 2.0 ** -1040)
+        assert sol.rate == 260.0
+
     def test_distortion_saturates(self):
         sol = distortion_of_theta(1.0, FLAT, 2.0)
         assert sol.distortion == pytest.approx(1.0)
@@ -228,7 +233,7 @@ class TestDrfSampledSingle:
 class TestDrfSampledMulti:
     def test_p1_consistency(self):
         spec = SamplerSpec(0.5, (None,))
-        a = drf_sampled_multi(rect_density(), zero_density(), spec, 1.0, 64)
+        a = drf_sampled_multi(rect_density(), zero_density(), spec, 1.0)
         b = drf_sampled_single(rect_density(), zero_density(), None, 0.5, 1.0)
         assert a.distortion == pytest.approx(b.distortion, rel=1e-6)
 
@@ -237,12 +242,12 @@ class TestDrfSampledMulti:
             ComplexGainProfile([(-2.0, -1.0, 1.0)]),
             ComplexGainProfile([(1.0, 2.0, 1.0)]),
         ))
-        sol = drf_sampled_multi(bandpass_density(), zero_density(), spec, 1.0, 64)
+        sol = drf_sampled_multi(bandpass_density(), zero_density(), spec, 1.0)
         assert sol.distortion == pytest.approx(0.5, rel=1e-6)
 
     def test_high_rate_reaches_mmse(self):
         spec = SamplerSpec(0.8, (None, None))
-        sol = drf_sampled_multi(triangular_density(), rect_noise(2.0, 1.0), spec, 60.0, 128)
+        sol = drf_sampled_multi(triangular_density(), rect_noise(2.0, 1.0), spec, 60.0)
         assert sol.lossy_part <= 1e-6
 
 
