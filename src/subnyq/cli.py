@@ -179,8 +179,8 @@ def _fmt(x) -> str:
         return x
     if isinstance(x, int):
         return str(x)
-    if math.isnan(x):
-        raise NumericalFailure("NaN in results")
+    if not math.isfinite(x):
+        raise NumericalFailure(f"{x} in results")
     return f"{x:.12g}"
 
 

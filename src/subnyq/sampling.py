@@ -7,12 +7,13 @@ construction of maximal aliasing-free sets (which are the supports of the
 optimal pre-sampling filters), the sampling-rate lower bound on the MMSE and
 the polyphase decomposition used by the distortion lower bound.
 
-Scalar paths are exact: inputs are piecewise-constant, and every grid is
-refined by the translate lattice before values are read off, so the curves
-returned here are the true piecewise-constant functions, not samples of them.
-The matrix path is exact too: every matrix entry is piecewise-constant, so
-its cells are the union of the entries' aliased breakpoints, and the
-eigenvalues are read off once per cell.
+Every path is exact: inputs are piecewise-constant, and every grid is cut at
+the translate lattice of the breakpoints before values are read off, so the
+curves returned here (the eigenvalue curves included, one eigen-solve per
+cell) are the true piecewise-constant functions, not samples of them.  All
+translates S(f - k*fs) come from one kernel, spectra._translates, as one
+(translates x cells) array: the sums and bound of s_tilde_single, the S_Y
+and K entries, the polyphase phased sums and the maximal_af_sets ranking.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ from .spectra import (
     _alias_grid,
     _dedup,
     _pw_aliased,
-    _pw_empty,
     _pw_eval,
     _pw_from_density,
     _pw_from_gain,
     _pw_support_radius,
     _Pw,
     _translate_count,
+    _translates,
     integrate,
     snr_ratio,
     superlevel_set_of_measure,
@@ -155,21 +156,51 @@ def _source_and_observation(Sx, Sn, *extra_bp: np.ndarray):
 
 
 def _single_branch_pws(Sx, Sn, H):
-    """Numerator Sx^2|H|^2 and denominator (Sx+Sn)|H|^2 as full-line pieces."""
+    """Numerator Sx^2|H|^2, denominator (Sx+Sn)|H|^2 and the polyphase cross
+    term Sx conj(H), as full-line pieces on one grid."""
     if H is None:
         bp, _, x, z = _source_and_observation(Sx, Sn)
-        return _Pw(bp, x * x), _Pw(bp, z)
+        return _Pw(bp, x * x), _Pw(bp, z), _Pw(bp, x.astype(complex))
     h = _pw_from_gain(H)
     bp, mids, x, z = _source_and_observation(Sx, Sn, h.bp)
-    w = np.abs(_pw_eval(h, mids)) ** 2
-    return _Pw(bp, x * x * w), _Pw(bp, z * w)
+    g = _pw_eval(h, mids)
+    w = np.abs(g) ** 2
+    return _Pw(bp, x * x * w), _Pw(bp, z * w), _Pw(bp, x * np.conj(g))
 
 
 def _safe_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b where b > 0, else 0; a may carry leading axes over b's."""
     out = np.zeros_like(a, dtype=float)
     nz = b > 0
-    out[nz] = a[nz] / b[nz]
+    out[..., nz] = a[..., nz] / b[nz]
     return out
+
+
+def _period_cells(pws, fs: float):
+    """(grid, mids, kmax): cells of (-fs/2, fs/2) cut at every aliased
+    breakpoint of every pw, and a translate count covering them all."""
+    if fs <= 0:
+        raise SpectrumError(f"fs must be positive, got {fs}")
+    lo, hi = -fs / 2.0, fs / 2.0
+    grid = _dedup(np.concatenate([_alias_grid(pw, fs, lo, hi) for pw in pws]))
+    kmax = max(_translate_count(pw, fs, hi) for pw in pws)
+    return grid, 0.5 * (grid[:-1] + grid[1:]), kmax
+
+
+def _folded(Sx, Sn, H, fs: float):
+    """(num, den, curve): the single-branch pieces and s_tilde_single from them."""
+    num, den, _ = _single_branch_pws(Sx, Sn, H)
+    bp, mids, kmax = _period_cells((num, den), fs)
+    vals = _safe_ratio(_translates(num, fs, mids, kmax).sum(axis=0),
+                       _translates(den, fs, mids, kmax).sum(axis=0))
+
+    # structural sanity: the curve can never exceed the best single translate
+    # of the per-frequency ratio Sx^2/(Sx+Sn) restricted to the filter support
+    ratio = _Pw(num.bp, _safe_ratio(num.vals, den.vals))
+    sup = _translates(ratio, fs, mids, kmax).max(axis=0)
+    if np.any(vals > sup + 1e-9 * max(1.0, float(sup.max(initial=0.0)))):
+        raise SpectrumError("conditional spectrum exceeded its translate bound")
+    return num, den, ScalarCurve(bp, vals)
 
 
 def s_tilde_single(
@@ -184,49 +215,17 @@ def s_tilde_single(
     with 0/0 read as 0.  Only |H|^2 enters, so the phase of the pre-sampling
     filter is irrelevant by construction.
     """
-    if fs <= 0:
-        raise SpectrumError(f"fs must be positive, got {fs}")
-    num, den = _single_branch_pws(Sx, Sn, H)
-    lo, hi = -fs / 2.0, fs / 2.0
-    bp = _dedup(np.concatenate([_alias_grid(num, fs, lo, hi),
-                                _alias_grid(den, fs, lo, hi)]))
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    kmax = max(_translate_count(num, fs, hi), _translate_count(den, fs, hi))
-    a = np.zeros_like(mids)
-    b = np.zeros_like(mids)
-    for k in range(-kmax, kmax + 1):
-        shifted = mids - fs * k
-        a += _pw_eval(num, shifted)
-        b += _pw_eval(den, shifted)
-    vals = _safe_ratio(a, b)
-
-    # structural sanity: the curve can never exceed the best single translate
-    # of the per-frequency ratio Sx^2/(Sx+Sn) restricted to the filter support
-    ratio = _Pw(num.bp, _safe_ratio(
-        _pw_eval(num, 0.5 * (num.bp[:-1] + num.bp[1:])),
-        _pw_eval(den, 0.5 * (den.bp[:-1] + den.bp[1:]))))
-    sup = np.zeros_like(mids)
-    for k in range(-kmax, kmax + 1):
-        sup = np.maximum(sup, _pw_eval(ratio, mids - fs * k))
-    if np.any(vals > sup + 1e-9 * max(1.0, float(sup.max(initial=0.0)))):
-        raise SpectrumError("conditional spectrum exceeded its translate bound")
-    return ScalarCurve(bp, vals)
+    return _folded(Sx, Sn, H, fs)[2]
 
 
-def mmse_single(
-    Sx: SpectralDensity,
-    Sn: SpectralDensity,
-    H: ComplexGainProfile | None,
-    fs: float,
-) -> float:
-    """MMSE of estimating the source from single-branch samples at rate fs."""
+def _mmse_and_curve(Sx, Sn, H, fs: float) -> tuple[float, ScalarCurve]:
+    """mmse_single and the s_tilde_single curve it integrates, from one build."""
+    num, den, curve = _folded(Sx, Sn, H, fs)
     sigma2 = Sx.total_power()
-    curve = s_tilde_single(Sx, Sn, H, fs)
     value = sigma2 - curve.integral()
 
     # cross-check against the unfolded form: integrate over the whole line
     # Sx(f) * (1 - Sx|H|^2(f) / aliased denominator at f)
-    num, den = _single_branch_pws(Sx, Sn, H)
     px = _pw_from_density(Sx)
     radius = max(_pw_support_radius(px), _pw_support_radius(den))
     if radius > 0:
@@ -236,56 +235,45 @@ def mmse_single(
         x = _pw_eval(px, mids)
         frac = _safe_ratio(_pw_eval(num, mids), _pw_eval(den_per, mids))
         alt = float(np.sum(np.diff(bp) * x) - np.sum(np.diff(bp) * frac))
-        if abs(alt - value) > 1e-10 * max(1.0, sigma2):
+        # written so that a NaN residual fails too
+        if not abs(alt - value) <= 1e-10 * max(1.0, sigma2):
             raise SpectrumError(
                 f"mmse cross-check failed: folded {value} vs unfolded {alt}"
             )
-    return value
+    return value, curve
+
+
+def mmse_single(
+    Sx: SpectralDensity,
+    Sn: SpectralDensity,
+    H: ComplexGainProfile | None,
+    fs: float,
+) -> float:
+    """MMSE of estimating the source from single-branch samples at rate fs."""
+    return _mmse_and_curve(Sx, Sn, H, fs)[0]
 
 
 def _pair_pws(Sx, Sn, spec: SamplerSpec):
     """(i, j, pz, pk) for each branch pair i <= j: conj(H_i)H_j times (Sx+Sn)
-    and times Sx^2."""
-    bp0, _, x, z = _source_and_observation(Sx, Sn)
-    base_z = _Pw(bp0, z.astype(complex))
-    base_k = _Pw(bp0, (x * x).astype(complex))
+    and times Sx^2, on one grid for the source, the noise and every filter."""
     gains = [None if b is None else _pw_from_gain(b) for b in spec.branches]
-    pairs = []
-    for i in range(spec.P):
-        for j in range(i, spec.P):
-            gi, gj = gains[i], gains[j]
-            if gi is None and gj is None:
-                pz, pk = base_z, base_k
-            else:
-                parts = [base_z.bp] + [g.bp for g in (gi, gj) if g is not None]
-                bp = _dedup(np.concatenate(parts))
-                mids = 0.5 * (bp[:-1] + bp[1:])
-                w = np.ones_like(mids, dtype=complex)
-                if gi is not None:
-                    w = w * np.conj(_pw_eval(gi, mids))
-                if gj is not None:
-                    w = w * _pw_eval(gj, mids)
-                pz = _Pw(bp, _pw_eval(base_z, mids) * w)
-                pk = _Pw(bp, _pw_eval(base_k, mids) * w)
-            pairs.append((i, j, pz, pk))
-    return pairs
-
-
-def _alias_eval(pw: _Pw, pts: np.ndarray, fs: float, kmax: int) -> np.ndarray:
-    out = np.zeros(pts.shape, dtype=pw.vals.dtype)
-    for k in range(-kmax, kmax + 1):
-        out += _pw_eval(pw, pts - fs * k)
-    return out
+    bp, mids, x, z = _source_and_observation(Sx, Sn, *(g.bp for g in gains if g is not None))
+    h = [np.ones_like(mids, dtype=complex) if g is None else _pw_eval(g, mids) for g in gains]
+    return [(i, j, _Pw(bp, z * w), _Pw(bp, x * x * w))
+            for i in range(spec.P) for j in range(i, spec.P)
+            for w in [np.conj(h[i]) * h[j]]]
 
 
 def _matrices_on_points(pairs, P: int, fs: float, pts: np.ndarray):
     """Aliased S_Y and K matrices stacked over the given frequencies."""
-    kmax = max([1] + [_translate_count(pz, fs, fs / 2.0) for _, _, pz, _ in pairs])
+    # pk vanishes wherever pz does, so the pz counts cover both
+    edge = max(fs / 2.0, float(np.abs(pts).max()))
+    kmax = max(_translate_count(pz, fs, edge) for _, _, pz, _ in pairs)
     sy = np.zeros((len(pts), P, P), dtype=complex)
     kk = np.zeros((len(pts), P, P), dtype=complex)
     for i, j, pz, pk in pairs:
-        az = _alias_eval(pz, pts, fs, kmax)
-        ak = _alias_eval(pk, pts, fs, kmax)
+        az = _translates(pz, fs, pts, kmax).sum(axis=0)
+        ak = _translates(pk, fs, pts, kmax).sum(axis=0)
         sy[:, i, j] = az
         kk[:, i, j] = ak
         if i != j:
@@ -312,14 +300,6 @@ def build_branch_matrices(
     return my, mk
 
 
-def _grid_for_spec(pairs, fs: float) -> np.ndarray:
-    """Cell edges on (-fs/2, fs/2): {-fs/2, fs/2} and every aliased breakpoint
-    of every matrix entry, so each entry is constant on each cell."""
-    lo, hi = -fs / 2.0, fs / 2.0
-    return _dedup(np.concatenate([_alias_grid(pw, fs, lo, hi)
-                                  for _, _, pz, pk in pairs for pw in (pz, pk)]))
-
-
 def eigen_curves_multi(
     Sx: SpectralDensity,
     Sn: SpectralDensity,
@@ -332,8 +312,7 @@ def eigen_curves_multi(
     The matrices are constant on each cell, so these are the exact curves.
     """
     pairs = _pair_pws(Sx, Sn, spec)
-    bp = _grid_for_spec(pairs, spec.fs)
-    mids = 0.5 * (bp[:-1] + bp[1:])
+    bp, mids, _ = _period_cells([pw for *_, pz, pk in pairs for pw in (pz, pk)], spec.fs)
     sy, kk = _matrices_on_points(pairs, spec.P, spec.fs, mids)
     lam = np.empty((len(mids), spec.P))
     for c in range(len(mids)):
@@ -370,31 +349,29 @@ def maximal_af_sets(
 
     The base cell [-fs/(2P), fs/(2P)) is refined by every translate of the
     ratio's breakpoints; within each refined cell the translates by fs/P are
-    ranked by ratio value (ties: smaller |f|, then negative side first) and
-    the p-th best goes to set p.  Only the f >= 0 half of the cell is scanned;
-    selections are mirrored, which keeps each set symmetric so an indicator
-    filter on it has a real impulse response.
+    ranked by ratio value (ties: smaller |f|, then negative side first, then
+    smaller shift) and the p-th best goes to set p.  Only the f >= 0 half of
+    the cell is scanned; selections are mirrored, which keeps each set
+    symmetric so an indicator filter on it has a real impulse response.
     """
     if fs <= 0 or P < 1:
         raise SpectrumError(f"need fs > 0 and P >= 1, got fs={fs}, P={P}")
     d = fs / P
     pw = _pw_from_density(ratio)
     bp = _alias_grid(pw, d, 0.0, d / 2.0)
+    mids = 0.5 * (bp[:-1] + bp[1:])
     kmax = _translate_count(pw, d, d / 2.0)
-    buckets: list[list[tuple[float, float]]] = [[] for _ in range(P)]
-    for a, b in zip(bp[:-1], bp[1:]):
-        m = 0.5 * (a + b)
-        cands = []
-        for k in range(-kmax, kmax + 1):
-            v = float(_pw_eval(pw, np.array([m + k * d]))[0])
-            if v > 0:
-                c = m + k * d
-                cands.append((-v, abs(c), 0 if c < 0 else 1, k))
-        cands.sort()
-        for p, (_, _, _, k) in enumerate(cands[:P]):
-            buckets[p].append((a + k * d, b + k * d))
-            buckets[p].append((-(b + k * d), -(a + k * d)))
-    return [FrequencySet(iv for iv in bucket) for bucket in buckets]
+    # row i holds shift k = i - kmax: the ratio at c = mids + k*d
+    v = _translates(pw, d, mids, kmax)[::-1]
+    k = np.arange(-kmax, kmax + 1)[:, None] + np.zeros(len(mids), dtype=int)
+    c = mids + k * d
+    sets = []
+    for rows in np.lexsort((k, c >= 0, np.abs(c), -v), axis=0)[:P]:
+        keep = v[rows, np.arange(len(mids))] > 0
+        off = (rows[keep] - kmax) * d
+        lo, hi = bp[:-1][keep] + off, bp[1:][keep] + off
+        sets.append(FrequencySet(zip(np.concatenate([lo, -hi]), np.concatenate([hi, -lo]))))
+    return sets + [FrequencySet()] * (P - len(sets))
 
 
 def mmse_optimal(
@@ -416,6 +393,26 @@ def landau_mmse_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float) -> fl
     return Sx.total_power() - captured
 
 
+def _polyphase_translates(Sx, Sn, H, fs: float, k_max: int | None = None):
+    """(grid, k, A, denom): the offset-free parts of the polyphase spectra.
+
+    On the cells of grid over (-fs/2, fs/2), row i of A is Sx conj(H)
+    translated by fs*k[i], and denom is the aliased (Sx+Sn)|H|^2.
+    """
+    _, den, sxz = _single_branch_pws(Sx, Sn, H)
+    grid, mids, kmax = _period_cells((sxz, den), fs)
+    k_max = kmax if k_max is None else k_max
+    return (grid, np.arange(-k_max, k_max + 1), _translates(sxz, fs, mids, k_max),
+            _translates(den, fs, mids, k_max).sum(axis=0))
+
+
+def _polyphase_values(k, A, denom, fs: float, deltas) -> np.ndarray:
+    """Polyphase spectra, one row per offset in deltas; the numerators of
+    all offsets come from one product, exp(2 pi i outer(delta, k)) @ A."""
+    phases = np.exp(1j * np.outer(deltas, 2.0 * np.pi * k))
+    return fs * _safe_ratio(np.abs(phases @ A) ** 2, denom)
+
+
 def polyphase_conditional_psd(
     Sx: SpectralDensity,
     Sn: SpectralDensity,
@@ -432,29 +429,5 @@ def polyphase_conditional_psd(
     The double translate sum in the numerator collapses to a squared modulus
     of a single phased sum.
     """
-    if fs <= 0:
-        raise SpectrumError(f"fs must be positive, got {fs}")
-    if H is None:
-        bp, _, x, z = _source_and_observation(Sx, Sn)
-        sxz = _Pw(bp, x.astype(complex))
-        den = _Pw(bp, z)
-    else:
-        hw = _pw_from_gain(H)
-        bp, mids, x, z = _source_and_observation(Sx, Sn, hw.bp)
-        g = _pw_eval(hw, mids)
-        sxz = _Pw(bp, x.astype(complex) * np.conj(g))
-        den = _Pw(bp, z * np.abs(g) ** 2)
-    lo, hi = -fs / 2.0, fs / 2.0
-    grid = _dedup(np.concatenate([_alias_grid(sxz, fs, lo, hi),
-                                  _alias_grid(den, fs, lo, hi)]))
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    if k_max is None:
-        k_max = max(_translate_count(sxz, fs, hi), _translate_count(den, fs, hi))
-    numer = np.zeros_like(mids, dtype=complex)
-    denom = np.zeros_like(mids)
-    for k in range(-k_max, k_max + 1):
-        shifted = mids - fs * k
-        numer += _pw_eval(sxz, shifted) * np.exp(2j * np.pi * k * delta)
-        denom += _pw_eval(den, shifted)
-    vals = fs * _safe_ratio(np.abs(numer) ** 2, denom)
-    return ScalarCurve(grid / fs, vals)
+    grid, k, A, denom = _polyphase_translates(Sx, Sn, H, fs, k_max)
+    return ScalarCurve(grid / fs, _polyphase_values(k, A, denom, fs, [delta])[0])

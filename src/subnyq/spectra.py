@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -151,6 +151,8 @@ class SpectralDensity:
             else:
                 lo, hi, val = seg
             lo, hi, val = float(lo), float(hi), float(val)
+            if not all(map(math.isfinite, (lo, hi, val))):
+                raise SpectrumError(f"segment ({lo},{hi})={val} is not finite")
             if lo < 0:
                 raise SpectrumError(f"segments live on f >= 0, got lo={lo}")
             if val < 0:
@@ -304,6 +306,8 @@ class ComplexGainProfile:
         norm = []
         for lo, hi, g in segments:
             lo, hi, g = float(lo), float(hi), complex(g)
+            if not all(map(math.isfinite, (lo, hi, g.real, g.imag))):
+                raise SpectrumError(f"gain segment ({lo},{hi})={g} is not finite")
             if hi - lo <= 0:
                 raise SpectrumError(f"empty gain segment ({lo},{hi})")
             if g != 0:
@@ -385,39 +389,26 @@ def _pw_eval(pw: _Pw, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pw_from_segments(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray) -> _Pw:
+    """Disjoint segments [lo[i], hi[i]) = vals[i], sorted by lo; 0 between them."""
+    bp = _dedup(np.concatenate([lo, hi]))
+    mids = 0.5 * (bp[:-1] + bp[1:])
+    i = np.maximum(np.searchsorted(lo, mids, side="right") - 1, 0)
+    return _Pw(bp, np.where((mids >= lo[i]) & (mids < hi[i]), vals[i], 0))
+
+
 def _pw_from_density(S: SpectralDensity) -> _Pw:
     if not S.segments:
         return _pw_empty()
-    pts = set()
-    for iv, _ in S.segments:
-        pts.update((iv.lo, iv.hi, -iv.lo, -iv.hi))
-    bp = _dedup(np.array(sorted(pts)))
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    vals = np.array([S.evaluate(m) for m in mids])
-    return _Pw(bp, vals)
+    lo, hi, vals = map(np.array, zip(*((iv.lo, iv.hi, v) for iv, v in S.segments)))
+    return _pw_from_segments(np.concatenate([-hi[::-1], lo]), np.concatenate([-lo[::-1], hi]),
+                             np.concatenate([vals[::-1], vals]))
 
 
 def _pw_from_gain(H: ComplexGainProfile) -> _Pw:
     if not H.segments:
         return _pw_empty()
-    bp = _dedup(np.array(H.breakpoints()))
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    vals = np.array([H.evaluate(m) for m in mids], dtype=complex)
-    return _Pw(bp, vals)
-
-
-def _pw_combine(pws: Sequence[_Pw], func: Callable[..., np.ndarray]) -> _Pw:
-    """Pointwise combination on the union of all breakpoint grids."""
-    bp = _dedup(np.concatenate([p.bp for p in pws]))
-    if len(bp) < 2:
-        return _pw_empty()
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    vals = func(*[_pw_eval(p, mids) for p in pws])
-    return _Pw(bp, np.asarray(vals))
-
-
-def _pw_integral(pw: _Pw) -> float | complex:
-    return float(np.real_if_close(np.sum(np.diff(pw.bp) * pw.vals)))
+    return _pw_from_segments(*map(np.array, zip(*H.segments)))
 
 
 def _pw_support_radius(pw: _Pw) -> float:
@@ -427,33 +418,51 @@ def _pw_support_radius(pw: _Pw) -> float:
     return float(max(abs(pw.bp[nz[0]]), abs(pw.bp[nz[-1] + 1])))
 
 
-def _alias_grid(pw: _Pw, step: float, lo: float, hi: float) -> np.ndarray:
-    """Breakpoints of sum/sup over translates of pw by step*Z, clipped to [lo, hi]."""
-    radius = _pw_support_radius(pw)
-    kmax = math.ceil((radius + max(abs(lo), abs(hi))) / step) + 1
-    pts = [np.array([lo, hi])]
-    for k in range(-kmax, kmax + 1):
-        shifted = pw.bp + step * k
-        pts.append(shifted[(shifted > lo) & (shifted < hi)])
-    return _dedup(np.concatenate(pts))
+# Most translates per side of any translate sum.  Past it the (translates x
+# cells) arrays and the polyphase bound's (offsets x translates) phases grow
+# too large for memory.
+_MAX_TRANSLATES = 1000
 
 
 def _translate_count(pw: _Pw, step: float, cell_edge: float) -> int:
-    return math.ceil((_pw_support_radius(pw) + cell_edge) / step) + 1
+    """kmax: pw(f - step*k) is 0 for every |f| <= cell_edge and |k| > kmax."""
+    span = (_pw_support_radius(pw) + cell_edge) / step
+    count = math.ceil(span) + 1 if math.isfinite(span) else math.inf
+    if count > _MAX_TRANSLATES:
+        raise SpectrumError(f"fs = {step:g} needs {count:.4g} translates per side, "
+                            f"more than the cap of {_MAX_TRANSLATES}")
+    return count
+
+
+def _translates(pw: _Pw, step: float, pts: np.ndarray, kmax: int) -> np.ndarray:
+    """pw(pts - step*k) for k = -kmax..kmax, one row per k: the one place
+    translates are evaluated.  A sum over axis 0 adds rows in ascending k."""
+    k = np.arange(-kmax, kmax + 1)
+    return _pw_eval(pw, pts[None, :] - step * k[:, None])
+
+
+def _alias_grid(pw: _Pw, step: float, lo: float, hi: float) -> np.ndarray:
+    """Breakpoints of sum/sup over translates of pw by step*Z, clipped to [lo, hi]."""
+    kmax = _translate_count(pw, step, max(abs(lo), abs(hi)))
+    shifted = (pw.bp[None, :] + step * np.arange(-kmax, kmax + 1)[:, None]).ravel()
+    return _dedup(np.concatenate(([lo, hi], shifted[(shifted > lo) & (shifted < hi)])))
 
 
 def _pw_aliased(pw: _Pw, step: float, lo: float, hi: float, op: str = "sum") -> _Pw:
-    """Restrict sum_k pw(f - step*k) (op='sum') or sup_k (op='sup') to [lo, hi]."""
-    bp = _alias_grid(pw, step, lo, hi)
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    kmax = _translate_count(pw, step, max(abs(lo), abs(hi)))
-    stack = np.stack(
-        [_pw_eval(pw, mids - step * k) for k in range(-kmax, kmax + 1)]
-    )
-    if op == "sum":
-        vals = stack.sum(axis=0)
-    elif op == "sup":
-        vals = stack.max(axis=0)
-    else:
+    """Restrict sum_k pw(f - step*k) (op='sum') or sup_k (op='sup') to [lo, hi].
+
+    Both are step-periodic, so they are read once on the cells of the period
+    [-step/2, step/2] and repeated over [lo, hi]: memory grows with the
+    translate count, not with its square, however wide [lo, hi] is.
+    """
+    if op not in ("sum", "sup"):
         raise SpectrumError(f"unknown alias op {op!r}")
-    return _Pw(bp, vals)
+    half = step / 2.0
+    bp = _alias_grid(pw, step, -half, half)
+    t = _translates(pw, step, 0.5 * (bp[:-1] + bp[1:]), _translate_count(pw, step, half))
+    vals = t.sum(axis=0) if op == "sum" else t.max(axis=0)
+    j = np.arange(math.floor(lo / step + 0.5), math.ceil(hi / step - 0.5) + 1)
+    tiled = _Pw(np.append((bp[:-1] + step * j[:, None]).ravel(), bp[-1] + step * j[-1]),
+                np.tile(vals, len(j)))
+    grid = _dedup(np.concatenate(([lo, hi], tiled.bp[(tiled.bp > lo) & (tiled.bp < hi)])))
+    return _Pw(grid, _pw_eval(tiled, 0.5 * (grid[:-1] + grid[1:])))

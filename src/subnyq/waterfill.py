@@ -24,9 +24,10 @@ from .sampling import (
     SamplerSpec,
     ScalarCurve,
     eigen_curves_multi,
+    _mmse_and_curve,
+    _polyphase_translates,
+    _polyphase_values,
     maximal_af_sets,
-    mmse_single,
-    polyphase_conditional_psd,
     s_tilde_single,
 )
 from .spectra import (
@@ -323,22 +324,29 @@ def polyphase_lower_bound(
 
     Each in-period offset delta gets its own waterfill at the per-sample rate
     R/fs over its conditional polyphase spectrum; the lossy terms are
-    averaged over a uniform delta grid and added to the sampling MMSE.
-    Equality holds above the Nyquist rate, where the polyphase spectra
-    coincide.
+    averaged over n = max(N_delta, 2*k_max + 1) equally spaced offsets, one
+    at least per fs translate in the phased sums, and added to the sampling
+    MMSE.  With that many offsets the cross terms of the squared phased sums
+    cancel exactly, so the bound holds at every fs.  Equality holds above the
+    Nyquist rate, where the polyphase spectra coincide.  A bound above
+    drf_sampled_single raises SpectrumError.
     """
     if N_delta < 8:
         raise WaterfillError(f"N_delta must be >= 8, got {N_delta}")
     R = _as_rate(R, fs)
-    mmse = mmse_single(Sx, Sn, H, fs)
-    r_bar = R / fs
-    lossy = 0.0
-    for j in range(N_delta):
-        curve = polyphase_conditional_psd(Sx, Sn, H, fs, j / N_delta)
-        if curve.max_value() <= 0:
-            continue
-        lossy += _solution(curve, r_bar, 0.0).lossy_part
-    return mmse + lossy / N_delta
+    sigma2 = Sx.total_power()
+    mmse, curve = _mmse_and_curve(Sx, Sn, H, fs)
+    grid, k, A, denom = _polyphase_translates(Sx, Sn, H, fs)
+    n = max(N_delta, len(k))
+    w = np.diff(grid / fs)
+    lossy = sum(_solution((w, v), R / fs, 0.0).lossy_part
+                for v in _polyphase_values(k, A, denom, fs, np.arange(n) / n)
+                if v.max() > 0)
+    bound = mmse + lossy / n
+    d = _waterfill(sigma2, curve, R).distortion
+    if bound > d + 1e-10 * max(1.0, sigma2):
+        raise SpectrumError(f"polyphase bound {bound} exceeds the distortion {d}")
+    return bound
 
 
 def drf_of_estimator(

@@ -1,10 +1,11 @@
 """Shared fixtures-in-spirit: named test spectra and closed-form references."""
 
+import cmath
 import math
 
 import numpy as np
 
-from subnyq.spectra import ComplexGainProfile, SpectralDensity
+from subnyq.spectra import BP_TOL, ComplexGainProfile, FrequencySet, SpectralDensity
 from subnyq.waterfill import rate_of_theta
 
 SIGMA2 = 1.0
@@ -118,3 +119,85 @@ def bisect_theta_for_rate(w, v, R):
         else:
             hi = mid
     raise RuntimeError(f"bisection did not reach rate {R} within 200 iterations")
+
+
+# Loop references for the translate kernel: the per-k forms the library used
+# before every translate sum was read off one (translates x cells) array.
+# They use only the public evaluate methods, so they share no code with it.
+
+def _translate_range(fs, f, *densities):
+    """k = -kmax..kmax covering every translate f - fs*k inside the supports."""
+    radius = max(S.f_max for S in densities)
+    kmax = math.ceil((radius + abs(f)) / fs) + 1
+    return range(-kmax, kmax + 1)
+
+
+def alias_cells_loop(points, step, lo, hi, ks):
+    """Cells of [lo, hi] cut at every point + step*k inside it, k in ks;
+    cuts closer than BP_TOL are merged, as the library merges them."""
+    pts = sorted({lo, hi} | {p + k * step for p in points for k in ks
+                             if lo < p + k * step < hi})
+    return [pts[0]] + [q for p, q in zip(pts, pts[1:]) if q - p > BP_TOL]
+
+
+def _gain(H, f):
+    return 1.0 if H is None else H.evaluate(f)
+
+
+def s_tilde_loop(Sx, Sn, H, fs, f):
+    """s_tilde_single at f: sum_k Sx^2|H|^2 over sum_k (Sx+Sn)|H|^2."""
+    num = den = 0.0
+    for k in _translate_range(fs, f, Sx, Sn):
+        g = f - fs * k
+        x, w = Sx.evaluate(g), abs(_gain(H, g)) ** 2
+        num += x * x * w
+        den += (x + Sn.evaluate(g)) * w
+    return num / den if den > 0 else 0.0
+
+
+def branch_matrices_loop(Sx, Sn, branches, fs, f):
+    """S_Y(f) and K(f): fs-aliased sums of (Sx+Sn) and Sx^2 times conj(H_i) H_j."""
+    P = len(branches)
+    sy = np.zeros((P, P), dtype=complex)
+    kk = np.zeros((P, P), dtype=complex)
+    for k in _translate_range(fs, f, Sx, Sn):
+        g = f - fs * k
+        x = Sx.evaluate(g)
+        h = np.array([_gain(b, g) for b in branches], dtype=complex)
+        outer = np.outer(np.conj(h), h)
+        sy += (x + Sn.evaluate(g)) * outer
+        kk += x * x * outer
+    return sy, kk
+
+
+def polyphase_loop(Sx, Sn, H, fs, delta, phi):
+    """Offset-delta polyphase spectrum at normalized frequency phi."""
+    f = phi * fs
+    numer, denom = 0j, 0.0
+    for k in _translate_range(fs, f, Sx, Sn):
+        g = f - fs * k
+        x, h = Sx.evaluate(g), _gain(H, g)
+        numer += x * h.conjugate() * cmath.exp(2j * math.pi * k * delta)
+        denom += (x + Sn.evaluate(g)) * abs(h) ** 2
+    return fs * abs(numer) ** 2 / denom if denom > 0 else 0.0
+
+
+def maximal_af_sets_loop(ratio, fs, P):
+    """maximal_af_sets by its per-cell ranking loop.
+
+    The cell [0, d/2), d = fs/P, is cut at every translate of the ratio's
+    breakpoints; in each cell the translates by d are sorted by
+    (-value, |f|, side, k) and the p-th best goes to set p, mirrored.
+    """
+    d = fs / P
+    ks = _translate_range(d, d / 2.0, ratio)
+    grid = alias_cells_loop([s for b in ratio.breakpoints() for s in (b, -b)],
+                            d, 0.0, d / 2.0, ks)
+    buckets = [[] for _ in range(P)]
+    for a, b in zip(grid, grid[1:]):
+        m = 0.5 * (a + b)
+        cands = sorted((-ratio.evaluate(m + k * d), abs(m + k * d), m + k * d >= 0, k)
+                       for k in ks if ratio.evaluate(m + k * d) > 0)
+        for p, (_, _, _, k) in enumerate(cands[:P]):
+            buckets[p] += [(a + k * d, b + k * d), (-(b + k * d), -(a + k * d))]
+    return [FrequencySet(bucket) for bucket in buckets]

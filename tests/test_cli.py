@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from subnyq.cli import load_config, main, reproduce_figure, run
-from subnyq.cli import ConfigError
+from subnyq.cli import ConfigError, NumericalFailure, _fmt
 
 RECT_CONFIG = {
     "schema_version": 1,
@@ -239,6 +239,26 @@ class TestExitCodes:
         doc["rates"] = {"values": [value]}
         assert run(write_config(tmp_path, doc), "drf") == 2
         assert "rates.values invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_fmt_rejects_infinity(self, value):
+        with pytest.raises(NumericalFailure):
+            _fmt(value)
+
+    # the source level squared overflows; the MMSE would come out -inf
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_source_exits_3(self, tmp_path, capsys):
+        doc = dict(RECT_CONFIG)
+        doc["source"] = {"segments": [[0.0, 0.5, 1e160]]}
+        out = str(tmp_path / "x.csv")
+        assert run(write_config(tmp_path, doc), "mmse", out=out) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_nan_source_level_exits_2(self, tmp_path, capsys):
+        doc = dict(RECT_CONFIG)
+        doc["source"] = {"segments": [[0.0, 0.5, math.nan]]}
+        assert run(write_config(tmp_path, doc), "mmse") == 2
+        assert "source.segments invalid" in capsys.readouterr().err
 
     def test_unattainable_rate(self, tmp_path, capsys):
         doc = dict(RECT_CONFIG)

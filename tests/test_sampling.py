@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subnyq.linalg import HermitianMatrix, hermitian_eig, inv_sqrt_psd
 from subnyq.sampling import (
@@ -21,10 +25,17 @@ from subnyq.spectra import (
     SpectrumError,
     aliased_sum,
     integrate,
+    _pw_from_density,
+    _translate_count,
     snr_ratio,
 )
 from support import (
+    alias_cells_loop,
     bandpass_density,
+    branch_matrices_loop,
+    maximal_af_sets_loop,
+    polyphase_loop,
+    s_tilde_loop,
     rect_density,
     rect_noise,
     triangular_density,
@@ -326,3 +337,101 @@ class TestPolyphase:
         target = np.array([fs * scalar.evaluate(fs * m) for m in mids])
         scale = max(1.0, float(np.max(target)))
         assert np.max(np.abs(avg - target)) <= 0.01 * scale
+
+
+# Segment edges lie on a 1/64 grid, so no two breakpoints fall within BP_TOL
+# of each other, where the library treats them as one.  Levels and gain parts
+# are 0 or at least 1e-6 in size: products of four subnormal-range factors
+# lose bits in the loop references themselves.
+LEVELS = st.one_of(st.just(0.0), st.floats(1e-6, 2.0))
+GAIN_PARTS = st.one_of(LEVELS, st.floats(-2.0, -1e-6))
+
+
+def grid_edges(lo, hi, max_size):
+    return st.lists(st.integers(64 * lo, 64 * hi), min_size=2, max_size=max_size,
+                    unique=True).map(lambda ks: [k / 64 for k in sorted(ks)])
+
+
+@st.composite
+def densities(draw, max_segments=3):
+    """Up to max_segments segments on [0, 2]."""
+    edges = draw(grid_edges(0, 2, max_segments + 1))
+    return SpectralDensity([(lo, hi, draw(LEVELS)) for lo, hi in zip(edges, edges[1:])])
+
+
+@st.composite
+def gains(draw):
+    """None (all-pass) or one or two complex-gain segments on (-3, 3)."""
+    if draw(st.booleans()):
+        return None
+    edges = draw(grid_edges(-3, 3, 3))
+    return ComplexGainProfile([(lo, hi, complex(draw(GAIN_PARTS), draw(GAIN_PARTS)))
+                               for lo, hi in zip(edges, edges[1:])])
+
+
+def assert_close(got, want):
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (got, want)
+
+
+class TestTranslateKernel:
+    """Every translate sum matches its per-k loop reference in tests/support."""
+
+    @given(densities(), densities(), gains(), st.floats(0.05, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_s_tilde_matches_loop(self, Sx, Sn, H, fs):
+        curve = s_tilde_single(Sx, Sn, H, fs)
+        mids = 0.5 * (curve.bp[:-1] + curve.bp[1:])
+        assert_close(curve.vals, [s_tilde_loop(Sx, Sn, H, fs, m) for m in mids])
+
+    @given(densities(), densities(), st.lists(gains(), min_size=1, max_size=3),
+           st.floats(0.05, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_branch_matrices_match_loop(self, Sx, Sn, branches, fs):
+        spec = SamplerSpec(fs, branches)
+        # cut at every translate of every breakpoint: each entry is constant
+        # on each cell, so its midpoint is no translate's breakpoint
+        points = [s for S in (Sx, Sn) for b in S.breakpoints() for s in (b, -b)]
+        points += [b for H in branches if H is not None for b in H.breakpoints()]
+        ks = range(-math.ceil(5.0 / fs), math.ceil(5.0 / fs) + 1)
+        bp = alias_cells_loop(points, fs, -fs / 2.0, fs / 2.0, ks)
+        for m in (0.5 * (a + b) for a, b in list(zip(bp, bp[1:]))[:6]):
+            sy, kk = build_branch_matrices(Sx, Sn, spec, m)
+            ref_sy, ref_kk = branch_matrices_loop(Sx, Sn, branches, fs, m)
+            assert_close(sy.entries, ref_sy)
+            assert_close(kk.entries, ref_kk)
+
+    @given(densities(), densities(), gains(), st.floats(0.05, 3.0))
+    # two overlapping translates see gains of different phase
+    @example(rect_density(1.0, 1.0), zero_density(),
+             ComplexGainProfile([(-1.0, 0.0, 1.0), (0.0, 1.0, 1j)]), 0.75)
+    @settings(max_examples=60, deadline=None)
+    def test_polyphase_matches_loop(self, Sx, Sn, H, fs):
+        # offsets where exp(2 pi i k delta) and its conjugate differ
+        for delta in (0.15, 0.3, 0.8):
+            curve = polyphase_conditional_psd(Sx, Sn, H, fs, delta)
+            mids = 0.5 * (curve.bp[:-1] + curve.bp[1:])
+            assert_close(curve.vals, [polyphase_loop(Sx, Sn, H, fs, delta, m) for m in mids])
+
+    @given(densities(4), densities(), st.floats(0.05, 3.0), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_af_sets_match_loop(self, Sx, Sn, fs, P):
+        ratio = snr_ratio(Sx, Sn)
+        assert maximal_af_sets(ratio, fs, P) == maximal_af_sets_loop(ratio, fs, P)
+
+
+class TestTranslateCap:
+    @pytest.mark.parametrize("fs", [1e-300, 5e-324, 1e-4])
+    def test_tiny_fs_named_error(self, fs):
+        # the count alone is computed: no translate array is built
+        with pytest.raises(SpectrumError, match=r"fs = .* translates per side"):
+            _translate_count(_pw_from_density(rect_density()), fs, fs / 2.0)
+
+
+class TestNonFinite:
+    def test_mmse_cross_check_fails_on_nan_residual(self):
+        # Sx^2 overflows: folded and unfolded MMSE are both -inf, and their
+        # difference is NaN
+        Sx = SpectralDensity(((0.0, 0.5, 1e160),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SpectrumError, match="cross-check"):
+                mmse_single(Sx, zero_density(), None, 0.5)

@@ -43,6 +43,14 @@ class TestEvaluate:
         with pytest.raises(SpectrumError):
             SpectralDensity(((-1.0, 1.0, 0.5),))
 
+    @pytest.mark.parametrize("seg", [
+        (0.0, 1.0, math.nan), (0.0, 1.0, math.inf), (0.0, math.inf, 1.0),
+        (math.nan, 1.0, 1.0),
+    ])
+    def test_rejects_non_finite(self, seg):
+        with pytest.raises(SpectrumError, match="not finite"):
+            SpectralDensity((seg,))
+
 
 class TestIntegrate:
     def test_total_power(self):
@@ -193,6 +201,11 @@ class TestGainProfile:
         h = ComplexGainProfile.conjugate_symmetric([(0.5, 1.0, 1.0 - 2.0j)])
         assert h.evaluate(0.7) == 1.0 - 2.0j
         assert h.evaluate(-0.7) == 1.0 + 2.0j
+
+    @pytest.mark.parametrize("g", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_rejects_non_finite_gain(self, g):
+        with pytest.raises(SpectrumError, match="not finite"):
+            ComplexGainProfile([(0.0, 1.0, g)])
 
     def test_indicator_support_roundtrip(self):
         F = fset((-2.0, -1.0), (1.0, 2.0))

@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from subnyq import waterfill
+from subnyq.cli import BIMODAL_SEGMENTS
 from subnyq.oracle import iid_drf
 from subnyq.sampling import SamplerSpec, mmse_single, s_tilde_single
-from subnyq.spectra import ComplexGainProfile, SpectralDensity
+from subnyq.spectra import ComplexGainProfile, SpectralDensity, SpectrumError
 from subnyq.waterfill import (
     BITS_PER_SAMPLE,
     RateSpec,
@@ -360,6 +362,29 @@ class TestDStarAndPolyphaseBounds:
     def test_polyphase_rejects_tiny_grid(self):
         with pytest.raises(WaterfillError):
             polyphase_lower_bound(rect_density(), zero_density(), None, 0.5, 1.0, N_delta=4)
+
+    @pytest.mark.parametrize("fs", [0.01, 0.02, 0.03, 0.04])
+    def test_polyphase_below_drf_far_below_nyquist(self, fs):
+        # far below the Nyquist rate 2*k_max + 1 exceeds N_delta = 64; with
+        # only 64 offsets the cross terms of the phased sums do not cancel
+        Sx = SpectralDensity(BIMODAL_SEGMENTS)
+        Sn = SpectralDensity(((0.0, 1.6, 0.05),))
+        b = polyphase_lower_bound(Sx, Sn, None, fs, 0.05)
+        d = drf_sampled_single(Sx, Sn, None, fs, 0.05).distortion
+        assert b <= d + 1e-10 * max(1.0, Sx.total_power())
+
+    def test_polyphase_above_drf_raises(self, monkeypatch):
+        # above the Nyquist rate the bound equals D, so a raised MMSE term
+        # puts it above D
+        real = waterfill._mmse_and_curve
+
+        def raised(*args):
+            mmse, curve = real(*args)
+            return mmse + 1e-6, curve
+
+        monkeypatch.setattr(waterfill, "_mmse_and_curve", raised)
+        with pytest.raises(SpectrumError, match="polyphase bound"):
+            polyphase_lower_bound(rect_density(), zero_density(), None, 1.2, 1.0)
 
 
 class TestDrfOfEstimator:
