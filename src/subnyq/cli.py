@@ -1,12 +1,13 @@
 """Batch front-end: config-driven sweeps over (fs, P, R) written as CSV.
 
 A config is a single JSON document describing the source and noise spectra,
-the sampler and the rate points.  Each mode maps a sweep point to one output
-row; rows are computed on a thread pool of SUBNYQ_THREADS workers (default
-min(8, cpu count)) but always written in config order, so output is
-deterministic byte for byte.
+the sampler and the rate points.  Each mode maps a sweep point (fs, and R
+where the mode takes a rate) to its output rows.  Points are computed one
+after another in config order, so output is deterministic byte for byte.
 
-Exit codes: 0 success, 2 config problem, 3 numerical failure.
+Exit codes: 0 success, 2 config problem (reported before any point is
+computed), 3 numerical failure (reported with the failing point, and no
+output is written).
 """
 
 from __future__ import annotations
@@ -16,15 +17,16 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import oracle, sampling, waterfill
+from .linalg import LinalgError
 from .spectra import ComplexGainProfile, SpectralDensity, SpectrumError, snr_ratio
 from .waterfill import BITS_PER_SAMPLE, BITS_PER_TIME, RateSpec, WaterfillError
 
 MODES = ("mmse", "drf", "drf-optimal", "d-dagger", "af-sets", "bounds", "oracle-check")
 FIGURES = ("rect", "nonmonotone", "mmse-opt", "opsf", "multi-branch", "af-sets")
+FORMATS = ("csv", "ndjson")
 
 # Bimodal spectrum behind the multi-branch and optimal-filter figures.  All
 # breakpoints are multiples of 0.08, so the sweep frequencies below are
@@ -184,17 +186,6 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _thread_count() -> int:
-    """Size of the row pool: SUBNYQ_THREADS if set, else min(8, cpu count)."""
-    env = os.environ.get("SUBNYQ_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"SUBNYQ_THREADS must be an integer, got {env!r}") from None
-    return min(8, os.cpu_count() or 1)
-
-
 DRF_HEADER = ["fs", "P", "rate_bits_per_time", "theta", "distortion",
               "mmse_part", "lossy_part"]
 
@@ -204,144 +195,105 @@ def _drf_row(fs, p, R: RateSpec, sol) -> list:
             sol.mmse_part, sol.lossy_part]
 
 
-def _rows_for_mode(mode: str, cfg: ExperimentConfig):
-    """Header plus a list of zero-argument row tasks, in output order."""
+def _sweep(mode: str, cfg: ExperimentConfig):
+    """(header, rows_at, points): rows_at(fs, R) gives the output rows of one
+    sweep point, and points lists the (fs, R) pairs in output order; R is
+    None in the modes that take no rate."""
     Sx, Sn = cfg.source, cfg.noise
-    tasks = []
-
-    def needs_rates():
-        if not cfg.rates:
-            raise ConfigError(f"mode {mode} needs at least one rate")
+    h = None if cfg.filters in (None, "optimal") else cfg.filters[0]
+    branches = None if cfg.filters == "optimal" else cfg.filters or [None] * cfg.P
 
     if mode == "mmse":
         header = ["fs", "P", "mmse"]
-        for fs in cfg.fs_list:
-            def task(fs=fs):
-                if cfg.filters == "optimal":
-                    val, _ = sampling.mmse_optimal(Sx, Sn, fs, cfg.P)
-                elif cfg.P == 1:
-                    h = None if cfg.filters is None else cfg.filters[0]
-                    val = sampling.mmse_single(Sx, Sn, h, fs)
-                else:
-                    branches = cfg.filters or [None] * cfg.P
-                    val = sampling.mmse_multi(
-                        Sx, Sn, sampling.SamplerSpec(fs, branches))
-                return [fs, cfg.P, val]
-            tasks.append(task)
+
+        def rows_at(fs, R):
+            if cfg.filters == "optimal":
+                val, _ = sampling.mmse_optimal(Sx, Sn, fs, cfg.P)
+            elif cfg.P == 1:
+                val = sampling.mmse_single(Sx, Sn, h, fs)
+            else:
+                val = sampling.mmse_multi(Sx, Sn, sampling.SamplerSpec(fs, branches))
+            return [[fs, cfg.P, val]]
     elif mode == "drf":
-        needs_rates()
         if cfg.filters == "optimal":
             raise ConfigError("use mode drf-optimal for optimal filters")
         header = DRF_HEADER
-        for fs in cfg.fs_list:
-            for R in cfg.rates:
-                def task(fs=fs, R=R):
-                    if cfg.P == 1:
-                        h = None if cfg.filters is None else cfg.filters[0]
-                        sol = waterfill.drf_sampled_single(Sx, Sn, h, fs, R.per_time(fs))
-                    else:
-                        branches = cfg.filters or [None] * cfg.P
-                        sol = waterfill.drf_sampled_multi(
-                            Sx, Sn, sampling.SamplerSpec(fs, branches),
-                            R.per_time(fs))
-                    return _drf_row(fs, cfg.P, R, sol)
-                tasks.append(task)
+
+        def rows_at(fs, R):
+            r = R.per_time(fs)
+            if cfg.P == 1:
+                sol = waterfill.drf_sampled_single(Sx, Sn, h, fs, r)
+            else:
+                sol = waterfill.drf_sampled_multi(
+                    Sx, Sn, sampling.SamplerSpec(fs, branches), r)
+            return [_drf_row(fs, cfg.P, R, sol)]
     elif mode == "drf-optimal":
-        needs_rates()
         header = DRF_HEADER
-        for fs in cfg.fs_list:
-            for R in cfg.rates:
-                def task(fs=fs, R=R):
-                    sol = waterfill.drf_sampled_optimal(Sx, Sn, fs, cfg.P, R.per_time(fs))
-                    return _drf_row(fs, cfg.P, R, sol)
-                tasks.append(task)
+
+        def rows_at(fs, R):
+            sol = waterfill.drf_sampled_optimal(Sx, Sn, fs, cfg.P, R.per_time(fs))
+            return [_drf_row(fs, cfg.P, R, sol)]
     elif mode == "d-dagger":
-        needs_rates()
         header = DRF_HEADER
-        for fs in cfg.fs_list:
-            for R in cfg.rates:
-                def task(fs=fs, R=R):
-                    sol = waterfill.d_dagger(Sx, Sn, fs, R.per_time(fs))
-                    return _drf_row(fs, "inf", R, sol)
-                tasks.append(task)
+
+        def rows_at(fs, R):
+            return [_drf_row(fs, "inf", R, waterfill.d_dagger(Sx, Sn, fs, R.per_time(fs)))]
     elif mode == "af-sets":
         header = ["fs", "P", "branch", "lo", "hi"]
         ratio = snr_ratio(Sx, Sn)
-        for fs in cfg.fs_list:
-            def task(fs=fs):
-                rows = []
-                sets = sampling.maximal_af_sets(ratio, fs, cfg.P)
-                for p, F in enumerate(sets, start=1):
-                    for iv in F.intervals:
-                        rows.append([fs, cfg.P, p, iv.lo, iv.hi])
-                return rows
-            tasks.append(task)
+
+        def rows_at(fs, R):
+            sets = sampling.maximal_af_sets(ratio, fs, cfg.P)
+            return [[fs, cfg.P, p, iv.lo, iv.hi]
+                    for p, F in enumerate(sets, start=1) for iv in F.intervals]
     elif mode == "bounds":
-        needs_rates()
         header = ["fs", "rate_bits_per_time", "drf_sampled", "idrf_stationary",
                   "mmse", "d_star_lower", "polyphase_lower", "d_dagger"]
-        h = None if cfg.filters in (None, "optimal") else cfg.filters[0]
-        for fs in cfg.fs_list:
-            for R in cfg.rates:
-                def task(fs=fs, R=R):
-                    r = R.per_time(fs)
-                    return [
-                        fs, r,
-                        waterfill.drf_sampled_single(Sx, Sn, h, fs, r).distortion,
-                        waterfill.idrf_stationary(Sx, Sn, h, r).distortion,
-                        sampling.mmse_single(Sx, Sn, h, fs),
-                        waterfill.d_star_lower_bound(Sx, Sn, fs, r),
-                        waterfill.polyphase_lower_bound(Sx, Sn, h, fs, r),
-                        waterfill.d_dagger(Sx, Sn, fs, r).distortion,
-                    ]
-                tasks.append(task)
+
+        def rows_at(fs, R):
+            r = R.per_time(fs)
+            return [[
+                fs, r,
+                waterfill.drf_sampled_single(Sx, Sn, h, fs, r).distortion,
+                waterfill.idrf_stationary(Sx, Sn, h, r).distortion,
+                sampling.mmse_single(Sx, Sn, h, fs),
+                waterfill.d_star_lower_bound(Sx, Sn, fs, r),
+                waterfill.polyphase_lower_bound(Sx, Sn, h, fs, r),
+                waterfill.d_dagger(Sx, Sn, fs, r).distortion,
+            ]]
     elif mode == "oracle-check":
-        needs_rates()
         header = ["fs", "rate_bits_per_time", "mmse_exact", "mmse_window",
                   "drf_exact", "drf_block"]
-        h = None if cfg.filters in (None, "optimal") else cfg.filters[0]
-        for fs in cfg.fs_list:
-            for R in cfg.rates:
-                def task(fs=fs, R=R):
-                    r = R.per_time(fs)
-                    return [
-                        fs, r,
-                        sampling.mmse_single(Sx, Sn, h, fs),
-                        oracle.finite_window_mmse_average(
-                            Sx, Sn, h, fs, cfg.oracle_K, cfg.oracle_phases).value,
-                        waterfill.drf_sampled_single(Sx, Sn, h, fs, r).distortion,
-                        oracle.block_idrf_oracle(
-                            Sx, Sn, h, fs, r, cfg.oracle_K, cfg.oracle_phases),
-                    ]
-                tasks.append(task)
+
+        def rows_at(fs, R):
+            r = R.per_time(fs)
+            return [[
+                fs, r,
+                sampling.mmse_single(Sx, Sn, h, fs),
+                oracle.finite_window_mmse_average(
+                    Sx, Sn, h, fs, cfg.oracle_K, cfg.oracle_phases).value,
+                waterfill.drf_sampled_single(Sx, Sn, h, fs, r).distortion,
+                oracle.block_idrf_oracle(
+                    Sx, Sn, h, fs, r, cfg.oracle_K, cfg.oracle_phases),
+            ]]
     else:
         raise ConfigError(f"unknown mode {mode!r}")
-    return header, tasks
+    rates = [None] if mode in ("mmse", "af-sets") else cfg.rates
+    if not rates:
+        raise ConfigError(f"mode {mode} needs at least one rate")
+    return header, rows_at, [(fs, R) for fs in cfg.fs_list for R in rates]
 
 
-def _run_tasks(tasks, workers: int):
-    # The pool pays where rows spend their time in numpy calls that release
-    # the GIL: on 2 vCPUs, with no CPU pin, the benchmark's oracle-check
-    # "staircase" sweep was faster at 2 threads than at 1 in 4 of 4
-    # alternating pairs (medians 0.99-1.25 s against 1.18-1.37 s).
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: t(), tasks))
-
-
-def _emit(header, rows, out_path: str | None, fmt: str):
-    lines = []
+def _line(header, row, fmt: str) -> str:
+    """One output record; NumericalFailure if a value is not finite."""
     if fmt == "csv":
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-    elif fmt == "ndjson":
-        for row in rows:
-            obj = {k: (float(_fmt(v)) if isinstance(v, float) else v)
-                   for k, v in zip(header, row)}
-            lines.append(json.dumps(obj, sort_keys=True))
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
-    text = "\n".join(lines) + "\n"
+        return ",".join(_fmt(v) for v in row)
+    return json.dumps({k: (float(_fmt(v)) if isinstance(v, float) else v)
+                       for k, v in zip(header, row)}, sort_keys=True)
+
+
+def _write(header, lines, out_path: str | None, fmt: str):
+    text = "\n".join([",".join(header), *lines] if fmt == "csv" else lines) + "\n"
     if out_path:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
@@ -349,31 +301,34 @@ def _emit(header, rows, out_path: str | None, fmt: str):
         sys.stdout.write(text)
 
 
+def _check_format(fmt: str):
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown output format {fmt!r}")
+
+
 def run(config_path: str, mode: str, out: str | None = None,
         fmt: str = "csv") -> int:
-    """Execute one sweep; returns the process exit code."""
+    """Execute one sweep; returns the process exit code.
+
+    Rows are computed one after another in config order.  The output is
+    written only once every row has succeeded.
+    """
     try:
+        _check_format(fmt)
         cfg = load_config(config_path)
-        header, tasks = _rows_for_mode(mode, cfg)
-        workers = _thread_count()
+        header, rows_at, points = _sweep(mode, cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    try:
-        results = _run_tasks(tasks, workers)
-        rows = []
-        for res in results:
-            if res and isinstance(res[0], list):
-                rows.extend(res)
-            else:
-                rows.append(res)
-        _emit(header, rows, out or cfg.out, fmt)
-    except NumericalFailure as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 3
-    except (WaterfillError, SpectrumError) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 3
+    lines = []
+    for fs, R in points:
+        try:
+            lines += [_line(header, row, fmt) for row in rows_at(fs, R)]
+        except (NumericalFailure, WaterfillError, SpectrumError, LinalgError) as e:
+            rate = "" if R is None else f", R={R.value:.12g} {R.unit}"
+            print(f"numerical failure at fs={fs:.12g}{rate}: {e}", file=sys.stderr)
+            return 3
+    _write(header, lines, out or cfg.out, fmt)
     return 0
 
 
@@ -454,17 +409,18 @@ def _figure_rows(name: str):
 
 def reproduce_figure(name: str, out_dir: str = ".", fmt: str = "csv") -> int:
     try:
+        _check_format(fmt)
         header, rows = _figure_rows(name)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     os.makedirs(out_dir, exist_ok=True)
-    ext = "csv" if fmt == "csv" else "ndjson"
     try:
-        _emit(header, rows, os.path.join(out_dir, f"{name}.{ext}"), fmt)
+        lines = [_line(header, row, fmt) for row in rows]
     except NumericalFailure as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
+    _write(header, lines, os.path.join(out_dir, f"{name}.{fmt}"), fmt)
     return 0
 
 
@@ -481,7 +437,7 @@ def main(argv=None) -> int:
     parser.add_argument("--grid", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--figure", choices=FIGURES,
                         help="figure name (mode 'figure' only)")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "ndjson"),
+    parser.add_argument("--format", dest="fmt", choices=FORMATS,
                         default="csv")
     args = parser.parse_args(argv)
 

@@ -104,18 +104,23 @@ def _even_segments(pw: _Pw) -> list[tuple[float, float, float]]:
 
 
 def _cov_from_segments(segs: Sequence[tuple], tau: np.ndarray) -> np.ndarray:
-    """c(tau) = int S(f) e^{2 pi i f tau} df for even S given on f >= 0."""
+    """c(tau) = int S(f) e^{2 pi i f tau} df for even S given on f >= 0.
+
+    The sines are evaluated once per distinct lag (a Toeplitz window repeats
+    each lag many times) and scattered back to the shape of tau.
+    """
     tau = np.asarray(tau, dtype=float)
-    out = np.zeros(tau.shape)
-    small = np.abs(tau) < 1e-12
+    lags, where = np.unique(tau, return_inverse=True)
+    out = np.zeros(lags.shape)
+    small = np.abs(lags) < 1e-12
     for lo, hi, v in segs:
         with np.errstate(invalid="ignore", divide="ignore"):
-            term = v * (np.sin(2 * np.pi * hi * tau) - np.sin(2 * np.pi * lo * tau)) / (
-                np.pi * tau
+            term = v * (np.sin(2 * np.pi * hi * lags) - np.sin(2 * np.pi * lo * lags)) / (
+                np.pi * lags
             )
         term = np.where(small, 2.0 * v * (hi - lo), term)
         out += term
-    return out
+    return out[where].reshape(tau.shape)
 
 
 def covariance_from_psd(S: SpectralDensity, tau) -> float | np.ndarray:

@@ -357,6 +357,8 @@ class ComplexGainProfile:
 # Internal piecewise machinery shared with the sampling and oracle modules.
 # A _Pw is a plain full-line piecewise-constant function: breakpoint vector of
 # length n+1 and a value vector of length n, zero outside the covered range.
+# The zero function has no breakpoints at all, so that merging its grid into
+# another adds no cut.
 
 @dataclass(frozen=True)
 class _Pw:
@@ -364,12 +366,12 @@ class _Pw:
     vals: np.ndarray
 
     def __post_init__(self):
-        if len(self.bp) != len(self.vals) + 1:
+        if len(self.bp) != len(self.vals) + 1 and (len(self.bp) or len(self.vals)):
             raise SpectrumError("breakpoint/value length mismatch")
 
 
 def _pw_empty() -> _Pw:
-    return _Pw(np.array([0.0, 1.0]), np.array([0.0]))
+    return _Pw(np.array([]), np.array([]))
 
 
 def _dedup(points: np.ndarray) -> np.ndarray:
@@ -383,7 +385,7 @@ def _dedup(points: np.ndarray) -> np.ndarray:
 def _pw_eval(pw: _Pw, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     idx = np.searchsorted(pw.bp, x, side="right") - 1
-    inside = (idx >= 0) & (idx < len(pw.vals)) & (x < pw.bp[-1])
+    inside = (idx >= 0) & (idx < len(pw.vals))
     out = np.zeros(x.shape, dtype=pw.vals.dtype)
     out[inside] = pw.vals[idx[inside]]
     return out

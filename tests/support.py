@@ -121,6 +121,23 @@ def bisect_theta_for_rate(w, v, R):
     raise RuntimeError(f"bisection did not reach rate {R} within 200 iterations")
 
 
+def cov_loop(segs, tau):
+    """Loop reference for oracle._cov_from_segments: the closed form
+    sum over (lo, hi, v) of v (sin 2 pi hi t - sin 2 pi lo t) / (pi t),
+    2 v (hi - lo) at |t| < 1e-12, evaluated for one lag t at a time."""
+    tau = np.asarray(tau, dtype=float)
+    out = np.zeros(tau.shape)
+    for idx, t in np.ndenumerate(tau):
+        c = 0.0
+        for lo, hi, v in segs:
+            if abs(t) < 1e-12:
+                c += 2.0 * v * (hi - lo)
+            else:
+                c += v * (np.sin(2 * np.pi * hi * t) - np.sin(2 * np.pi * lo * t)) / (np.pi * t)
+        out[idx] = c
+    return out
+
+
 # Loop references for the translate kernel: the per-k forms the library used
 # before every translate sum was read off one (translates x cells) array.
 # They use only the public evaluate methods, so they share no code with it.

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import subnyq
 from subnyq.cli import load_config, main, reproduce_figure, run
 from subnyq.cli import ConfigError, NumericalFailure, _fmt
 
@@ -20,6 +24,23 @@ BANDPASS_CONFIG = {
     "sampler": {"fs": [2.0], "P": 1},
     "rates": {"values": [1.0]},
 }
+
+
+# Runs cli.main on argv and prints whether concurrent.futures was imported and
+# which threads were started on the way.
+THREAD_PROBE = """
+import json, sys, threading
+started = []
+_start = threading.Thread.start
+def start(self, *args, **kwargs):
+    started.append(self.name)
+    return _start(self, *args, **kwargs)
+threading.Thread.start = start
+from subnyq.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "futures": "concurrent.futures" in sys.modules,
+                  "started": started, "alive": threading.active_count()}))
+"""
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -154,7 +175,7 @@ class TestRunModes:
         assert abs(row["mmse_exact"] - row["mmse_window"]) <= 0.03
         assert abs(row["drf_exact"] - row["drf_block"]) <= 0.03
 
-    def test_deterministic_output(self, tmp_path, monkeypatch):
+    def test_deterministic_output(self, tmp_path):
         doc = dict(RECT_CONFIG)
         doc["sampler"] = {"fs": {"start": 0.2, "stop": 1.2, "step": 0.1}}
         doc["rates"] = {"values": [0.5, 1.0, 2.0]}
@@ -163,13 +184,21 @@ class TestRunModes:
         assert run(cfg, "drf", out=a) == 0
         assert run(cfg, "drf", out=b) == 0
         assert Path(a).read_bytes() == Path(b).read_bytes()
-        outs = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("SUBNYQ_THREADS", threads)
-            outs.append(str(tmp_path / f"t{threads}.csv"))
-            assert run(cfg, "drf", out=outs[-1]) == 0
-        assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
-        assert Path(outs[0]).read_bytes() == Path(a).read_bytes()
+
+    def test_rows_run_in_the_calling_thread(self, tmp_path):
+        # a fresh interpreter, so that no other test has imported
+        # concurrent.futures or started a thread
+        doc = dict(RECT_CONFIG, oracle={"K": 4, "phases": 2})
+        doc["sampler"] = {"fs": [0.3, 0.7]}
+        doc["rates"] = {"values": [0.5, 1.0]}
+        argv = ["oracle-check", "--config", write_config(tmp_path, doc),
+                "--out", str(tmp_path / "oc.csv")]
+        env = dict(os.environ, PYTHONPATH=str(Path(subnyq.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"code": 0, "futures": False, "started": [],
+                                           "alive": 1}
 
     def test_grid_is_ignored(self, tmp_path):
         doc = dict(BANDPASS_CONFIG)
@@ -252,7 +281,22 @@ class TestExitCodes:
         doc["source"] = {"segments": [[0.0, 0.5, 1e160]]}
         out = str(tmp_path / "x.csv")
         assert run(write_config(tmp_path, doc), "mmse", out=out) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        # mmse takes no rate, so the point is fs alone
+        assert capsys.readouterr().err.startswith("numerical failure at fs=0.5: ")
+        assert not Path(out).exists()
+
+    def test_linalg_error_exits_3(self, tmp_path, capsys):
+        # an ill-conditioned S_Y: S_Y^-1/2 K S_Y^-1/2 fails the Hermitian check
+        doc = dict(RECT_CONFIG)
+        doc["source"] = {"segments": [[0.0, 1.0, 1.0], [1.0, 2.0, 1e-5]]}
+        doc["sampler"] = {"fs": [2.0], "P": 2,
+                          "filters": [[[-1.4, 0.8, -1.8, -1.9]], [[-3.0, 3.0, 1.0, 0.0]]]}
+        out = str(tmp_path / "x.csv")
+        assert main(["drf", "--config", write_config(tmp_path, doc), "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure at fs=2, R=1 bits-per-time-unit: ")
+        assert "not Hermitian" in err
+        assert not Path(out).exists()
 
     def test_nan_source_level_exits_2(self, tmp_path, capsys):
         doc = dict(RECT_CONFIG)
@@ -271,9 +315,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", [
         "fs-without-stop", "top-level-list", "rates-not-object",
         "source-not-object", "P-not-integer", "P-fractional", "oracle-K-zero",
-        "oracle-phases-zero", "threads-not-integer",
+        "oracle-phases-zero",
     ])
-    def test_config_errors_exit_2(self, tmp_path, capsys, monkeypatch, case):
+    def test_config_errors_exit_2(self, tmp_path, capsys, case):
         doc = dict(RECT_CONFIG)
         if case == "fs-without-stop":
             doc["sampler"] = {"fs": {"start": 0.2, "step": 0.1}}
@@ -291,13 +335,18 @@ class TestExitCodes:
             doc["oracle"] = {"K": 0}
         elif case == "oracle-phases-zero":
             doc["oracle"] = {"phases": 0}
-        elif case == "threads-not-integer":
-            monkeypatch.setenv("SUBNYQ_THREADS", "abc")
         out = str(tmp_path / "x.csv")
         assert main(["oracle-check", "--config", write_config(tmp_path, doc),
                      "--out", out]) == 2
         assert "config error" in capsys.readouterr().err
         assert not Path(out).exists()
+
+    def test_unknown_format_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "x.xml")
+        assert run(write_config(tmp_path, RECT_CONFIG), "drf", out=out, fmt="xml") == 2
+        assert reproduce_figure("rect", str(tmp_path), fmt="xml") == 2
+        assert capsys.readouterr().err.count("unknown output format") == 2
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     def test_main_requires_config(self, capsys):
         assert main(["drf"]) == 2

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from subnyq import oracle
 from subnyq.oracle import (
     CovarianceWindow,
     DiscreteSpectrum,
@@ -23,6 +26,7 @@ from subnyq.spectra import ComplexGainProfile, SpectralDensity, SpectrumError
 from subnyq.waterfill import drf_sampled_single, solve_theta_for_rate
 from support import (
     bandpass_density,
+    cov_loop,
     random_density,
     rect_density,
     rect_noise,
@@ -77,6 +81,38 @@ class TestCovariance:
                 2 * math.pi * tau
             )
             assert covariance_from_psd(S, tau) == pytest.approx(ref, abs=1e-12)
+
+
+# Lags with the |tau| < 1e-12 branch's edge cases, drawn with repeats: a
+# Toeplitz window repeats every lag many times.
+LAGS = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 1.0, -2.5]),
+                          st.floats(-40.0, 40.0)), min_size=1, max_size=12)
+SEGMENTS = st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 1.0), st.floats(0.0, 3.0))
+                    .map(lambda t: (t[0], t[0] + t[1], t[2])), max_size=4)
+
+
+class TestDistinctLags:
+    """_cov_from_segments evaluates each distinct lag once; the values are
+    those of the per-lag closed form, bit for bit."""
+
+    @given(SEGMENTS, LAGS, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_loop_bitwise(self, segs, lags, data):
+        picks = data.draw(st.lists(st.integers(0, len(lags) - 1), min_size=1, max_size=24))
+        tau = np.array([lags[i] for i in picks])
+        assert np.array_equal(oracle._cov_from_segments(segs, tau), cov_loop(segs, tau))
+        rows = data.draw(st.sampled_from([d for d in (1, 2, 3, 4) if len(tau) % d == 0]))
+        grid = tau.reshape(rows, -1)
+        assert np.array_equal(oracle._cov_from_segments(segs, grid), cov_loop(segs, grid))
+
+    @pytest.mark.parametrize("H", [None, ComplexGainProfile([(-0.6, 0.6, 0.5)])])
+    def test_window_and_block_match_loop(self, monkeypatch, H):
+        Sx, Sn, fs, K = triangular_density(), rect_noise(4.0, 1.0), 0.7, 5
+        c_y = CovarianceWindow.build(Sx, Sn, H, fs, K).C_Y
+        d = block_idrf_oracle(Sx, Sn, H, fs, 0.8, K, 3)
+        monkeypatch.setattr(oracle, "_cov_from_segments", cov_loop)
+        assert np.array_equal(c_y, CovarianceWindow.build(Sx, Sn, H, fs, K).C_Y)
+        assert d == block_idrf_oracle(Sx, Sn, H, fs, 0.8, K, 3)
 
 
 class TestDiscreteSpectrum:

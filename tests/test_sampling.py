@@ -419,6 +419,28 @@ class TestTranslateKernel:
         assert maximal_af_sets(ratio, fs, P) == maximal_af_sets_loop(ratio, fs, P)
 
 
+class TestEmptyPieces:
+    """An empty density or gain adds no breakpoint to a merged grid."""
+
+    # the edges at +-1e-9 lie within BP_TOL of 0
+    NEAR_ZERO = ((1e-9, 0.5, 1.0),)
+
+    @pytest.mark.parametrize("case", ["empty-source", "empty-noise", "empty-gain"])
+    def test_branch_matrices_match_loop(self, case):
+        Sx = Sn = SpectralDensity(self.NEAR_ZERO)
+        branches = [None]
+        if case == "empty-source":
+            Sx = zero_density()
+        elif case == "empty-noise":
+            Sn = zero_density()
+        else:
+            branches = [ComplexGainProfile([]), None]
+        sy, kk = build_branch_matrices(Sx, Sn, SamplerSpec(1.0, branches), 0.0)
+        ref_sy, ref_kk = branch_matrices_loop(Sx, Sn, branches, 1.0, 0.0)
+        assert_close(sy.entries, ref_sy)
+        assert_close(kk.entries, ref_kk)
+
+
 class TestTranslateCap:
     @pytest.mark.parametrize("fs", [1e-300, 5e-324, 1e-4])
     def test_tiny_fs_named_error(self, fs):
