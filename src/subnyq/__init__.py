@@ -74,6 +74,7 @@ from .oracle import (
     iid_rate_for_distortion,
     joint_mmse_two,
     sampled_discretization,
+    window_oracle,
 )
 
 __version__ = "0.1.0"

@@ -1,13 +1,15 @@
 """Batch front-end: config-driven sweeps over (fs, P, R) written as CSV.
 
 A config is a single JSON document describing the source and noise spectra,
-the sampler and the rate points.  Each mode maps a sweep point (fs, and R
-where the mode takes a rate) to its output rows.  Points are computed one
-after another in config order, so output is deterministic byte for byte.
+the sampler and the rate points.  A sweep runs over fs, and for each fs over
+the rates where the mode takes one: each mode first does the work that
+depends on fs alone (the time-domain oracles, in oracle-check), then maps
+each rate R to its output rows.  Points are computed one after another in
+config order, so output is deterministic byte for byte.
 
 Exit codes: 0 success, 2 config problem (reported before any point is
-computed), 3 numerical failure (reported with the failing point, and no
-output is written).
+computed; an output file that cannot be written is one too), 3 numerical
+failure (reported with the failing point, and no output is written).
 """
 
 from __future__ import annotations
@@ -196,9 +198,10 @@ def _drf_row(fs, p, R: RateSpec, sol) -> list:
 
 
 def _sweep(mode: str, cfg: ExperimentConfig):
-    """(header, rows_at, points): rows_at(fs, R) gives the output rows of one
-    sweep point, and points lists the (fs, R) pairs in output order; R is
-    None in the modes that take no rate."""
+    """(header, at_fs, rates): at_fs(fs) does the work of one fs that does not
+    depend on the rate and returns rows_at, and rows_at(R) gives the output
+    rows of the point (fs, R).  rates is [None] in the modes that take no
+    rate."""
     Sx, Sn = cfg.source, cfg.noise
     h = None if cfg.filters in (None, "optimal") else cfg.filters[0]
     branches = None if cfg.filters == "optimal" else cfg.filters or [None] * cfg.P
@@ -265,23 +268,28 @@ def _sweep(mode: str, cfg: ExperimentConfig):
         header = ["fs", "rate_bits_per_time", "mmse_exact", "mmse_window",
                   "drf_exact", "drf_block"]
 
-        def rows_at(fs, R):
-            r = R.per_time(fs)
-            return [[
-                fs, r,
-                sampling.mmse_single(Sx, Sn, h, fs),
-                oracle.finite_window_mmse_average(
-                    Sx, Sn, h, fs, cfg.oracle_K, cfg.oracle_phases).value,
-                waterfill.drf_sampled_single(Sx, Sn, h, fs, r).distortion,
-                oracle.block_idrf_oracle(
-                    Sx, Sn, h, fs, r, cfg.oracle_K, cfg.oracle_phases),
-            ]]
+        def at_fs(fs):
+            mmse = sampling.mmse_single(Sx, Sn, h, fs)
+            orc = oracle.window_oracle(Sx, Sn, h, fs, cfg.oracle_K, cfg.oracle_phases)
+
+            def rows_at(R):
+                r = R.per_time(fs)
+                return [[
+                    fs, r, mmse, orc.mmse_average.value,
+                    waterfill.drf_sampled_single(Sx, Sn, h, fs, r).distortion,
+                    orc.distortion(r),
+                ]]
+            return rows_at
     else:
         raise ConfigError(f"unknown mode {mode!r}")
+    if mode != "oracle-check":
+        # every other mode does all of its work per (fs, R) point
+        def at_fs(fs):
+            return lambda R: rows_at(fs, R)
     rates = [None] if mode in ("mmse", "af-sets") else cfg.rates
     if not rates:
         raise ConfigError(f"mode {mode} needs at least one rate")
-    return header, rows_at, [(fs, R) for fs in cfg.fs_list for R in rates]
+    return header, at_fs, rates
 
 
 def _line(header, row, fmt: str) -> str:
@@ -292,18 +300,32 @@ def _line(header, row, fmt: str) -> str:
                        for k, v in zip(header, row)}, sort_keys=True)
 
 
-def _write(header, lines, out_path: str | None, fmt: str):
+def _write(header, lines, out_path: str | None, fmt: str) -> int:
+    """Write the records to out_path, else to stdout; returns the exit code."""
     text = "\n".join([",".join(header), *lines] if fmt == "csv" else lines) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        print(f"config error: cannot write {out_path}: {e}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _check_format(fmt: str):
     if fmt not in FORMATS:
         raise ConfigError(f"unknown output format {fmt!r}")
+
+
+def _check_out_dir(out_path):
+    if out_path is not None and not isinstance(out_path, str):
+        raise ConfigError(f"output must be a file path, got {out_path!r}")
+    folder = os.path.dirname(out_path) if out_path else ""
+    if folder and not os.path.isdir(folder):
+        raise ConfigError(f"output directory does not exist: {folder}")
 
 
 def run(config_path: str, mode: str, out: str | None = None,
@@ -316,20 +338,24 @@ def run(config_path: str, mode: str, out: str | None = None,
     try:
         _check_format(fmt)
         cfg = load_config(config_path)
-        header, rows_at, points = _sweep(mode, cfg)
+        out_path = out or cfg.out
+        _check_out_dir(out_path)
+        header, at_fs, rates = _sweep(mode, cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     lines = []
-    for fs, R in points:
+    for fs in cfg.fs_list:
+        R = None  # a failure before the first rate names fs alone
         try:
-            lines += [_line(header, row, fmt) for row in rows_at(fs, R)]
+            rows_at = at_fs(fs)
+            for R in rates:
+                lines += [_line(header, row, fmt) for row in rows_at(R)]
         except (NumericalFailure, WaterfillError, SpectrumError, LinalgError) as e:
             rate = "" if R is None else f", R={R.value:.12g} {R.unit}"
             print(f"numerical failure at fs={fs:.12g}{rate}: {e}", file=sys.stderr)
             return 3
-    _write(header, lines, out or cfg.out, fmt)
-    return 0
+    return _write(header, lines, out_path, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +437,16 @@ def reproduce_figure(name: str, out_dir: str = ".", fmt: str = "csv") -> int:
     try:
         _check_format(fmt)
         header, rows = _figure_rows(name)
-    except ConfigError as e:
+        os.makedirs(out_dir, exist_ok=True)
+    except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    os.makedirs(out_dir, exist_ok=True)
     try:
         lines = [_line(header, row, fmt) for row in rows]
     except NumericalFailure as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    _write(header, lines, os.path.join(out_dir, f"{name}.{fmt}"), fmt)
-    return 0
+    return _write(header, lines, os.path.join(out_dir, f"{name}.{fmt}"), fmt)
 
 
 def main(argv=None) -> int:

@@ -42,6 +42,8 @@ __all__ = [
     "finite_window_mmse",
     "finite_window_mmse_average",
     "block_idrf_oracle",
+    "WindowOracle",
+    "window_oracle",
     "iid_drf",
     "iid_rate_for_distortion",
     "joint_mmse_two",
@@ -106,20 +108,24 @@ def _even_segments(pw: _Pw) -> list[tuple[float, float, float]]:
 def _cov_from_segments(segs: Sequence[tuple], tau: np.ndarray) -> np.ndarray:
     """c(tau) = int S(f) e^{2 pi i f tau} df for even S given on f >= 0.
 
-    The sines are evaluated once per distinct lag (a Toeplitz window repeats
-    each lag many times) and scattered back to the shape of tau.
+    The sines are evaluated once per distinct (segment edge, lag) pair: a
+    Toeplitz window repeats each lag many times, and adjacent segments share
+    an edge.  The segments are still summed one after another, so each value
+    is that of the per-lag closed form bit for bit.
     """
     tau = np.asarray(tau, dtype=float)
     lags, where = np.unique(tau, return_inverse=True)
     out = np.zeros(lags.shape)
-    small = np.abs(lags) < 1e-12
-    for lo, hi, v in segs:
+    if len(segs):
+        lo, hi, v = np.array(segs, dtype=float).T
+        edges, at = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+        sines = np.sin(np.multiply.outer(2 * np.pi * edges, lags))
+        small = np.abs(lags) < 1e-12
+        denom = np.pi * lags
         with np.errstate(invalid="ignore", divide="ignore"):
-            term = v * (np.sin(2 * np.pi * hi * lags) - np.sin(2 * np.pi * lo * lags)) / (
-                np.pi * lags
-            )
-        term = np.where(small, 2.0 * v * (hi - lo), term)
-        out += term
+            for i_lo, i_hi, a, b, w in zip(at[:len(lo)], at[len(lo):], lo, hi, v):
+                out += np.where(small, 2.0 * w * (b - a),
+                                w * (sines[i_hi] - sines[i_lo]) / denom)
     return out[where].reshape(tau.shape)
 
 
@@ -128,6 +134,16 @@ def covariance_from_psd(S: SpectralDensity, tau) -> float | np.ndarray:
     segs = [(iv.lo, iv.hi, v) for iv, v in S.segments]
     out = _cov_from_segments(segs, np.asarray(tau, dtype=float))
     return float(out) if np.isscalar(tau) or np.ndim(tau) == 0 else out
+
+
+def _check_fs(fs: float) -> None:
+    if not 0 < fs < math.inf:
+        raise SpectrumError(f"fs must be positive and finite, got {fs}")
+
+
+def _check_phases(n_phases: int) -> None:
+    if n_phases < 1:
+        raise SpectrumError(f"n_phases must be >= 1, got {n_phases}")
 
 
 def _observation_segments(Sx, Sn, H):
@@ -159,8 +175,7 @@ class CovarianceWindow:
     def build(cls, Sx, Sn, H, fs: float, K: int) -> "CovarianceWindow":
         if K < 1:
             raise SpectrumError(f"window half-length must be >= 1, got {K}")
-        if fs <= 0:
-            raise SpectrumError(f"fs must be positive, got {fs}")
+        _check_fs(fs)
         xz, zz = _observation_segments(Sx, Sn, H)
         n = np.arange(-K, K + 1)
         lags = (n[:, None] - n[None, :]) / fs
@@ -190,6 +205,14 @@ class FiniteWindowMmse:
         return self.value
 
 
+def _mmse_average(sigma2: float, ys, regularized: bool) -> FiniteWindowMmse:
+    """Mean of sigma2 - |y|^2 over the solved cross vectors y, clipped at 0."""
+    total = 0.0
+    for y in ys:
+        total += sigma2 - float(y @ y)
+    return FiniteWindowMmse(value=max(total / len(ys), 0.0), regularized=regularized)
+
+
 def finite_window_mmse(
     Sx: SpectralDensity,
     Sn: SpectralDensity,
@@ -206,10 +229,8 @@ def finite_window_mmse(
     """
     win = CovarianceWindow.build(Sx, Sn, H, fs, K)
     chol, regularized = _chol_with_ridge(win.C_Y)
-    c = win.cross_vector(delta)
-    y = np.linalg.solve(chol, c)
-    val = win.sigma2 - float(y @ y)
-    return FiniteWindowMmse(value=max(val, 0.0), regularized=regularized)
+    y = np.linalg.solve(chol, win.cross_vector(delta))
+    return _mmse_average(win.sigma2, [y], regularized)
 
 
 def finite_window_mmse_average(
@@ -221,15 +242,78 @@ def finite_window_mmse_average(
     n_phases: int = 16,
 ) -> FiniteWindowMmse:
     """Mean of finite_window_mmse over a uniform in-period offset grid."""
+    _check_phases(n_phases)
     win = CovarianceWindow.build(Sx, Sn, H, fs, K)
     chol, regularized = _chol_with_ridge(win.C_Y)
-    total = 0.0
+    ys = [np.linalg.solve(chol, win.cross_vector(j / n_phases)) for j in range(n_phases)]
+    return _mmse_average(win.sigma2, ys, regularized)
+
+
+@dataclass(frozen=True)
+class WindowOracle:
+    """The time-domain oracles at one fs, with everything but the rate done.
+
+    mmse_average is finite_window_mmse_average over the block's n_phases
+    offsets; eig holds the nonzero eigenvalues of the block's estimator
+    covariance and mmse_block its estimation MMSE, so distortion(R) is one
+    eigenvalue waterfill.
+    """
+
+    K: int
+    fs: float
+    n_phases: int
+    mmse_average: FiniteWindowMmse
+    eig: np.ndarray
+    mmse_block: float
+
+    def distortion(self, R: float) -> float:
+        """block_idrf_oracle at R bits per time unit."""
+        if R < 0:
+            raise SpectrumError(f"rate must be >= 0, got {R}")
+        from .waterfill import idrf_vector
+
+        n_u = (2 * self.K + 1) * self.n_phases
+        budget = R * (2 * self.K + 1) / self.fs
+        sol = idrf_vector((np.ones_like(self.eig), self.eig), n_u, budget, self.mmse_block)
+        return sol.distortion
+
+
+def window_oracle(
+    Sx: SpectralDensity,
+    Sn: SpectralDensity,
+    H: ComplexGainProfile | None,
+    fs: float,
+    K: int,
+    n_phases: int = 8,
+) -> WindowOracle:
+    """Build the window, C_YU and the block spectrum once for one fs.
+
+    The block stacks n_phases offsets of the source over 2K+1 sampling
+    periods.  Its cross covariance C_YU is solved against the window's
+    Cholesky factor once; the columns at n_i = 0 are the window's cross
+    vectors, so the windowed MMSE average is read off the same solve.
+    """
+    _check_phases(n_phases)
+    win = CovarianceWindow.build(Sx, Sn, H, fs, K)
+    chol, regularized = _chol_with_ridge(win.C_Y)
+    n = np.arange(-K, K + 1)
+    n_y = len(n)
+    n_u = n_y * n_phases
+    # C_YU row m, column (j, i): cov of Y[m] with X((n_i + delta_j)/fs).
+    # One kernel call per phase: a single call over all phases needs
+    # (edges x n_u) temporaries and raises the peak memory.
+    c_yu = np.empty((n_y, n_u))
     for j in range(n_phases):
-        c = win.cross_vector(j / n_phases)
-        y = np.linalg.solve(chol, c)
-        total += win.sigma2 - float(y @ y)
-    return FiniteWindowMmse(value=max(total / n_phases, 0.0),
-                            regularized=regularized)
+        delta = j / n_phases
+        lags = ((n[None, :] + delta) - n[:, None]) / fs
+        c_yu[:, j * n_y:(j + 1) * n_y] = _cov_from_segments(win.xz_segments, lags)
+    b = np.linalg.solve(chol, c_yu)
+    # column K of phase block j has n_i = 0, the lags of cross_vector(j/n_phases)
+    average = _mmse_average(win.sigma2, np.ascontiguousarray(b[:, K::n_y].T), regularized)
+    # nonzero eigenvalues of C_UY C_Y^-1 C_YU via the small Gram matrix
+    eig = np.clip(np.linalg.eigvalsh(b @ b.T), 0.0, None)
+    return WindowOracle(K=K, fs=fs, n_phases=n_phases, mmse_average=average, eig=eig,
+                        mmse_block=win.sigma2 - float(eig.sum()) / n_u)
 
 
 def block_idrf_oracle(
@@ -248,34 +332,7 @@ def block_idrf_oracle(
     bit budget R*(2K+1)/fs and the block estimation MMSE is added.  As K
     grows this converges to the stationary sampled distortion-rate value.
     """
-    if K < 1:
-        raise SpectrumError(f"window half-length must be >= 1, got {K}")
-    if R < 0:
-        raise SpectrumError(f"rate must be >= 0, got {R}")
-    win = CovarianceWindow.build(Sx, Sn, H, fs, K)
-    chol, _ = _chol_with_ridge(win.C_Y)
-    n = np.arange(-K, K + 1)
-    n_y = len(n)
-    n_u = n_y * n_phases
-    # C_YU row m, column (j, i): cov of Y[m] with X((n_i + delta_j)/fs)
-    c_yu = np.empty((n_y, n_u))
-    for j in range(n_phases):
-        delta = j / n_phases
-        lags = ((n[None, :] + delta) - n[:, None]) / fs
-        c_yu[:, j * n_y:(j + 1) * n_y] = _cov_from_segments(
-            list(win.xz_segments), lags
-        )
-    # nonzero eigenvalues of C_UY C_Y^-1 C_YU via the small Gram matrix
-    b = np.linalg.solve(chol, c_yu)
-    gram = b @ b.T
-    eig = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-    mmse_block = win.sigma2 - float(eig.sum()) / n_u
-
-    from .waterfill import idrf_vector
-
-    budget = R * (2 * K + 1) / fs
-    sol = idrf_vector((np.ones_like(eig), eig), n_u, budget, mmse_block)
-    return sol.distortion
+    return window_oracle(Sx, Sn, H, fs, K, n_phases).distortion(R)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +354,7 @@ def sampled_discretization(
     """
     if M < 1:
         raise SpectrumError(f"decimation factor must be >= 1, got {M}")
-    if fs <= 0:
-        raise SpectrumError(f"fs must be positive, got {fs}")
+    _check_fs(fs)
     fr = M * fs
     xz, zz = _observation_segments(Sx, Sn, H)
 

@@ -8,8 +8,12 @@ from pathlib import Path
 import pytest
 
 import subnyq
+from subnyq import waterfill
 from subnyq.cli import load_config, main, reproduce_figure, run
 from subnyq.cli import ConfigError, NumericalFailure, _fmt
+from subnyq.oracle import block_idrf_oracle, finite_window_mmse_average
+from subnyq.sampling import mmse_single
+from subnyq.spectra import SpectralDensity
 
 RECT_CONFIG = {
     "schema_version": 1,
@@ -174,6 +178,33 @@ class TestRunModes:
         row = dict(zip(header, (float(v) for v in rows[0])))
         assert abs(row["mmse_exact"] - row["mmse_window"]) <= 0.03
         assert abs(row["drf_exact"] - row["drf_block"]) <= 0.03
+
+    def test_oracle_check_rows_match_direct_calls(self, tmp_path):
+        # fs repeats non-adjacently, so per-fs work reused for the wrong fs
+        # or the wrong rate shows in the rows; every value is below 1, so
+        # the 12 significant digits written hold it to within 5e-13
+        doc = dict(RECT_CONFIG, source={"segments": [[0.0, 0.5, 0.9]]},
+                   noise={"segments": [[0.0, 0.5, 0.2]]}, oracle={"K": 6, "phases": 3})
+        doc["sampler"] = {"fs": [0.3, 0.7, 0.3]}
+        doc["rates"] = {"values": [0.5, 1.5]}
+        out = str(tmp_path / "oc.csv")
+        assert run(write_config(tmp_path, doc), "oracle-check", out=out) == 0
+        header, rows = read_rows(out)
+        Sx = SpectralDensity(((0.0, 0.5, 0.9),))
+        Sn = SpectralDensity(((0.0, 0.5, 0.2),))
+        assert [(float(r[0]), float(r[1])) for r in rows] == [
+            (fs, R) for fs in (0.3, 0.7, 0.3) for R in (0.5, 1.5)]
+        for r in rows:
+            row = dict(zip(header, (float(v) for v in r)))
+            fs, R = row["fs"], row["rate_bits_per_time"]
+            refs = {
+                "mmse_exact": mmse_single(Sx, Sn, None, fs),
+                "mmse_window": finite_window_mmse_average(Sx, Sn, None, fs, 6, 3).value,
+                "drf_exact": waterfill.drf_sampled_single(Sx, Sn, None, fs, R).distortion,
+                "drf_block": block_idrf_oracle(Sx, Sn, None, fs, R, 6, 3),
+            }
+            for key, ref in refs.items():
+                assert abs(row[key] - ref) <= 1e-12 * max(1.0, abs(ref)), (key, fs, R)
 
     def test_deterministic_output(self, tmp_path):
         doc = dict(RECT_CONFIG)
@@ -340,6 +371,35 @@ class TestExitCodes:
                      "--out", out]) == 2
         assert "config error" in capsys.readouterr().err
         assert not Path(out).exists()
+
+    @pytest.mark.parametrize("case", ["missing-directory", "directory", "not-a-path"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch, case):
+        doc = dict(RECT_CONFIG)
+        argv = []
+        if case == "missing-directory":
+            argv = ["--out", str(tmp_path / "missing" / "x.csv")]
+
+            # found with the config errors, before any row is computed
+            def no_rows(*args):
+                raise AssertionError("a row was computed")
+            monkeypatch.setattr(waterfill, "drf_sampled_single", no_rows)
+        elif case == "directory":
+            argv = ["--out", str(tmp_path)]
+        else:
+            doc["output"] = 5
+        assert main(["drf", "--config", write_config(tmp_path, doc), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_figure_out_dir_is_a_file_exits_2(self, tmp_path, capsys, sub):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["figure", "--figure", "rect", "--out", str(blocker / sub)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == ""
 
     def test_unknown_format_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "x.xml")

@@ -20,6 +20,7 @@ from subnyq.oracle import (
     iid_rate_for_distortion,
     joint_mmse_two,
     sampled_discretization,
+    window_oracle,
 )
 from subnyq.sampling import mmse_single, s_tilde_single
 from subnyq.spectra import ComplexGainProfile, SpectralDensity, SpectrumError
@@ -89,14 +90,22 @@ LAGS = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 1.0, -2.5])
                           st.floats(-40.0, 40.0)), min_size=1, max_size=12)
 SEGMENTS = st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 1.0), st.floats(0.0, 3.0))
                     .map(lambda t: (t[0], t[0] + t[1], t[2])), max_size=4)
+# Contiguous segments, as in a staircase density: neighbours share an edge,
+# whose sines the kernel evaluates once.  Each draw also repeats its first
+# segment and ends in a zero-width segment on the last edge.
+STAIRCASES = st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5).flatmap(
+    lambda vals: st.lists(st.floats(0.0, 2.0), min_size=len(vals) + 1,
+                          max_size=len(vals) + 1).map(sorted).map(
+        lambda e: [(a, b, v) for a, b, v in zip(e, e[1:], vals)]
+        + [(e[0], e[1], vals[0]), (e[-1], e[-1], 1.5)]))
 
 
 class TestDistinctLags:
     """_cov_from_segments evaluates each distinct lag once; the values are
     those of the per-lag closed form, bit for bit."""
 
-    @given(SEGMENTS, LAGS, st.data())
-    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(SEGMENTS, STAIRCASES), LAGS, st.data())
+    @settings(max_examples=160, deadline=None)
     def test_matches_loop_bitwise(self, segs, lags, data):
         picks = data.draw(st.lists(st.integers(0, len(lags) - 1), min_size=1, max_size=24))
         tau = np.array([lags[i] for i in picks])
@@ -113,6 +122,42 @@ class TestDistinctLags:
         monkeypatch.setattr(oracle, "_cov_from_segments", cov_loop)
         assert np.array_equal(c_y, CovarianceWindow.build(Sx, Sn, H, fs, K).C_Y)
         assert d == block_idrf_oracle(Sx, Sn, H, fs, 0.8, K, 3)
+
+
+class TestWindowOracle:
+    """window_oracle does the rate-independent work of both window oracles
+    once; what it returns, the ridge flag included, agrees with the oracles
+    called on their own, and one object serves every rate unchanged."""
+
+    @pytest.mark.parametrize("fs, K", [(0.6, 8), (2.0, 16)], ids=["plain", "ridged"])
+    def test_matches_standalone_oracles(self, fs, K):
+        Sx, Sn = rect_density(), zero_density() if fs == 2.0 else rect_noise(5.0)
+        orc = window_oracle(Sx, Sn, None, fs, K, 4)
+        avg = finite_window_mmse_average(Sx, Sn, None, fs, K, 4)
+        assert orc.mmse_average.regularized == avg.regularized == (fs == 2.0)
+        assert abs(orc.mmse_average.value - avg.value) <= 1e-12
+        for R in (0.0, 0.7, 3.0):
+            assert orc.distortion(R) == block_idrf_oracle(Sx, Sn, None, fs, R, K, 4)
+
+
+class TestOracleInputs:
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: finite_window_mmse_average(
+            rect_density(), rect_noise(5.0), None, 0.6, 4, n_phases=0), id="average-0-phases"),
+        pytest.param(lambda: block_idrf_oracle(
+            rect_density(), rect_noise(5.0), None, 0.6, 1.0, 4, n_phases=0), id="block-0-phases"),
+        pytest.param(lambda: CovarianceWindow.build(
+            rect_density(), rect_noise(5.0), None, math.nan, 4), id="window-fs-nan"),
+        pytest.param(lambda: CovarianceWindow.build(
+            rect_density(), rect_noise(5.0), None, math.inf, 4), id="window-fs-inf"),
+        pytest.param(lambda: finite_window_mmse(
+            rect_density(), rect_noise(5.0), None, math.nan, 0.0, 4), id="window-mmse-fs-nan"),
+        pytest.param(lambda: block_idrf_oracle(
+            rect_density(), rect_noise(5.0), None, math.inf, 1.0, 4), id="block-fs-inf"),
+    ])
+    def test_named_error(self, call):
+        with pytest.raises(SpectrumError, match="n_phases must be >= 1|positive and finite"):
+            call()
 
 
 class TestDiscreteSpectrum:
