@@ -16,7 +16,6 @@ from .spectra import (
     SpectralDensity,
     SpectrumError,
     aliased_sum,
-    evaluate,
     integrate,
     snr_ratio,
     superlevel_set_of_measure,

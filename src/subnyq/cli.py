@@ -2,14 +2,15 @@
 
 A config is a single JSON document describing the source and noise spectra,
 the sampler and the rate points.  A sweep runs over fs, and for each fs over
-the rates where the mode takes one: each mode first does the work that
-depends on fs alone (the time-domain oracles, in oracle-check), then maps
-each rate R to its output rows.  Points are computed one after another in
+the rates where the mode takes one.  Every mode does the work that depends on
+fs alone once per fs (the curves, their sorted waterfills and the oracles),
+then reads each rate's rows off it.  Points are computed one after another in
 config order, so output is deterministic byte for byte.
 
 Exit codes: 0 success, 2 config problem (reported before any point is
 computed; an output file that cannot be written is one too), 3 numerical
-failure (reported with the failing point, and no output is written).
+failure (reported with the failing point, if the failing work has one, and
+no output is written).
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .waterfill import BITS_PER_SAMPLE, BITS_PER_TIME, RateSpec, WaterfillError
 MODES = ("mmse", "drf", "drf-optimal", "d-dagger", "af-sets", "bounds", "oracle-check")
 FIGURES = ("rect", "nonmonotone", "mmse-opt", "opsf", "multi-branch", "af-sets")
 FORMATS = ("csv", "ndjson")
+
+# Most steps in a start/stop/step fs range; a longer list may not fit memory.
+_MAX_FS_STEPS = 100_000
 
 # Bimodal spectrum behind the multi-branch and optimal-filter figures.  All
 # breakpoints are multiples of 0.08, so the sweep frequencies below are
@@ -69,7 +73,7 @@ def _section(doc: dict, name: str) -> dict:
 
 def _int_from(value, name: str, minimum: int) -> int:
     try:
-        n = int(value)
+        n = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or (isinstance(value, float) and value != n):
@@ -81,7 +85,7 @@ def _int_from(value, name: str, minimum: int) -> int:
 
 def _float_from(value, name: str) -> float:
     try:
-        x = float(value)
+        x = float(None if isinstance(value, bool) else value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(x):
@@ -112,7 +116,10 @@ def _fs_from(doc) -> list[float]:
                              for k in ("start", "stop", "step"))
         if step <= 0:
             raise ConfigError("sampler.fs.step must be positive")
-        n = int(round((stop - start) / step))
+        steps = (stop - start) / step
+        if not steps <= _MAX_FS_STEPS:  # an inf or NaN count fails here too
+            raise ConfigError(f"sampler.fs range has {steps:.4g} steps, over {_MAX_FS_STEPS}")
+        n = int(round(steps))
         vals = [start + i * step for i in range(n + 1) if start + i * step <= stop + 1e-12]
     else:
         raise ConfigError("sampler.fs must be a list or a start/stop/step object")
@@ -160,10 +167,13 @@ def load_config(path: str) -> ExperimentConfig:
     unit = rates_doc.get("unit", BITS_PER_TIME)
     if unit not in (BITS_PER_TIME, BITS_PER_SAMPLE):
         raise ConfigError(f"rates.unit unknown: {unit}")
+    values = rates_doc.get("values", [])
+    if not isinstance(values, list):
+        raise ConfigError(f"rates.values must be a list, got {values!r}")
     try:
-        rates = [RateSpec(float(v), unit) for v in rates_doc.get("values", [])]
-    except (WaterfillError, TypeError, ValueError) as e:
-        raise ConfigError(f"rates.values invalid: {e}")
+        rates = [RateSpec(_float_from(v, "a rate"), unit) for v in values]
+    except (ConfigError, WaterfillError) as e:
+        raise ConfigError(f"rates.values invalid: {e}") from None
     orc = _section(doc, "oracle")
     return ExperimentConfig(
         source=_density_from(doc, "source"),
@@ -188,107 +198,94 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-DRF_HEADER = ["fs", "P", "rate_bits_per_time", "theta", "distortion",
-              "mmse_part", "lossy_part"]
-
-
-def _drf_row(fs, p, R: RateSpec, sol) -> list:
-    return [fs, p, R.per_time(fs), sol.theta, sol.distortion,
-            sol.mmse_part, sol.lossy_part]
-
-
 def _sweep(mode: str, cfg: ExperimentConfig):
-    """(header, at_fs, rates): at_fs(fs) does the work of one fs that does not
-    depend on the rate and returns rows_at, and rows_at(R) gives the output
-    rows of the point (fs, R).  rates is [None] in the modes that take no
-    rate."""
+    """(header, at_fs, rates): at_fs(fs) builds every curve, waterfill and
+    oracle of one fs and returns rows_at, and rows_at(R) reads the rows of the
+    point (fs, R) off them; work that needs no fs is done here, once.  rates
+    is [None] in the modes that take no rate."""
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}")
+    rates = [None] if mode in ("mmse", "af-sets") else cfg.rates
+    if not rates:
+        raise ConfigError(f"mode {mode} needs at least one rate")
     Sx, Sn = cfg.source, cfg.noise
     h = None if cfg.filters in (None, "optimal") else cfg.filters[0]
     branches = None if cfg.filters == "optimal" else cfg.filters or [None] * cfg.P
+    sigma2 = Sx.total_power()
 
     if mode == "mmse":
         header = ["fs", "P", "mmse"]
 
-        def rows_at(fs, R):
+        def at_fs(fs):
             if cfg.filters == "optimal":
                 val, _ = sampling.mmse_optimal(Sx, Sn, fs, cfg.P)
             elif cfg.P == 1:
                 val = sampling.mmse_single(Sx, Sn, h, fs)
             else:
                 val = sampling.mmse_multi(Sx, Sn, sampling.SamplerSpec(fs, branches))
-            return [[fs, cfg.P, val]]
-    elif mode == "drf":
-        if cfg.filters == "optimal":
+            return lambda R: [[fs, cfg.P, val]]
+    elif mode in ("drf", "drf-optimal", "d-dagger"):
+        if mode == "drf" and cfg.filters == "optimal":
             raise ConfigError("use mode drf-optimal for optimal filters")
-        header = DRF_HEADER
+        header = ["fs", "P", "rate_bits_per_time", "theta", "distortion", "mmse_part",
+                  "lossy_part"]
+        p = "inf" if mode == "d-dagger" else cfg.P
 
-        def rows_at(fs, R):
-            r = R.per_time(fs)
-            if cfg.P == 1:
-                sol = waterfill.drf_sampled_single(Sx, Sn, h, fs, r)
+        def at_fs(fs):
+            if mode == "d-dagger":
+                drf = waterfill._d_dagger(Sx, Sn, fs)
+            elif mode == "drf-optimal":
+                drf = waterfill._drf_sampled_optimal(Sx, Sn, fs, cfg.P)
+            elif cfg.P == 1:
+                drf = waterfill._drf_sampled_single(Sx, Sn, h, fs)
             else:
-                sol = waterfill.drf_sampled_multi(
-                    Sx, Sn, sampling.SamplerSpec(fs, branches), r)
-            return [_drf_row(fs, cfg.P, R, sol)]
-    elif mode == "drf-optimal":
-        header = DRF_HEADER
+                drf = waterfill._drf_sampled_multi(Sx, Sn, sampling.SamplerSpec(fs, branches))
 
-        def rows_at(fs, R):
-            sol = waterfill.drf_sampled_optimal(Sx, Sn, fs, cfg.P, R.per_time(fs))
-            return [_drf_row(fs, cfg.P, R, sol)]
-    elif mode == "d-dagger":
-        header = DRF_HEADER
-
-        def rows_at(fs, R):
-            return [_drf_row(fs, "inf", R, waterfill.d_dagger(Sx, Sn, fs, R.per_time(fs)))]
+            def rows_at(R):
+                sol = drf.solve(R.per_time(fs))
+                return [[fs, p, sol.rate, sol.theta, sol.distortion, sol.mmse_part,
+                         sol.lossy_part]]
+            return rows_at
     elif mode == "af-sets":
         header = ["fs", "P", "branch", "lo", "hi"]
         ratio = snr_ratio(Sx, Sn)
 
-        def rows_at(fs, R):
+        def at_fs(fs):
             sets = sampling.maximal_af_sets(ratio, fs, cfg.P)
-            return [[fs, cfg.P, p, iv.lo, iv.hi]
+            rows = [[fs, cfg.P, p, iv.lo, iv.hi]
                     for p, F in enumerate(sets, start=1) for iv in F.intervals]
+            return lambda R: rows
     elif mode == "bounds":
         header = ["fs", "rate_bits_per_time", "drf_sampled", "idrf_stationary",
                   "mmse", "d_star_lower", "polyphase_lower", "d_dagger"]
+        idrf = waterfill._idrf_stationary(Sx, Sn, h)
 
-        def rows_at(fs, R):
-            r = R.per_time(fs)
-            return [[
-                fs, r,
-                waterfill.drf_sampled_single(Sx, Sn, h, fs, r).distortion,
-                waterfill.idrf_stationary(Sx, Sn, h, r).distortion,
-                sampling.mmse_single(Sx, Sn, h, fs),
-                waterfill.d_star_lower_bound(Sx, Sn, fs, r),
-                waterfill.polyphase_lower_bound(Sx, Sn, h, fs, r),
-                waterfill.d_dagger(Sx, Sn, fs, r).distortion,
-            ]]
-    elif mode == "oracle-check":
+        def at_fs(fs):
+            mmse, curve = sampling._mmse_and_curve(Sx, Sn, h, fs)
+            drf = waterfill._Waterfill.of_source(sigma2, curve)
+            d_star = waterfill._d_star_lower_bound(Sx, Sn, fs)
+            polyphase = waterfill._polyphase_lower_bound(Sx, Sn, h, fs, mmse, drf)
+            dd = waterfill._d_dagger(Sx, Sn, fs)
+
+            def rows_at(R):
+                r = R.per_time(fs)
+                return [[fs, r, drf.solve(r).distortion, idrf.solve(r).distortion, mmse,
+                         d_star.solve(r).distortion, polyphase(r), dd.solve(r).distortion]]
+            return rows_at
+    else:  # oracle-check
         header = ["fs", "rate_bits_per_time", "mmse_exact", "mmse_window",
                   "drf_exact", "drf_block"]
 
         def at_fs(fs):
-            mmse = sampling.mmse_single(Sx, Sn, h, fs)
+            mmse, curve = sampling._mmse_and_curve(Sx, Sn, h, fs)
+            drf = waterfill._Waterfill.of_source(sigma2, curve)
             orc = oracle.window_oracle(Sx, Sn, h, fs, cfg.oracle_K, cfg.oracle_phases)
 
             def rows_at(R):
                 r = R.per_time(fs)
-                return [[
-                    fs, r, mmse, orc.mmse_average.value,
-                    waterfill.drf_sampled_single(Sx, Sn, h, fs, r).distortion,
-                    orc.distortion(r),
-                ]]
+                return [[fs, r, mmse, orc.mmse_average.value,
+                         drf.solve(r).distortion, orc.distortion(r)]]
             return rows_at
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
-    if mode != "oracle-check":
-        # every other mode does all of its work per (fs, R) point
-        def at_fs(fs):
-            return lambda R: rows_at(fs, R)
-    rates = [None] if mode in ("mmse", "af-sets") else cfg.rates
-    if not rates:
-        raise ConfigError(f"mode {mode} needs at least one rate")
     return header, at_fs, rates
 
 
@@ -335,26 +332,27 @@ def run(config_path: str, mode: str, out: str | None = None,
     Rows are computed one after another in config order.  The output is
     written only once every row has succeeded.
     """
+    fs = R = None  # a failure names as much of its point as it has reached
     try:
         _check_format(fmt)
         cfg = load_config(config_path)
         out_path = out or cfg.out
         _check_out_dir(out_path)
         header, at_fs, rates = _sweep(mode, cfg)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    lines = []
-    for fs in cfg.fs_list:
-        R = None  # a failure before the first rate names fs alone
-        try:
+        lines = []
+        for fs in cfg.fs_list:
+            R = None
             rows_at = at_fs(fs)
             for R in rates:
                 lines += [_line(header, row, fmt) for row in rows_at(R)]
-        except (NumericalFailure, WaterfillError, SpectrumError, LinalgError) as e:
-            rate = "" if R is None else f", R={R.value:.12g} {R.unit}"
-            print(f"numerical failure at fs={fs:.12g}{rate}: {e}", file=sys.stderr)
-            return 3
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except (NumericalFailure, WaterfillError, SpectrumError, LinalgError) as e:
+        point = "" if fs is None else f" at fs={fs:.12g}"
+        rate = "" if R is None else f", R={R.value:.12g} {R.unit}"
+        print(f"numerical failure{point}{rate}: {e}", file=sys.stderr)
+        return 3
     return _write(header, lines, out_path, fmt)
 
 
@@ -366,11 +364,12 @@ def _figure_rows(name: str):
     rect_noise = SpectralDensity(((0.0, 0.5, 0.2),))  # gamma = 5
     bandpass = SpectralDensity(((1.0, 2.0, 0.5),))
     bimodal = SpectralDensity(BIMODAL_SEGMENTS)
+    noiseless = SpectralDensity(())
 
     if name == "rect":
         header = ["fs", "rate_bits_per_time", "gamma", "distortion"]
         rows = []
-        for gamma, noise in (("inf", SpectralDensity(())), ("5", rect_noise)):
+        for gamma, noise in (("inf", noiseless), ("5", rect_noise)):
             for i in range(2, 41):
                 fs = i * 0.05
                 sol = waterfill.drf_sampled_single(rect, noise, None, fs, 1.0)
@@ -378,47 +377,37 @@ def _figure_rows(name: str):
         return header, rows
     if name == "nonmonotone":
         header = ["fs", "rate_bits_per_time", "distortion"]
-        rows = []
-        for R in (1.0, 2.0):
-            for i in range(5, 46):
-                fs = i * 0.1
-                sol = waterfill.drf_sampled_single(bandpass, SpectralDensity(()),
-                                                   None, fs, R)
-                rows.append([fs, R, sol.distortion])
-        return header, rows
+        # one curve per fs, solved at every rate
+        drfs = [(fs, waterfill._drf_sampled_single(bandpass, noiseless, None, fs))
+                for fs in (i * 0.1 for i in range(5, 46))]
+        return header, [[fs, R, drf.solve(R).distortion]
+                        for R in (1.0, 2.0) for fs, drf in drfs]
     if name == "mmse-opt":
         header = ["fs", "mmse_allpass", "mmse_optimal"]
         rows = []
         for i in range(1, 41):
             fs = i * 0.08
-            allp = sampling.mmse_single(bimodal, SpectralDensity(()), None, fs)
-            opt, _ = sampling.mmse_optimal(bimodal, SpectralDensity(()), fs, 1)
+            allp = sampling.mmse_single(bimodal, noiseless, None, fs)
+            opt, _ = sampling.mmse_optimal(bimodal, noiseless, fs, 1)
             rows.append([fs, allp, opt])
         return header, rows
     if name == "opsf":
         header = ["fs", "rate_bits_per_time", "drf_allpass", "drf_optimal"]
-        rows = []
-        for R in (0.5, 1.0):
-            for i in range(1, 41):
-                fs = i * 0.08
-                d = waterfill.drf_sampled_single(
-                    bimodal, SpectralDensity(()), None, fs, R).distortion
-                d_opt = waterfill.drf_sampled_optimal(
-                    bimodal, SpectralDensity(()), fs, 1, R).distortion
-                rows.append([fs, R, d, d_opt])
-        return header, rows
+        drfs = [(fs, waterfill._drf_sampled_single(bimodal, noiseless, None, fs),
+                 waterfill._drf_sampled_optimal(bimodal, noiseless, fs, 1))
+                for fs in (i * 0.08 for i in range(1, 41))]
+        return header, [[fs, R, d.solve(R).distortion, d_opt.solve(R).distortion]
+                        for R in (0.5, 1.0) for fs, d, d_opt in drfs]
     if name == "multi-branch":
         header = ["fs", "P", "rate_bits_per_time", "distortion"]
         rows = []
         for i in range(1, 41):
             fs = i * 0.08
             for p in (1, 2, 3):
-                d = waterfill.drf_sampled_optimal(
-                    bimodal, SpectralDensity(()), fs, p, 1.0).distortion
+                d = waterfill.drf_sampled_optimal(bimodal, noiseless, fs, p, 1.0).distortion
                 rows.append([fs, p, 1.0, d])
-            rows.append([fs, "inf", 1.0,
-                         waterfill.d_dagger(bimodal, SpectralDensity(()),
-                                            fs, 1.0).distortion])
+            d = waterfill.d_dagger(bimodal, noiseless, fs, 1.0).distortion
+            rows.append([fs, "inf", 1.0, d])
         return header, rows
     if name == "af-sets":
         header = ["fs", "P", "branch", "lo", "hi"]

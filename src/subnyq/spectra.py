@@ -205,14 +205,6 @@ class SpectralDensity:
         return sorted(pts)
 
 
-def zero_density() -> SpectralDensity:
-    return SpectralDensity(())
-
-
-def evaluate(S: SpectralDensity, f: float) -> float:
-    return S.evaluate(f)
-
-
 def _density_pieces(S: SpectralDensity, F: FrequencySet | None = None):
     """(width, value) pieces of S, optionally restricted to F (mirror included)."""
     widths, vals = [], []

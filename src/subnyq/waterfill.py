@@ -6,10 +6,12 @@ pair on a piecewise-constant curve (or a family of eigenvalue curves):
     R(theta) = 1/2 * sum_p int log2+ [lambda_p(f) / theta] df
     D(theta) = mmse + sum_p int min{lambda_p(f), theta} df
 
-R(theta) is piecewise log-linear, so the solver reads the water level off
-sorted values and cumulative sums in closed form.  Logarithms are base 2
-throughout, so rates are in bits and the flat-spectrum closed forms come out
-exact.
+R(theta) is piecewise log-linear, so _Waterfill reads the water level off
+values sorted once and their cumulative sums, in closed form at any rate.
+Each one-rate function f has a private form _f without R that returns that
+object (a function of R, for the polyphase bound), so a sweep builds it once
+per fs.  Logarithms are base 2 throughout, so rates are in bits and the
+flat-spectrum closed forms come out exact.
 """
 
 from __future__ import annotations
@@ -157,53 +159,58 @@ def distortion_of_theta(sigma2: float, curves, theta: float) -> WaterfillSolutio
     )
 
 
-def solve_theta_for_rate(curves, R, fs: float | None = None) -> float:
-    """Water level theta with rate_of_theta(theta) = R, in closed form.
+class _Waterfill:
+    """Reverse waterfill over one set of curves, sorted once for every rate.
 
     With the k largest values active, 2R = S_k - W_k log2(theta), where W_k
     and S_k are the cumulative sums of w and w log2(v) over the values sorted
-    largest first.  The active set is the smallest k whose rate at the next
-    value down reaches R.  R = 0 returns the curve maximum.  Theta is formed
-    from its log2, so it is exact down to the smallest subnormal and
-    underflows to 0.0 beyond it.
+    largest first.  k counts the values whose next-value rate is below R; it
+    is not a binary search, as float ties can leave those rates out of order.
+    R = 0 gives the curve maximum.  Theta comes from its log2, so it
+    underflows to 0.0 only below the smallest subnormal.  The distortion is
+    mmse plus scale times the lossy integral, read off the unsorted curve.
     """
-    R = _as_rate(R, fs)
-    w, v = _pieces(curves)
-    keep = (w > 0) & (v > 0)
-    if not np.any(keep):
-        if R > 0:
-            raise UnattainableRateError(
-                "curve is identically zero; no positive rate is attainable"
-            )
-        return 0.0
-    order = np.argsort(-v[keep])
-    w, v = w[keep][order], v[keep][order]
-    if R == 0:
-        return float(v[0])
-    log_v = np.log2(v)
-    W = np.cumsum(w)
-    S = np.cumsum(w * log_v)
-    rate_at_next_value = 0.5 * (S[:-1] - W[:-1] * log_v[1:])
-    k = int(np.count_nonzero(rate_at_next_value < R))
-    return float(np.exp2((S[k] - 2.0 * R) / W[k]))
+
+    def __init__(self, curves, mmse: float = 0.0, scale: float = 1.0):
+        self.w, self.v = _pieces(curves)
+        self.mmse, self.scale = mmse, scale
+        keep = (self.w > 0) & (self.v > 0)
+        order = np.argsort(-self.v[keep])
+        w, v = self.w[keep][order], self.v[keep][order]
+        self.top = float(v[0]) if v.size else 0.0
+        log_v = np.log2(v)
+        self.W = np.cumsum(w)
+        self.S = np.cumsum(w * log_v)
+        self.rate_at_next_value = 0.5 * (self.S[:-1] - self.W[:-1] * log_v[1:])
+
+    @classmethod
+    def of_source(cls, sigma2: float, curves) -> "_Waterfill":
+        """Waterfill whose mmse is sigma2, the source power, less the curves' integral."""
+        w, v = _pieces(curves)
+        return cls((w, v), sigma2 - float(np.sum(w * v)))
+
+    def solve(self, R, fs: float | None = None) -> WaterfillSolution:
+        R = _as_rate(R, fs)
+        if R == 0:
+            theta = self.top
+        elif not self.W.size:
+            raise UnattainableRateError("curve is identically zero; "
+                                        "no positive rate is attainable")
+        else:
+            k = int(np.count_nonzero(self.rate_at_next_value < R))
+            theta = float(np.exp2((self.S[k] - 2.0 * R) / self.W[k]))
+        lossy = self.scale * float(np.sum(self.w * np.minimum(self.v, theta)))
+        return WaterfillSolution(theta, R, self.mmse + lossy, self.mmse, lossy)
 
 
-def _solution(curves, R: float, mmse: float, scale: float = 1.0) -> WaterfillSolution:
-    """Solve at rate R; distortion is mmse plus scale times the lossy integral.
-
-    The lossy integral is read off the curve, so a zero curve and a theta
-    that underflowed to 0.0 both give a zero lossy part without a special
-    case, and the solution reports the requested rate.
-    """
-    w, v = _pieces(curves)
-    theta = solve_theta_for_rate((w, v), R)
-    lossy = scale * float(np.sum(w * np.minimum(v, theta)))
-    return WaterfillSolution(theta, R, mmse + lossy, mmse, lossy)
+def solve_theta_for_rate(curves, R, fs: float | None = None) -> float:
+    """Water level theta with rate_of_theta(theta) = R, in closed form."""
+    return _Waterfill(curves).solve(R, fs).theta
 
 
-def _waterfill(sigma2: float, curves, R, fs: float | None = None) -> WaterfillSolution:
-    w, v = _pieces(curves)
-    return _solution((w, v), _as_rate(R, fs), sigma2 - float(np.sum(w * v)))
+def _idrf_stationary(Sx, Sn, H):
+    w, v = _density_pieces(snr_ratio(Sx, Sn), None if H is None else H.support())
+    return _Waterfill.of_source(Sx.total_power(), (w, v))
 
 
 def idrf_stationary(
@@ -217,10 +224,7 @@ def idrf_stationary(
     This is the no-sampling baseline: waterfilling over the conditional
     spectrum Sx^2 |H|^2 / ((Sx+Sn)|H|^2) on the whole line.
     """
-    sigma2 = Sx.total_power()
-    ratio = snr_ratio(Sx, Sn)
-    w, v = _density_pieces(ratio, None if H is None else H.support())
-    return _waterfill(sigma2, (w, v), R)
+    return _idrf_stationary(Sx, Sn, H).solve(R)
 
 
 def idrf_vector(curves, M: int, rate_per_symbol, mmse: float) -> WaterfillSolution:
@@ -231,7 +235,11 @@ def idrf_vector(curves, M: int, rate_per_symbol, mmse: float) -> WaterfillSoluti
     """
     if M < 1:
         raise WaterfillError(f"M must be >= 1, got {M}")
-    return _solution(curves, _as_rate(rate_per_symbol), mmse, 1.0 / M)
+    return _Waterfill(curves, mmse, 1.0 / M).solve(rate_per_symbol)
+
+
+def _drf_sampled_single(Sx, Sn, H, fs):
+    return _Waterfill.of_source(Sx.total_power(), s_tilde_single(Sx, Sn, H, fs))
 
 
 def drf_sampled_single(
@@ -242,9 +250,11 @@ def drf_sampled_single(
     R,
 ) -> WaterfillSolution:
     """Minimal distortion at rate R bits/time from single-branch samples at fs."""
-    sigma2 = Sx.total_power()
-    curve = s_tilde_single(Sx, Sn, H, fs)
-    return _waterfill(sigma2, curve, R, fs)
+    return _drf_sampled_single(Sx, Sn, H, fs).solve(R, fs)
+
+
+def _drf_sampled_multi(Sx, Sn, spec):
+    return _Waterfill.of_source(Sx.total_power(), eigen_curves_multi(Sx, Sn, spec))
 
 
 def drf_sampled_multi(
@@ -254,9 +264,13 @@ def drf_sampled_multi(
     R,
 ) -> WaterfillSolution:
     """Same as drf_sampled_single but for a P-branch filter bank."""
-    sigma2 = Sx.total_power()
-    curves = eigen_curves_multi(Sx, Sn, spec)
-    return _waterfill(sigma2, curves, R, spec.fs)
+    return _drf_sampled_multi(Sx, Sn, spec).solve(R, spec.fs)
+
+
+def _drf_sampled_optimal(Sx, Sn, fs, P):
+    ratio = snr_ratio(Sx, Sn)
+    w, v = zip(*(_density_pieces(ratio, F) for F in maximal_af_sets(ratio, fs, P)))
+    return _Waterfill.of_source(Sx.total_power(), (np.concatenate(w), np.concatenate(v)))
 
 
 def drf_sampled_optimal(
@@ -272,16 +286,15 @@ def drf_sampled_optimal(
     the SNR ratio, so the waterfill runs over the ratio restricted to their
     union; no eigen grid is needed.
     """
-    sigma2 = Sx.total_power()
+    return _drf_sampled_optimal(Sx, Sn, fs, P).solve(R, fs)
+
+
+def _d_dagger(Sx, Sn, fs):
+    if fs <= 0:
+        raise SpectrumError(f"fs must be positive, got {fs}")
     ratio = snr_ratio(Sx, Sn)
-    sets = maximal_af_sets(ratio, fs, P)
-    widths, vals = [], []
-    for F in sets:
-        w, v = _density_pieces(ratio, F)
-        widths.append(w)
-        vals.append(v)
-    pieces = (np.concatenate(widths), np.concatenate(vals))
-    return _waterfill(sigma2, pieces, R, fs)
+    F, _ = superlevel_set_of_measure(ratio, fs)
+    return _Waterfill.of_source(Sx.total_power(), _density_pieces(ratio, F))
 
 
 def d_dagger(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> WaterfillSolution:
@@ -290,12 +303,13 @@ def d_dagger(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> Waterfil
     Waterfills the SNR ratio over its best superlevel set of measure fs; a
     lower bound on every finite-P optimum.
     """
-    if fs <= 0:
-        raise SpectrumError(f"fs must be positive, got {fs}")
-    sigma2 = Sx.total_power()
-    ratio = snr_ratio(Sx, Sn)
-    F, _ = superlevel_set_of_measure(ratio, fs)
-    return _waterfill(sigma2, _density_pieces(ratio, F), R, fs)
+    return _d_dagger(Sx, Sn, fs).solve(R, fs)
+
+
+def _d_star_lower_bound(Sx, Sn, fs):
+    ratio_pw = _pw_from_density(snr_ratio(Sx, Sn))
+    sup = _pw_aliased(ratio_pw, fs, -fs / 2.0, fs / 2.0, op="sup")
+    return _Waterfill.of_source(Sx.total_power(), ScalarCurve(sup.bp, np.real(sup.vals)))
 
 
 def d_star_lower_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> float:
@@ -305,11 +319,26 @@ def d_star_lower_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -
     filter; the bound is met by the indicator of the maximal aliasing-free
     set.
     """
+    return _d_star_lower_bound(Sx, Sn, fs).solve(R, fs).distortion
+
+
+def _polyphase_lower_bound(Sx, Sn, H, fs, mmse, drf: _Waterfill, N_delta: int = 64):
+    """The bound at fs as a function of R bits/time, given the sampling MMSE
+    and the drf_sampled_single waterfill; the n offset spectra are sorted here."""
     sigma2 = Sx.total_power()
-    ratio_pw = _pw_from_density(snr_ratio(Sx, Sn))
-    sup = _pw_aliased(ratio_pw, fs, -fs / 2.0, fs / 2.0, op="sup")
-    curve = ScalarCurve(sup.bp, np.real(sup.vals))
-    return _waterfill(sigma2, curve, R, fs).distortion
+    grid, k, A, denom = _polyphase_translates(Sx, Sn, H, fs)
+    n = max(N_delta, len(k))
+    w = np.diff(grid / fs)
+    offsets = [_Waterfill((w, v)) for v in _polyphase_values(k, A, denom, fs, np.arange(n) / n)
+               if v.max() > 0]
+
+    def at_rate(R: float) -> float:
+        bound = mmse + sum(wf.solve(R / fs).lossy_part for wf in offsets) / n
+        d = drf.solve(R).distortion
+        if bound > d + 1e-10 * max(1.0, sigma2):
+            raise SpectrumError(f"polyphase bound {bound} exceeds the distortion {d}")
+        return bound
+    return at_rate
 
 
 def polyphase_lower_bound(
@@ -334,19 +363,9 @@ def polyphase_lower_bound(
     if N_delta < 8:
         raise WaterfillError(f"N_delta must be >= 8, got {N_delta}")
     R = _as_rate(R, fs)
-    sigma2 = Sx.total_power()
     mmse, curve = _mmse_and_curve(Sx, Sn, H, fs)
-    grid, k, A, denom = _polyphase_translates(Sx, Sn, H, fs)
-    n = max(N_delta, len(k))
-    w = np.diff(grid / fs)
-    lossy = sum(_solution((w, v), R / fs, 0.0).lossy_part
-                for v in _polyphase_values(k, A, denom, fs, np.arange(n) / n)
-                if v.max() > 0)
-    bound = mmse + lossy / n
-    d = _waterfill(sigma2, curve, R).distortion
-    if bound > d + 1e-10 * max(1.0, sigma2):
-        raise SpectrumError(f"polyphase bound {bound} exceeds the distortion {d}")
-    return bound
+    drf = _Waterfill.of_source(Sx.total_power(), curve)
+    return _polyphase_lower_bound(Sx, Sn, H, fs, mmse, drf, N_delta)(R)
 
 
 def drf_of_estimator(
@@ -362,5 +381,4 @@ def drf_of_estimator(
     so the solution is pure lossy part; adding mmse_single reconstitutes
     drf_sampled_single at the same rate (separation).
     """
-    curve = s_tilde_single(Sx, Sn, H, fs)
-    return _solution(curve, _as_rate(R, fs), 0.0)
+    return _Waterfill(s_tilde_single(Sx, Sn, H, fs)).solve(R, fs)

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import subnyq
-from subnyq import waterfill
-from subnyq.cli import load_config, main, reproduce_figure, run
+from subnyq import sampling, waterfill
+from subnyq.cli import BIMODAL_SEGMENTS, load_config, main, reproduce_figure, run
 from subnyq.cli import ConfigError, NumericalFailure, _fmt
 from subnyq.oracle import block_idrf_oracle, finite_window_mmse_average
 from subnyq.sampling import mmse_single
@@ -21,6 +21,22 @@ RECT_CONFIG = {
     "sampler": {"fs": [0.5], "P": 1},
     "rates": {"values": [1.0]},
 }
+
+# the bimodal source of the figures under a 0.05 noise floor, and a P=3 bank
+# of one-sided complex branches that has full rank where three translates meet
+BIMODAL_CONFIG = {
+    "schema_version": 1,
+    "source": {"segments": [list(seg) for seg in BIMODAL_SEGMENTS]},
+    "noise": {"segments": [[0.0, 1.6, 0.05]]},
+    "sampler": {"fs": [0.32, 1.92, 0.32], "P": 1},
+    "rates": {"values": [0.1, 0.25, 0.5, 1.0, 2.0, 4.0]},
+    "oracle": {"K": 4, "phases": 2},
+}
+BANK_FILTERS = [
+    [[-1.6, 1.6, 1.0, 0.0]],
+    [[-1.6, 0.0, 1.0, 0.0], [0.0, 1.6, 0.0, 1.0]],
+    [[-1.6, -0.8, 0.5, 0.5], [-0.8, 0.8, 1.0, -1.0], [0.8, 1.6, 0.0, 2.0]],
+]
 
 BANDPASS_CONFIG = {
     "schema_version": 1,
@@ -206,6 +222,25 @@ class TestRunModes:
             for key, ref in refs.items():
                 assert abs(row[key] - ref) <= 1e-12 * max(1.0, abs(ref)), (key, fs, R)
 
+    @pytest.mark.parametrize("n_rates", [1, 6])
+    @pytest.mark.parametrize("mode, P", [("bounds", 1), ("drf", 1), ("drf", 3),
+                                         ("oracle-check", 1)])
+    def test_one_curve_build_per_fs(self, tmp_path, monkeypatch, mode, P, n_rates):
+        rates = BIMODAL_CONFIG["rates"]["values"][:n_rates]
+        doc = dict(BIMODAL_CONFIG, rates={"values": rates})
+        module, name = (sampling, "_folded") if P == 1 else (waterfill, "eigen_curves_multi")
+        if P == 3:
+            doc["sampler"] = {"fs": [0.48, 1.92, 0.48], "P": 3, "filters": BANK_FILTERS}
+        builds = []
+        real = getattr(module, name)
+
+        def counted(*args):
+            builds.append(args)
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+        assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
+        assert len(builds) == len(doc["sampler"]["fs"])
+
     def test_deterministic_output(self, tmp_path):
         doc = dict(RECT_CONFIG)
         doc["sampler"] = {"fs": {"start": 0.2, "stop": 1.2, "step": 0.1}}
@@ -272,6 +307,16 @@ class TestRunModes:
                 assert 0.0 <= d <= 1.0 + 1e-12
 
 
+# the named cause of some config error cases
+CONFIG_CAUSES = {
+    "rates-values-string": "rates.values must be a list, got '12'",
+    "rate-boolean": "rates.values invalid: a rate must be a number, got True",
+    "oracle-K-boolean": "oracle.K must be an integer, got True",
+    "fs-range-overflows": "sampler.fs range has inf steps",
+    "fs-range-too-long": "sampler.fs range has 1e+12 steps",
+}
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(str(tmp_path / "nope.json"), "drf") == 2
@@ -325,8 +370,39 @@ class TestExitCodes:
         out = str(tmp_path / "x.csv")
         assert main(["drf", "--config", write_config(tmp_path, doc), "--out", out]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure at fs=2, R=1 bits-per-time-unit: ")
+        # the eigen curves are built once per fs, before any rate
+        assert err.startswith("numerical failure at fs=2: ")
         assert "not Hermitian" in err
+        assert not Path(out).exists()
+
+    # the SNR ratio, built once per sweep in these modes, overflows
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["af-sets", "bounds"])
+    def test_per_sweep_failure_exits_3(self, tmp_path, capsys, mode):
+        doc = dict(RECT_CONFIG)
+        doc["source"] = {"segments": [[0.0, 0.5, 1e160]]}
+        out = str(tmp_path / "x.csv")
+        assert run(write_config(tmp_path, doc), mode, out=out) == 3
+        # the failing work depends on neither fs nor R, so no point is named
+        assert capsys.readouterr().err.startswith("numerical failure: segment ")
+        assert not Path(out).exists()
+
+    def test_rate_dependent_failure_names_the_rate(self, tmp_path, capsys, monkeypatch):
+        # above the Nyquist rate the polyphase bound equals D, so a raised
+        # MMSE term puts it above D, which is checked at every rate
+        real = sampling._mmse_and_curve
+
+        def raised(*args):
+            mmse, curve = real(*args)
+            return mmse + 1e-6, curve
+
+        monkeypatch.setattr(sampling, "_mmse_and_curve", raised)
+        doc = dict(RECT_CONFIG)
+        doc["sampler"] = {"fs": [1.2]}
+        out = str(tmp_path / "x.csv")
+        assert run(write_config(tmp_path, doc), "bounds", out=out) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure at fs=1.2, R=1 bits-per-time-unit: polyphase bound ")
         assert not Path(out).exists()
 
     def test_nan_source_level_exits_2(self, tmp_path, capsys):
@@ -346,7 +422,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", [
         "fs-without-stop", "top-level-list", "rates-not-object",
         "source-not-object", "P-not-integer", "P-fractional", "oracle-K-zero",
-        "oracle-phases-zero",
+        "oracle-phases-zero", "rates-values-string", "rate-boolean", "oracle-K-boolean",
+        "fs-range-overflows", "fs-range-too-long",
     ])
     def test_config_errors_exit_2(self, tmp_path, capsys, case):
         doc = dict(RECT_CONFIG)
@@ -366,10 +443,22 @@ class TestExitCodes:
             doc["oracle"] = {"K": 0}
         elif case == "oracle-phases-zero":
             doc["oracle"] = {"phases": 0}
+        elif case == "rates-values-string":
+            doc["rates"] = {"values": "12"}
+        elif case == "rate-boolean":
+            doc["rates"] = {"values": [True, 2]}
+        elif case == "oracle-K-boolean":
+            doc["oracle"] = {"K": True}
+        elif case == "fs-range-overflows":
+            doc["sampler"] = {"fs": {"start": 0.1, "stop": 1e300, "step": 1e-300}}
+        elif case == "fs-range-too-long":
+            doc["sampler"] = {"fs": {"start": 0.1, "stop": 1e9, "step": 1e-3}}
         out = str(tmp_path / "x.csv")
         assert main(["oracle-check", "--config", write_config(tmp_path, doc),
                      "--out", out]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert CONFIG_CAUSES.get(case, "") in err
         assert not Path(out).exists()
 
     @pytest.mark.parametrize("case", ["missing-directory", "directory", "not-a-path"])
@@ -379,10 +468,10 @@ class TestExitCodes:
         if case == "missing-directory":
             argv = ["--out", str(tmp_path / "missing" / "x.csv")]
 
-            # found with the config errors, before any row is computed
+            # found with the config errors, before any curve is built
             def no_rows(*args):
-                raise AssertionError("a row was computed")
-            monkeypatch.setattr(waterfill, "drf_sampled_single", no_rows)
+                raise AssertionError("a curve was built")
+            monkeypatch.setattr(sampling, "_folded", no_rows)
         elif case == "directory":
             argv = ["--out", str(tmp_path)]
         else:

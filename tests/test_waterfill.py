@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subnyq import waterfill
 from subnyq.cli import BIMODAL_SEGMENTS
@@ -123,6 +125,28 @@ class TestParametricCore:
             RateSpec(R)
         with pytest.raises(WaterfillError, match=f"got {R}"):
             solve_theta_for_rate(FLAT, R)
+
+    # values from a small pool tie; zero widths and zero values are skipped;
+    # rates up to 60 bits reach past the smallest value's breakpoint
+    @given(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+                              st.one_of(st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+                                        st.floats(1e-6, 1e6))),
+                    min_size=1, max_size=8),
+           st.lists(st.one_of(st.just(0.0), st.floats(0.0, 60.0)), min_size=1, max_size=6))
+    @example([(1.0, 1.0), (0.0, 4.0), (0.5, 1.0), (1.0, 0.0)], [0.0, 0.3, 1.0, 60.0])
+    @example([(1.0, 0.0), (0.0, 2.0)], [0.0, 1.0])
+    @settings(max_examples=200, deadline=None)
+    def test_one_waterfill_matches_fresh_solves(self, pieces, rates):
+        w, v = (np.array(x) for x in zip(*pieces))
+        wf = waterfill._Waterfill((w, v), 0.3, 0.5)
+        for R in rates:
+            if R > 0 and not np.any((w > 0) & (v > 0)):
+                for solve in (wf.solve, lambda R: solve_theta_for_rate((w, v), R)):
+                    with pytest.raises(UnattainableRateError):
+                        solve(R)
+                continue
+            assert wf.solve(R) == idrf_vector((w, v), 2, R, 0.3)
+            assert wf.solve(R).theta == solve_theta_for_rate((w, v), R)
 
     def test_decomposition_invariant_enforced(self):
         with pytest.raises(WaterfillError):
