@@ -21,11 +21,8 @@ from .spectra import (
     superlevel_set_of_measure,
 )
 from .linalg import (
-    EigenDecomposition,
-    HermitianMatrix,
     LinalgError,
     NotPositiveSemidefiniteError,
-    hermitian_eig,
     inv_sqrt_psd,
 )
 from .sampling import (

@@ -72,22 +72,24 @@ def _section(doc: dict, name: str) -> dict:
 
 
 def _int_from(value, name: str, minimum: int) -> int:
-    try:
-        n = None if isinstance(value, bool) else int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or (isinstance(value, float) and value != n):
+    """A JSON integer, or a float with an integer value; no bool or string."""
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    n = int(value)
     if n < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {n}")
     return n
 
 
 def _float_from(value, name: str) -> float:
+    """A finite JSON number; no bool or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
-        x = float(None if isinstance(value, bool) else value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        x = float(value)
+    except OverflowError:  # an integer too large for a float
+        x = math.inf
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return x
@@ -100,7 +102,8 @@ def _density_from(doc: dict, name: str) -> SpectralDensity:
     if not isinstance(segs, list):
         raise ConfigError(f"{name}.segments must be a list")
     try:
-        return SpectralDensity(tuple(tuple(s) for s in segs))
+        return SpectralDensity(tuple(tuple(_float_from(v, "a segment entry") for v in s)
+                                     for s in segs))
     except (SpectrumError, TypeError, ValueError) as e:
         raise ConfigError(f"{name}.segments invalid: {e}") from e
 
@@ -139,10 +142,13 @@ def _filters_from(doc, P: int):
     branches = []
     for i, branch in enumerate(doc):
         try:
-            segs = [(s[0], s[1], complex(s[2], s[3] if len(s) > 3 else 0.0))
-                    for s in branch]
+            segs = []
+            for s in branch:
+                # lo, hi, real part and an optional imaginary part
+                lo, hi, re, *im = (_float_from(v, "a gain segment entry") for v in s)
+                segs.append((lo, hi, complex(re, *im)))
             branches.append(ComplexGainProfile(segs))
-        except (SpectrumError, TypeError, ValueError, IndexError) as e:
+        except (SpectrumError, TypeError, ValueError) as e:
             raise ConfigError(f"sampler.filters[{i}] invalid: {e}") from e
     return branches
 

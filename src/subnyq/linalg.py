@@ -1,14 +1,13 @@
-"""Small dense Hermitian eigen-routines used by the filter-bank path.
+"""Checked routines on stacks of small Hermitian matrices for the filter bank.
 
-Matrices here are P x P with P rarely above 6, so the work per call is
-negligible; what matters is strict validation (hermiticity, positive
-semidefiniteness) so that spectral-matrix construction errors surface here
+Every function takes a (..., P, P) stack, one P x P matrix per cell, with P
+rarely above 6, and does the whole stack in one numpy call.  What matters is
+strict validation of each matrix on its own (hermiticity, positive
+semidefiniteness), so that spectral-matrix construction errors surface here
 and not three layers up inside a waterfilling sweep.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,77 +26,41 @@ class NotPositiveSemidefiniteError(LinalgError):
     pass
 
 
-class HermitianMatrix:
-    """Validated Hermitian matrix; stored exactly Hermitian.
+def hermitian(a) -> np.ndarray:
+    """(a + a^H) / 2 for a stack of matrices, each checked to be Hermitian.
 
-    Construction accepts entries Hermitian within 1e-12 relative tolerance
-    and symmetrizes, so downstream code never sees asymmetry at the
-    round-off level.
+    A matrix passes if it is Hermitian within 1e-12 of its own largest entry,
+    so downstream code never sees asymmetry at the round-off level, and a
+    large matrix in the stack does not excuse a small one.
     """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise LinalgError(f"need a square matrix, got shape {a.shape}")
-        scale = float(np.max(np.abs(a))) or 1.0
-        if np.max(np.abs(a - a.conj().T)) > 1e-12 * scale:
-            raise NotHermitianError("matrix is not Hermitian within tolerance")
-        object.__setattr__(self, "entries", (a + a.conj().T) / 2.0)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HermitianMatrix is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.entries)))
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise LinalgError(f"need square matrices, got shape {a.shape}")
+    ah = np.swapaxes(a.conj(), -1, -2)
+    scale = np.abs(a).max(axis=(-2, -1))
+    scale = np.where(scale == 0, 1.0, scale)
+    if np.any(np.abs(a - ah).max(axis=(-2, -1)) > 1e-12 * scale):
+        raise NotHermitianError("matrix is not Hermitian within tolerance")
+    return (a + ah) / 2.0
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    eigenvalues: np.ndarray  # real, ascending
-    eigenvectors: np.ndarray  # orthonormal columns
+def inv_sqrt_psd(a) -> np.ndarray:
+    """Pseudo inverse square root of each PSD matrix in a stack.
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def hermitian_eig(M: HermitianMatrix) -> EigenDecomposition:
-    """Full eigen-decomposition, eigenvalues real and ascending."""
-    if not isinstance(M, HermitianMatrix):
-        M = HermitianMatrix(M)
-    w, v = np.linalg.eigh(M.entries)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
-
-
-def inv_sqrt_psd(
-    M: HermitianMatrix, rank_tol: float = DEFAULT_RANK_TOL
-) -> HermitianMatrix:
-    """Pseudo inverse square root of a PSD matrix.
-
-    Eigenvalues below rank_tol * lambda_max are treated as the null space and
-    mapped to 0, which is what lets rank-deficient branch configurations
-    (linearly dependent sampling branches) pass through without blowing up.
+    Eigenvalues below DEFAULT_RANK_TOL * lambda_max are treated as the null
+    space and mapped to 0, which is what lets rank-deficient branch
+    configurations (linearly dependent sampling branches) pass through
+    without blowing up.  A matrix with no positive eigenvalue maps to 0.
     """
-    if not isinstance(M, HermitianMatrix):
-        M = HermitianMatrix(M)
-    dec = hermitian_eig(M)
-    w = dec.eigenvalues
-    lam_max = float(w[-1]) if w.size else 0.0
-    if lam_max <= 0:
-        if w.size and w[0] < -rank_tol:
-            raise NotPositiveSemidefiniteError(f"eigenvalue {w[0]} < 0")
-        return HermitianMatrix(np.zeros_like(M.entries))
-    cut = rank_tol * lam_max
-    if w[0] < -cut:
+    w, v = np.linalg.eigh(hermitian(a))
+    top = w[..., -1:]
+    # the cut is absolute where no eigenvalue is positive
+    cut = DEFAULT_RANK_TOL * np.where(top <= 0, 1.0, top)
+    low = w[..., :1] < -cut
+    if np.any(low):
         raise NotPositiveSemidefiniteError(
-            f"eigenvalue {w[0]} below -rank_tol*lambda_max = {-cut}"
+            f"eigenvalue {w[..., :1][low][0]} below -{DEFAULT_RANK_TOL} * lambda_max"
         )
     inv = np.where(w > cut, 1.0 / np.sqrt(np.maximum(w, cut)), 0.0)
-    v = dec.eigenvectors
-    return HermitianMatrix((v * inv) @ v.conj().T)
+    t = (v * inv[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return hermitian(np.where(top[..., None] <= 0, 0.0, t))

@@ -31,6 +31,7 @@ from .spectra import (
     _Pw,
     _translate_count,
 )
+from .waterfill import _Waterfill
 
 __all__ = [
     "DiscreteSpectrum",
@@ -254,28 +255,22 @@ class WindowOracle:
     """The time-domain oracles at one fs, with everything but the rate done.
 
     mmse_average is finite_window_mmse_average over the block's n_phases
-    offsets; eig holds the nonzero eigenvalues of the block's estimator
-    covariance and mmse_block its estimation MMSE, so distortion(R) is one
-    eigenvalue waterfill.
+    offsets; waterfill holds the eigenvalues of the block's estimator
+    covariance, sorted once, with the block's estimation MMSE, so
+    distortion(R) only reads off one water level.
     """
 
     K: int
     fs: float
     n_phases: int
     mmse_average: FiniteWindowMmse
-    eig: np.ndarray
-    mmse_block: float
+    waterfill: _Waterfill
 
     def distortion(self, R: float) -> float:
         """block_idrf_oracle at R bits per time unit."""
         if R < 0:
             raise SpectrumError(f"rate must be >= 0, got {R}")
-        from .waterfill import idrf_vector
-
-        n_u = (2 * self.K + 1) * self.n_phases
-        budget = R * (2 * self.K + 1) / self.fs
-        sol = idrf_vector((np.ones_like(self.eig), self.eig), n_u, budget, self.mmse_block)
-        return sol.distortion
+        return self.waterfill.solve(R * (2 * self.K + 1) / self.fs).distortion
 
 
 def window_oracle(
@@ -312,8 +307,11 @@ def window_oracle(
     average = _mmse_average(win.sigma2, np.ascontiguousarray(b[:, K::n_y].T), regularized)
     # nonzero eigenvalues of C_UY C_Y^-1 C_YU via the small Gram matrix
     eig = np.clip(np.linalg.eigvalsh(b @ b.T), 0.0, None)
-    return WindowOracle(K=K, fs=fs, n_phases=n_phases, mmse_average=average, eig=eig,
-                        mmse_block=win.sigma2 - float(eig.sum()) / n_u)
+    # idrf_vector's waterfill over n_u coordinates, sorted once for every rate
+    waterfill = _Waterfill((np.ones_like(eig), eig), win.sigma2 - float(eig.sum()) / n_u,
+                           1.0 / n_u)
+    return WindowOracle(K=K, fs=fs, n_phases=n_phases, mmse_average=average,
+                        waterfill=waterfill)
 
 
 def block_idrf_oracle(

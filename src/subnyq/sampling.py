@@ -9,11 +9,12 @@ the polyphase decomposition used by the distortion lower bound.
 
 Every path is exact: inputs are piecewise-constant, and every grid is cut at
 the translate lattice of the breakpoints before values are read off, so the
-curves returned here (the eigenvalue curves included, one eigen-solve per
-cell) are the true piecewise-constant functions, not samples of them.  All
-translates S(f - k*fs) come from one kernel, spectra._translates, as one
-(translates x cells) array: the sums and bound of s_tilde_single, the S_Y
-and K entries, the polyphase phased sums and the maximal_af_sets ranking.
+curves returned here (the eigenvalue curves included, one stacked eigen-solve
+over the (cells, P, P) matrices of a filter bank) are the true
+piecewise-constant functions, not samples of them.  All translates
+S(f - k*fs) come from one kernel, spectra._translates, as one (translates x
+cells) array: the sums and bound of s_tilde_single, the S_Y and K entries,
+the polyphase phased sums and the maximal_af_sets ranking.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import HermitianMatrix, hermitian_eig, inv_sqrt_psd
+from .linalg import hermitian, inv_sqrt_psd
 from .spectra import (
     BP_TOL,
     ComplexGainProfile,
@@ -284,20 +285,21 @@ def _matrices_on_points(pairs, P: int, fs: float, pts: np.ndarray):
 
 def build_branch_matrices(
     Sx: SpectralDensity, Sn: SpectralDensity, spec: SamplerSpec, f: float
-) -> tuple[HermitianMatrix, HermitianMatrix]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Observation matrix S_Y(f) and weight matrix K(f) for the filter bank.
 
     Entry (i,j) of S_Y is the fs-aliased sum of (Sx+Sn) conj(H_i) H_j, and of
-    K the same with Sx^2 in place of (Sx+Sn).
+    K the same with Sx^2 in place of (Sx+Sn).  Both come back as P x P
+    complex arrays, checked Hermitian and positive semidefinite.
     """
     sy, kk = _matrices_on_points(_pair_pws(Sx, Sn, spec), spec.P, spec.fs,
                                  np.array([float(f)]))
-    my, mk = HermitianMatrix(sy[0]), HermitianMatrix(kk[0])
-    for m in (my, mk):
-        w = hermitian_eig(m).eigenvalues
-        if w.size and w[0] < -1e-10 * max(1.0, float(w[-1])):
-            raise SpectrumError(f"branch matrix not PSD: min eigenvalue {w[0]}")
-    return my, mk
+    m = hermitian(np.concatenate([sy, kk]))
+    w = np.linalg.eigh(m)[0]
+    low = w[:, 0] < -1e-10 * np.maximum(1.0, w[:, -1])
+    if np.any(low):
+        raise SpectrumError(f"branch matrix not PSD: min eigenvalue {w[low, 0][0]}")
+    return m[0], m[1]
 
 
 def eigen_curves_multi(
@@ -309,15 +311,14 @@ def eigen_curves_multi(
 
     On each cell between consecutive aliased breakpoints of the matrix
     entries: lambda(S_Y^{-1/2} K S_Y^{-1/2}) at the cell midpoint, ascending.
-    The matrices are constant on each cell, so these are the exact curves.
+    The matrices are constant on each cell, so these are the exact curves;
+    all cells go through one stacked eigen-solve.
     """
     pairs = _pair_pws(Sx, Sn, spec)
     bp, mids, _ = _period_cells([pw for *_, pz, pk in pairs for pw in (pz, pk)], spec.fs)
     sy, kk = _matrices_on_points(pairs, spec.P, spec.fs, mids)
-    lam = np.empty((len(mids), spec.P))
-    for c in range(len(mids)):
-        t = inv_sqrt_psd(HermitianMatrix(sy[c])).entries
-        lam[c] = hermitian_eig(HermitianMatrix(t @ kk[c] @ t)).eigenvalues
+    t = inv_sqrt_psd(sy)
+    lam = np.linalg.eigh(hermitian(t @ kk @ t))[0]
 
     lam_max = float(lam.max(initial=0.0))
     if lam.size and float(lam.min()) < -1e-10 * max(1.0, lam_max):

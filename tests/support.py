@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from subnyq.linalg import NotHermitianError, NotPositiveSemidefiniteError
 from subnyq.spectra import BP_TOL, ComplexGainProfile, FrequencySet, SpectralDensity
 from subnyq.waterfill import rate_of_theta
 
@@ -185,6 +186,42 @@ def branch_matrices_loop(Sx, Sn, branches, fs, f):
         sy += (x + Sn.evaluate(g)) * outer
         kk += x * x * outer
     return sy, kk
+
+
+def _symmetrised(a):
+    """(a + a^H) / 2, after checking a is Hermitian within 1e-12 of its largest entry."""
+    scale = float(np.max(np.abs(a))) or 1.0
+    if np.max(np.abs(a - a.conj().T)) > 1e-12 * scale:
+        raise NotHermitianError("matrix is not Hermitian within tolerance")
+    return (a + a.conj().T) / 2.0
+
+
+def _inv_sqrt_psd_one(m, rank_tol=1e-12):
+    """Pseudo inverse square root of one PSD matrix: eigenvalues below
+    rank_tol times the largest are cut to 0."""
+    w, v = np.linalg.eigh(_symmetrised(m))
+    lam_max = float(w[-1])
+    if lam_max <= 0:
+        if w[0] < -rank_tol:
+            raise NotPositiveSemidefiniteError(f"eigenvalue {w[0]} < 0")
+        return np.zeros_like(m)
+    cut = rank_tol * lam_max
+    if w[0] < -cut:
+        raise NotPositiveSemidefiniteError(f"eigenvalue {w[0]} below {-cut}")
+    inv = np.where(w > cut, 1.0 / np.sqrt(np.maximum(w, cut)), 0.0)
+    return _symmetrised((v * inv) @ v.conj().T)
+
+
+def whitened_eigenvalues_loop(sy, kk):
+    """Loop reference for the stacked eigen-solve of eigen_curves_multi: for
+    each cell's S_Y and K, the ascending eigenvalues of S_Y^-1/2 K S_Y^-1/2,
+    one matrix at a time, clipped at 0.  Raises the error of the first cell
+    that fails a Hermitian or PSD check."""
+    lam = np.empty(sy.shape[:2])
+    for c in range(len(sy)):
+        t = _inv_sqrt_psd_one(sy[c])
+        lam[c] = np.linalg.eigh(_symmetrised(t @ kk[c] @ t))[0]
+    return np.maximum(lam, 0.0)
 
 
 def polyphase_loop(Sx, Sn, H, fs, delta, phi):

@@ -314,6 +314,12 @@ CONFIG_CAUSES = {
     "oracle-K-boolean": "oracle.K must be an integer, got True",
     "fs-range-overflows": "sampler.fs range has inf steps",
     "fs-range-too-long": "sampler.fs range has 1e+12 steps",
+    "fs-string": "sampler.fs must be a number, got '0.5'",
+    "P-string": "sampler.P must be an integer, got '1'",
+    "rate-string": "rates.values invalid: a rate must be a number, got '1'",
+    "rate-huge-integer": "rates.values invalid: a rate must be finite, got 1000",
+    "segment-string": "source.segments invalid: a segment entry must be a number, got '0'",
+    "gain-string": "sampler.filters[0] invalid: a gain segment entry must be a number, got '1'",
 }
 
 
@@ -423,7 +429,8 @@ class TestExitCodes:
         "fs-without-stop", "top-level-list", "rates-not-object",
         "source-not-object", "P-not-integer", "P-fractional", "oracle-K-zero",
         "oracle-phases-zero", "rates-values-string", "rate-boolean", "oracle-K-boolean",
-        "fs-range-overflows", "fs-range-too-long",
+        "fs-range-overflows", "fs-range-too-long", "fs-string", "P-string", "rate-string",
+        "rate-huge-integer", "segment-string", "gain-string",
     ])
     def test_config_errors_exit_2(self, tmp_path, capsys, case):
         doc = dict(RECT_CONFIG)
@@ -453,6 +460,18 @@ class TestExitCodes:
             doc["sampler"] = {"fs": {"start": 0.1, "stop": 1e300, "step": 1e-300}}
         elif case == "fs-range-too-long":
             doc["sampler"] = {"fs": {"start": 0.1, "stop": 1e9, "step": 1e-3}}
+        elif case == "fs-string":
+            doc["sampler"] = {"fs": ["0.5"]}
+        elif case == "P-string":
+            doc["sampler"] = {"fs": [0.5], "P": "1"}
+        elif case == "rate-string":
+            doc["rates"] = {"values": ["1"]}
+        elif case == "rate-huge-integer":
+            doc["rates"] = {"values": [10**400]}  # too large for a float
+        elif case == "segment-string":
+            doc["source"] = {"segments": [["0", "0.5", "1"]]}
+        elif case == "gain-string":
+            doc["sampler"] = {"fs": [0.5], "P": 1, "filters": [[[-0.5, 0.5, "1"]]]}
         out = str(tmp_path / "x.csv")
         assert main(["oracle-check", "--config", write_config(tmp_path, doc),
                      "--out", out]) == 2

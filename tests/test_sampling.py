@@ -5,9 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subnyq.linalg import HermitianMatrix, hermitian_eig, inv_sqrt_psd
+from subnyq.linalg import LinalgError, hermitian, inv_sqrt_psd
 from subnyq.sampling import (
     SamplerSpec,
+    _matrices_on_points,
+    _pair_pws,
+    _period_cells,
     build_branch_matrices,
     eigen_curves_multi,
     landau_mmse_bound,
@@ -39,6 +42,7 @@ from support import (
     rect_density,
     rect_noise,
     triangular_density,
+    whitened_eigenvalues_loop,
     zero_density,
 )
 
@@ -135,20 +139,20 @@ class TestBranchMatrices:
         sy, kk = build_branch_matrices(Sx, Sn, spec, 0.1)
         z = SpectralDensity(((0.0, 0.5, 1.2),))
         x2 = SpectralDensity(((0.0, 0.5, 1.0),))
-        assert sy.entries[0, 0].real == pytest.approx(aliased_sum(z, 0.7, 0.1))
-        assert kk.entries[0, 0].real == pytest.approx(aliased_sum(x2, 0.7, 0.1))
+        assert sy[0, 0].real == pytest.approx(aliased_sum(z, 0.7, 0.1))
+        assert kk[0, 0].real == pytest.approx(aliased_sum(x2, 0.7, 0.1))
 
     def test_disjoint_branches_give_diagonal(self):
         spec = SamplerSpec(2.0, bandpass_branches())
         sy, kk = build_branch_matrices(bandpass_density(), zero_density(), spec, 0.3)
-        assert abs(sy.entries[0, 1]) <= 1e-14
-        assert abs(kk.entries[0, 1]) <= 1e-14
+        assert abs(sy[0, 1]) <= 1e-14
+        assert abs(kk[0, 1]) <= 1e-14
 
     def test_identical_branches_rank_one(self):
         h = ComplexGainProfile([(-0.5, 0.5, 1.0)])
         spec = SamplerSpec(0.8, (h, h))
         sy, _ = build_branch_matrices(rect_density(), zero_density(), spec, 0.1)
-        w = np.linalg.eigvalsh(sy.entries)
+        w = np.linalg.eigvalsh(sy)
         assert w[0] == pytest.approx(0.0, abs=1e-12)
         assert w[1] > 0
 
@@ -195,8 +199,8 @@ class TestEigenCurves:
         for (a, b), lam in zip(zip(curves.bp[:-1], curves.bp[1:]), curves.lam):
             for f in (a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0):
                 sy, kk = build_branch_matrices(Sx, Sn, spec, f)
-                t = inv_sqrt_psd(sy).entries
-                w = hermitian_eig(HermitianMatrix(t @ kk.entries @ t)).eigenvalues
+                t = inv_sqrt_psd(sy)
+                w = np.linalg.eigh(hermitian(t @ kk @ t))[0]
                 np.testing.assert_allclose(np.maximum(w, 0.0), lam, rtol=0, atol=1e-12)
 
     def test_power_conservation(self):
@@ -397,8 +401,8 @@ class TestTranslateKernel:
         for m in (0.5 * (a + b) for a, b in list(zip(bp, bp[1:]))[:6]):
             sy, kk = build_branch_matrices(Sx, Sn, spec, m)
             ref_sy, ref_kk = branch_matrices_loop(Sx, Sn, branches, fs, m)
-            assert_close(sy.entries, ref_sy)
-            assert_close(kk.entries, ref_kk)
+            assert_close(sy, ref_sy)
+            assert_close(kk, ref_kk)
 
     @given(densities(), densities(), gains(), st.floats(0.05, 3.0))
     # two overlapping translates see gains of different phase
@@ -419,6 +423,36 @@ class TestTranslateKernel:
         assert maximal_af_sets(ratio, fs, P) == maximal_af_sets_loop(ratio, fs, P)
 
 
+class TestStackedEigenSolve:
+    """eigen_curves_multi solves all cells as one stack, bit for bit as the
+    per-cell loop in tests/support, errors included."""
+
+    @given(densities(), densities(), st.lists(gains(), min_size=1, max_size=3),
+           st.booleans(), st.floats(0.05, 3.0))
+    # a repeated all-pass branch: S_Y has rank 1 on every cell
+    @example(rect_density(), rect_noise(), [None], True, 0.7)
+    # an ill-conditioned S_Y: S_Y^-1/2 K S_Y^-1/2 fails the Hermitian check
+    @example(SpectralDensity(((0.0, 1.0, 1.0), (1.0, 2.0, 1e-5))), zero_density(),
+             [ComplexGainProfile([(-1.4, 0.8, -1.8 - 1.9j)]),
+              ComplexGainProfile([(-3.0, 3.0, 1.0)])], False, 2.0)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_cell_loop(self, Sx, Sn, branches, repeat, fs):
+        if repeat:
+            branches = branches[:2] + branches[:1]
+        spec = SamplerSpec(fs, branches)
+        pairs = _pair_pws(Sx, Sn, spec)
+        _, mids, _ = _period_cells([pw for *_, pz, pk in pairs for pw in (pz, pk)], fs)
+        sy, kk = _matrices_on_points(pairs, spec.P, fs, mids)
+        try:
+            want = whitened_eigenvalues_loop(sy, kk)
+        except LinalgError as e:
+            with pytest.raises(LinalgError) as got:
+                eigen_curves_multi(Sx, Sn, spec)
+            assert got.type is type(e)
+            return
+        assert np.array_equal(eigen_curves_multi(Sx, Sn, spec).lam, want)
+
+
 class TestEmptyPieces:
     """An empty density or gain adds no breakpoint to a merged grid."""
 
@@ -437,8 +471,8 @@ class TestEmptyPieces:
             branches = [ComplexGainProfile([]), None]
         sy, kk = build_branch_matrices(Sx, Sn, SamplerSpec(1.0, branches), 0.0)
         ref_sy, ref_kk = branch_matrices_loop(Sx, Sn, branches, 1.0, 0.0)
-        assert_close(sy.entries, ref_sy)
-        assert_close(kk.entries, ref_kk)
+        assert_close(sy, ref_sy)
+        assert_close(kk, ref_kk)
 
 
 class TestTranslateCap:
