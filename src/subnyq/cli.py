@@ -2,10 +2,11 @@
 
 A config is a single JSON document describing the source and noise spectra,
 the sampler and the rate points.  A sweep runs over fs, and for each fs over
-the rates where the mode takes one.  Every mode does the work that depends on
-fs alone once per fs (the curves, their sorted waterfills and the oracles),
-then reads each rate's rows off it.  Points are computed one after another in
-config order, so output is deterministic byte for byte.
+the rates where the mode takes one.  _sweep, the one driver of modes and
+figures, builds the fs-free pieces once (a sampling._Source), the curves,
+waterfills and oracles of each fs once, and reads each rate's rows off them.
+Points are computed one after another in config order, so output is
+deterministic byte for byte.
 
 Exit codes: 0 success, 2 config problem (reported before any point is
 computed; an output file that cannot be written is one too), 3 numerical
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 from . import oracle, sampling, waterfill
 from .linalg import LinalgError
-from .spectra import ComplexGainProfile, SpectralDensity, SpectrumError, snr_ratio
+from .spectra import ComplexGainProfile, SpectralDensity, SpectrumError
 from .waterfill import BITS_PER_SAMPLE, BITS_PER_TIME, RateSpec, WaterfillError
 
 MODES = ("mmse", "drf", "drf-optimal", "d-dagger", "af-sets", "bounds", "oracle-check")
@@ -33,6 +34,9 @@ FORMATS = ("csv", "ndjson")
 
 # Most steps in a start/stop/step fs range; a longer list may not fit memory.
 _MAX_FS_STEPS = 100_000
+
+_MAX_ORACLE_ENTRIES = 10_000_000  # of the oracle's cross covariance, (2K+1)^2 * phases
+_MAX_P = 100  # filter-bank branches; a bank has P(P+1)/2 matrix entries per cell
 
 # Bimodal spectrum behind the multi-branch and optimal-filter figures.  All
 # breakpoints are multiples of 0.08, so the sweep frequencies below are
@@ -71,14 +75,15 @@ def _section(doc: dict, name: str) -> dict:
     return sec
 
 
-def _int_from(value, name: str, minimum: int) -> int:
+def _int_from(value, name: str, minimum: int, maximum: float = math.inf) -> int:
     """A JSON integer, or a float with an integer value; no bool or string."""
     whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not whole:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     n = int(value)
-    if n < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {n}")
+    if not minimum <= n <= maximum:
+        bound = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
+        raise ConfigError(f"{name} must be {bound}, got {n}")
     return n
 
 
@@ -168,7 +173,7 @@ def load_config(path: str) -> ExperimentConfig:
     sampler = doc.get("sampler")
     if not isinstance(sampler, dict):
         raise ConfigError("sampler section is required")
-    P = _int_from(sampler.get("P", 1), "sampler.P", 1)
+    P = _int_from(sampler.get("P", 1), "sampler.P", 1, _MAX_P)
     rates_doc = _section(doc, "rates")
     unit = rates_doc.get("unit", BITS_PER_TIME)
     if unit not in (BITS_PER_TIME, BITS_PER_SAMPLE):
@@ -181,7 +186,7 @@ def load_config(path: str) -> ExperimentConfig:
     except (ConfigError, WaterfillError) as e:
         raise ConfigError(f"rates.values invalid: {e}") from None
     orc = _section(doc, "oracle")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         source=_density_from(doc, "source"),
         noise=_density_from(doc, "noise"),
         fs_list=_fs_from(sampler.get("fs")),
@@ -192,6 +197,9 @@ def load_config(path: str) -> ExperimentConfig:
         oracle_K=_int_from(orc.get("K", 32), "oracle.K", 1),
         oracle_phases=_int_from(orc.get("phases", 8), "oracle.phases", 1),
     )
+    if (2 * cfg.oracle_K + 1) ** 2 * cfg.oracle_phases > _MAX_ORACLE_ENTRIES:
+        raise ConfigError(f"oracle block too large: (2K+1)^2 * phases > {_MAX_ORACLE_ENTRIES}")
+    return cfg
 
 
 def _fmt(x) -> str:
@@ -207,28 +215,30 @@ def _fmt(x) -> str:
 def _sweep(mode: str, cfg: ExperimentConfig):
     """(header, at_fs, rates): at_fs(fs) builds every curve, waterfill and
     oracle of one fs and returns rows_at, and rows_at(R) reads the rows of the
-    point (fs, R) off them; work that needs no fs is done here, once.  rates
-    is [None] in the modes that take no rate."""
+    point (fs, R) off them; work that needs no fs is done once, on the sweep's
+    sampling._Source.  rates is [None] in the modes that take no rate."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
+    if mode in ("bounds", "oracle-check") and (cfg.P != 1 or cfg.filters == "optimal"):
+        raise ConfigError(f"mode {mode} takes P = 1 and no optimal filters")
+    if mode in ("drf-optimal", "d-dagger", "af-sets") and isinstance(cfg.filters, list):
+        raise ConfigError(f"mode {mode} chooses its own filters; drop the filter list")
     rates = [None] if mode in ("mmse", "af-sets") else cfg.rates
     if not rates:
         raise ConfigError(f"mode {mode} needs at least one rate")
-    Sx, Sn = cfg.source, cfg.noise
-    h = None if cfg.filters in (None, "optimal") else cfg.filters[0]
-    branches = None if cfg.filters == "optimal" else cfg.filters or [None] * cfg.P
-    sigma2 = Sx.total_power()
+    branches = cfg.filters if isinstance(cfg.filters, list) else [None] * cfg.P
+    src = sampling._Source(cfg.source, cfg.noise, branches[0])
 
     if mode == "mmse":
         header = ["fs", "P", "mmse"]
 
         def at_fs(fs):
             if cfg.filters == "optimal":
-                val, _ = sampling.mmse_optimal(Sx, Sn, fs, cfg.P)
+                val, _ = sampling._mmse_optimal(src, fs, cfg.P)
             elif cfg.P == 1:
-                val = sampling.mmse_single(Sx, Sn, h, fs)
+                val, _ = sampling._mmse_and_curve(src, fs)
             else:
-                val = sampling.mmse_multi(Sx, Sn, sampling.SamplerSpec(fs, branches))
+                val = sampling.mmse_multi(src.Sx, src.Sn, sampling.SamplerSpec(fs, branches))
             return lambda R: [[fs, cfg.P, val]]
     elif mode in ("drf", "drf-optimal", "d-dagger"):
         if mode == "drf" and cfg.filters == "optimal":
@@ -239,13 +249,13 @@ def _sweep(mode: str, cfg: ExperimentConfig):
 
         def at_fs(fs):
             if mode == "d-dagger":
-                drf = waterfill._d_dagger(Sx, Sn, fs)
+                drf = waterfill._d_dagger(src, fs)
             elif mode == "drf-optimal":
-                drf = waterfill._drf_sampled_optimal(Sx, Sn, fs, cfg.P)
+                drf = waterfill._drf_sampled_optimal(src, fs, cfg.P)
             elif cfg.P == 1:
-                drf = waterfill._drf_sampled_single(Sx, Sn, h, fs)
+                drf = waterfill._drf_sampled_single(src, fs)
             else:
-                drf = waterfill._drf_sampled_multi(Sx, Sn, sampling.SamplerSpec(fs, branches))
+                drf = waterfill._drf_sampled_multi(src, sampling.SamplerSpec(fs, branches))
 
             def rows_at(R):
                 sol = drf.solve(R.per_time(fs))
@@ -254,7 +264,7 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             return rows_at
     elif mode == "af-sets":
         header = ["fs", "P", "branch", "lo", "hi"]
-        ratio = snr_ratio(Sx, Sn)
+        ratio = src.ratio  # read here, so that a failure in it is per sweep
 
         def at_fs(fs):
             sets = sampling.maximal_af_sets(ratio, fs, cfg.P)
@@ -264,14 +274,14 @@ def _sweep(mode: str, cfg: ExperimentConfig):
     elif mode == "bounds":
         header = ["fs", "rate_bits_per_time", "drf_sampled", "idrf_stationary",
                   "mmse", "d_star_lower", "polyphase_lower", "d_dagger"]
-        idrf = waterfill._idrf_stationary(Sx, Sn, h)
+        idrf = waterfill._idrf_stationary(src)  # reads the ratio, once per sweep
 
         def at_fs(fs):
-            mmse, curve = sampling._mmse_and_curve(Sx, Sn, h, fs)
-            drf = waterfill._Waterfill.of_source(sigma2, curve)
-            d_star = waterfill._d_star_lower_bound(Sx, Sn, fs)
-            polyphase = waterfill._polyphase_lower_bound(Sx, Sn, h, fs, mmse, drf)
-            dd = waterfill._d_dagger(Sx, Sn, fs)
+            mmse, curve = sampling._mmse_and_curve(src, fs)
+            drf = waterfill._Waterfill.of_source(src.sigma2, curve)
+            d_star = waterfill._d_star_lower_bound(src, fs)
+            polyphase = waterfill._polyphase_lower_bound(src, fs, mmse, drf)
+            dd = waterfill._d_dagger(src, fs)
 
             def rows_at(R):
                 r = R.per_time(fs)
@@ -283,9 +293,9 @@ def _sweep(mode: str, cfg: ExperimentConfig):
                   "drf_exact", "drf_block"]
 
         def at_fs(fs):
-            mmse, curve = sampling._mmse_and_curve(Sx, Sn, h, fs)
-            drf = waterfill._Waterfill.of_source(sigma2, curve)
-            orc = oracle.window_oracle(Sx, Sn, h, fs, cfg.oracle_K, cfg.oracle_phases)
+            mmse, curve = sampling._mmse_and_curve(src, fs)
+            drf = waterfill._Waterfill.of_source(src.sigma2, curve)
+            orc = oracle._window_oracle(src, fs, cfg.oracle_K, cfg.oracle_phases)
 
             def rows_at(R):
                 r = R.per_time(fs)
@@ -293,6 +303,13 @@ def _sweep(mode: str, cfg: ExperimentConfig):
                          drf.solve(r).distortion, orc.distortion(r)]]
             return rows_at
     return header, at_fs, rates
+
+
+def _sweep_rows(mode: str, Sx, Sn, fs_list, rates=(), P: int = 1, filters=None):
+    """Every row of one in-memory _sweep, in sweep order: fs, then rate."""
+    cfg = ExperimentConfig(Sx, Sn, fs_list, P, filters, [RateSpec(R) for R in rates], None)
+    _, at_fs, rates = _sweep(mode, cfg)
+    return [row for fs in fs_list for rows_at in [at_fs(fs)] for R in rates for row in rows_at(R)]
 
 
 def _line(header, row, fmt: str) -> str:
@@ -366,65 +383,45 @@ def run(config_path: str, mode: str, out: str | None = None,
 # Built-in figure sweeps.
 
 def _figure_rows(name: str):
+    """(header, rows): columns of in-memory sweeps' rows, stably sorted."""
     rect = SpectralDensity(((0.0, 0.5, 1.0),))
     rect_noise = SpectralDensity(((0.0, 0.5, 0.2),))  # gamma = 5
     bandpass = SpectralDensity(((1.0, 2.0, 0.5),))
     bimodal = SpectralDensity(BIMODAL_SEGMENTS)
     noiseless = SpectralDensity(())
+    fs_bimodal = [i * 0.08 for i in range(1, 41)]
+
+    def by(col, rows):
+        return sorted(rows, key=lambda row: row[col])
 
     if name == "rect":
-        header = ["fs", "rate_bits_per_time", "gamma", "distortion"]
-        rows = []
-        for gamma, noise in (("inf", noiseless), ("5", rect_noise)):
-            for i in range(2, 41):
-                fs = i * 0.05
-                sol = waterfill.drf_sampled_single(rect, noise, None, fs, 1.0)
-                rows.append([fs, 1.0, gamma, sol.distortion])
-        return header, rows
+        return ["fs", "rate_bits_per_time", "gamma", "distortion"], [
+            [r[0], r[2], gamma, r[4]] for gamma, noise in (("inf", noiseless), ("5", rect_noise))
+            for r in _sweep_rows("drf", rect, noise, [i * 0.05 for i in range(2, 41)], [1.0])]
     if name == "nonmonotone":
-        header = ["fs", "rate_bits_per_time", "distortion"]
-        # one curve per fs, solved at every rate
-        drfs = [(fs, waterfill._drf_sampled_single(bandpass, noiseless, None, fs))
-                for fs in (i * 0.1 for i in range(5, 46))]
-        return header, [[fs, R, drf.solve(R).distortion]
-                        for R in (1.0, 2.0) for fs, drf in drfs]
+        rows = _sweep_rows("drf", bandpass, noiseless, [i * 0.1 for i in range(5, 46)], [1.0, 2.0])
+        return ["fs", "rate_bits_per_time", "distortion"], by(1, [
+            [r[0], r[2], r[4]] for r in rows])
     if name == "mmse-opt":
-        header = ["fs", "mmse_allpass", "mmse_optimal"]
-        rows = []
-        for i in range(1, 41):
-            fs = i * 0.08
-            allp = sampling.mmse_single(bimodal, noiseless, None, fs)
-            opt, _ = sampling.mmse_optimal(bimodal, noiseless, fs, 1)
-            rows.append([fs, allp, opt])
-        return header, rows
+        allpass, optimal = (_sweep_rows("mmse", bimodal, noiseless, fs_bimodal, filters=f)
+                            for f in (None, "optimal"))
+        return ["fs", "mmse_allpass", "mmse_optimal"], [
+            [a[0], a[2], o[2]] for a, o in zip(allpass, optimal)]
     if name == "opsf":
-        header = ["fs", "rate_bits_per_time", "drf_allpass", "drf_optimal"]
-        drfs = [(fs, waterfill._drf_sampled_single(bimodal, noiseless, None, fs),
-                 waterfill._drf_sampled_optimal(bimodal, noiseless, fs, 1))
-                for fs in (i * 0.08 for i in range(1, 41))]
-        return header, [[fs, R, d.solve(R).distortion, d_opt.solve(R).distortion]
-                        for R in (0.5, 1.0) for fs, d, d_opt in drfs]
+        allpass, optimal = (_sweep_rows(mode, bimodal, noiseless, fs_bimodal, [0.5, 1.0])
+                            for mode in ("drf", "drf-optimal"))
+        return ["fs", "rate_bits_per_time", "drf_allpass", "drf_optimal"], by(1, [
+            [a[0], a[2], a[4], o[4]] for a, o in zip(allpass, optimal)])
     if name == "multi-branch":
-        header = ["fs", "P", "rate_bits_per_time", "distortion"]
-        rows = []
-        for i in range(1, 41):
-            fs = i * 0.08
-            for p in (1, 2, 3):
-                d = waterfill.drf_sampled_optimal(bimodal, noiseless, fs, p, 1.0).distortion
-                rows.append([fs, p, 1.0, d])
-            d = waterfill.d_dagger(bimodal, noiseless, fs, 1.0).distortion
-            rows.append([fs, "inf", 1.0, d])
-        return header, rows
+        rows = [r for p in (1, 2, 3)
+                for r in _sweep_rows("drf-optimal", bimodal, noiseless, fs_bimodal, [1.0], P=p)]
+        rows += _sweep_rows("d-dagger", bimodal, noiseless, fs_bimodal, [1.0])
+        return ["fs", "P", "rate_bits_per_time", "distortion"], by(0, [
+            [r[0], r[1], r[2], r[4]] for r in rows])
     if name == "af-sets":
-        header = ["fs", "P", "branch", "lo", "hi"]
-        rows = []
-        for fs in (0.96, 1.92):
-            for P in (1, 2, 3):
-                sets = sampling.maximal_af_sets(bimodal, fs, P)
-                for p, F in enumerate(sets, start=1):
-                    for iv in F.intervals:
-                        rows.append([fs, P, p, iv.lo, iv.hi])
-        return header, rows
+        return ["fs", "P", "branch", "lo", "hi"], by(0, [
+            r for p in (1, 2, 3)
+            for r in _sweep_rows("af-sets", bimodal, noiseless, [0.96, 1.92], P=p)])
     raise ConfigError(f"unknown figure {name!r}")
 
 
@@ -433,11 +430,10 @@ def reproduce_figure(name: str, out_dir: str = ".", fmt: str = "csv") -> int:
         _check_format(fmt)
         header, rows = _figure_rows(name)
         os.makedirs(out_dir, exist_ok=True)
+        lines = [_line(header, row, fmt) for row in rows]
     except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    try:
-        lines = [_line(header, row, fmt) for row in rows]
     except NumericalFailure as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3

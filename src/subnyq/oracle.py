@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sampling import _source_and_observation
+from .sampling import _Source
 from .spectra import (
     BP_TOL,
     ComplexGainProfile,
@@ -81,17 +81,16 @@ class DiscreteSpectrum:
         return np.diff(self.bp), np.real(self.vals)
 
 
-def _real_even_gain_pw(H: ComplexGainProfile | None) -> _Pw | None:
-    """Validate that H has real, even gains and return its piecewise form."""
+def _check_real_even_gain(H: ComplexGainProfile | None) -> None:
+    """Raise unless H (None for the all-pass) has real, even gains."""
     if H is None:
-        return None
+        return
     pw = _pw_from_gain(H)
     if np.max(np.abs(pw.vals.imag), initial=0.0) > 1e-12:
         raise SpectrumError("time-domain oracles need real filter gains")
     mids = 0.5 * (pw.bp[:-1] + pw.bp[1:])
     if np.max(np.abs(_pw_eval(pw, -mids) - pw.vals), initial=0.0) > 1e-12:
         raise SpectrumError("time-domain oracles need even filter gains")
-    return _Pw(pw.bp, pw.vals.real)
 
 
 def _even_segments(pw: _Pw) -> list[tuple[float, float, float]]:
@@ -147,15 +146,11 @@ def _check_phases(n_phases: int) -> None:
         raise SpectrumError(f"n_phases must be >= 1, got {n_phases}")
 
 
-def _observation_segments(Sx, Sn, H):
+def _observation_segments(src: _Source):
     """(Sx*H segments, (Sx+Sn)*H^2 segments) on f >= 0, filter folded in."""
-    hw = _real_even_gain_pw(H)
-    extra_bp = [] if hw is None else [hw.bp]
-    bp, mids, x, z = _source_and_observation(Sx, Sn, *extra_bp)
-    g = np.ones_like(mids) if hw is None else np.real(_pw_eval(hw, mids))
-    xz = _Pw(bp, x * g)
-    zz = _Pw(bp, z * g * g)
-    return _even_segments(xz), _even_segments(zz)
+    _check_real_even_gain(src.H)
+    bp, _, x, z, g = src.grid
+    return _even_segments(_Pw(bp, x * g.real)), _even_segments(_Pw(bp, z * g.real * g.real))
 
 
 @dataclass(frozen=True)
@@ -174,15 +169,18 @@ class CovarianceWindow:
 
     @classmethod
     def build(cls, Sx, Sn, H, fs: float, K: int) -> "CovarianceWindow":
+        return cls._of(_Source(Sx, Sn, H), fs, K)
+
+    @classmethod
+    def _of(cls, src: _Source, fs: float, K: int) -> "CovarianceWindow":
         if K < 1:
             raise SpectrumError(f"window half-length must be >= 1, got {K}")
         _check_fs(fs)
-        xz, zz = _observation_segments(Sx, Sn, H)
+        xz, zz = _observation_segments(src)
         n = np.arange(-K, K + 1)
         lags = (n[:, None] - n[None, :]) / fs
         cy = _cov_from_segments(zz, lags)
-        return cls(K=K, fs=fs, C_Y=cy, xz_segments=tuple(xz),
-                   sigma2=Sx.total_power())
+        return cls(K=K, fs=fs, C_Y=cy, xz_segments=tuple(xz), sigma2=src.sigma2)
 
     def cross_vector(self, delta: float) -> np.ndarray:
         n = np.arange(-self.K, self.K + 1)
@@ -288,8 +286,12 @@ def window_oracle(
     Cholesky factor once; the columns at n_i = 0 are the window's cross
     vectors, so the windowed MMSE average is read off the same solve.
     """
+    return _window_oracle(_Source(Sx, Sn, H), fs, K, n_phases)
+
+
+def _window_oracle(src: _Source, fs: float, K: int, n_phases: int) -> WindowOracle:
     _check_phases(n_phases)
-    win = CovarianceWindow.build(Sx, Sn, H, fs, K)
+    win = CovarianceWindow._of(src, fs, K)
     chol, regularized = _chol_with_ridge(win.C_Y)
     n = np.arange(-K, K + 1)
     n_y = len(n)
@@ -354,7 +356,7 @@ def sampled_discretization(
         raise SpectrumError(f"decimation factor must be >= 1, got {M}")
     _check_fs(fs)
     fr = M * fs
-    xz, zz = _observation_segments(Sx, Sn, H)
+    xz, zz = _observation_segments(_Source(Sx, Sn, H))
 
     def discretize(segs) -> DiscreteSpectrum:
         full = [(lo, hi, v) for lo, hi, v in segs] + [
@@ -362,15 +364,12 @@ def sampled_discretization(
         ]
         if not full:
             return DiscreteSpectrum(np.array([-0.5, 0.5]), np.array([0.0]))
-        pts = sorted({p for lo, hi, _ in full for p in (lo, hi)})
-        pw = _Pw(_dedup(np.array(pts)),
-                 np.zeros(len(_dedup(np.array(pts))) - 1))
-        # rebuild values at midpoints
-        mids = 0.5 * (pw.bp[:-1] + pw.bp[1:])
+        bp = _dedup(np.array(sorted({p for lo, hi, _ in full for p in (lo, hi)})))
+        mids = 0.5 * (bp[:-1] + bp[1:])
         vals = np.zeros_like(mids)
         for lo, hi, v in full:
             vals[(mids > lo) & (mids < hi)] += v
-        pw = _Pw(pw.bp, vals)
+        pw = _Pw(bp, vals)
         kmax = _translate_count(pw, fr, fr / 2.0)
         grid_pts = [np.array([-fr / 2.0, fr / 2.0])]
         for k in range(-kmax, kmax + 1):

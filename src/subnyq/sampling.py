@@ -1,11 +1,11 @@
 """From spectra to waterfilling inputs.
 
 This module owns everything that depends on the sampler: the scalar
-conditional spectrum of the source given single-branch samples, its P x P
-matrix generalization for filter banks, the resulting MMSE values, the
-construction of maximal aliasing-free sets (which are the supports of the
-optimal pre-sampling filters), the sampling-rate lower bound on the MMSE and
-the polyphase decomposition used by the distortion lower bound.
+conditional spectrum given single-branch samples, its P x P generalization
+for filter banks, the MMSE values, the maximal aliasing-free sets (the
+supports of the optimal filters), the sampling-rate bound on the MMSE and the
+polyphase decomposition.  The private per-fs forms read the fs-free pieces of
+(Sx, Sn, H) off a _Source, which a sweep builds once.
 
 Every path is exact: inputs are piecewise-constant, and every grid is cut at
 the translate lattice of the breakpoints before values are read off, so the
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -156,17 +157,31 @@ def _source_and_observation(Sx, Sn, *extra_bp: np.ndarray):
     return bp, mids, x, x + _pw_eval(pn, mids)
 
 
-def _single_branch_pws(Sx, Sn, H):
-    """Numerator Sx^2|H|^2, denominator (Sx+Sn)|H|^2 and the polyphase cross
-    term Sx conj(H), as full-line pieces on one grid."""
-    if H is None:
-        bp, _, x, z = _source_and_observation(Sx, Sn)
-        return _Pw(bp, x * x), _Pw(bp, z), _Pw(bp, x.astype(complex))
-    h = _pw_from_gain(H)
-    bp, mids, x, z = _source_and_observation(Sx, Sn, h.bp)
-    g = _pw_eval(h, mids)
-    w = np.abs(g) ** 2
-    return _Pw(bp, x * x * w), _Pw(bp, z * w), _Pw(bp, x * np.conj(g))
+class _Source:
+    """The pieces of (Sx, Sn, H) that need no fs, each built when first read;
+    H is None for the all-pass."""
+
+    def __init__(self, Sx: SpectralDensity, Sn: SpectralDensity, H=None):
+        self.Sx, self.Sn, self.H = Sx, Sn, H
+
+    sigma2 = cached_property(lambda self: self.Sx.total_power())
+    px = cached_property(lambda self: _pw_from_density(self.Sx))  # Sx on the full line
+    ratio = cached_property(lambda self: snr_ratio(self.Sx, self.Sn))  # the optimal filters' input
+
+    @cached_property
+    def grid(self):
+        """(bp, mids, x, z, g): Sx, Sx+Sn and the gain of H (1 for the all-pass) on one grid."""
+        h = None if self.H is None else _pw_from_gain(self.H)
+        bp, mids, x, z = _source_and_observation(self.Sx, self.Sn, *([] if h is None else [h.bp]))
+        g = np.ones_like(mids, dtype=complex) if h is None else _pw_eval(h, mids)
+        return bp, mids, x, z, g
+
+    @cached_property
+    def pws(self) -> tuple[_Pw, _Pw, _Pw]:
+        """Numerator Sx^2|H|^2, denominator (Sx+Sn)|H|^2 and cross term Sx conj(H)."""
+        bp, _, x, z, g = self.grid
+        w = np.abs(g) ** 2
+        return _Pw(bp, x * x * w), _Pw(bp, z * w), _Pw(bp, x * np.conj(g))
 
 
 def _safe_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -188,9 +203,9 @@ def _period_cells(pws, fs: float):
     return grid, 0.5 * (grid[:-1] + grid[1:]), kmax
 
 
-def _folded(Sx, Sn, H, fs: float):
-    """(num, den, curve): the single-branch pieces and s_tilde_single from them."""
-    num, den, _ = _single_branch_pws(Sx, Sn, H)
+def _folded(src: _Source, fs: float) -> ScalarCurve:
+    """s_tilde_single from the source's single-branch pieces."""
+    num, den, _ = src.pws
     bp, mids, kmax = _period_cells((num, den), fs)
     vals = _safe_ratio(_translates(num, fs, mids, kmax).sum(axis=0),
                        _translates(den, fs, mids, kmax).sum(axis=0))
@@ -201,7 +216,7 @@ def _folded(Sx, Sn, H, fs: float):
     sup = _translates(ratio, fs, mids, kmax).max(axis=0)
     if np.any(vals > sup + 1e-9 * max(1.0, float(sup.max(initial=0.0)))):
         raise SpectrumError("conditional spectrum exceeded its translate bound")
-    return num, den, ScalarCurve(bp, vals)
+    return ScalarCurve(bp, vals)
 
 
 def s_tilde_single(
@@ -216,28 +231,27 @@ def s_tilde_single(
     with 0/0 read as 0.  Only |H|^2 enters, so the phase of the pre-sampling
     filter is irrelevant by construction.
     """
-    return _folded(Sx, Sn, H, fs)[2]
+    return _folded(_Source(Sx, Sn, H), fs)
 
 
-def _mmse_and_curve(Sx, Sn, H, fs: float) -> tuple[float, ScalarCurve]:
+def _mmse_and_curve(src: _Source, fs: float) -> tuple[float, ScalarCurve]:
     """mmse_single and the s_tilde_single curve it integrates, from one build."""
-    num, den, curve = _folded(Sx, Sn, H, fs)
-    sigma2 = Sx.total_power()
-    value = sigma2 - curve.integral()
+    num, den, _ = src.pws
+    curve = _folded(src, fs)
+    value = src.sigma2 - curve.integral()
 
     # cross-check against the unfolded form: integrate over the whole line
     # Sx(f) * (1 - Sx|H|^2(f) / aliased denominator at f)
-    px = _pw_from_density(Sx)
-    radius = max(_pw_support_radius(px), _pw_support_radius(den))
+    radius = max(_pw_support_radius(src.px), _pw_support_radius(den))
     if radius > 0:
         den_per = _pw_aliased(den, fs, -radius, radius)
-        bp = _dedup(np.concatenate([px.bp, num.bp, den_per.bp]))
+        bp = _dedup(np.concatenate([src.px.bp, num.bp, den_per.bp]))
         mids = 0.5 * (bp[:-1] + bp[1:])
-        x = _pw_eval(px, mids)
+        x = _pw_eval(src.px, mids)
         frac = _safe_ratio(_pw_eval(num, mids), _pw_eval(den_per, mids))
         alt = float(np.sum(np.diff(bp) * x) - np.sum(np.diff(bp) * frac))
         # written so that a NaN residual fails too
-        if not abs(alt - value) <= 1e-10 * max(1.0, sigma2):
+        if not abs(alt - value) <= 1e-10 * max(1.0, src.sigma2):
             raise SpectrumError(
                 f"mmse cross-check failed: folded {value} vs unfolded {alt}"
             )
@@ -251,7 +265,7 @@ def mmse_single(
     fs: float,
 ) -> float:
     """MMSE of estimating the source from single-branch samples at rate fs."""
-    return _mmse_and_curve(Sx, Sn, H, fs)[0]
+    return _mmse_and_curve(_Source(Sx, Sn, H), fs)[0]
 
 
 def _pair_pws(Sx, Sn, spec: SamplerSpec):
@@ -379,10 +393,12 @@ def mmse_optimal(
     Sx: SpectralDensity, Sn: SpectralDensity, fs: float, P: int = 1
 ) -> tuple[float, list[FrequencySet]]:
     """Minimal sampling MMSE over all P-branch filter banks, plus the supports."""
-    ratio = snr_ratio(Sx, Sn)
-    sets = maximal_af_sets(ratio, fs, P)
-    captured = sum(integrate(ratio, F) for F in sets)
-    return Sx.total_power() - captured, sets
+    return _mmse_optimal(_Source(Sx, Sn), fs, P)
+
+
+def _mmse_optimal(src: _Source, fs: float, P: int) -> tuple[float, list[FrequencySet]]:
+    sets = maximal_af_sets(src.ratio, fs, P)
+    return src.sigma2 - sum(integrate(src.ratio, F) for F in sets), sets
 
 
 def landau_mmse_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float) -> float:
@@ -394,13 +410,13 @@ def landau_mmse_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float) -> fl
     return Sx.total_power() - captured
 
 
-def _polyphase_translates(Sx, Sn, H, fs: float, k_max: int | None = None):
+def _polyphase_translates(src: _Source, fs: float, k_max: int | None = None):
     """(grid, k, A, denom): the offset-free parts of the polyphase spectra.
 
     On the cells of grid over (-fs/2, fs/2), row i of A is Sx conj(H)
     translated by fs*k[i], and denom is the aliased (Sx+Sn)|H|^2.
     """
-    _, den, sxz = _single_branch_pws(Sx, Sn, H)
+    _, den, sxz = src.pws
     grid, mids, kmax = _period_cells((sxz, den), fs)
     k_max = kmax if k_max is None else k_max
     return (grid, np.arange(-k_max, k_max + 1), _translates(sxz, fs, mids, k_max),
@@ -430,5 +446,5 @@ def polyphase_conditional_psd(
     The double translate sum in the numerator collapses to a squared modulus
     of a single phased sum.
     """
-    grid, k, A, denom = _polyphase_translates(Sx, Sn, H, fs, k_max)
+    grid, k, A, denom = _polyphase_translates(_Source(Sx, Sn, H), fs, k_max)
     return ScalarCurve(grid / fs, _polyphase_values(k, A, denom, fs, [delta])[0])

@@ -9,9 +9,10 @@ pair on a piecewise-constant curve (or a family of eigenvalue curves):
 R(theta) is piecewise log-linear, so _Waterfill reads the water level off
 values sorted once and their cumulative sums, in closed form at any rate.
 Each one-rate function f has a private form _f without R that returns that
-object (a function of R, for the polyphase bound), so a sweep builds it once
-per fs.  Logarithms are base 2 throughout, so rates are in bits and the
-flat-spectrum closed forms come out exact.
+object (a function of R, for the polyphase bound) from a sampling._Source, so
+a sweep builds the fs-free pieces once and each fs's object once.  Logarithms
+are base 2 throughout, so rates are in bits and the flat-spectrum closed forms
+come out exact.
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ from .sampling import (
     EigenCurves,
     SamplerSpec,
     ScalarCurve,
-    eigen_curves_multi,
+    _folded,
     _mmse_and_curve,
     _polyphase_translates,
     _polyphase_values,
+    _Source,
+    eigen_curves_multi,
     maximal_af_sets,
     s_tilde_single,
 )
@@ -39,7 +42,6 @@ from .spectra import (
     _density_pieces,
     _pw_aliased,
     _pw_from_density,
-    snr_ratio,
     superlevel_set_of_measure,
 )
 
@@ -208,9 +210,9 @@ def solve_theta_for_rate(curves, R, fs: float | None = None) -> float:
     return _Waterfill(curves).solve(R, fs).theta
 
 
-def _idrf_stationary(Sx, Sn, H):
-    w, v = _density_pieces(snr_ratio(Sx, Sn), None if H is None else H.support())
-    return _Waterfill.of_source(Sx.total_power(), (w, v))
+def _idrf_stationary(src: _Source):
+    w, v = _density_pieces(src.ratio, None if src.H is None else src.H.support())
+    return _Waterfill.of_source(src.sigma2, (w, v))
 
 
 def idrf_stationary(
@@ -224,7 +226,7 @@ def idrf_stationary(
     This is the no-sampling baseline: waterfilling over the conditional
     spectrum Sx^2 |H|^2 / ((Sx+Sn)|H|^2) on the whole line.
     """
-    return _idrf_stationary(Sx, Sn, H).solve(R)
+    return _idrf_stationary(_Source(Sx, Sn, H)).solve(R)
 
 
 def idrf_vector(curves, M: int, rate_per_symbol, mmse: float) -> WaterfillSolution:
@@ -238,8 +240,8 @@ def idrf_vector(curves, M: int, rate_per_symbol, mmse: float) -> WaterfillSoluti
     return _Waterfill(curves, mmse, 1.0 / M).solve(rate_per_symbol)
 
 
-def _drf_sampled_single(Sx, Sn, H, fs):
-    return _Waterfill.of_source(Sx.total_power(), s_tilde_single(Sx, Sn, H, fs))
+def _drf_sampled_single(src: _Source, fs):
+    return _Waterfill.of_source(src.sigma2, _folded(src, fs))
 
 
 def drf_sampled_single(
@@ -250,11 +252,11 @@ def drf_sampled_single(
     R,
 ) -> WaterfillSolution:
     """Minimal distortion at rate R bits/time from single-branch samples at fs."""
-    return _drf_sampled_single(Sx, Sn, H, fs).solve(R, fs)
+    return _drf_sampled_single(_Source(Sx, Sn, H), fs).solve(R, fs)
 
 
-def _drf_sampled_multi(Sx, Sn, spec):
-    return _Waterfill.of_source(Sx.total_power(), eigen_curves_multi(Sx, Sn, spec))
+def _drf_sampled_multi(src: _Source, spec):
+    return _Waterfill.of_source(src.sigma2, eigen_curves_multi(src.Sx, src.Sn, spec))
 
 
 def drf_sampled_multi(
@@ -264,13 +266,12 @@ def drf_sampled_multi(
     R,
 ) -> WaterfillSolution:
     """Same as drf_sampled_single but for a P-branch filter bank."""
-    return _drf_sampled_multi(Sx, Sn, spec).solve(R, spec.fs)
+    return _drf_sampled_multi(_Source(Sx, Sn), spec).solve(R, spec.fs)
 
 
-def _drf_sampled_optimal(Sx, Sn, fs, P):
-    ratio = snr_ratio(Sx, Sn)
-    w, v = zip(*(_density_pieces(ratio, F) for F in maximal_af_sets(ratio, fs, P)))
-    return _Waterfill.of_source(Sx.total_power(), (np.concatenate(w), np.concatenate(v)))
+def _drf_sampled_optimal(src: _Source, fs, P):
+    w, v = zip(*(_density_pieces(src.ratio, F) for F in maximal_af_sets(src.ratio, fs, P)))
+    return _Waterfill.of_source(src.sigma2, (np.concatenate(w), np.concatenate(v)))
 
 
 def drf_sampled_optimal(
@@ -286,15 +287,14 @@ def drf_sampled_optimal(
     the SNR ratio, so the waterfill runs over the ratio restricted to their
     union; no eigen grid is needed.
     """
-    return _drf_sampled_optimal(Sx, Sn, fs, P).solve(R, fs)
+    return _drf_sampled_optimal(_Source(Sx, Sn), fs, P).solve(R, fs)
 
 
-def _d_dagger(Sx, Sn, fs):
+def _d_dagger(src: _Source, fs):
     if fs <= 0:
         raise SpectrumError(f"fs must be positive, got {fs}")
-    ratio = snr_ratio(Sx, Sn)
-    F, _ = superlevel_set_of_measure(ratio, fs)
-    return _Waterfill.of_source(Sx.total_power(), _density_pieces(ratio, F))
+    F, _ = superlevel_set_of_measure(src.ratio, fs)
+    return _Waterfill.of_source(src.sigma2, _density_pieces(src.ratio, F))
 
 
 def d_dagger(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> WaterfillSolution:
@@ -303,13 +303,12 @@ def d_dagger(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> Waterfil
     Waterfills the SNR ratio over its best superlevel set of measure fs; a
     lower bound on every finite-P optimum.
     """
-    return _d_dagger(Sx, Sn, fs).solve(R, fs)
+    return _d_dagger(_Source(Sx, Sn), fs).solve(R, fs)
 
 
-def _d_star_lower_bound(Sx, Sn, fs):
-    ratio_pw = _pw_from_density(snr_ratio(Sx, Sn))
-    sup = _pw_aliased(ratio_pw, fs, -fs / 2.0, fs / 2.0, op="sup")
-    return _Waterfill.of_source(Sx.total_power(), ScalarCurve(sup.bp, np.real(sup.vals)))
+def _d_star_lower_bound(src: _Source, fs):
+    sup = _pw_aliased(_pw_from_density(src.ratio), fs, -fs / 2.0, fs / 2.0, op="sup")
+    return _Waterfill.of_source(src.sigma2, ScalarCurve(sup.bp, np.real(sup.vals)))
 
 
 def d_star_lower_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> float:
@@ -319,14 +318,13 @@ def d_star_lower_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -
     filter; the bound is met by the indicator of the maximal aliasing-free
     set.
     """
-    return _d_star_lower_bound(Sx, Sn, fs).solve(R, fs).distortion
+    return _d_star_lower_bound(_Source(Sx, Sn), fs).solve(R, fs).distortion
 
 
-def _polyphase_lower_bound(Sx, Sn, H, fs, mmse, drf: _Waterfill, N_delta: int = 64):
+def _polyphase_lower_bound(src: _Source, fs, mmse, drf: _Waterfill, N_delta: int = 64):
     """The bound at fs as a function of R bits/time, given the sampling MMSE
     and the drf_sampled_single waterfill; the n offset spectra are sorted here."""
-    sigma2 = Sx.total_power()
-    grid, k, A, denom = _polyphase_translates(Sx, Sn, H, fs)
+    grid, k, A, denom = _polyphase_translates(src, fs)
     n = max(N_delta, len(k))
     w = np.diff(grid / fs)
     offsets = [_Waterfill((w, v)) for v in _polyphase_values(k, A, denom, fs, np.arange(n) / n)
@@ -335,7 +333,7 @@ def _polyphase_lower_bound(Sx, Sn, H, fs, mmse, drf: _Waterfill, N_delta: int = 
     def at_rate(R: float) -> float:
         bound = mmse + sum(wf.solve(R / fs).lossy_part for wf in offsets) / n
         d = drf.solve(R).distortion
-        if bound > d + 1e-10 * max(1.0, sigma2):
+        if bound > d + 1e-10 * max(1.0, src.sigma2):
             raise SpectrumError(f"polyphase bound {bound} exceeds the distortion {d}")
         return bound
     return at_rate
@@ -363,9 +361,10 @@ def polyphase_lower_bound(
     if N_delta < 8:
         raise WaterfillError(f"N_delta must be >= 8, got {N_delta}")
     R = _as_rate(R, fs)
-    mmse, curve = _mmse_and_curve(Sx, Sn, H, fs)
-    drf = _Waterfill.of_source(Sx.total_power(), curve)
-    return _polyphase_lower_bound(Sx, Sn, H, fs, mmse, drf, N_delta)(R)
+    src = _Source(Sx, Sn, H)
+    mmse, curve = _mmse_and_curve(src, fs)
+    drf = _Waterfill.of_source(src.sigma2, curve)
+    return _polyphase_lower_bound(src, fs, mmse, drf, N_delta)(R)
 
 
 def drf_of_estimator(

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 
+from subnyq.cli import BIMODAL_SEGMENTS
 from subnyq.linalg import NotHermitianError, NotPositiveSemidefiniteError
+from subnyq.sampling import maximal_af_sets, mmse_optimal, mmse_single
 from subnyq.spectra import BP_TOL, ComplexGainProfile, FrequencySet, SpectralDensity
-from subnyq.waterfill import rate_of_theta
+from subnyq.waterfill import d_dagger, drf_sampled_optimal, drf_sampled_single, rate_of_theta
 
 SIGMA2 = 1.0
 
@@ -255,3 +257,56 @@ def maximal_af_sets_loop(ratio, fs, P):
         for p, (_, _, _, k) in enumerate(cands[:P]):
             buckets[p] += [(a + k * d, b + k * d), (-(b + k * d), -(a + k * d))]
     return [FrequencySet(bucket) for bucket in buckets]
+
+
+def figure_rows_loop(name):
+    """(header, rows) of a built-in figure by its own loops over the public
+    one-rate functions, one call per row value, rows in figure order."""
+    rect = SpectralDensity(((0.0, 0.5, 1.0),))
+    rect_noise_5 = SpectralDensity(((0.0, 0.5, 0.2),))
+    bandpass = SpectralDensity(((1.0, 2.0, 0.5),))
+    bimodal = SpectralDensity(BIMODAL_SEGMENTS)
+    noiseless = SpectralDensity(())
+    rows = []
+    if name == "rect":
+        for gamma, noise in (("inf", noiseless), ("5", rect_noise_5)):
+            for i in range(2, 41):
+                fs = i * 0.05
+                sol = drf_sampled_single(rect, noise, None, fs, 1.0)
+                rows.append([fs, 1.0, gamma, sol.distortion])
+        return ["fs", "rate_bits_per_time", "gamma", "distortion"], rows
+    if name == "nonmonotone":
+        for R in (1.0, 2.0):
+            for i in range(5, 46):
+                fs = i * 0.1
+                sol = drf_sampled_single(bandpass, noiseless, None, fs, R)
+                rows.append([fs, R, sol.distortion])
+        return ["fs", "rate_bits_per_time", "distortion"], rows
+    if name == "mmse-opt":
+        for i in range(1, 41):
+            fs = i * 0.08
+            rows.append([fs, mmse_single(bimodal, noiseless, None, fs),
+                         mmse_optimal(bimodal, noiseless, fs, 1)[0]])
+        return ["fs", "mmse_allpass", "mmse_optimal"], rows
+    if name == "opsf":
+        for R in (0.5, 1.0):
+            for i in range(1, 41):
+                fs = i * 0.08
+                rows.append([fs, R, drf_sampled_single(bimodal, noiseless, None, fs, R).distortion,
+                             drf_sampled_optimal(bimodal, noiseless, fs, 1, R).distortion])
+        return ["fs", "rate_bits_per_time", "drf_allpass", "drf_optimal"], rows
+    if name == "multi-branch":
+        for i in range(1, 41):
+            fs = i * 0.08
+            for p in (1, 2, 3):
+                rows.append([fs, p, 1.0,
+                             drf_sampled_optimal(bimodal, noiseless, fs, p, 1.0).distortion])
+            rows.append([fs, "inf", 1.0, d_dagger(bimodal, noiseless, fs, 1.0).distortion])
+        return ["fs", "P", "rate_bits_per_time", "distortion"], rows
+    if name == "af-sets":
+        for fs in (0.96, 1.92):
+            for P in (1, 2, 3):
+                for p, F in enumerate(maximal_af_sets(bimodal, fs, P), start=1):
+                    rows += [[fs, P, p, iv.lo, iv.hi] for iv in F.intervals]
+        return ["fs", "P", "branch", "lo", "hi"], rows
+    raise ValueError(f"unknown figure {name!r}")

@@ -6,14 +6,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import subnyq
-from subnyq import sampling, waterfill
+from subnyq import cli, oracle, sampling, spectra, waterfill
 from subnyq.cli import BIMODAL_SEGMENTS, load_config, main, reproduce_figure, run
-from subnyq.cli import ConfigError, NumericalFailure, _fmt
+from subnyq.cli import FIGURES, MODES, ConfigError, NumericalFailure, _figure_rows, _fmt
+from subnyq.cli import _sweep
 from subnyq.oracle import block_idrf_oracle, finite_window_mmse_average
 from subnyq.sampling import mmse_single
 from subnyq.spectra import SpectralDensity
+from support import figure_rows_loop
 
 RECT_CONFIG = {
     "schema_version": 1,
@@ -61,6 +65,21 @@ code = main(sys.argv[1:])
 print(json.dumps({"code": code, "futures": "concurrent.futures" in sys.modules,
                   "started": started, "alive": threading.active_count()}))
 """
+
+
+def count_calls(monkeypatch, name):
+    """Wrap the function called name in every subnyq module that binds it;
+    returns the list that each call appends its arguments to."""
+    calls = []
+    real = getattr(sampling, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    for module in (spectra, sampling, waterfill, oracle, cli):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -228,18 +247,23 @@ class TestRunModes:
     def test_one_curve_build_per_fs(self, tmp_path, monkeypatch, mode, P, n_rates):
         rates = BIMODAL_CONFIG["rates"]["values"][:n_rates]
         doc = dict(BIMODAL_CONFIG, rates={"values": rates})
-        module, name = (sampling, "_folded") if P == 1 else (waterfill, "eigen_curves_multi")
+        name = "_folded" if P == 1 else "eigen_curves_multi"
         if P == 3:
             doc["sampler"] = {"fs": [0.48, 1.92, 0.48], "P": 3, "filters": BANK_FILTERS}
-        builds = []
-        real = getattr(module, name)
-
-        def counted(*args):
-            builds.append(args)
-            return real(*args)
-        monkeypatch.setattr(module, name, counted)
+        builds = count_calls(monkeypatch, name)
         assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
         assert len(builds) == len(doc["sampler"]["fs"])
+
+    @pytest.mark.parametrize("n_fs", [1, 4])
+    @pytest.mark.parametrize("mode", ["mmse", "bounds", "drf", "drf-optimal", "d-dagger",
+                                      "af-sets", "oracle-check"])
+    def test_fs_free_work_once_per_sweep(self, tmp_path, monkeypatch, mode, n_fs):
+        doc = dict(BIMODAL_CONFIG, rates={"values": [0.5, 2.0]})
+        doc["sampler"] = {"fs": [0.32, 1.92, 0.8, 0.32][:n_fs], "P": 1}
+        ratios = count_calls(monkeypatch, "snr_ratio")
+        grids = count_calls(monkeypatch, "_source_and_observation")
+        assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
+        assert len(ratios) <= 1 and len(grids) <= 1
 
     def test_deterministic_output(self, tmp_path):
         doc = dict(RECT_CONFIG)
@@ -320,6 +344,9 @@ CONFIG_CAUSES = {
     "rate-huge-integer": "rates.values invalid: a rate must be finite, got 1000",
     "segment-string": "source.segments invalid: a segment entry must be a number, got '0'",
     "gain-string": "sampler.filters[0] invalid: a gain segment entry must be a number, got '1'",
+    "oracle-K-huge": "oracle block too large: (2K+1)^2 * phases > 10000000",
+    "oracle-phases-huge": "oracle block too large: (2K+1)^2 * phases > 10000000",
+    "P-huge": f"sampler.P must be in [1, 100], got {10**30}",
 }
 
 
@@ -430,7 +457,8 @@ class TestExitCodes:
         "source-not-object", "P-not-integer", "P-fractional", "oracle-K-zero",
         "oracle-phases-zero", "rates-values-string", "rate-boolean", "oracle-K-boolean",
         "fs-range-overflows", "fs-range-too-long", "fs-string", "P-string", "rate-string",
-        "rate-huge-integer", "segment-string", "gain-string",
+        "rate-huge-integer", "segment-string", "gain-string", "oracle-K-huge",
+        "oracle-phases-huge", "P-huge",
     ])
     def test_config_errors_exit_2(self, tmp_path, capsys, case):
         doc = dict(RECT_CONFIG)
@@ -472,6 +500,12 @@ class TestExitCodes:
             doc["source"] = {"segments": [["0", "0.5", "1"]]}
         elif case == "gain-string":
             doc["sampler"] = {"fs": [0.5], "P": 1, "filters": [[[-0.5, 0.5, "1"]]]}
+        elif case == "oracle-K-huge":
+            doc["oracle"] = {"K": 10_000_000}
+        elif case == "oracle-phases-huge":
+            doc["oracle"] = {"phases": 10**12}
+        elif case == "P-huge":
+            doc["sampler"] = {"fs": [0.5], "P": 10**30}
         out = str(tmp_path / "x.csv")
         assert main(["oracle-check", "--config", write_config(tmp_path, doc),
                      "--out", out]) == 2
@@ -480,17 +514,30 @@ class TestExitCodes:
         assert CONFIG_CAUSES.get(case, "") in err
         assert not Path(out).exists()
 
+    @pytest.mark.parametrize("mode, sampler", [
+        ("bounds", {"P": 3}), ("bounds", {"filters": "optimal"}),
+        ("oracle-check", {"P": 3}), ("oracle-check", {"filters": "optimal"}),
+        ("drf-optimal", {"filters": [[[-0.5, 0.5, 1.0]]]}),
+        ("d-dagger", {"filters": [[[-0.5, 0.5, 1.0]]]}),
+        ("af-sets", {"filters": [[[-0.5, 0.5, 1.0]]]}),
+    ])
+    def test_ignored_sampler_setting_exits_2(self, tmp_path, capsys, mode, sampler):
+        doc = dict(RECT_CONFIG, sampler=dict(RECT_CONFIG["sampler"], **sampler))
+        out = str(tmp_path / "x.csv")
+        assert run(write_config(tmp_path, doc), mode, out=out) == 2
+        cause = (f"mode {mode} takes P = 1 and no optimal filters"
+                 if mode in ("bounds", "oracle-check")
+                 else f"mode {mode} chooses its own filters; drop the filter list")
+        assert capsys.readouterr().err == f"config error: {cause}\n"
+        assert not Path(out).exists()
+
     @pytest.mark.parametrize("case", ["missing-directory", "directory", "not-a-path"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch, case):
         doc = dict(RECT_CONFIG)
         argv = []
+        builds = count_calls(monkeypatch, "_folded")
         if case == "missing-directory":
             argv = ["--out", str(tmp_path / "missing" / "x.csv")]
-
-            # found with the config errors, before any curve is built
-            def no_rows(*args):
-                raise AssertionError("a curve was built")
-            monkeypatch.setattr(sampling, "_folded", no_rows)
         elif case == "directory":
             argv = ["--out", str(tmp_path)]
         else:
@@ -499,6 +546,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+        if case == "missing-directory":  # found with the config errors, before any curve
+            assert builds == []
 
     @pytest.mark.parametrize("sub", ["", "sub"])
     def test_figure_out_dir_is_a_file_exits_2(self, tmp_path, capsys, sub):
@@ -530,6 +579,11 @@ class TestExitCodes:
 
 
 class TestFigures:
+    @pytest.mark.parametrize("name", FIGURES)
+    def test_rows_match_the_one_rate_loops(self, name):
+        # rows, their order and every value bit for bit
+        assert _figure_rows(name) == figure_rows_loop(name)
+
     def test_nonmonotone_is_nonmonotone(self, tmp_path):
         assert reproduce_figure("nonmonotone", str(tmp_path)) == 0
         header, rows = read_rows(str(tmp_path / "nonmonotone.csv"))
@@ -578,3 +632,57 @@ class TestFigures:
         lines = (tmp_path / "af-sets.ndjson").read_text().strip().split("\n")
         obj = json.loads(lines[0])
         assert set(obj) == {"fs", "P", "branch", "lo", "hi"}
+
+
+# Configs drawn around the schema: every field is well formed seven times in
+# eight and any JSON value otherwise.  Numbers include the non-finite ones and
+# an integer too large for a float; integers run past every cap.
+NUMBERS = st.one_of(st.floats(-4.0, 4.0), st.integers(-2, 6),
+                    st.sampled_from([math.nan, math.inf, -math.inf, 10**400]))
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), NUMBERS, st.integers(), st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+def around(shape):
+    return st.sampled_from([True] * 7 + [False]).flatmap(lambda ok: shape if ok else JSON)
+
+
+POSITIVE = around(st.floats(0.05, 4.0))
+# disjoint segments on a grid of 0.25 wide cells
+SEGMENTS = st.lists(st.tuples(st.integers(0, 7), st.floats(0.0, 2.0)), min_size=1, max_size=3,
+                    unique_by=lambda seg: seg[0]).map(
+    lambda segs: [[0.25 * i, 0.25 * (i + 1), v] for i, v in segs])
+FS = st.lists(POSITIVE, min_size=1, max_size=3) | st.fixed_dictionaries(
+    {"start": POSITIVE, "stop": POSITIVE, "step": POSITIVE})
+CONFIGS = st.fixed_dictionaries({
+    "schema_version": around(st.just(1)),
+    "source": around(st.fixed_dictionaries({"segments": around(SEGMENTS)})),
+    "noise": around(st.none() | st.fixed_dictionaries({"segments": around(SEGMENTS)})),
+    "sampler": around(st.fixed_dictionaries({
+        "fs": around(FS),
+        "P": around(st.integers(1, 3)),
+        "filters": around(st.sampled_from(["allpass", "optimal"])
+                          | st.lists(around(SEGMENTS), min_size=1, max_size=3))})),
+    "rates": around(st.fixed_dictionaries({
+        "values": around(st.lists(around(st.floats(0.0, 4.0)), min_size=1, max_size=3)),
+        "unit": around(st.sampled_from(["bits-per-time-unit", "bits-per-sample"]))})),
+    "oracle": around(st.fixed_dictionaries({
+        "K": around(st.integers(1, 64) | st.integers()),
+        "phases": around(st.integers(1, 16) | st.integers(1, 10**13))})),
+})
+
+
+class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=CONFIGS, mode=st.sampled_from(MODES))
+    def test_load_and_sweep_raise_only_config_errors(self, tmp_path, doc, mode):
+        # builds the sweep but runs no point of it
+        path = write_config(tmp_path, doc)
+        try:
+            _sweep(mode, load_config(path))
+        except ConfigError:
+            pass
