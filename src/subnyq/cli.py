@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import oracle, sampling, waterfill
 from .linalg import LinalgError
@@ -227,7 +227,7 @@ def _sweep(mode: str, cfg: ExperimentConfig):
     if not rates:
         raise ConfigError(f"mode {mode} needs at least one rate")
     branches = cfg.filters if isinstance(cfg.filters, list) else [None] * cfg.P
-    src = sampling._Source(cfg.source, cfg.noise, branches[0])
+    src = sampling._Source(cfg.source, cfg.noise, branches)
 
     if mode == "mmse":
         header = ["fs", "P", "mmse"]
@@ -238,7 +238,7 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             elif cfg.P == 1:
                 val, _ = sampling._mmse_and_curve(src, fs)
             else:
-                val = sampling.mmse_multi(src.Sx, src.Sn, sampling.SamplerSpec(fs, branches))
+                val = sampling._mmse_multi(src, fs)
             return lambda R: [[fs, cfg.P, val]]
     elif mode in ("drf", "drf-optimal", "d-dagger"):
         if mode == "drf" and cfg.filters == "optimal":
@@ -255,7 +255,7 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             elif cfg.P == 1:
                 drf = waterfill._drf_sampled_single(src, fs)
             else:
-                drf = waterfill._drf_sampled_multi(src, sampling.SamplerSpec(fs, branches))
+                drf = waterfill._drf_sampled_multi(src, fs)
 
             def rows_at(R):
                 sol = drf.solve(R.per_time(fs))
@@ -264,10 +264,10 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             return rows_at
     elif mode == "af-sets":
         header = ["fs", "P", "branch", "lo", "hi"]
-        ratio = src.ratio  # read here, so that a failure in it is per sweep
+        ratio = src.ratio_pw  # read here, so that a failure in it is per sweep
 
         def at_fs(fs):
-            sets = sampling.maximal_af_sets(ratio, fs, cfg.P)
+            sets = sampling._maximal_af_sets(ratio, fs, cfg.P)
             rows = [[fs, cfg.P, p, iv.lo, iv.hi]
                     for p, F in enumerate(sets, start=1) for iv in F.intervals]
             return lambda R: rows
@@ -291,11 +291,15 @@ def _sweep(mode: str, cfg: ExperimentConfig):
     else:  # oracle-check
         header = ["fs", "rate_bits_per_time", "mmse_exact", "mmse_window",
                   "drf_exact", "drf_block"]
+        try:  # the one SpectrumError here is a filter the oracles cannot take
+            observation = oracle._observation_segments(src)
+        except SpectrumError as e:
+            raise ConfigError(f"mode oracle-check: {e}") from None
 
         def at_fs(fs):
             mmse, curve = sampling._mmse_and_curve(src, fs)
             drf = waterfill._Waterfill.of_source(src.sigma2, curve)
-            orc = oracle._window_oracle(src, fs, cfg.oracle_K, cfg.oracle_phases)
+            orc = oracle._window_oracle(observation, fs, cfg.oracle_K, cfg.oracle_phases)
 
             def rows_at(R):
                 r = R.per_time(fs)

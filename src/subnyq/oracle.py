@@ -24,10 +24,9 @@ from .spectra import (
     ComplexGainProfile,
     SpectralDensity,
     SpectrumError,
+    _check_fs,
     _dedup,
     _pw_eval,
-    _pw_from_gain,
-    _pw_support_radius,
     _Pw,
     _translate_count,
 )
@@ -81,18 +80,6 @@ class DiscreteSpectrum:
         return np.diff(self.bp), np.real(self.vals)
 
 
-def _check_real_even_gain(H: ComplexGainProfile | None) -> None:
-    """Raise unless H (None for the all-pass) has real, even gains."""
-    if H is None:
-        return
-    pw = _pw_from_gain(H)
-    if np.max(np.abs(pw.vals.imag), initial=0.0) > 1e-12:
-        raise SpectrumError("time-domain oracles need real filter gains")
-    mids = 0.5 * (pw.bp[:-1] + pw.bp[1:])
-    if np.max(np.abs(_pw_eval(pw, -mids) - pw.vals), initial=0.0) > 1e-12:
-        raise SpectrumError("time-domain oracles need even filter gains")
-
-
 def _even_segments(pw: _Pw) -> list[tuple[float, float, float]]:
     """Positive-frequency (lo, hi, value) list of an even real piecewise fn."""
     out = []
@@ -136,21 +123,23 @@ def covariance_from_psd(S: SpectralDensity, tau) -> float | np.ndarray:
     return float(out) if np.isscalar(tau) or np.ndim(tau) == 0 else out
 
 
-def _check_fs(fs: float) -> None:
-    if not 0 < fs < math.inf:
-        raise SpectrumError(f"fs must be positive and finite, got {fs}")
-
-
 def _check_phases(n_phases: int) -> None:
     if n_phases < 1:
         raise SpectrumError(f"n_phases must be >= 1, got {n_phases}")
 
 
 def _observation_segments(src: _Source):
-    """(Sx*H segments, (Sx+Sn)*H^2 segments) on f >= 0, filter folded in."""
-    _check_real_even_gain(src.H)
-    bp, _, x, z, g = src.grid
-    return _even_segments(_Pw(bp, x * g.real)), _even_segments(_Pw(bp, z * g.real * g.real))
+    """(Sx*H segments, (Sx+Sn)*H^2 segments, sigma2): all the window oracles
+    read of the source, segments on f >= 0 with the filter folded in.  No fs
+    enters, so a sweep builds it once.  SpectrumError unless H is real and even."""
+    bp, mids, x, z, g = src.grid
+    g = g[0]
+    if np.max(np.abs(g.imag), initial=0.0) > 1e-12:
+        raise SpectrumError("time-domain oracles need real filter gains")
+    if np.max(np.abs(_pw_eval(_Pw(bp, g), -mids) - g), initial=0.0) > 1e-12:
+        raise SpectrumError("time-domain oracles need even filter gains")
+    return (_even_segments(_Pw(bp, x * g.real)), _even_segments(_Pw(bp, z * g.real * g.real)),
+            src.sigma2)
 
 
 @dataclass(frozen=True)
@@ -169,18 +158,19 @@ class CovarianceWindow:
 
     @classmethod
     def build(cls, Sx, Sn, H, fs: float, K: int) -> "CovarianceWindow":
-        return cls._of(_Source(Sx, Sn, H), fs, K)
+        return cls._of(_observation_segments(_Source(Sx, Sn, [H])), fs, K)
 
     @classmethod
-    def _of(cls, src: _Source, fs: float, K: int) -> "CovarianceWindow":
+    def _of(cls, observation, fs: float, K: int) -> "CovarianceWindow":
+        """The window from what _observation_segments returns."""
         if K < 1:
             raise SpectrumError(f"window half-length must be >= 1, got {K}")
         _check_fs(fs)
-        xz, zz = _observation_segments(src)
+        xz, zz, sigma2 = observation
         n = np.arange(-K, K + 1)
         lags = (n[:, None] - n[None, :]) / fs
         cy = _cov_from_segments(zz, lags)
-        return cls(K=K, fs=fs, C_Y=cy, xz_segments=tuple(xz), sigma2=src.sigma2)
+        return cls(K=K, fs=fs, C_Y=cy, xz_segments=tuple(xz), sigma2=sigma2)
 
     def cross_vector(self, delta: float) -> np.ndarray:
         n = np.arange(-self.K, self.K + 1)
@@ -286,12 +276,12 @@ def window_oracle(
     Cholesky factor once; the columns at n_i = 0 are the window's cross
     vectors, so the windowed MMSE average is read off the same solve.
     """
-    return _window_oracle(_Source(Sx, Sn, H), fs, K, n_phases)
+    return _window_oracle(_observation_segments(_Source(Sx, Sn, [H])), fs, K, n_phases)
 
 
-def _window_oracle(src: _Source, fs: float, K: int, n_phases: int) -> WindowOracle:
+def _window_oracle(observation, fs: float, K: int, n_phases: int) -> WindowOracle:
     _check_phases(n_phases)
-    win = CovarianceWindow._of(src, fs, K)
+    win = CovarianceWindow._of(observation, fs, K)
     chol, regularized = _chol_with_ridge(win.C_Y)
     n = np.arange(-K, K + 1)
     n_y = len(n)
@@ -356,7 +346,7 @@ def sampled_discretization(
         raise SpectrumError(f"decimation factor must be >= 1, got {M}")
     _check_fs(fs)
     fr = M * fs
-    xz, zz = _observation_segments(_Source(Sx, Sn, H))
+    xz, zz, _ = _observation_segments(_Source(Sx, Sn, [H]))
 
     def discretize(segs) -> DiscreteSpectrum:
         full = [(lo, hi, v) for lo, hi, v in segs] + [
@@ -435,7 +425,9 @@ def iid_drf(C_U: float, C_V: float, C_UV: float, R: float) -> float:
 
 def iid_rate_for_distortion(C_U: float, C_V: float, C_UV: float, D: float) -> float:
     """Inverse of iid_drf on its attainable range."""
-    mmse = C_U - C_UV**2 / C_V
+    if C_V <= 0 and C_UV != 0:
+        raise SpectrumError("zero-variance observation with nonzero cross term")
+    mmse = C_U - C_UV**2 / C_V if C_V > 0 else C_U  # an empty range then
     if not mmse < D <= C_U:
         raise SpectrumError(f"distortion {D} outside ({mmse}, {C_U}]")
     return -0.5 * math.log2((D - mmse) * C_V / C_UV**2)

@@ -4,8 +4,10 @@ This module owns everything that depends on the sampler: the scalar
 conditional spectrum given single-branch samples, its P x P generalization
 for filter banks, the MMSE values, the maximal aliasing-free sets (the
 supports of the optimal filters), the sampling-rate bound on the MMSE and the
-polyphase decomposition.  The private per-fs forms read the fs-free pieces of
-(Sx, Sn, H) off a _Source, which a sweep builds once.
+polyphase decomposition.  Each curve, MMSE and set function is a thin caller
+of a private per-fs form that reads the fs-free pieces of (Sx, Sn, branches)
+off a _Source, which a sweep builds once: the single-branch pieces, the
+filter bank's branch-pair pieces and the SNR ratio behind the optimal filters.
 
 Every path is exact: inputs are piecewise-constant, and every grid is cut at
 the translate lattice of the breakpoints before values are read off, so the
@@ -19,7 +21,6 @@ the polyphase phased sums and the maximal_af_sets ranking.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -28,13 +29,12 @@ import numpy as np
 
 from .linalg import hermitian, inv_sqrt_psd
 from .spectra import (
-    BP_TOL,
     ComplexGainProfile,
-    FrequencyInterval,
     FrequencySet,
     SpectralDensity,
     SpectrumError,
     _alias_grid,
+    _check_fs,
     _dedup,
     _pw_aliased,
     _pw_eval,
@@ -77,8 +77,7 @@ class SamplerSpec:
     branches: tuple
 
     def __init__(self, fs: float, branches: Sequence[ComplexGainProfile | None]):
-        if fs <= 0:
-            raise SpectrumError(f"fs must be positive, got {fs}")
+        _check_fs(fs)
         branches = tuple(branches)
         if len(branches) < 1:
             raise SpectrumError("need at least one branch")
@@ -142,46 +141,47 @@ class EigenCurves:
         return float(np.sum(self.widths() * self.lam.sum(axis=1)))
 
 
-def _source_and_observation(Sx, Sn, *extra_bp: np.ndarray):
-    """(bp, mids, x, z): Sx and z = Sx+Sn on one grid of cells.
-
-    bp merges the breakpoints of Sx, Sn and any extra breakpoint arrays (a
-    filter's, so that it too is constant on every cell); x and z are the
-    values at the cell midpoints mids.
-    """
-    px = _pw_from_density(Sx)
-    pn = _pw_from_density(Sn)
-    bp = _dedup(np.concatenate([px.bp, pn.bp, *extra_bp]))
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    x = _pw_eval(px, mids)
-    return bp, mids, x, x + _pw_eval(pn, mids)
-
-
 class _Source:
-    """The pieces of (Sx, Sn, H) that need no fs, each built when first read;
-    H is None for the all-pass."""
+    """The pieces of (Sx, Sn, branches) that need no fs, each built when first
+    read, so a sweep builds each once and a mode only those it uses.  A gain
+    of None is the all-pass.  grid is cut at every breakpoint of Sx, Sn and
+    the branches; H and pws are the first branch's, pairs the filter bank's,
+    and ratio and ratio_pw feed the optimal filters and the bounds."""
 
-    def __init__(self, Sx: SpectralDensity, Sn: SpectralDensity, H=None):
-        self.Sx, self.Sn, self.H = Sx, Sn, H
+    def __init__(self, Sx: SpectralDensity, Sn: SpectralDensity, branches=(None,)):
+        self.Sx, self.Sn, self.branches = Sx, Sn, tuple(branches)
+        self.H = self.branches[0]
 
     sigma2 = cached_property(lambda self: self.Sx.total_power())
     px = cached_property(lambda self: _pw_from_density(self.Sx))  # Sx on the full line
     ratio = cached_property(lambda self: snr_ratio(self.Sx, self.Sn))  # the optimal filters' input
+    ratio_pw = cached_property(lambda self: _pw_from_density(self.ratio))  # and on the full line
 
     @cached_property
     def grid(self):
-        """(bp, mids, x, z, g): Sx, Sx+Sn and the gain of H (1 for the all-pass) on one grid."""
-        h = None if self.H is None else _pw_from_gain(self.H)
-        bp, mids, x, z = _source_and_observation(self.Sx, self.Sn, *([] if h is None else [h.bp]))
-        g = np.ones_like(mids, dtype=complex) if h is None else _pw_eval(h, mids)
-        return bp, mids, x, z, g
+        """(bp, mids, x, z, g): Sx, Sx+Sn and one row of g per branch gain."""
+        gains = [None if b is None else _pw_from_gain(b) for b in self.branches]
+        pn = _pw_from_density(self.Sn)
+        bp = _dedup(np.concatenate([self.px.bp, pn.bp, *(h.bp for h in gains if h is not None)]))
+        mids = 0.5 * (bp[:-1] + bp[1:])
+        x = _pw_eval(self.px, mids)
+        g = np.array([np.ones_like(mids, dtype=complex) if h is None else _pw_eval(h, mids)
+                      for h in gains])
+        return bp, mids, x, x + _pw_eval(pn, mids), g
 
     @cached_property
     def pws(self) -> tuple[_Pw, _Pw, _Pw]:
         """Numerator Sx^2|H|^2, denominator (Sx+Sn)|H|^2 and cross term Sx conj(H)."""
         bp, _, x, z, g = self.grid
-        w = np.abs(g) ** 2
-        return _Pw(bp, x * x * w), _Pw(bp, z * w), _Pw(bp, x * np.conj(g))
+        w = np.abs(g[0]) ** 2
+        return _Pw(bp, x * x * w), _Pw(bp, z * w), _Pw(bp, x * np.conj(g[0]))
+
+    @cached_property
+    def pairs(self):
+        """(i, j, pz, pk) per branch pair i <= j: conj(H_i)H_j times Sx+Sn and times Sx^2."""
+        bp, _, x, z, g = self.grid
+        return [(i, j, _Pw(bp, z * w), _Pw(bp, x * x * w)) for i in range(len(g))
+                for j in range(i, len(g)) for w in [np.conj(g[i]) * g[j]]]
 
 
 def _safe_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,8 +195,7 @@ def _safe_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _period_cells(pws, fs: float):
     """(grid, mids, kmax): cells of (-fs/2, fs/2) cut at every aliased
     breakpoint of every pw, and a translate count covering them all."""
-    if fs <= 0:
-        raise SpectrumError(f"fs must be positive, got {fs}")
+    _check_fs(fs)
     lo, hi = -fs / 2.0, fs / 2.0
     grid = _dedup(np.concatenate([_alias_grid(pw, fs, lo, hi) for pw in pws]))
     kmax = max(_translate_count(pw, fs, hi) for pw in pws)
@@ -231,7 +230,7 @@ def s_tilde_single(
     with 0/0 read as 0.  Only |H|^2 enters, so the phase of the pre-sampling
     filter is irrelevant by construction.
     """
-    return _folded(_Source(Sx, Sn, H), fs)
+    return _folded(_Source(Sx, Sn, [H]), fs)
 
 
 def _mmse_and_curve(src: _Source, fs: float) -> tuple[float, ScalarCurve]:
@@ -265,18 +264,7 @@ def mmse_single(
     fs: float,
 ) -> float:
     """MMSE of estimating the source from single-branch samples at rate fs."""
-    return _mmse_and_curve(_Source(Sx, Sn, H), fs)[0]
-
-
-def _pair_pws(Sx, Sn, spec: SamplerSpec):
-    """(i, j, pz, pk) for each branch pair i <= j: conj(H_i)H_j times (Sx+Sn)
-    and times Sx^2, on one grid for the source, the noise and every filter."""
-    gains = [None if b is None else _pw_from_gain(b) for b in spec.branches]
-    bp, mids, x, z = _source_and_observation(Sx, Sn, *(g.bp for g in gains if g is not None))
-    h = [np.ones_like(mids, dtype=complex) if g is None else _pw_eval(g, mids) for g in gains]
-    return [(i, j, _Pw(bp, z * w), _Pw(bp, x * x * w))
-            for i in range(spec.P) for j in range(i, spec.P)
-            for w in [np.conj(h[i]) * h[j]]]
+    return _mmse_and_curve(_Source(Sx, Sn, [H]), fs)[0]
 
 
 def _matrices_on_points(pairs, P: int, fs: float, pts: np.ndarray):
@@ -297,6 +285,16 @@ def _matrices_on_points(pairs, P: int, fs: float, pts: np.ndarray):
     return sy, kk
 
 
+def _branch_matrices(src: _Source, fs: float, f: float) -> tuple[np.ndarray, np.ndarray]:
+    sy, kk = _matrices_on_points(src.pairs, len(src.branches), fs, np.array([float(f)]))
+    m = hermitian(np.concatenate([sy, kk]))
+    w = np.linalg.eigh(m)[0]
+    low = w[:, 0] < -1e-10 * np.maximum(1.0, w[:, -1])
+    if np.any(low):
+        raise SpectrumError(f"branch matrix not PSD: min eigenvalue {w[low, 0][0]}")
+    return m[0], m[1]
+
+
 def build_branch_matrices(
     Sx: SpectralDensity, Sn: SpectralDensity, spec: SamplerSpec, f: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -306,14 +304,24 @@ def build_branch_matrices(
     K the same with Sx^2 in place of (Sx+Sn).  Both come back as P x P
     complex arrays, checked Hermitian and positive semidefinite.
     """
-    sy, kk = _matrices_on_points(_pair_pws(Sx, Sn, spec), spec.P, spec.fs,
-                                 np.array([float(f)]))
-    m = hermitian(np.concatenate([sy, kk]))
-    w = np.linalg.eigh(m)[0]
-    low = w[:, 0] < -1e-10 * np.maximum(1.0, w[:, -1])
-    if np.any(low):
-        raise SpectrumError(f"branch matrix not PSD: min eigenvalue {w[low, 0][0]}")
-    return m[0], m[1]
+    return _branch_matrices(_Source(Sx, Sn, spec.branches), spec.fs, f)
+
+
+def _eigen_curves_multi(src: _Source, fs: float) -> EigenCurves:
+    pairs = src.pairs
+    bp, mids, _ = _period_cells([pw for *_, pz, pk in pairs for pw in (pz, pk)], fs)
+    sy, kk = _matrices_on_points(pairs, len(src.branches), fs, mids)
+    t = inv_sqrt_psd(sy)
+    lam = np.linalg.eigh(hermitian(t @ kk @ t))[0]
+
+    lam_max = float(lam.max(initial=0.0))
+    if lam.size and float(lam.min()) < -1e-10 * max(1.0, lam_max):
+        raise SpectrumError(f"negative eigenvalue {lam.min()} in conditional spectrum")
+    lam = np.maximum(lam, 0.0)
+    curves = EigenCurves(bp, lam)
+    if curves.trace_integral() > src.sigma2 + 1e-9 * max(1.0, src.sigma2):
+        raise SpectrumError("estimator power exceeds source power")
+    return curves
 
 
 def eigen_curves_multi(
@@ -328,33 +336,41 @@ def eigen_curves_multi(
     The matrices are constant on each cell, so these are the exact curves;
     all cells go through one stacked eigen-solve.
     """
-    pairs = _pair_pws(Sx, Sn, spec)
-    bp, mids, _ = _period_cells([pw for *_, pz, pk in pairs for pw in (pz, pk)], spec.fs)
-    sy, kk = _matrices_on_points(pairs, spec.P, spec.fs, mids)
-    t = inv_sqrt_psd(sy)
-    lam = np.linalg.eigh(hermitian(t @ kk @ t))[0]
-
-    lam_max = float(lam.max(initial=0.0))
-    if lam.size and float(lam.min()) < -1e-10 * max(1.0, lam_max):
-        raise SpectrumError(f"negative eigenvalue {lam.min()} in conditional spectrum")
-    lam = np.maximum(lam, 0.0)
-    curves = EigenCurves(bp, lam)
-    sigma2 = Sx.total_power()
-    if curves.trace_integral() > sigma2 + 1e-9 * max(1.0, sigma2):
-        raise SpectrumError("estimator power exceeds source power")
-    return curves
+    return _eigen_curves_multi(_Source(Sx, Sn, spec.branches), spec.fs)
 
 
-def mmse_multi(
-    Sx: SpectralDensity,
-    Sn: SpectralDensity,
-    spec: SamplerSpec,
-) -> float:
-    curves = eigen_curves_multi(Sx, Sn, spec)
-    val = Sx.total_power() - curves.trace_integral()
-    if val < -1e-9 * max(1.0, Sx.total_power()):
+def _mmse_multi(src: _Source, fs: float) -> float:
+    val = src.sigma2 - _eigen_curves_multi(src, fs).trace_integral()
+    if val < -1e-9 * max(1.0, src.sigma2):
         raise SpectrumError(f"negative mmse {val}")
     return max(val, 0.0)
+
+
+def mmse_multi(Sx: SpectralDensity, Sn: SpectralDensity, spec: SamplerSpec) -> float:
+    """MMSE of estimating the source from the samples of a P-branch filter bank."""
+    return _mmse_multi(_Source(Sx, Sn, spec.branches), spec.fs)
+
+
+def _maximal_af_sets(ratio: _Pw, fs: float, P: int) -> list[FrequencySet]:
+    """maximal_af_sets from the ratio on the full line, which a _Source holds."""
+    _check_fs(fs)
+    if P < 1:
+        raise SpectrumError(f"need P >= 1, got P={P}")
+    d = fs / P
+    bp = _alias_grid(ratio, d, 0.0, d / 2.0)
+    mids = 0.5 * (bp[:-1] + bp[1:])
+    kmax = _translate_count(ratio, d, d / 2.0)
+    # row i holds shift k = i - kmax: the ratio at c = mids + k*d
+    v = _translates(ratio, d, mids, kmax)[::-1]
+    k = np.arange(-kmax, kmax + 1)[:, None] + np.zeros(len(mids), dtype=int)
+    c = mids + k * d
+    sets = []
+    for rows in np.lexsort((k, c >= 0, np.abs(c), -v), axis=0)[:P]:
+        keep = v[rows, np.arange(len(mids))] > 0
+        off = (rows[keep] - kmax) * d
+        lo, hi = bp[:-1][keep] + off, bp[1:][keep] + off
+        sets.append(FrequencySet(zip(np.concatenate([lo, -hi]), np.concatenate([hi, -lo]))))
+    return sets + [FrequencySet()] * (P - len(sets))
 
 
 def maximal_af_sets(
@@ -369,24 +385,7 @@ def maximal_af_sets(
     the cell is scanned; selections are mirrored, which keeps each set
     symmetric so an indicator filter on it has a real impulse response.
     """
-    if fs <= 0 or P < 1:
-        raise SpectrumError(f"need fs > 0 and P >= 1, got fs={fs}, P={P}")
-    d = fs / P
-    pw = _pw_from_density(ratio)
-    bp = _alias_grid(pw, d, 0.0, d / 2.0)
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    kmax = _translate_count(pw, d, d / 2.0)
-    # row i holds shift k = i - kmax: the ratio at c = mids + k*d
-    v = _translates(pw, d, mids, kmax)[::-1]
-    k = np.arange(-kmax, kmax + 1)[:, None] + np.zeros(len(mids), dtype=int)
-    c = mids + k * d
-    sets = []
-    for rows in np.lexsort((k, c >= 0, np.abs(c), -v), axis=0)[:P]:
-        keep = v[rows, np.arange(len(mids))] > 0
-        off = (rows[keep] - kmax) * d
-        lo, hi = bp[:-1][keep] + off, bp[1:][keep] + off
-        sets.append(FrequencySet(zip(np.concatenate([lo, -hi]), np.concatenate([hi, -lo]))))
-    return sets + [FrequencySet()] * (P - len(sets))
+    return _maximal_af_sets(_pw_from_density(ratio), fs, P)
 
 
 def mmse_optimal(
@@ -397,14 +396,13 @@ def mmse_optimal(
 
 
 def _mmse_optimal(src: _Source, fs: float, P: int) -> tuple[float, list[FrequencySet]]:
-    sets = maximal_af_sets(src.ratio, fs, P)
+    sets = _maximal_af_sets(src.ratio_pw, fs, P)
     return src.sigma2 - sum(integrate(src.ratio, F) for F in sets), sets
 
 
 def landau_mmse_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float) -> float:
     """Lower bound on any sampling MMSE at total rate fs (any P, any filters)."""
-    if fs <= 0:
-        raise SpectrumError(f"fs must be positive, got {fs}")
+    _check_fs(fs)
     ratio = snr_ratio(Sx, Sn)
     _, captured = superlevel_set_of_measure(ratio, fs)
     return Sx.total_power() - captured
@@ -446,5 +444,5 @@ def polyphase_conditional_psd(
     The double translate sum in the numerator collapses to a squared modulus
     of a single phased sum.
     """
-    grid, k, A, denom = _polyphase_translates(_Source(Sx, Sn, H), fs, k_max)
+    grid, k, A, denom = _polyphase_translates(_Source(Sx, Sn, [H]), fs, k_max)
     return ScalarCurve(grid / fs, _polyphase_values(k, A, denom, fs, [delta])[0])

@@ -25,6 +25,12 @@ class SpectrumError(ValueError):
     """Invalid spectral data or arguments."""
 
 
+def _check_fs(fs: float) -> None:
+    """The one sampling-rate check: 0 < fs < inf, so NaN fails too."""
+    if not 0 < fs < math.inf:
+        raise SpectrumError(f"fs must be positive and finite, got {fs}")
+
+
 @dataclass(frozen=True, order=True)
 class FrequencyInterval:
     """Open-ended frequency interval (lo, hi); empty intervals are rejected."""
@@ -232,8 +238,7 @@ def integrate(S: SpectralDensity, F: FrequencySet | None = None) -> float:
 
 def aliased_sum(S: SpectralDensity, fs: float, f: float) -> float:
     """Sum of S(f - fs*k) over all integer k (finite for bounded support)."""
-    if fs <= 0:
-        raise SpectrumError(f"fs must be positive, got {fs}")
+    _check_fs(fs)
     kmax = math.ceil((S.f_max + abs(f)) / fs) + 1
     return sum(S.evaluate(f - fs * k) for k in range(-kmax, kmax + 1))
 
@@ -261,7 +266,7 @@ def superlevel_set_of_measure(
     of it and its mirror) so the output stays even.  Equal values are broken
     toward smaller |f|.
     """
-    if m < 0:
+    if not m >= 0:  # NaN fails too
         raise SpectrumError(f"measure budget must be >= 0, got {m}")
     ranked = sorted(S.segments, key=lambda s: (-s[1], s[0].lo))
     chosen = []
@@ -442,19 +447,17 @@ def _alias_grid(pw: _Pw, step: float, lo: float, hi: float) -> np.ndarray:
     return _dedup(np.concatenate(([lo, hi], shifted[(shifted > lo) & (shifted < hi)])))
 
 
-def _pw_aliased(pw: _Pw, step: float, lo: float, hi: float, op: str = "sum") -> _Pw:
-    """Restrict sum_k pw(f - step*k) (op='sum') or sup_k (op='sup') to [lo, hi].
+def _pw_aliased(pw: _Pw, step: float, lo: float, hi: float) -> _Pw:
+    """Restrict sum_k pw(f - step*k) to [lo, hi].
 
-    Both are step-periodic, so they are read once on the cells of the period
+    The sum is step-periodic, so it is read once on the cells of the period
     [-step/2, step/2] and repeated over [lo, hi]: memory grows with the
     translate count, not with its square, however wide [lo, hi] is.
     """
-    if op not in ("sum", "sup"):
-        raise SpectrumError(f"unknown alias op {op!r}")
     half = step / 2.0
     bp = _alias_grid(pw, step, -half, half)
-    t = _translates(pw, step, 0.5 * (bp[:-1] + bp[1:]), _translate_count(pw, step, half))
-    vals = t.sum(axis=0) if op == "sum" else t.max(axis=0)
+    vals = _translates(pw, step, 0.5 * (bp[:-1] + bp[1:]),
+                       _translate_count(pw, step, half)).sum(axis=0)
     j = np.arange(math.floor(lo / step + 0.5), math.ceil(hi / step - 0.5) + 1)
     tiled = _Pw(np.append((bp[:-1] + step * j[:, None]).ravel(), bp[-1] + step * j[-1]),
                 np.tile(vals, len(j)))

@@ -26,22 +26,23 @@ from .sampling import (
     EigenCurves,
     SamplerSpec,
     ScalarCurve,
+    _eigen_curves_multi,
     _folded,
+    _maximal_af_sets,
     _mmse_and_curve,
+    _period_cells,
     _polyphase_translates,
     _polyphase_values,
     _Source,
-    eigen_curves_multi,
-    maximal_af_sets,
     s_tilde_single,
 )
 from .spectra import (
     ComplexGainProfile,
     SpectralDensity,
     SpectrumError,
+    _check_fs,
     _density_pieces,
-    _pw_aliased,
-    _pw_from_density,
+    _translates,
     superlevel_set_of_measure,
 )
 
@@ -226,7 +227,7 @@ def idrf_stationary(
     This is the no-sampling baseline: waterfilling over the conditional
     spectrum Sx^2 |H|^2 / ((Sx+Sn)|H|^2) on the whole line.
     """
-    return _idrf_stationary(_Source(Sx, Sn, H)).solve(R)
+    return _idrf_stationary(_Source(Sx, Sn, [H])).solve(R)
 
 
 def idrf_vector(curves, M: int, rate_per_symbol, mmse: float) -> WaterfillSolution:
@@ -252,11 +253,11 @@ def drf_sampled_single(
     R,
 ) -> WaterfillSolution:
     """Minimal distortion at rate R bits/time from single-branch samples at fs."""
-    return _drf_sampled_single(_Source(Sx, Sn, H), fs).solve(R, fs)
+    return _drf_sampled_single(_Source(Sx, Sn, [H]), fs).solve(R, fs)
 
 
-def _drf_sampled_multi(src: _Source, spec):
-    return _Waterfill.of_source(src.sigma2, eigen_curves_multi(src.Sx, src.Sn, spec))
+def _drf_sampled_multi(src: _Source, fs):
+    return _Waterfill.of_source(src.sigma2, _eigen_curves_multi(src, fs))
 
 
 def drf_sampled_multi(
@@ -266,11 +267,11 @@ def drf_sampled_multi(
     R,
 ) -> WaterfillSolution:
     """Same as drf_sampled_single but for a P-branch filter bank."""
-    return _drf_sampled_multi(_Source(Sx, Sn), spec).solve(R, spec.fs)
+    return _drf_sampled_multi(_Source(Sx, Sn, spec.branches), spec.fs).solve(R, spec.fs)
 
 
 def _drf_sampled_optimal(src: _Source, fs, P):
-    w, v = zip(*(_density_pieces(src.ratio, F) for F in maximal_af_sets(src.ratio, fs, P)))
+    w, v = zip(*(_density_pieces(src.ratio, F) for F in _maximal_af_sets(src.ratio_pw, fs, P)))
     return _Waterfill.of_source(src.sigma2, (np.concatenate(w), np.concatenate(v)))
 
 
@@ -291,8 +292,7 @@ def drf_sampled_optimal(
 
 
 def _d_dagger(src: _Source, fs):
-    if fs <= 0:
-        raise SpectrumError(f"fs must be positive, got {fs}")
+    _check_fs(fs)
     F, _ = superlevel_set_of_measure(src.ratio, fs)
     return _Waterfill.of_source(src.sigma2, _density_pieces(src.ratio, F))
 
@@ -307,8 +307,9 @@ def d_dagger(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> Waterfil
 
 
 def _d_star_lower_bound(src: _Source, fs):
-    sup = _pw_aliased(_pw_from_density(src.ratio), fs, -fs / 2.0, fs / 2.0, op="sup")
-    return _Waterfill.of_source(src.sigma2, ScalarCurve(sup.bp, np.real(sup.vals)))
+    bp, mids, kmax = _period_cells((src.ratio_pw,), fs)
+    sup = _translates(src.ratio_pw, fs, mids, kmax).max(axis=0)
+    return _Waterfill.of_source(src.sigma2, ScalarCurve(bp, sup))
 
 
 def d_star_lower_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> float:
@@ -361,7 +362,7 @@ def polyphase_lower_bound(
     if N_delta < 8:
         raise WaterfillError(f"N_delta must be >= 8, got {N_delta}")
     R = _as_rate(R, fs)
-    src = _Source(Sx, Sn, H)
+    src = _Source(Sx, Sn, [H])
     mmse, curve = _mmse_and_curve(src, fs)
     drf = _Waterfill.of_source(src.sigma2, curve)
     return _polyphase_lower_bound(src, fs, mmse, drf, N_delta)(R)

@@ -13,9 +13,9 @@ import subnyq
 from subnyq import cli, oracle, sampling, spectra, waterfill
 from subnyq.cli import BIMODAL_SEGMENTS, load_config, main, reproduce_figure, run
 from subnyq.cli import FIGURES, MODES, ConfigError, NumericalFailure, _figure_rows, _fmt
-from subnyq.cli import _sweep
+from subnyq.cli import _sweep, _sweep_rows
 from subnyq.oracle import block_idrf_oracle, finite_window_mmse_average
-from subnyq.sampling import mmse_single
+from subnyq.sampling import SamplerSpec, mmse_single
 from subnyq.spectra import SpectralDensity
 from support import figure_rows_loop
 
@@ -71,12 +71,13 @@ def count_calls(monkeypatch, name):
     """Wrap the function called name in every subnyq module that binds it;
     returns the list that each call appends its arguments to."""
     calls = []
-    real = getattr(sampling, name)
+    modules = (spectra, sampling, waterfill, oracle, cli)
+    real = next(getattr(m, name) for m in modules if hasattr(m, name))
 
     def counted(*args):
         calls.append(args)
         return real(*args)
-    for module in (spectra, sampling, waterfill, oracle, cli):
+    for module in modules:
         if getattr(module, name, None) is real:
             monkeypatch.setattr(module, name, counted)
     return calls
@@ -247,7 +248,7 @@ class TestRunModes:
     def test_one_curve_build_per_fs(self, tmp_path, monkeypatch, mode, P, n_rates):
         rates = BIMODAL_CONFIG["rates"]["values"][:n_rates]
         doc = dict(BIMODAL_CONFIG, rates={"values": rates})
-        name = "_folded" if P == 1 else "eigen_curves_multi"
+        name = "_folded" if P == 1 else "_eigen_curves_multi"
         if P == 3:
             doc["sampler"] = {"fs": [0.48, 1.92, 0.48], "P": 3, "filters": BANK_FILTERS}
         builds = count_calls(monkeypatch, name)
@@ -255,15 +256,40 @@ class TestRunModes:
         assert len(builds) == len(doc["sampler"]["fs"])
 
     @pytest.mark.parametrize("n_fs", [1, 4])
-    @pytest.mark.parametrize("mode", ["mmse", "bounds", "drf", "drf-optimal", "d-dagger",
-                                      "af-sets", "oracle-check"])
-    def test_fs_free_work_once_per_sweep(self, tmp_path, monkeypatch, mode, n_fs):
+    @pytest.mark.parametrize("mode, P, filters", [
+        *(pytest.param(mode, 1, None, id=mode) for mode in MODES),
+        *(pytest.param(mode, 3, None, id=f"{mode}-P3")
+          for mode in MODES if mode not in ("bounds", "oracle-check")),
+        *(pytest.param(mode, 3, "bank", id=f"{mode}-bank") for mode in ("mmse", "drf")),
+        *(pytest.param(mode, 2, "optimal", id=f"{mode}-P2-optimal")
+          for mode in ("mmse", "drf-optimal")),
+    ])
+    def test_fs_free_work_once_per_sweep(self, tmp_path, monkeypatch, mode, P, filters, n_fs):
         doc = dict(BIMODAL_CONFIG, rates={"values": [0.5, 2.0]})
-        doc["sampler"] = {"fs": [0.32, 1.92, 0.8, 0.32][:n_fs], "P": 1}
-        ratios = count_calls(monkeypatch, "snr_ratio")
-        grids = count_calls(monkeypatch, "_source_and_observation")
+        doc["sampler"] = {"fs": [0.48, 1.92, 0.96, 0.48][:n_fs], "P": P,
+                          "filters": BANK_FILTERS if filters == "bank" else filters}
+        densities = count_calls(monkeypatch, "_pw_from_density")
+        gains = count_calls(monkeypatch, "_pw_from_gain")
+        segments = count_calls(monkeypatch, "_observation_segments")
         assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
-        assert len(ratios) <= 1 and len(grids) <= 1
+        # Sx, Sn and the SNR ratio on the full line, and one gain per branch
+        assert len(densities) <= 3 and len(gains) <= P and len(segments) <= 1
+
+    def test_bank_rows_match_direct_calls(self):
+        # in-memory rows, so that == holds them bit for bit; fs repeats
+        # non-adjacently, so per-fs work reused for the wrong fs shows
+        Sx = SpectralDensity(BIMODAL_SEGMENTS)
+        Sn = SpectralDensity(((0.0, 1.6, 0.05),))
+        fs_list, rates = [0.48, 1.92, 0.48], [0.5, 2.0]
+        bank = cli._filters_from(BANK_FILTERS, 3)
+        assert _sweep_rows("mmse", Sx, Sn, fs_list, P=3, filters=bank) == [
+            [fs, 3, sampling.mmse_multi(Sx, Sn, SamplerSpec(fs, bank))] for fs in fs_list]
+        assert _sweep_rows("drf", Sx, Sn, fs_list, rates, P=3, filters=bank) == [
+            [fs, 3, s.rate, s.theta, s.distortion, s.mmse_part, s.lossy_part]
+            for fs in fs_list for R in rates
+            for s in [waterfill.drf_sampled_multi(Sx, Sn, SamplerSpec(fs, bank), R)]]
+        assert [r[5] for r in _sweep_rows("bounds", Sx, Sn, fs_list, rates)] == [
+            waterfill.d_star_lower_bound(Sx, Sn, fs, R) for fs in fs_list for R in rates]
 
     def test_deterministic_output(self, tmp_path):
         doc = dict(RECT_CONFIG)
@@ -436,6 +462,19 @@ class TestExitCodes:
         assert run(write_config(tmp_path, doc), "bounds", out=out) == 3
         assert capsys.readouterr().err.startswith(
             "numerical failure at fs=1.2, R=1 bits-per-time-unit: polyphase bound ")
+        assert not Path(out).exists()
+
+    @pytest.mark.parametrize("gain, kind", [([[-0.4, 0.4, 1.0, 0.5]], "real"),
+                                            ([[-0.4, 0.1, 1.0], [0.1, 0.4, 2.0]], "even")])
+    def test_oracle_filter_not_real_even_exits_2(self, tmp_path, capsys, monkeypatch, gain,
+                                                 kind):
+        doc = dict(RECT_CONFIG, sampler={"fs": [0.3, 0.7], "P": 1, "filters": [gain]})
+        builds = count_calls(monkeypatch, "_folded")
+        out = str(tmp_path / "x.csv")
+        assert run(write_config(tmp_path, doc), "oracle-check", out=out) == 2
+        assert capsys.readouterr().err == (
+            f"config error: mode oracle-check: time-domain oracles need {kind} filter gains\n")
+        assert builds == []  # found before any point
         assert not Path(out).exists()
 
     def test_nan_source_level_exits_2(self, tmp_path, capsys):

@@ -159,6 +159,11 @@ class TestOracleInputs:
         with pytest.raises(SpectrumError, match="n_phases must be >= 1|positive and finite"):
             call()
 
+    def test_window_oracle_refuses_complex_gain(self):
+        H = ComplexGainProfile([(-0.4, 0.4, 1.0 + 0.5j)])
+        with pytest.raises(SpectrumError, match="need real filter gains"):
+            window_oracle(rect_density(), rect_noise(5.0), H, 0.3, 4, 2)
+
 
 class TestDiscreteSpectrum:
     def test_periodic_evaluate(self):
@@ -335,6 +340,14 @@ class TestScalarClosedForms:
             iid_rate_for_distortion(1.0, 1.0, 1.0, 1.5)
         with pytest.raises(SpectrumError):
             iid_rate_for_distortion(1.0, 1.0, 1.0, 0.0)
+
+    def test_iid_rate_zero_variance_observation(self):
+        # as in iid_drf: only D = C_U, reached at every rate, is left, and
+        # the half-open range (C_U, C_U] holds no distortion
+        with pytest.raises(SpectrumError, match=r"outside \(1.0, 1.0\]"):
+            iid_rate_for_distortion(1.0, 0.0, 0.0, 0.5)
+        with pytest.raises(SpectrumError, match="nonzero cross term"):
+            iid_rate_for_distortion(1.0, 0.0, 0.5, 0.5)
 
     def test_joint_mmse_symmetric(self):
         # both unit sources observed noiselessly through the sum

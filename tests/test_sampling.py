@@ -6,11 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subnyq.linalg import LinalgError, hermitian, inv_sqrt_psd
+from subnyq.waterfill import d_dagger
 from subnyq.sampling import (
     SamplerSpec,
     _matrices_on_points,
-    _pair_pws,
     _period_cells,
+    _Source,
     build_branch_matrices,
     eigen_curves_multi,
     landau_mmse_bound,
@@ -31,6 +32,7 @@ from subnyq.spectra import (
     _pw_from_density,
     _translate_count,
     snr_ratio,
+    superlevel_set_of_measure,
 )
 from support import (
     alias_cells_loop,
@@ -440,7 +442,7 @@ class TestStackedEigenSolve:
         if repeat:
             branches = branches[:2] + branches[:1]
         spec = SamplerSpec(fs, branches)
-        pairs = _pair_pws(Sx, Sn, spec)
+        pairs = _Source(Sx, Sn, spec.branches).pairs
         _, mids, _ = _period_cells([pw for *_, pz, pk in pairs for pw in (pz, pk)], fs)
         sy, kk = _matrices_on_points(pairs, spec.P, fs, mids)
         try:
@@ -491,3 +493,28 @@ class TestNonFinite:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SpectrumError, match="cross-check"):
                 mmse_single(Sx, zero_density(), None, 0.5)
+
+
+class TestFsCheck:
+    """Each function that takes fs refuses one outside (0, inf) by name; NaN
+    and inf fs used to give silent wrong answers or a bare error."""
+
+    @pytest.mark.parametrize("fs", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda fs: SamplerSpec(fs, [None]), id="sampler-spec"),
+        pytest.param(lambda fs: s_tilde_single(rect_density(), rect_noise(), None, fs),
+                     id="period-cells"),
+        pytest.param(lambda fs: maximal_af_sets(snr_ratio(rect_density(), rect_noise()), fs),
+                     id="maximal-af-sets"),
+        pytest.param(lambda fs: landau_mmse_bound(rect_density(), rect_noise(), fs),
+                     id="landau"),
+        pytest.param(lambda fs: d_dagger(rect_density(), rect_noise(), fs, 0.0), id="d-dagger"),
+        pytest.param(lambda fs: aliased_sum(rect_density(), fs, 0.1), id="aliased-sum"),
+    ])
+    def test_named_error(self, call, fs):
+        with pytest.raises(SpectrumError, match="fs must be positive and finite"):
+            call(fs)
+
+    def test_superlevel_set_refuses_nan_measure(self):
+        with pytest.raises(SpectrumError, match="measure budget must be >= 0"):
+            superlevel_set_of_measure(rect_density(), math.nan)
