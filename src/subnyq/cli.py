@@ -292,14 +292,15 @@ def _sweep(mode: str, cfg: ExperimentConfig):
         header = ["fs", "rate_bits_per_time", "mmse_exact", "mmse_window",
                   "drf_exact", "drf_block"]
         try:  # the one SpectrumError here is a filter the oracles cannot take
-            observation = oracle._observation_segments(src)
+            segments = oracle._observation_segments(src)
         except SpectrumError as e:
             raise ConfigError(f"mode oracle-check: {e}") from None
 
         def at_fs(fs):
             mmse, curve = sampling._mmse_and_curve(src, fs)
             drf = waterfill._Waterfill.of_source(src.sigma2, curve)
-            orc = oracle._window_oracle(observation, fs, cfg.oracle_K, cfg.oracle_phases)
+            orc = oracle._window_oracle(segments, src.sigma2, fs, cfg.oracle_K,
+                                         cfg.oracle_phases)
 
             def rows_at(R):
                 r = R.per_time(fs)

@@ -129,17 +129,19 @@ def _check_phases(n_phases: int) -> None:
 
 
 def _observation_segments(src: _Source):
-    """(Sx*H segments, (Sx+Sn)*H^2 segments, sigma2): all the window oracles
-    read of the source, segments on f >= 0 with the filter folded in.  No fs
-    enters, so a sweep builds it once.  SpectrumError unless H is real and even."""
-    bp, mids, x, z, g = src.grid
+    """(Sx*H segments, (Sx+Sn)*H^2 segments) on f >= 0, filter folded in.
+    No fs enters, so a sweep builds them once.  SpectrumError unless H is
+    real and even, checked on the grid and its mirror image."""
+    bp, _, x, z, g = src.grid
     g = g[0]
     if np.max(np.abs(g.imag), initial=0.0) > 1e-12:
         raise SpectrumError("time-domain oracles need real filter gains")
-    if np.max(np.abs(_pw_eval(_Pw(bp, g), -mids) - g), initial=0.0) > 1e-12:
+    both = _dedup(np.concatenate([bp, -bp]))
+    mids = 0.5 * (both[:-1] + both[1:])
+    if np.max(np.abs(_pw_eval(_Pw(bp, g), -mids) - _pw_eval(_Pw(bp, g), mids)),
+              initial=0.0) > 1e-12:
         raise SpectrumError("time-domain oracles need even filter gains")
-    return (_even_segments(_Pw(bp, x * g.real)), _even_segments(_Pw(bp, z * g.real * g.real)),
-            src.sigma2)
+    return _even_segments(_Pw(bp, x * g.real)), _even_segments(_Pw(bp, z * g.real * g.real))
 
 
 @dataclass(frozen=True)
@@ -158,15 +160,16 @@ class CovarianceWindow:
 
     @classmethod
     def build(cls, Sx, Sn, H, fs: float, K: int) -> "CovarianceWindow":
-        return cls._of(_observation_segments(_Source(Sx, Sn, [H])), fs, K)
+        src = _Source(Sx, Sn, [H])
+        return cls._of(_observation_segments(src), src.sigma2, fs, K)
 
     @classmethod
-    def _of(cls, observation, fs: float, K: int) -> "CovarianceWindow":
-        """The window from what _observation_segments returns."""
+    def _of(cls, segments, sigma2: float, fs: float, K: int) -> "CovarianceWindow":
+        """The window from _observation_segments' pair and the source power."""
         if K < 1:
             raise SpectrumError(f"window half-length must be >= 1, got {K}")
         _check_fs(fs)
-        xz, zz, sigma2 = observation
+        xz, zz = segments
         n = np.arange(-K, K + 1)
         lags = (n[:, None] - n[None, :]) / fs
         cy = _cov_from_segments(zz, lags)
@@ -276,12 +279,13 @@ def window_oracle(
     Cholesky factor once; the columns at n_i = 0 are the window's cross
     vectors, so the windowed MMSE average is read off the same solve.
     """
-    return _window_oracle(_observation_segments(_Source(Sx, Sn, [H])), fs, K, n_phases)
+    src = _Source(Sx, Sn, [H])
+    return _window_oracle(_observation_segments(src), src.sigma2, fs, K, n_phases)
 
 
-def _window_oracle(observation, fs: float, K: int, n_phases: int) -> WindowOracle:
+def _window_oracle(segments, sigma2: float, fs: float, K: int, n_phases: int) -> WindowOracle:
     _check_phases(n_phases)
-    win = CovarianceWindow._of(observation, fs, K)
+    win = CovarianceWindow._of(segments, sigma2, fs, K)
     chol, regularized = _chol_with_ridge(win.C_Y)
     n = np.arange(-K, K + 1)
     n_y = len(n)
@@ -346,7 +350,7 @@ def sampled_discretization(
         raise SpectrumError(f"decimation factor must be >= 1, got {M}")
     _check_fs(fs)
     fr = M * fs
-    xz, zz, _ = _observation_segments(_Source(Sx, Sn, [H]))
+    xz, zz = _observation_segments(_Source(Sx, Sn, [H]))
 
     def discretize(segs) -> DiscreteSpectrum:
         full = [(lo, hi, v) for lo, hi, v in segs] + [

@@ -285,16 +285,6 @@ def _matrices_on_points(pairs, P: int, fs: float, pts: np.ndarray):
     return sy, kk
 
 
-def _branch_matrices(src: _Source, fs: float, f: float) -> tuple[np.ndarray, np.ndarray]:
-    sy, kk = _matrices_on_points(src.pairs, len(src.branches), fs, np.array([float(f)]))
-    m = hermitian(np.concatenate([sy, kk]))
-    w = np.linalg.eigh(m)[0]
-    low = w[:, 0] < -1e-10 * np.maximum(1.0, w[:, -1])
-    if np.any(low):
-        raise SpectrumError(f"branch matrix not PSD: min eigenvalue {w[low, 0][0]}")
-    return m[0], m[1]
-
-
 def build_branch_matrices(
     Sx: SpectralDensity, Sn: SpectralDensity, spec: SamplerSpec, f: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -304,7 +294,14 @@ def build_branch_matrices(
     K the same with Sx^2 in place of (Sx+Sn).  Both come back as P x P
     complex arrays, checked Hermitian and positive semidefinite.
     """
-    return _branch_matrices(_Source(Sx, Sn, spec.branches), spec.fs, f)
+    sy, kk = _matrices_on_points(_Source(Sx, Sn, spec.branches).pairs, spec.P, spec.fs,
+                                 np.array([float(f)]))
+    m = hermitian(np.concatenate([sy, kk]))
+    w = np.linalg.eigh(m)[0]
+    low = w[:, 0] < -1e-10 * np.maximum(1.0, w[:, -1])
+    if np.any(low):
+        raise SpectrumError(f"branch matrix not PSD: min eigenvalue {w[low, 0][0]}")
+    return m[0], m[1]
 
 
 def _eigen_curves_multi(src: _Source, fs: float) -> EigenCurves:

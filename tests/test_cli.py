@@ -266,14 +266,16 @@ class TestRunModes:
     ])
     def test_fs_free_work_once_per_sweep(self, tmp_path, monkeypatch, mode, P, filters, n_fs):
         doc = dict(BIMODAL_CONFIG, rates={"values": [0.5, 2.0]})
-        doc["sampler"] = {"fs": [0.48, 1.92, 0.96, 0.48][:n_fs], "P": P,
+        doc["sampler"] = {"fs": [0.32, 1.92, 0.8, 0.32][:n_fs], "P": P,
                           "filters": BANK_FILTERS if filters == "bank" else filters}
         densities = count_calls(monkeypatch, "_pw_from_density")
         gains = count_calls(monkeypatch, "_pw_from_gain")
         segments = count_calls(monkeypatch, "_observation_segments")
+        ratios = count_calls(monkeypatch, "snr_ratio")
         assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
         # Sx, Sn and the SNR ratio on the full line, and one gain per branch
         assert len(densities) <= 3 and len(gains) <= P and len(segments) <= 1
+        assert len(ratios) <= 1
 
     def test_bank_rows_match_direct_calls(self):
         # in-memory rows, so that == holds them bit for bit; fs repeats
@@ -465,7 +467,9 @@ class TestExitCodes:
         assert not Path(out).exists()
 
     @pytest.mark.parametrize("gain, kind", [([[-0.4, 0.4, 1.0, 0.5]], "real"),
-                                            ([[-0.4, 0.1, 1.0], [0.1, 0.4, 2.0]], "even")])
+                                            ([[-0.4, 0.1, 1.0], [0.1, 0.4, 2.0]], "even"),
+                                            # even at every midpoint of the source's grid
+                                            ([[-0.3, -0.1, 1.0], [0.09, 0.31, 1.0]], "even")])
     def test_oracle_filter_not_real_even_exits_2(self, tmp_path, capsys, monkeypatch, gain,
                                                  kind):
         doc = dict(RECT_CONFIG, sampler={"fs": [0.3, 0.7], "P": 1, "filters": [gain]})
