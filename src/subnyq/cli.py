@@ -228,13 +228,14 @@ def _sweep(mode: str, cfg: ExperimentConfig):
         raise ConfigError(f"mode {mode} needs at least one rate")
     branches = cfg.filters if isinstance(cfg.filters, list) else [None] * cfg.P
     src = sampling._Source(cfg.source, cfg.noise, branches)
+    src.grid  # read before the first fs: an overflowing level or gain fails the sweep
 
     if mode == "mmse":
         header = ["fs", "P", "mmse"]
 
         def at_fs(fs):
             if cfg.filters == "optimal":
-                val, _ = sampling._mmse_optimal(src, fs, cfg.P)
+                val = sampling._mmse_optimal(src, fs, cfg.P)
             elif cfg.P == 1:
                 val, _ = sampling._mmse_and_curve(src, fs)
             else:
@@ -264,10 +265,9 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             return rows_at
     elif mode == "af-sets":
         header = ["fs", "P", "branch", "lo", "hi"]
-        ratio = src.ratio_pw  # read here, so that a failure in it is per sweep
 
         def at_fs(fs):
-            sets = sampling._maximal_af_sets(ratio, fs, cfg.P)
+            sets = sampling._maximal_af_sets(src.ratio_pw, fs, cfg.P)
             rows = [[fs, cfg.P, p, iv.lo, iv.hi]
                     for p, F in enumerate(sets, start=1) for iv in F.intervals]
             return lambda R: rows

@@ -24,6 +24,7 @@ from .spectra import (
     ComplexGainProfile,
     SpectralDensity,
     SpectrumError,
+    _check_count,
     _check_fs,
     _dedup,
     _pw_eval,
@@ -82,14 +83,9 @@ class DiscreteSpectrum:
 
 def _even_segments(pw: _Pw) -> list[tuple[float, float, float]]:
     """Positive-frequency (lo, hi, value) list of an even real piecewise fn."""
-    out = []
-    for lo, hi, v in zip(pw.bp[:-1], pw.bp[1:], np.real(pw.vals)):
-        if v == 0:
-            continue
-        a, b = max(lo, 0.0), hi
-        if b > a:
-            out.append((a, b, float(v)))
-    return out
+    lo, hi, v = np.maximum(pw.bp[:-1], 0.0), pw.bp[1:], np.real(pw.vals)
+    keep = (v != 0) & (hi > lo)
+    return list(zip(lo[keep].tolist(), hi[keep].tolist(), v[keep].tolist()))
 
 
 def _cov_from_segments(segs: Sequence[tuple], tau: np.ndarray) -> np.ndarray:
@@ -123,15 +119,10 @@ def covariance_from_psd(S: SpectralDensity, tau) -> float | np.ndarray:
     return float(out) if np.isscalar(tau) or np.ndim(tau) == 0 else out
 
 
-def _check_phases(n_phases: int) -> None:
-    if n_phases < 1:
-        raise SpectrumError(f"n_phases must be >= 1, got {n_phases}")
-
-
-def _observation_segments(src: _Source):
-    """(Sx*H segments, (Sx+Sn)*H^2 segments) on f >= 0, filter folded in.
-    No fs enters, so a sweep builds them once.  SpectrumError unless H is
-    real and even, checked on the grid and its mirror image."""
+def _observation_segments(src: _Source) -> tuple[_Pw, _Pw]:
+    """Sx*H and (Sx+Sn)*H^2 on the full line, read off the source grid once per
+    sweep (no fs enters).  SpectrumError unless H is real and even, checked on
+    the grid and its mirror image."""
     bp, _, x, z, g = src.grid
     g = g[0]
     if np.max(np.abs(g.imag), initial=0.0) > 1e-12:
@@ -141,7 +132,7 @@ def _observation_segments(src: _Source):
     if np.max(np.abs(_pw_eval(_Pw(bp, g), -mids) - _pw_eval(_Pw(bp, g), mids)),
               initial=0.0) > 1e-12:
         raise SpectrumError("time-domain oracles need even filter gains")
-    return _even_segments(_Pw(bp, x * g.real)), _even_segments(_Pw(bp, z * g.real * g.real))
+    return _Pw(bp, x * g.real), _Pw(bp, z * g.real * g.real)
 
 
 @dataclass(frozen=True)
@@ -164,12 +155,11 @@ class CovarianceWindow:
         return cls._of(_observation_segments(src), src.sigma2, fs, K)
 
     @classmethod
-    def _of(cls, segments, sigma2: float, fs: float, K: int) -> "CovarianceWindow":
+    def _of(cls, pieces, sigma2: float, fs: float, K: int) -> "CovarianceWindow":
         """The window from _observation_segments' pair and the source power."""
-        if K < 1:
-            raise SpectrumError(f"window half-length must be >= 1, got {K}")
+        _check_count(K, "window half-length K")
         _check_fs(fs)
-        xz, zz = segments
+        xz, zz = map(_even_segments, pieces)
         n = np.arange(-K, K + 1)
         lags = (n[:, None] - n[None, :]) / fs
         cy = _cov_from_segments(zz, lags)
@@ -234,7 +224,7 @@ def finite_window_mmse_average(
     n_phases: int = 16,
 ) -> FiniteWindowMmse:
     """Mean of finite_window_mmse over a uniform in-period offset grid."""
-    _check_phases(n_phases)
+    _check_count(n_phases, "n_phases")
     win = CovarianceWindow.build(Sx, Sn, H, fs, K)
     chol, regularized = _chol_with_ridge(win.C_Y)
     ys = [np.linalg.solve(chol, win.cross_vector(j / n_phases)) for j in range(n_phases)]
@@ -283,9 +273,9 @@ def window_oracle(
     return _window_oracle(_observation_segments(src), src.sigma2, fs, K, n_phases)
 
 
-def _window_oracle(segments, sigma2: float, fs: float, K: int, n_phases: int) -> WindowOracle:
-    _check_phases(n_phases)
-    win = CovarianceWindow._of(segments, sigma2, fs, K)
+def _window_oracle(pieces, sigma2: float, fs: float, K: int, n_phases: int) -> WindowOracle:
+    _check_count(n_phases, "n_phases")
+    win = CovarianceWindow._of(pieces, sigma2, fs, K)
     chol, regularized = _chol_with_ridge(win.C_Y)
     n = np.arange(-K, K + 1)
     n_y = len(n)
@@ -346,24 +336,14 @@ def sampled_discretization(
     rate of the observation the aliased sums have a single term and the
     discretization is lossless.
     """
-    if M < 1:
-        raise SpectrumError(f"decimation factor must be >= 1, got {M}")
+    _check_count(M, "decimation factor M")
     _check_fs(fs)
     fr = M * fs
-    xz, zz = _observation_segments(_Source(Sx, Sn, [H]))
 
-    def discretize(segs) -> DiscreteSpectrum:
-        full = [(lo, hi, v) for lo, hi, v in segs] + [
-            (-hi, -lo, v) for lo, hi, v in segs
-        ]
-        if not full:
-            return DiscreteSpectrum(np.array([-0.5, 0.5]), np.array([0.0]))
-        bp = _dedup(np.array(sorted({p for lo, hi, _ in full for p in (lo, hi)})))
-        mids = 0.5 * (bp[:-1] + bp[1:])
-        vals = np.zeros_like(mids)
-        for lo, hi, v in full:
-            vals[(mids > lo) & (mids < hi)] += v
-        pw = _Pw(bp, vals)
+    def discretize(pw: _Pw) -> DiscreteSpectrum:
+        # The translates are cut and summed here, k by k, and not by the
+        # library's kernel (spectra._alias_grid and _translates): at M = 1 this
+        # device would otherwise check that kernel against itself.
         kmax = _translate_count(pw, fr, fr / 2.0)
         grid_pts = [np.array([-fr / 2.0, fr / 2.0])]
         for k in range(-kmax, kmax + 1):
@@ -376,13 +356,12 @@ def sampled_discretization(
             acc += _pw_eval(pw, gm - fr * k)
         return DiscreteSpectrum(grid / fr, fr * acc)
 
-    return discretize(xz), discretize(zz)
+    return tuple(map(discretize, _observation_segments(_Source(Sx, Sn, [H]))))
 
 
 def discrete_j_m(Sxz_d: DiscreteSpectrum, Sz_d: DiscreteSpectrum, M: int, phi) -> float:
     """Decimated-by-M conditional spectrum at normalized frequency phi."""
-    if M < 1:
-        raise SpectrumError(f"decimation factor must be >= 1, got {M}")
+    _check_count(M, "decimation factor M")
     phis = (float(phi) - np.arange(M)) / M
     num = float(np.sum(np.abs(Sxz_d.evaluate(phis)) ** 2))
     den = float(np.real(np.sum(Sz_d.evaluate(phis))))
@@ -400,16 +379,9 @@ def discrete_j_m_curve(
     the decimated curve, so the output grid is exact and midpoint evaluation
     is safe.
     """
-    if M < 1:
-        raise SpectrumError(f"decimation factor must be >= 1, got {M}")
-    pts = [np.array([-0.5, 0.5])]
-    for b in np.concatenate([Sxz_d.bp, Sz_d.bp]):
-        lo_i = math.ceil(-0.5 - M * b)
-        hi_i = math.floor(0.5 - M * b)
-        for i in range(lo_i, hi_i + 1):
-            pts.append(np.array([M * b + i]))
-    bp = _dedup(np.concatenate(pts))
-    bp = bp[(bp >= -0.5 - BP_TOL) & (bp <= 0.5 + BP_TOL)]
+    _check_count(M, "decimation factor M")
+    pts = (M * np.concatenate([Sxz_d.bp, Sz_d.bp]))[:, None] + np.arange(-M, M + 1)
+    bp = _dedup(np.concatenate([[-0.5, 0.5], pts[np.abs(pts) <= 0.5]]))
     mids = 0.5 * (bp[:-1] + bp[1:])
     vals = np.array([discrete_j_m(Sxz_d, Sz_d, M, m) for m in mids])
     return DiscreteSpectrum(bp, vals)

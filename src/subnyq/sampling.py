@@ -16,7 +16,8 @@ over the (cells, P, P) matrices of a filter bank) are the true
 piecewise-constant functions, not samples of them.  All translates
 S(f - k*fs) come from one kernel, spectra._translates, as one (translates x
 cells) array: the sums and bound of s_tilde_single, the S_Y and K entries,
-the polyphase phased sums and the maximal_af_sets ranking.
+the polyphase phased sums, the maximal_af_sets ranking and the top-P ranking
+of _top_translates behind D*, drf_sampled_optimal and the optimal MMSE.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .spectra import (
     SpectralDensity,
     SpectrumError,
     _alias_grid,
+    _check_count,
     _check_fs,
     _dedup,
     _pw_aliased,
@@ -44,7 +46,6 @@ from .spectra import (
     _Pw,
     _translate_count,
     _translates,
-    integrate,
     snr_ratio,
     superlevel_set_of_measure,
 )
@@ -146,7 +147,9 @@ class _Source:
     read, so a sweep builds each once and a mode only those it uses.  A gain
     of None is the all-pass.  grid is cut at every breakpoint of Sx, Sn and
     the branches; H and pws are the first branch's, pairs the filter bank's,
-    and ratio and ratio_pw feed the optimal filters and the bounds."""
+    and ratio and ratio_pw feed the optimal filters and the bounds.  grid
+    names a level or gain whose squared products overflow (with no numpy
+    warning), so ratio reads it first."""
 
     def __init__(self, Sx: SpectralDensity, Sn: SpectralDensity, branches=(None,)):
         self.Sx, self.Sn, self.branches = Sx, Sn, tuple(branches)
@@ -154,8 +157,8 @@ class _Source:
 
     sigma2 = cached_property(lambda self: self.Sx.total_power())
     px = cached_property(lambda self: _pw_from_density(self.Sx))  # Sx on the full line
-    ratio = cached_property(lambda self: snr_ratio(self.Sx, self.Sn))  # the optimal filters' input
-    ratio_pw = cached_property(lambda self: _pw_from_density(self.ratio))  # and on the full line
+    ratio = cached_property(lambda self: self.grid and snr_ratio(self.Sx, self.Sn))
+    ratio_pw = cached_property(lambda self: _pw_from_density(self.ratio))  # on the full line
 
     @cached_property
     def grid(self):
@@ -164,10 +167,16 @@ class _Source:
         pn = _pw_from_density(self.Sn)
         bp = _dedup(np.concatenate([self.px.bp, pn.bp, *(h.bp for h in gains if h is not None)]))
         mids = 0.5 * (bp[:-1] + bp[1:])
-        x = _pw_eval(self.px, mids)
+        x, n = _pw_eval(self.px, mids), _pw_eval(pn, mids)
         g = np.array([np.ones_like(mids, dtype=complex) if h is None else _pw_eval(h, mids)
                       for h in gains])
-        return bp, mids, x, x + _pw_eval(pn, mids), g
+        with np.errstate(over="ignore", invalid="ignore"):  # named below instead
+            sq, z = x * x, x + n  # z is finite wherever sq is
+            fits = np.isfinite(np.array([sq, z])[:, None] * np.abs(g) ** 2).all(axis=0)
+        for what, v, ok in (("source level", x, np.isfinite(sq)), ("filter gain", g, fits)):
+            if not ok.all():
+                raise SpectrumError(f"{what} {v[~ok][0]:g} overflows Sx^2|H|^2 or (Sx+Sn)|H|^2")
+        return bp, mids, x, z, g
 
     @cached_property
     def pws(self) -> tuple[_Pw, _Pw, _Pw]:
@@ -351,8 +360,7 @@ def mmse_multi(Sx: SpectralDensity, Sn: SpectralDensity, spec: SamplerSpec) -> f
 def _maximal_af_sets(ratio: _Pw, fs: float, P: int) -> list[FrequencySet]:
     """maximal_af_sets from the ratio on the full line, which a _Source holds."""
     _check_fs(fs)
-    if P < 1:
-        raise SpectrumError(f"need P >= 1, got P={P}")
+    _check_count(P, "P")
     d = fs / P
     bp = _alias_grid(ratio, d, 0.0, d / 2.0)
     mids = 0.5 * (bp[:-1] + bp[1:])
@@ -385,16 +393,27 @@ def maximal_af_sets(
     return _maximal_af_sets(_pw_from_density(ratio), fs, P)
 
 
+def _top_translates(ratio: _Pw, fs: float, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """(widths, top): cells of the period of d = fs/P and on them, ascending,
+    the P largest translates of ratio by d: the ratio on the P maximal
+    aliasing-free sets folded onto one period, and at P = 1 D*'s sup."""
+    _check_count(P, "P")
+    _check_fs(fs)
+    bp, mids, kmax = _period_cells((ratio,), fs / P)
+    return np.diff(bp), np.sort(_translates(ratio, fs / P, mids, kmax), axis=0)[-P:]
+
+
+def _mmse_optimal(src: _Source, fs: float, P: int) -> float:
+    w, top = _top_translates(src.ratio_pw, fs, P)
+    return src.sigma2 - float(np.sum(w * top))
+
+
 def mmse_optimal(
     Sx: SpectralDensity, Sn: SpectralDensity, fs: float, P: int = 1
 ) -> tuple[float, list[FrequencySet]]:
     """Minimal sampling MMSE over all P-branch filter banks, plus the supports."""
-    return _mmse_optimal(_Source(Sx, Sn), fs, P)
-
-
-def _mmse_optimal(src: _Source, fs: float, P: int) -> tuple[float, list[FrequencySet]]:
-    sets = _maximal_af_sets(src.ratio_pw, fs, P)
-    return src.sigma2 - sum(integrate(src.ratio, F) for F in sets), sets
+    src = _Source(Sx, Sn)
+    return _mmse_optimal(src, fs, P), _maximal_af_sets(src.ratio_pw, fs, P)
 
 
 def landau_mmse_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float) -> float:
@@ -405,7 +424,7 @@ def landau_mmse_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float) -> fl
     return Sx.total_power() - captured
 
 
-def _polyphase_translates(src: _Source, fs: float, k_max: int | None = None):
+def _polyphase_translates(src: _Source, fs: float):
     """(grid, k, A, denom): the offset-free parts of the polyphase spectra.
 
     On the cells of grid over (-fs/2, fs/2), row i of A is Sx conj(H)
@@ -413,9 +432,8 @@ def _polyphase_translates(src: _Source, fs: float, k_max: int | None = None):
     """
     _, den, sxz = src.pws
     grid, mids, kmax = _period_cells((sxz, den), fs)
-    k_max = kmax if k_max is None else k_max
-    return (grid, np.arange(-k_max, k_max + 1), _translates(sxz, fs, mids, k_max),
-            _translates(den, fs, mids, k_max).sum(axis=0))
+    return (grid, np.arange(-kmax, kmax + 1), _translates(sxz, fs, mids, kmax),
+            _translates(den, fs, mids, kmax).sum(axis=0))
 
 
 def _polyphase_values(k, A, denom, fs: float, deltas) -> np.ndarray:
@@ -431,7 +449,6 @@ def polyphase_conditional_psd(
     H: ComplexGainProfile | None,
     fs: float,
     delta: float,
-    k_max: int | None = None,
 ) -> ScalarCurve:
     """Spectrum of the offset-delta polyphase component given the samples.
 
@@ -441,5 +458,5 @@ def polyphase_conditional_psd(
     The double translate sum in the numerator collapses to a squared modulus
     of a single phased sum.
     """
-    grid, k, A, denom = _polyphase_translates(_Source(Sx, Sn, [H]), fs, k_max)
+    grid, k, A, denom = _polyphase_translates(_Source(Sx, Sn, [H]), fs)
     return ScalarCurve(grid / fs, _polyphase_values(k, A, denom, fs, [delta])[0])

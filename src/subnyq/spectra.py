@@ -10,6 +10,7 @@ mirror it, so evenness holds by construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -29,6 +30,12 @@ def _check_fs(fs: float) -> None:
     """The one sampling-rate check: 0 < fs < inf, so NaN fails too."""
     if not 0 < fs < math.inf:
         raise SpectrumError(f"fs must be positive and finite, got {fs}")
+
+
+def _check_count(n, name: str, minimum: int = 1, error: type = SpectrumError) -> None:
+    """The one count check: an integer, not a bool, and at least minimum."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < minimum:
+        raise error(f"{name} must be >= {minimum} and an integer, got {n!r}")
 
 
 @dataclass(frozen=True, order=True)

@@ -28,21 +28,20 @@ from .sampling import (
     ScalarCurve,
     _eigen_curves_multi,
     _folded,
-    _maximal_af_sets,
     _mmse_and_curve,
-    _period_cells,
     _polyphase_translates,
     _polyphase_values,
     _Source,
+    _top_translates,
     s_tilde_single,
 )
 from .spectra import (
     ComplexGainProfile,
     SpectralDensity,
     SpectrumError,
+    _check_count,
     _check_fs,
     _density_pieces,
-    _translates,
     superlevel_set_of_measure,
 )
 
@@ -236,8 +235,7 @@ def idrf_vector(curves, M: int, rate_per_symbol, mmse: float) -> WaterfillSoluti
     Rate is counted over all M coordinates; the distortion is averaged, so
     only the lossy term picks up the 1/M.
     """
-    if M < 1:
-        raise WaterfillError(f"M must be >= 1, got {M}")
+    _check_count(M, "M", error=WaterfillError)
     return _Waterfill(curves, mmse, 1.0 / M).solve(rate_per_symbol)
 
 
@@ -271,8 +269,8 @@ def drf_sampled_multi(
 
 
 def _drf_sampled_optimal(src: _Source, fs, P):
-    w, v = zip(*(_density_pieces(src.ratio, F) for F in _maximal_af_sets(src.ratio_pw, fs, P)))
-    return _Waterfill.of_source(src.sigma2, (np.concatenate(w), np.concatenate(v)))
+    w, top = _top_translates(src.ratio_pw, fs, P)
+    return _Waterfill.of_source(src.sigma2, (np.tile(w, len(top)), top.ravel()))
 
 
 def drf_sampled_optimal(
@@ -285,8 +283,8 @@ def drf_sampled_optimal(
     """Distortion with the best P-branch filter bank at total rate fs.
 
     The optimal filters are indicators of the maximal aliasing-free sets of
-    the SNR ratio, so the waterfill runs over the ratio restricted to their
-    union; no eigen grid is needed.
+    the SNR ratio, so the waterfill runs over the ratio on their union: the P
+    largest translates of the ratio by fs/P on one period.  No set is built.
     """
     return _drf_sampled_optimal(_Source(Sx, Sn), fs, P).solve(R, fs)
 
@@ -307,9 +305,7 @@ def d_dagger(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> Waterfil
 
 
 def _d_star_lower_bound(src: _Source, fs):
-    bp, mids, kmax = _period_cells((src.ratio_pw,), fs)
-    sup = _translates(src.ratio_pw, fs, mids, kmax).max(axis=0)
-    return _Waterfill.of_source(src.sigma2, ScalarCurve(bp, sup))
+    return _drf_sampled_optimal(src, fs, 1)  # the sup over translates is the top-1 row
 
 
 def d_star_lower_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> float:
@@ -317,7 +313,7 @@ def d_star_lower_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -
 
     No single-branch sampler at fs can do better than this, whatever the
     filter; the bound is met by the indicator of the maximal aliasing-free
-    set.
+    set, so it is drf_sampled_optimal at P = 1, bit for bit.
     """
     return _d_star_lower_bound(_Source(Sx, Sn), fs).solve(R, fs).distortion
 
@@ -359,8 +355,7 @@ def polyphase_lower_bound(
     Nyquist rate, where the polyphase spectra coincide.  A bound above
     drf_sampled_single raises SpectrumError.
     """
-    if N_delta < 8:
-        raise WaterfillError(f"N_delta must be >= 8, got {N_delta}")
+    _check_count(N_delta, "N_delta", 8, WaterfillError)
     R = _as_rate(R, fs)
     src = _Source(Sx, Sn, [H])
     mmse, curve = _mmse_and_curve(src, fs)

@@ -259,6 +259,21 @@ def maximal_af_sets_loop(ratio, fs, P):
     return [FrequencySet(bucket) for bucket in buckets]
 
 
+def optimal_pieces_loop(ratio, fs, P):
+    """(widths, values) of the ratio on its P maximal aliasing-free sets, by
+    the set route: each segment of the ratio and its mirror image cut by
+    each maximal_af_sets interval.  Uses only .segments and .intervals."""
+    widths, vals = [], []
+    for F in maximal_af_sets(ratio, fs, P):
+        for iv, v in ratio.segments:
+            for lo, hi in ((iv.lo, iv.hi), (-iv.hi, -iv.lo)):
+                for g in F.intervals:
+                    if min(hi, g.hi) > max(lo, g.lo):
+                        widths.append(min(hi, g.hi) - max(lo, g.lo))
+                        vals.append(v)
+    return np.array(widths, dtype=float), np.array(vals, dtype=float)
+
+
 def figure_rows_loop(name):
     """(header, rows) of a built-in figure by its own loops over the public
     one-rate functions, one call per row value, rows in figure order."""

@@ -3,7 +3,9 @@
 Each test prints a one-line summary so a full run doubles as a report.
 """
 
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,3 +205,18 @@ def test_criterion_7_property_battery():
     print("\n[acceptance 7] property battery: optimal-bank dominance, "
           "separation identity, eigensolver residuals, scalar bounds, "
           "super-occupancy reduction")
+
+
+def test_readme_example_runs_as_stated():
+    """The README's library example runs, and each call gives the value its
+    comment states (`# 0.5`, `# .distortion = 0.53125`)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    ns = {}
+    exec(block, ns)
+    stated = re.findall(r"^(\w+\(.*\))\s+# (?:\.(\w+) = )?([-\d.e]+)$", block, re.M)
+    assert len(stated) == 2
+    for call, attr, value in stated:
+        got = eval(call, ns)
+        assert (getattr(got, attr) if attr else got) == pytest.approx(float(value), abs=1e-15)
+    print(f"\n[acceptance] README example: {len(stated)} stated values hold")

@@ -277,6 +277,18 @@ class TestRunModes:
         assert len(densities) <= 3 and len(gains) <= P and len(segments) <= 1
         assert len(ratios) <= 1
 
+    @pytest.mark.parametrize("P", [1, 3])
+    @pytest.mark.parametrize("mode, filters", [("drf-optimal", None), ("mmse", "optimal")])
+    def test_optimal_filters_build_no_sets(self, tmp_path, monkeypatch, mode, filters, P):
+        # drf-optimal and the optimal MMSE read the top-P translates of the
+        # SNR ratio; no set and no segment list is built
+        doc = dict(BIMODAL_CONFIG, rates={"values": [0.5, 2.0]})
+        doc["sampler"] = {"fs": [0.32, 1.92, 0.8, 0.32], "P": P, "filters": filters}
+        sets = count_calls(monkeypatch, "_maximal_af_sets")
+        pieces = count_calls(monkeypatch, "_density_pieces")
+        assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
+        assert sets == [] and pieces == []
+
     def test_bank_rows_match_direct_calls(self):
         # in-memory rows, so that == holds them bit for bit; fs repeats
         # non-adjacently, so per-fs work reused for the wrong fs shows
@@ -411,17 +423,6 @@ class TestExitCodes:
         with pytest.raises(NumericalFailure):
             _fmt(value)
 
-    # the source level squared overflows; the MMSE would come out -inf
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_source_exits_3(self, tmp_path, capsys):
-        doc = dict(RECT_CONFIG)
-        doc["source"] = {"segments": [[0.0, 0.5, 1e160]]}
-        out = str(tmp_path / "x.csv")
-        assert run(write_config(tmp_path, doc), "mmse", out=out) == 3
-        # mmse takes no rate, so the point is fs alone
-        assert capsys.readouterr().err.startswith("numerical failure at fs=0.5: ")
-        assert not Path(out).exists()
-
     def test_linalg_error_exits_3(self, tmp_path, capsys):
         # an ill-conditioned S_Y: S_Y^-1/2 K S_Y^-1/2 fails the Hermitian check
         doc = dict(RECT_CONFIG)
@@ -436,16 +437,27 @@ class TestExitCodes:
         assert "not Hermitian" in err
         assert not Path(out).exists()
 
-    # the SNR ratio, built once per sweep in these modes, overflows
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("mode", ["af-sets", "bounds"])
-    def test_per_sweep_failure_exits_3(self, tmp_path, capsys, mode):
-        doc = dict(RECT_CONFIG)
-        doc["source"] = {"segments": [[0.0, 0.5, 1e160]]}
+    # Sx^2 or |H|^2 overflows; the source's pieces are checked once per
+    # sweep, before the first fs, so every mode fails with the same cause,
+    # no point and no numpy warning (which would fail this test)
+    @pytest.mark.parametrize("mode, cause", [
+        *(pytest.param(mode, "source level", id=mode) for mode in MODES),
+        *(pytest.param(mode, "filter gain", id=f"{mode}-gain")
+          for mode in ("mmse", "drf", "bounds", "oracle-check")),
+    ])
+    def test_per_sweep_failure_exits_3(self, tmp_path, capsys, monkeypatch, mode, cause):
+        doc = dict(RECT_CONFIG, noise={"segments": [[0.0, 0.5, 0.2]]})
+        doc["sampler"] = {"fs": [0.3, 0.7], "P": 1}
+        if cause == "source level":
+            doc["source"] = {"segments": [[0.0, 0.5, 1e160]]}
+        else:
+            doc["sampler"]["filters"] = [[[-0.5, 0.5, 1e160]]]
+        builds = count_calls(monkeypatch, "_translates")
         out = str(tmp_path / "x.csv")
         assert run(write_config(tmp_path, doc), mode, out=out) == 3
         # the failing work depends on neither fs nor R, so no point is named
-        assert capsys.readouterr().err.startswith("numerical failure: segment ")
+        assert capsys.readouterr().err.startswith(f"numerical failure: {cause} 1e+160")
+        assert builds == []
         assert not Path(out).exists()
 
     def test_rate_dependent_failure_names_the_rate(self, tmp_path, capsys, monkeypatch):

@@ -165,6 +165,13 @@ class TestOracleInputs:
             window_oracle(rect_density(), rect_noise(5.0), H, 0.3, 4, 2)
 
 
+def test_oracle_shares_no_translate_kernel():
+    # the oracles check the spectral path, so they must not run its kernels
+    kernels = {"_alias_grid", "_translates", "_pw_aliased", "_period_cells",
+               "_top_translates", "_folded"}
+    assert not kernels & set(vars(oracle))
+
+
 class TestDiscreteSpectrum:
     def test_periodic_evaluate(self):
         d = DiscreteSpectrum(np.array([-0.5, 0.0, 0.5]), np.array([1.0, 2.0]))

@@ -1,14 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from subnyq import sampling
 from subnyq.linalg import LinalgError, hermitian, inv_sqrt_psd
-from subnyq.waterfill import d_dagger
+from subnyq.waterfill import WaterfillError, _Waterfill, d_dagger, drf_sampled_optimal
 from subnyq.sampling import (
     SamplerSpec,
+    ScalarCurve,
     _matrices_on_points,
     _period_cells,
     _Source,
@@ -39,6 +42,7 @@ from support import (
     bandpass_density,
     branch_matrices_loop,
     maximal_af_sets_loop,
+    optimal_pieces_loop,
     polyphase_loop,
     s_tilde_loop,
     rect_density,
@@ -358,11 +362,15 @@ def grid_edges(lo, hi, max_size):
                     unique=True).map(lambda ks: [k / 64 for k in sorted(ks)])
 
 
+# Levels that repeat often, so that values tie across segments and translates.
+TIED_LEVELS = st.one_of(st.sampled_from([0.0, 0.25, 1.0]), LEVELS)
+
+
 @st.composite
-def densities(draw, max_segments=3):
+def densities(draw, max_segments=3, levels=LEVELS):
     """Up to max_segments segments on [0, 2]."""
     edges = draw(grid_edges(0, 2, max_segments + 1))
-    return SpectralDensity([(lo, hi, draw(LEVELS)) for lo, hi in zip(edges, edges[1:])])
+    return SpectralDensity([(lo, hi, draw(levels)) for lo, hi in zip(edges, edges[1:])])
 
 
 @st.composite
@@ -423,6 +431,35 @@ class TestTranslateKernel:
     def test_af_sets_match_loop(self, Sx, Sn, fs, P):
         ratio = snr_ratio(Sx, Sn)
         assert maximal_af_sets(ratio, fs, P) == maximal_af_sets_loop(ratio, fs, P)
+
+    @given(densities(4, TIED_LEVELS), densities(levels=TIED_LEVELS), st.floats(0.08, 3.0),
+           st.integers(1, 6), st.sampled_from([0.0, 0.5, 2.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_optimal_filters_match_set_route(self, Sx, Sn, fs, P, R):
+        # the top-P translates give what a waterfill over the ratio cut by the
+        # maximal aliasing-free sets gives, or raise the same error class
+        sigma2 = Sx.total_power()
+
+        def outcome(call):
+            try:
+                return call()
+            except (SpectrumError, WaterfillError) as e:
+                return type(e)
+
+        pieces = outcome(lambda: optimal_pieces_loop(snr_ratio(Sx, Sn), fs, P))
+        got = [outcome(lambda: drf_sampled_optimal(Sx, Sn, fs, P, R).distortion),
+               outcome(lambda: mmse_optimal(Sx, Sn, fs, P)[0])]
+        if isinstance(pieces, type):
+            assert got == [pieces, pieces]
+            return
+        w, v = pieces
+        want = [outcome(lambda: _Waterfill.of_source(sigma2, (w, v)).solve(R).distortion),
+                sigma2 - float(np.sum(w * v))]
+        for a, b in zip(got, want):
+            if isinstance(b, type):
+                assert a is b
+            else:
+                assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12 * sigma2), (a, b)
 
 
 class TestStackedEigenSolve:
@@ -486,13 +523,36 @@ class TestTranslateCap:
 
 
 class TestNonFinite:
-    def test_mmse_cross_check_fails_on_nan_residual(self):
-        # Sx^2 overflows: folded and unfolded MMSE are both -inf, and their
-        # difference is NaN
-        Sx = SpectralDensity(((0.0, 0.5, 1e160),))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SpectrumError, match="cross-check"):
-                mmse_single(Sx, zero_density(), None, 0.5)
+    def test_mmse_cross_check_fails_on_nan_residual(self, monkeypatch):
+        # a NaN curve makes the folded MMSE, and so the residual, NaN (an
+        # overflowing Sx^2 did that until _Source.grid refused it)
+        real = sampling._folded
+
+        def nan_curve(src, fs):
+            curve = real(src, fs)
+            return ScalarCurve(curve.bp, curve.vals * np.nan)
+        monkeypatch.setattr(sampling, "_folded", nan_curve)
+        with pytest.raises(SpectrumError, match="cross-check"):
+            mmse_single(rect_density(), zero_density(), None, 0.5)
+
+    # no errstate here: a numpy overflow warning fails the test
+    @pytest.mark.parametrize("call, cause", [
+        pytest.param(lambda: mmse_single(rect_density(1e160), zero_density(), None, 0.5),
+                     "source level 1e+160", id="level-mmse"),
+        pytest.param(lambda: mmse_optimal(rect_density(1e160), zero_density(), 0.5, 2),
+                     "source level 1e+160", id="level-optimal"),
+        pytest.param(lambda: mmse_single(rect_density(), rect_noise(1e-300), ComplexGainProfile(
+            [(-0.5, 0.5, 1e5)]), 0.5), "filter gain 100000+0j", id="gain-times-noise"),
+        pytest.param(lambda: s_tilde_single(rect_density(), zero_density(),
+                                            ComplexGainProfile([(-0.5, 0.5, 1e160j)]), 0.5),
+                     "filter gain 0+1e+160j", id="gain"),
+        pytest.param(lambda: eigen_curves_multi(rect_density(1e100), zero_density(), SamplerSpec(
+            0.5, [None, ComplexGainProfile([(-0.5, 0.5, 1e60)])])),
+                     "filter gain 1e+60+0j", id="gain-times-level"),
+    ])
+    def test_overflowing_products_are_named(self, call, cause):
+        with pytest.raises(SpectrumError, match=f"^{re.escape(cause)} overflows"):
+            call()
 
 
 class TestFsCheck:

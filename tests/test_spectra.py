@@ -16,7 +16,15 @@ from subnyq.spectra import (
     snr_ratio,
     superlevel_set_of_measure,
 )
-from support import bandpass_density, rect_density, zero_density
+from subnyq.oracle import (
+    block_idrf_oracle,
+    finite_window_mmse,
+    finite_window_mmse_average,
+    sampled_discretization,
+)
+from subnyq.sampling import maximal_af_sets, mmse_optimal
+from subnyq.waterfill import WaterfillError, idrf_vector, polyphase_lower_bound
+from support import bandpass_density, rect_density, rect_noise, zero_density
 
 
 def fset(*pairs):
@@ -210,3 +218,34 @@ class TestGainProfile:
     def test_indicator_support_roundtrip(self):
         F = fset((-2.0, -1.0), (1.0, 2.0))
         assert ComplexGainProfile.indicator(F).support() == F
+
+
+class TestCountCheck:
+    """Every count (branches, window half-length, offsets, decimation factor)
+    must be an integer: a fractional one used to give a wrong number or a
+    bare TypeError.  Each function keeps its own error class."""
+
+    @pytest.mark.parametrize("call, error", [
+        pytest.param(lambda Sx, Sn: finite_window_mmse(Sx, Sn, None, 0.6, 0.0, K=2.5),
+                     SpectrumError, id="window-K"),
+        pytest.param(lambda Sx, Sn: polyphase_lower_bound(Sx, Sn, None, 0.6, 1.0, N_delta=64.5),
+                     WaterfillError, id="polyphase-N_delta"),
+        pytest.param(lambda Sx, Sn: sampled_discretization(Sx, Sn, None, 0.6, M=1.5),
+                     SpectrumError, id="discretization-M"),
+        pytest.param(lambda Sx, Sn: idrf_vector(([1.0], [1.0]), 1.5, 1.0, 0.0),
+                     WaterfillError, id="idrf-vector-M"),
+        pytest.param(lambda Sx, Sn: mmse_optimal(Sx, Sn, 0.6, P=2.0),
+                     SpectrumError, id="mmse-optimal-P"),
+        pytest.param(lambda Sx, Sn: maximal_af_sets(snr_ratio(Sx, Sn), 0.6, P=1.5),
+                     SpectrumError, id="af-sets-P"),
+        pytest.param(lambda Sx, Sn: maximal_af_sets(snr_ratio(Sx, Sn), 0.6, P=True),
+                     SpectrumError, id="af-sets-P-bool"),
+        pytest.param(lambda Sx, Sn: block_idrf_oracle(Sx, Sn, None, 0.6, 1.0, K=2.5),
+                     SpectrumError, id="block-K"),
+        pytest.param(lambda Sx, Sn: finite_window_mmse_average(Sx, Sn, None, 0.6, 4, n_phases=2.5),
+                     SpectrumError, id="average-n_phases"),
+    ])
+    def test_fractional_count_refused(self, call, error):
+        with pytest.raises(error, match="and an integer, got") as got:
+            call(rect_density(), rect_noise(5.0))
+        assert got.type is error

@@ -347,6 +347,14 @@ class TestDStarAndPolyphaseBounds:
             b = drf_sampled_optimal(Sx, zero_density(), fs, 1, 1.0).distortion
             assert a == pytest.approx(b, abs=1e-9)
 
+    @pytest.mark.parametrize("R", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("fs", [0.16, 0.7, 1.92, 3.5])
+    def test_d_star_is_optimal_p1_bit_for_bit(self, fs, R):
+        # D* waterfills the sup over translates, the one-branch optimal filter
+        Sx, Sn = SpectralDensity(BIMODAL_SEGMENTS), SpectralDensity(((0.0, 1.6, 0.05),))
+        optimal = drf_sampled_optimal(Sx, Sn, fs, 1, R).distortion
+        assert d_star_lower_bound(Sx, Sn, fs, R) == optimal
+
     def test_d_star_rect_closed_form(self):
         for fs in (0.3, 0.5, 0.9):
             a = d_star_lower_bound(rect_density(), zero_density(), fs, 1.0)
