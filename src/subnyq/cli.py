@@ -280,13 +280,14 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             mmse, curve = sampling._mmse_and_curve(src, fs)
             drf = waterfill._Waterfill.of_source(src.sigma2, curve)
             d_star = waterfill._d_star_lower_bound(src, fs)
-            polyphase = waterfill._polyphase_lower_bound(src, fs, mmse, drf)
+            polyphase = waterfill._polyphase_lower_bound(src, fs, mmse)
             dd = waterfill._d_dagger(src, fs)
 
             def rows_at(R):
                 r = R.per_time(fs)
-                return [[fs, r, drf.solve(r).distortion, idrf.solve(r).distortion, mmse,
-                         d_star.solve(r).distortion, polyphase(r), dd.solve(r).distortion]]
+                d = drf.solve(r).distortion
+                return [[fs, r, d, idrf.solve(r).distortion, mmse,
+                         d_star.solve(r).distortion, polyphase(r, d), dd.solve(r).distortion]]
             return rows_at
     else:  # oracle-check
         header = ["fs", "rate_bits_per_time", "mmse_exact", "mmse_window",

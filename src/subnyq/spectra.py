@@ -38,6 +38,45 @@ def _check_count(n, name: str, minimum: int = 1, error: type = SpectrumError) ->
         raise error(f"{name} must be >= {minimum} and an integer, got {n!r}")
 
 
+def _as_real(x, what: str, error: type = SpectrumError) -> float:
+    """x as a float: a real number, not a bool, string, None or complex.  An
+    integer too large for a float becomes +-inf, for the caller's finite check."""
+    if type(x) is float:
+        return x
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise error(f"{what} must be a real number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _as_complex(x, what: str) -> complex:
+    """x as a complex: a number, not a bool, string or None; an integer too
+    large for a float becomes inf."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Complex):
+        raise SpectrumError(f"{what} must be a number, got {x!r}")
+    if isinstance(x, numbers.Real):
+        return complex(_as_real(x, what))
+    return complex(x)
+
+
+def _entries(seq, what: str) -> tuple:
+    """The entries of a list of segments, or of one segment, as a tuple."""
+    try:
+        return tuple(seq)
+    except TypeError:
+        raise SpectrumError(f"{what} must be a sequence, got {seq!r}") from None
+
+
+def _segment(seg, what: str) -> tuple:
+    """(lo, hi, value) of one segment, as entries of any type."""
+    parts = _entries(seg, what)
+    if len(parts) != 3:
+        raise SpectrumError(f"{what} must have 3 entries (lo, hi, value), got {seg!r}")
+    return parts
+
+
 @dataclass(frozen=True, order=True)
 class FrequencyInterval:
     """Open-ended frequency interval (lo, hi); empty intervals are rejected."""
@@ -158,12 +197,11 @@ class SpectralDensity:
 
     def __init__(self, segments: Iterable[tuple]):
         norm = []
-        for seg in segments:
-            if len(seg) == 2 and isinstance(seg[0], FrequencyInterval):
-                lo, hi, val = seg[0].lo, seg[0].hi, seg[1]
-            else:
-                lo, hi, val = seg
-            lo, hi, val = float(lo), float(hi), float(val)
+        for seg in _entries(segments, "segments"):
+            parts = _entries(seg, "a segment")
+            if len(parts) == 2 and isinstance(parts[0], FrequencyInterval):
+                parts = (parts[0].lo, parts[0].hi, parts[1])
+            lo, hi, val = (_as_real(x, "a segment entry") for x in _segment(parts, "a segment"))
             if not all(map(math.isfinite, (lo, hi, val))):
                 raise SpectrumError(f"segment ({lo},{hi})={val} is not finite")
             if lo < 0:
@@ -308,8 +346,10 @@ class ComplexGainProfile:
 
     def __init__(self, segments: Iterable[tuple]):
         norm = []
-        for lo, hi, g in segments:
-            lo, hi, g = float(lo), float(hi), complex(g)
+        for seg in _entries(segments, "segments"):
+            lo, hi, g = _segment(seg, "a gain segment")
+            lo, hi = (_as_real(x, "a gain segment edge") for x in (lo, hi))
+            g = _as_complex(g, "a gain")
             if not all(map(math.isfinite, (lo, hi, g.real, g.imag))):
                 raise SpectrumError(f"gain segment ({lo},{hi})={g} is not finite")
             if hi - lo <= 0:
@@ -328,10 +368,12 @@ class ComplexGainProfile:
     @classmethod
     def conjugate_symmetric(cls, half_segments: Iterable[tuple]) -> "ComplexGainProfile":
         full = []
-        for lo, hi, g in half_segments:
+        for seg in _entries(half_segments, "segments"):
+            lo, hi, g = _segment(seg, "a gain segment")
+            lo, hi = (_as_real(x, "a gain segment edge") for x in (lo, hi))
             if lo < 0:
                 raise SpectrumError("conjugate_symmetric takes f >= 0 segments")
-            g = complex(g)
+            g = _as_complex(g, "a gain")
             full.append((lo, hi, g))
             full.append((-hi, -lo, g.conjugate()))
         return cls(full)

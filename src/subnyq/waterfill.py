@@ -8,9 +8,12 @@ pair on a piecewise-constant curve (or a family of eigenvalue curves):
 
 R(theta) is piecewise log-linear, so _Waterfill reads the water level off
 values sorted once and their cumulative sums, in closed form at any rate.
-Each one-rate function f has a private form _f without R that returns that
-object (a function of R, for the polyphase bound) from a sampling._Source, so
-a sweep builds the fs-free pieces once and each fs's object once.  Logarithms
+The polyphase bound's n offset spectra share one grid and one per-sample
+rate, so _WaterfillStack holds them as one stack, sorted once per fs, and
+solves every offset at a rate in one vectorised step.  Each one-rate
+function f has a private form _f without R that returns that object (a
+function of R, for the polyphase bound) from a sampling._Source, so a sweep
+builds the fs-free pieces once and each fs's object once.  Logarithms
 are base 2 throughout, so rates are in bits and the flat-spectrum closed forms
 come out exact.
 """
@@ -39,6 +42,7 @@ from .spectra import (
     ComplexGainProfile,
     SpectralDensity,
     SpectrumError,
+    _as_real,
     _check_count,
     _check_fs,
     _density_pieces,
@@ -82,7 +86,7 @@ class RateSpec:
     unit: str = BITS_PER_TIME
 
     def __post_init__(self):
-        _check_rate(self.value)
+        _check_rate(_as_real(self.value, "rate", WaterfillError))
         if self.unit not in (BITS_PER_TIME, BITS_PER_SAMPLE):
             raise WaterfillError(f"unknown rate unit {self.unit!r}")
 
@@ -104,7 +108,7 @@ def _as_rate(R, fs: float | None = None) -> float:
                 raise WaterfillError("bits-per-sample rate needs a sampling frequency")
             return R.per_time(fs)
         return R.value
-    R = float(R)
+    R = _as_real(R, "rate", WaterfillError)
     _check_rate(R)
     return R
 
@@ -171,6 +175,8 @@ class _Waterfill:
     R = 0 gives the curve maximum.  Theta comes from its log2, so it
     underflows to 0.0 only below the smallest subnormal.  The distortion is
     mmse plus scale times the lossy integral, read off the unsorted curve.
+    One curve only: the polyphase bound's stack of offset spectra is a
+    _WaterfillStack, as a batch axis here would slow every small solve.
     """
 
     def __init__(self, curves, mmse: float = 0.0, scale: float = 1.0):
@@ -203,6 +209,48 @@ class _Waterfill:
             theta = float(np.exp2((self.S[k] - 2.0 * R) / self.W[k]))
         lossy = self.scale * float(np.sum(self.w * np.minimum(self.v, theta)))
         return WaterfillSolution(theta, R, self.mmse + lossy, self.mmse, lossy)
+
+
+class _WaterfillStack:
+    """Reverse waterfills over a stack of curves on the same widths w, one
+    curve per row of values, sorted once for every rate.
+
+    Row i solves as _Waterfill((w, values[i])) does, on the same cumulative
+    sums, but the rows share one argsort along axis 1 and every rate one
+    count of next-value rates below R per row, one exp2 and one row sum.
+    Pieces of zero width or value sort last and are masked: their log2 is
+    never taken and their next-value rate is inf, so they are never active.
+    A row with no positive piece has theta 0 at R = 0 and, like its
+    _Waterfill, attains no positive rate.
+    """
+
+    def __init__(self, w: np.ndarray, values: np.ndarray):
+        self.w, self.v = w, values
+        keep = (w > 0) & (values > 0)
+        order = np.argsort(np.where(keep, -values, np.inf), axis=1)
+        kept = np.take_along_axis(keep, order, axis=1)
+        v = np.take_along_axis(values, order, axis=1)
+        log_v = np.log2(np.where(kept, v, 1.0))
+        self.top = np.where(kept[:, 0], v[:, 0], 0.0)
+        self.attainable = bool(kept[:, 0].all())
+        # past a row's last kept piece W and S are never read
+        self.W = np.cumsum(w[order], axis=1)
+        self.S = np.cumsum(w[order] * log_v, axis=1)
+        self.rate_at_next_value = np.where(
+            kept[:, 1:], 0.5 * (self.S[:, :-1] - self.W[:, :-1] * log_v[:, 1:]), np.inf)
+        self.rows = np.arange(len(values))
+
+    def solve(self, R: float) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, lossy): per row, the water level at R and the lossy integral."""
+        if R == 0:
+            theta = self.top
+        elif not self.attainable:
+            raise UnattainableRateError("a curve of the stack is identically zero; "
+                                        "no positive rate is attainable")
+        else:
+            k = np.count_nonzero(self.rate_at_next_value < R, axis=1)
+            theta = np.exp2((self.S[self.rows, k] - 2.0 * R) / self.W[self.rows, k])
+        return theta, np.sum(self.w * np.minimum(self.v, theta[:, None]), axis=1)
 
 
 def solve_theta_for_rate(curves, R, fs: float | None = None) -> float:
@@ -318,18 +366,18 @@ def d_star_lower_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -
     return _d_star_lower_bound(_Source(Sx, Sn), fs).solve(R, fs).distortion
 
 
-def _polyphase_lower_bound(src: _Source, fs, mmse, drf: _Waterfill, N_delta: int = 64):
-    """The bound at fs as a function of R bits/time, given the sampling MMSE
-    and the drf_sampled_single waterfill; the n offset spectra are sorted here."""
+def _polyphase_lower_bound(src: _Source, fs, mmse, N_delta: int = 64):
+    """The bound at fs as a function of R bits/time and the distortion d of
+    drf_sampled_single at R, given the sampling MMSE; the n offset spectra are
+    one stack, sorted here once."""
     grid, k, A, denom = _polyphase_translates(src, fs)
     n = max(N_delta, len(k))
-    w = np.diff(grid / fs)
-    offsets = [_Waterfill((w, v)) for v in _polyphase_values(k, A, denom, fs, np.arange(n) / n)
-               if v.max() > 0]
+    v = _polyphase_values(k, A, denom, fs, np.arange(n) / n)
+    offsets = _WaterfillStack(np.diff(grid / fs), v[v.max(axis=1) > 0])
 
-    def at_rate(R: float) -> float:
-        bound = mmse + sum(wf.solve(R / fs).lossy_part for wf in offsets) / n
-        d = drf.solve(R).distortion
+    def at_rate(R: float, d: float) -> float:
+        # added in offset order, as n separate waterfills would be
+        bound = mmse + sum(offsets.solve(R / fs)[1].tolist()) / n
         if bound > d + 1e-10 * max(1.0, src.sigma2):
             raise SpectrumError(f"polyphase bound {bound} exceeds the distortion {d}")
         return bound
@@ -350,8 +398,9 @@ def polyphase_lower_bound(
     R/fs over its conditional polyphase spectrum; the lossy terms are
     averaged over n = max(N_delta, 2*k_max + 1) equally spaced offsets, one
     at least per fs translate in the phased sums, and added to the sampling
-    MMSE.  With that many offsets the cross terms of the squared phased sums
-    cancel exactly, so the bound holds at every fs.  Equality holds above the
+    MMSE.  The n offset spectra are one stack, sorted once per fs.  With
+    that many offsets the cross terms of the squared phased sums cancel
+    exactly, so the bound holds at every fs.  Equality holds above the
     Nyquist rate, where the polyphase spectra coincide.  A bound above
     drf_sampled_single raises SpectrumError.
     """
@@ -359,8 +408,8 @@ def polyphase_lower_bound(
     R = _as_rate(R, fs)
     src = _Source(Sx, Sn, [H])
     mmse, curve = _mmse_and_curve(src, fs)
-    drf = _Waterfill.of_source(src.sigma2, curve)
-    return _polyphase_lower_bound(src, fs, mmse, drf, N_delta)(R)
+    d = _Waterfill.of_source(src.sigma2, curve).solve(R).distortion
+    return _polyphase_lower_bound(src, fs, mmse, N_delta)(R, d)
 
 
 def drf_of_estimator(

@@ -255,6 +255,42 @@ class TestRunModes:
         assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
         assert len(builds) == len(doc["sampler"]["fs"])
 
+    @pytest.mark.parametrize("N_delta", [8, 64, 200])
+    @pytest.mark.parametrize("fs_list", [[0.32, 1.92], [0.04, 0.32]])
+    def test_bounds_waterfills_per_fs(self, monkeypatch, fs_list, N_delta):
+        # fs = 0.04 has 2*k_max + 1 > 64 translates, so the offset count is
+        # N_delta or that count; the waterfill count depends on neither
+        Sx = SpectralDensity(BIMODAL_SEGMENTS)
+        Sn = SpectralDensity(((0.0, 1.6, 0.05),))
+        rates = [0.0, 0.5, 4.0]
+        inits, solves = [], []
+        real_init, real_solve = waterfill._Waterfill.__init__, waterfill._Waterfill.solve
+        real_bound = waterfill._polyphase_lower_bound
+
+        def init(self, *args):
+            inits.append(self)
+            real_init(self, *args)
+
+        def solve(self, *args):
+            solves.append(self)
+            return real_solve(self, *args)
+        monkeypatch.setattr(waterfill._Waterfill, "__init__", init)
+        monkeypatch.setattr(waterfill._Waterfill, "solve", solve)
+        monkeypatch.setattr(waterfill, "_polyphase_lower_bound",
+                            lambda src, fs, mmse: real_bound(src, fs, mmse, N_delta))
+        stacks = count_calls(monkeypatch, "_WaterfillStack")
+        offsets = count_calls(monkeypatch, "_polyphase_values")
+        rows = _sweep_rows("bounds", Sx, Sn, fs_list, rates)
+        assert len(rows) == len(fs_list) * len(rates)
+        assert [len(deltas) for *_, deltas in offsets] == [
+            max(N_delta, len(sampling._polyphase_translates(sampling._Source(Sx, Sn), fs)[1]))
+            for fs in fs_list]
+        # idrf_stationary once per sweep; drf, D* and D-dagger once per fs
+        assert len(inits) == 1 + 3 * len(fs_list) and len(stacks) == len(fs_list)
+        # each row solves each of the four once: one drf solve per (fs, R)
+        counts = sorted(solves.count(wf) for wf in inits)
+        assert counts == [len(rates)] * (3 * len(fs_list)) + [len(rows)]
+
     @pytest.mark.parametrize("n_fs", [1, 4])
     @pytest.mark.parametrize("mode, P, filters", [
         *(pytest.param(mode, 1, None, id=mode) for mode in MODES),

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -23,7 +24,15 @@ from subnyq.oracle import (
     sampled_discretization,
 )
 from subnyq.sampling import maximal_af_sets, mmse_optimal
-from subnyq.waterfill import WaterfillError, idrf_vector, polyphase_lower_bound
+from subnyq.waterfill import (
+    BITS_PER_SAMPLE,
+    BITS_PER_TIME,
+    RateSpec,
+    WaterfillError,
+    idrf_vector,
+    polyphase_lower_bound,
+    solve_theta_for_rate,
+)
 from support import bandpass_density, rect_density, rect_noise, zero_density
 
 
@@ -249,3 +258,77 @@ class TestCountCheck:
         with pytest.raises(error, match="and an integer, got") as got:
             call(rect_density(), rect_noise(5.0))
         assert got.type is error
+
+
+# any value a caller might pass where a number belongs
+ANY_VALUE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-10**400, 10**400),
+    st.booleans(), st.none(), st.text(max_size=3), st.complex_numbers(max_magnitude=1e3),
+    st.just(np.float64(0.5)), st.just(np.int64(2)))
+ANY_SEGMENT = st.one_of(st.lists(ANY_VALUE, max_size=4).map(tuple), ANY_VALUE)
+
+
+class TestConstructorInput:
+    """SpectralDensity, ComplexGainProfile and RateSpec take a value of any
+    type: a wrong-arity segment and a str, None, complex or bool where a
+    real number belongs raise their module's named error, never a bare
+    TypeError or ValueError."""
+
+    @pytest.mark.parametrize("call, error", [
+        pytest.param(lambda: RateSpec("1"), WaterfillError, id="rate-str"),
+        pytest.param(lambda: RateSpec(None), WaterfillError, id="rate-none"),
+        pytest.param(lambda: RateSpec(1 + 0j), WaterfillError, id="rate-complex"),
+        pytest.param(lambda: RateSpec(True), WaterfillError, id="rate-bool"),
+        pytest.param(lambda: solve_theta_for_rate(([1.0], [1.0]), "1"), WaterfillError,
+                     id="solve-rate-str"),
+        pytest.param(lambda: SpectralDensity([(0.0, 1.0)]), SpectrumError, id="density-arity"),
+        pytest.param(lambda: SpectralDensity(((0.0, "1", 1.0),)), SpectrumError,
+                     id="density-str"),
+        pytest.param(lambda: SpectralDensity(((0.0, 1.0, True),)), SpectrumError,
+                     id="density-bool"),
+        pytest.param(lambda: SpectralDensity(((0.0, 1.0, 1j),)), SpectrumError,
+                     id="density-complex"),
+        pytest.param(lambda: SpectralDensity(5), SpectrumError, id="density-not-a-list"),
+        pytest.param(lambda: ComplexGainProfile([(0.0, 1.0)]), SpectrumError, id="gain-arity"),
+        pytest.param(lambda: ComplexGainProfile([(0.0, 1.0, None)]), SpectrumError,
+                     id="gain-none"),
+        pytest.param(lambda: ComplexGainProfile([(0.0, 1.0, True)]), SpectrumError,
+                     id="gain-bool"),
+        pytest.param(lambda: ComplexGainProfile([(0.0, 1j, 1.0)]), SpectrumError,
+                     id="gain-complex-edge"),
+        pytest.param(lambda: ComplexGainProfile.conjugate_symmetric([(0.0, "1", 1.0)]),
+                     SpectrumError, id="conjugate-symmetric-str-edge"),
+    ])
+    def test_bad_value_raises_named_error(self, call, error):
+        with pytest.raises(error) as got:
+            call()
+        assert got.type is error
+
+    @given(st.lists(ANY_SEGMENT, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_density_fuzz(self, segments):
+        try:
+            S = SpectralDensity(segments)
+        except SpectrumError:
+            return
+        assert all(0 <= iv.lo < iv.hi < math.inf and 0 < v < math.inf for iv, v in S.segments)
+
+    @given(st.lists(ANY_SEGMENT, max_size=3),
+           st.sampled_from([ComplexGainProfile, ComplexGainProfile.conjugate_symmetric]))
+    @settings(max_examples=200, deadline=None)
+    def test_gain_fuzz(self, segments, make):
+        try:
+            H = make(segments)
+        except SpectrumError:
+            return
+        assert all(lo < hi and type(g) is complex and cmath.isfinite(g)
+                   for lo, hi, g in H.segments)
+
+    @given(ANY_VALUE, st.one_of(st.sampled_from([BITS_PER_TIME, BITS_PER_SAMPLE]), ANY_VALUE))
+    @settings(max_examples=200, deadline=None)
+    def test_rate_fuzz(self, value, unit):
+        try:
+            r = RateSpec(value, unit)
+        except WaterfillError:
+            return
+        assert 0 <= r.per_time(2.0) < math.inf

@@ -148,6 +148,39 @@ class TestParametricCore:
             assert wf.solve(R) == idrf_vector((w, v), 2, R, 0.3)
             assert wf.solve(R).theta == solve_theta_for_rate((w, v), R)
 
+    # the rows share widths (zero widths too); values from a small pool tie
+    # and zeros fall inside rows or fill them; rates up to 60 bits pass the
+    # last breakpoint of every row
+    @given(st.integers(1, 6).flatmap(lambda m: st.tuples(
+               st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)), min_size=m, max_size=m),
+               st.lists(st.lists(st.one_of(st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+                                           st.floats(1e-6, 1e6)), min_size=m, max_size=m),
+                        min_size=1, max_size=5))),
+           st.lists(st.one_of(st.just(0.0), st.floats(0.0, 60.0)), min_size=1, max_size=6))
+    @example(([1.0, 0.5, 1.0, 0.25], [[1.0, 1.0, 3.0, 1.0], [3.0, 3.0, 3.0, 3.0]]),
+             [0.0, 0.7, 2.0])  # tied values
+    @example(([1.0, 1.0, 0.5], [[2.0, 0.0, 1.0], [0.0, 0.25, 0.0]]),
+             [0.0, 0.4, 3.0])  # interior zeros
+    @example(([1.0, 0.5], [[1.0, 2.0], [0.0, 0.0], [3.0, 0.25]]), [0.0, 1.0])  # an all-zero row
+    @example(([1.0, 0.0, 2.0], [[1.0, 5.0, 0.25]]), [0.0])  # R = 0; a zero width
+    @example(([0.5, 1.0], [[1.0, 4.0], [1e-6, 1e6]]), [60.0])  # past the last breakpoint
+    @example(([0.75], [[3.0], [1e-6]]), [0.0, 0.5, 60.0])  # a single-cell grid
+    @settings(max_examples=200, deadline=None)
+    def test_stack_matches_one_waterfill_per_row(self, stack, rates):
+        w, values = np.array(stack[0]), np.array(stack[1])
+        wfs = waterfill._WaterfillStack(w, values)
+        rows = [waterfill._Waterfill((w, v)) for v in values]
+        for R in rates:
+            if R > 0 and not all(np.any((w > 0) & (v > 0)) for v in values):
+                with pytest.raises(UnattainableRateError):
+                    wfs.solve(R)
+                continue
+            theta, lossy = wfs.solve(R)
+            for t, lo, wf in zip(theta.tolist(), lossy.tolist(), rows):
+                sol = wf.solve(R)
+                assert math.isclose(t, sol.theta, rel_tol=1e-14)
+                assert math.isclose(lo, sol.lossy_part, rel_tol=1e-14)
+
     def test_decomposition_invariant_enforced(self):
         with pytest.raises(WaterfillError):
             WaterfillSolution(0.1, 1.0, 1.0, 0.3, 0.3)
