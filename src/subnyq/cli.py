@@ -237,9 +237,9 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             if cfg.filters == "optimal":
                 val = sampling._mmse_optimal(src, fs, cfg.P)
             elif cfg.P == 1:
-                val, _ = sampling._mmse_and_curve(src, fs)
+                val, _ = sampling._mmse_and_curve(src.period(fs))
             else:
-                val = sampling._mmse_multi(src, fs)
+                val = sampling._mmse_multi(src.period(fs))
             return lambda R: [[fs, cfg.P, val]]
     elif mode in ("drf", "drf-optimal", "d-dagger"):
         if mode == "drf" and cfg.filters == "optimal":
@@ -254,9 +254,9 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             elif mode == "drf-optimal":
                 drf = waterfill._drf_sampled_optimal(src, fs, cfg.P)
             elif cfg.P == 1:
-                drf = waterfill._drf_sampled_single(src, fs)
+                drf = waterfill._drf_sampled_single(src.period(fs))
             else:
-                drf = waterfill._drf_sampled_multi(src, fs)
+                drf = waterfill._drf_sampled_multi(src.period(fs))
 
             def rows_at(R):
                 sol = drf.solve(R.per_time(fs))
@@ -277,10 +277,11 @@ def _sweep(mode: str, cfg: ExperimentConfig):
         idrf = waterfill._idrf_stationary(src)  # reads the ratio, once per sweep
 
         def at_fs(fs):
-            mmse, curve = sampling._mmse_and_curve(src, fs)
+            per = src.period(fs)
+            mmse, curve = sampling._mmse_and_curve(per)
             drf = waterfill._Waterfill.of_source(src.sigma2, curve)
             d_star = waterfill._d_star_lower_bound(src, fs)
-            polyphase = waterfill._polyphase_lower_bound(src, fs, mmse)
+            polyphase = waterfill._polyphase_lower_bound(per, mmse)
             dd = waterfill._d_dagger(src, fs)
 
             def rows_at(R):
@@ -298,7 +299,7 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             raise ConfigError(f"mode oracle-check: {e}") from None
 
         def at_fs(fs):
-            mmse, curve = sampling._mmse_and_curve(src, fs)
+            mmse, curve = sampling._mmse_and_curve(src.period(fs))
             drf = waterfill._Waterfill.of_source(src.sigma2, curve)
             orc = oracle._window_oracle(segments, src.sigma2, fs, cfg.oracle_K,
                                          cfg.oracle_phases)
@@ -431,9 +432,19 @@ def _figure_rows(name: str):
     raise ConfigError(f"unknown figure {name!r}")
 
 
+def _check_figure_dir(out_dir: str):
+    """out_dir may be missing if its parent folder exists, but may not be a file."""
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ConfigError(f"output path is not a directory: {out_dir}")
+    _check_out_dir(os.path.normpath(out_dir))
+
+
 def reproduce_figure(name: str, out_dir: str = ".", fmt: str = "csv") -> int:
+    """Write the figure's CSV (or NDJSON) into out_dir, which is made if only
+    its last folder is missing; returns the exit code."""
     try:
         _check_format(fmt)
+        _check_figure_dir(out_dir)
         header, rows = _figure_rows(name)
         os.makedirs(out_dir, exist_ok=True)
         lines = [_line(header, row, fmt) for row in rows]
@@ -452,8 +463,10 @@ def main(argv=None) -> int:
         description="Distortion-rate sweeps for sampled Gaussian sources",
     )
     parser.add_argument("mode", choices=MODES + ("figure",))
-    parser.add_argument("--config", help="path to the JSON experiment config")
-    parser.add_argument("--out", help="output file (default: config's, else stdout)")
+    parser.add_argument("--config", help="path to the JSON experiment config (not in "
+                        "mode 'figure')")
+    parser.add_argument("--out", help="output file (default: config's, else stdout); in "
+                        "mode 'figure' a folder, made if only its last part is missing")
     # accepted and ignored: the filter-bank grid is exact, so a resolution
     # has nothing left to set
     parser.add_argument("--grid", type=int, help=argparse.SUPPRESS)
@@ -463,15 +476,18 @@ def main(argv=None) -> int:
                         default="csv")
     args = parser.parse_args(argv)
 
+    # a setting the mode would ignore is refused, as in a config
     if args.mode == "figure":
-        if not args.figure:
-            print("config error: --figure is required for mode 'figure'",
-                  file=sys.stderr)
-            return 2
-        return reproduce_figure(args.figure, args.out or ".", args.fmt)
-    if not args.config:
-        print("config error: --config is required", file=sys.stderr)
+        cause = ("--figure is required for mode 'figure'" if not args.figure else
+                 "mode figure takes no --config" if args.config is not None else None)
+    else:
+        cause = ("--config is required" if not args.config else
+                 "--figure is for mode 'figure' only" if args.figure else None)
+    if cause:
+        print(f"config error: {cause}", file=sys.stderr)
         return 2
+    if args.mode == "figure":
+        return reproduce_figure(args.figure, args.out or ".", args.fmt)
     return run(args.config, args.mode, args.out, args.fmt)
 
 

@@ -5,9 +5,15 @@ conditional spectrum given single-branch samples, its P x P generalization
 for filter banks, the MMSE values, the maximal aliasing-free sets (the
 supports of the optimal filters), the sampling-rate bound on the MMSE and the
 polyphase decomposition.  Each curve, MMSE and set function is a thin caller
-of a private per-fs form that reads the fs-free pieces of (Sx, Sn, branches)
-off a _Source, which a sweep builds once: the single-branch pieces, the
-filter bank's branch-pair pieces and the SNR ratio behind the optimal filters.
+of a private per-fs form.  The fs-free pieces of (Sx, Sn, branches) live on a
+_Source, which a sweep builds once: the single-branch pieces, the filter
+bank's branch-pair pieces and the SNR ratio behind the optimal filters.  The
+per-fs forms read one _Period per (source, fs), src.period(fs): the period
+(-fs/2, fs/2) cut once, its translate count and the aliased denominator,
+which the folded curve and the polyphase spectra share.  Every piece of a
+source lies on the source's breakpoints, so one cut serves them all.  The
+SNR ratio has other breakpoints, so D* and the optimal filters cut their own
+period of fs/P for it.
 
 Every path is exact: inputs are piecewise-constant, and every grid is cut at
 the translate lattice of the breakpoints before values are read off, so the
@@ -142,6 +148,23 @@ class EigenCurves:
         return float(np.sum(self.widths() * self.lam.sum(axis=1)))
 
 
+class _Period:
+    """The period (-step/2, step/2) cut at every translate of pw's breakpoints,
+    its translate count kmax, den (pw aliased, built when first read) and src."""
+
+    def __init__(self, pw: _Pw, step: float, src: _Source | None = None):
+        _check_fs(step)
+        self.pw, self.step, self.src = pw, step, src
+        self.grid = _alias_grid(pw, step, -step / 2.0, step / 2.0)
+        self.mids = 0.5 * (self.grid[:-1] + self.grid[1:])
+        self.kmax = _translate_count(pw, step, step / 2.0)
+
+    def translates(self, pw: _Pw) -> np.ndarray:
+        return _translates(pw, self.step, self.mids, self.kmax)
+
+    den = cached_property(lambda self: self.translates(self.pw).sum(axis=0))
+
+
 class _Source:
     """The pieces of (Sx, Sn, branches) that need no fs, each built when first
     read, so a sweep builds each once and a mode only those it uses.  A gain
@@ -192,6 +215,12 @@ class _Source:
         return [(i, j, _Pw(bp, z * w), _Pw(bp, x * x * w)) for i in range(len(g))
                 for j in range(i, len(g)) for w in [np.conj(g[i]) * g[j]]]
 
+    def period(self, fs: float) -> _Period:
+        """The period of fs, cut at (Sx+Sn) max_i |H_i|^2: every piece here lies
+        on its breakpoints and inside its support, so that one cut serves all."""
+        bp, _, _, z, g = self.grid
+        return _Period(_Pw(bp, z * (np.abs(g) ** 2).max(axis=0)), fs, self)
+
 
 def _safe_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a / b where b > 0, else 0; a may carry leading axes over b's."""
@@ -201,30 +230,18 @@ def _safe_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _period_cells(pws, fs: float):
-    """(grid, mids, kmax): cells of (-fs/2, fs/2) cut at every aliased
-    breakpoint of every pw, and a translate count covering them all."""
-    _check_fs(fs)
-    lo, hi = -fs / 2.0, fs / 2.0
-    grid = _dedup(np.concatenate([_alias_grid(pw, fs, lo, hi) for pw in pws]))
-    kmax = max(_translate_count(pw, fs, hi) for pw in pws)
-    return grid, 0.5 * (grid[:-1] + grid[1:]), kmax
-
-
-def _folded(src: _Source, fs: float) -> ScalarCurve:
-    """s_tilde_single from the source's single-branch pieces."""
-    num, den, _ = src.pws
-    bp, mids, kmax = _period_cells((num, den), fs)
-    vals = _safe_ratio(_translates(num, fs, mids, kmax).sum(axis=0),
-                       _translates(den, fs, mids, kmax).sum(axis=0))
+def _folded(per: _Period) -> ScalarCurve:
+    """s_tilde_single from the pieces of a one-branch source, whose period's
+    den is the aliased (Sx+Sn)|H|^2."""
+    num, den, _ = per.src.pws
+    vals = _safe_ratio(per.translates(num).sum(axis=0), per.den)
 
     # structural sanity: the curve can never exceed the best single translate
     # of the per-frequency ratio Sx^2/(Sx+Sn) restricted to the filter support
-    ratio = _Pw(num.bp, _safe_ratio(num.vals, den.vals))
-    sup = _translates(ratio, fs, mids, kmax).max(axis=0)
+    sup = per.translates(_Pw(num.bp, _safe_ratio(num.vals, den.vals))).max(axis=0)
     if np.any(vals > sup + 1e-9 * max(1.0, float(sup.max(initial=0.0)))):
         raise SpectrumError("conditional spectrum exceeded its translate bound")
-    return ScalarCurve(bp, vals)
+    return ScalarCurve(per.grid, vals)
 
 
 def s_tilde_single(
@@ -239,20 +256,21 @@ def s_tilde_single(
     with 0/0 read as 0.  Only |H|^2 enters, so the phase of the pre-sampling
     filter is irrelevant by construction.
     """
-    return _folded(_Source(Sx, Sn, [H]), fs)
+    return _folded(_Source(Sx, Sn, [H]).period(fs))
 
 
-def _mmse_and_curve(src: _Source, fs: float) -> tuple[float, ScalarCurve]:
+def _mmse_and_curve(per: _Period) -> tuple[float, ScalarCurve]:
     """mmse_single and the s_tilde_single curve it integrates, from one build."""
+    src = per.src
     num, den, _ = src.pws
-    curve = _folded(src, fs)
+    curve = _folded(per)
     value = src.sigma2 - curve.integral()
 
     # cross-check against the unfolded form: integrate over the whole line
     # Sx(f) * (1 - Sx|H|^2(f) / aliased denominator at f)
     radius = max(_pw_support_radius(src.px), _pw_support_radius(den))
     if radius > 0:
-        den_per = _pw_aliased(den, fs, -radius, radius)
+        den_per = _pw_aliased(den, per.step, -radius, radius)
         bp = _dedup(np.concatenate([src.px.bp, num.bp, den_per.bp]))
         mids = 0.5 * (bp[:-1] + bp[1:])
         x = _pw_eval(src.px, mids)
@@ -273,7 +291,7 @@ def mmse_single(
     fs: float,
 ) -> float:
     """MMSE of estimating the source from single-branch samples at rate fs."""
-    return _mmse_and_curve(_Source(Sx, Sn, [H]), fs)[0]
+    return _mmse_and_curve(_Source(Sx, Sn, [H]).period(fs))[0]
 
 
 def _matrices_on_points(pairs, P: int, fs: float, pts: np.ndarray):
@@ -313,10 +331,8 @@ def build_branch_matrices(
     return m[0], m[1]
 
 
-def _eigen_curves_multi(src: _Source, fs: float) -> EigenCurves:
-    pairs = src.pairs
-    bp, mids, _ = _period_cells([pw for *_, pz, pk in pairs for pw in (pz, pk)], fs)
-    sy, kk = _matrices_on_points(pairs, len(src.branches), fs, mids)
+def _eigen_curves_multi(per: _Period) -> EigenCurves:
+    sy, kk = _matrices_on_points(per.src.pairs, len(per.src.branches), per.step, per.mids)
     t = inv_sqrt_psd(sy)
     lam = np.linalg.eigh(hermitian(t @ kk @ t))[0]
 
@@ -324,8 +340,8 @@ def _eigen_curves_multi(src: _Source, fs: float) -> EigenCurves:
     if lam.size and float(lam.min()) < -1e-10 * max(1.0, lam_max):
         raise SpectrumError(f"negative eigenvalue {lam.min()} in conditional spectrum")
     lam = np.maximum(lam, 0.0)
-    curves = EigenCurves(bp, lam)
-    if curves.trace_integral() > src.sigma2 + 1e-9 * max(1.0, src.sigma2):
+    curves = EigenCurves(per.grid, lam)
+    if curves.trace_integral() > per.src.sigma2 + 1e-9 * max(1.0, per.src.sigma2):
         raise SpectrumError("estimator power exceeds source power")
     return curves
 
@@ -342,19 +358,19 @@ def eigen_curves_multi(
     The matrices are constant on each cell, so these are the exact curves;
     all cells go through one stacked eigen-solve.
     """
-    return _eigen_curves_multi(_Source(Sx, Sn, spec.branches), spec.fs)
+    return _eigen_curves_multi(_Source(Sx, Sn, spec.branches).period(spec.fs))
 
 
-def _mmse_multi(src: _Source, fs: float) -> float:
-    val = src.sigma2 - _eigen_curves_multi(src, fs).trace_integral()
-    if val < -1e-9 * max(1.0, src.sigma2):
+def _mmse_multi(per: _Period) -> float:
+    val = per.src.sigma2 - _eigen_curves_multi(per).trace_integral()
+    if val < -1e-9 * max(1.0, per.src.sigma2):
         raise SpectrumError(f"negative mmse {val}")
     return max(val, 0.0)
 
 
 def mmse_multi(Sx: SpectralDensity, Sn: SpectralDensity, spec: SamplerSpec) -> float:
     """MMSE of estimating the source from the samples of a P-branch filter bank."""
-    return _mmse_multi(_Source(Sx, Sn, spec.branches), spec.fs)
+    return _mmse_multi(_Source(Sx, Sn, spec.branches).period(spec.fs))
 
 
 def _maximal_af_sets(ratio: _Pw, fs: float, P: int) -> list[FrequencySet]:
@@ -399,8 +415,8 @@ def _top_translates(ratio: _Pw, fs: float, P: int) -> tuple[np.ndarray, np.ndarr
     aliasing-free sets folded onto one period, and at P = 1 D*'s sup."""
     _check_count(P, "P")
     _check_fs(fs)
-    bp, mids, kmax = _period_cells((ratio,), fs / P)
-    return np.diff(bp), np.sort(_translates(ratio, fs / P, mids, kmax), axis=0)[-P:]
+    per = _Period(ratio, fs / P)
+    return np.diff(per.grid), np.sort(per.translates(ratio), axis=0)[-P:]
 
 
 def _mmse_optimal(src: _Source, fs: float, P: int) -> float:
@@ -424,23 +440,13 @@ def landau_mmse_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float) -> fl
     return Sx.total_power() - captured
 
 
-def _polyphase_translates(src: _Source, fs: float):
-    """(grid, k, A, denom): the offset-free parts of the polyphase spectra.
-
-    On the cells of grid over (-fs/2, fs/2), row i of A is Sx conj(H)
-    translated by fs*k[i], and denom is the aliased (Sx+Sn)|H|^2.
-    """
-    _, den, sxz = src.pws
-    grid, mids, kmax = _period_cells((sxz, den), fs)
-    return (grid, np.arange(-kmax, kmax + 1), _translates(sxz, fs, mids, kmax),
-            _translates(den, fs, mids, kmax).sum(axis=0))
-
-
-def _polyphase_values(k, A, denom, fs: float, deltas) -> np.ndarray:
-    """Polyphase spectra, one row per offset in deltas; the numerators of
-    all offsets come from one product, exp(2 pi i outer(delta, k)) @ A."""
+def _polyphase_values(per: _Period, deltas) -> np.ndarray:
+    """Polyphase spectra on the period's cells, one row per offset in deltas;
+    the numerators of all offsets come from one product, exp(2 pi i
+    outer(delta, k)) @ A, where row k of A is Sx conj(H) translated by fs*k."""
+    k = np.arange(-per.kmax, per.kmax + 1)
     phases = np.exp(1j * np.outer(deltas, 2.0 * np.pi * k))
-    return fs * _safe_ratio(np.abs(phases @ A) ** 2, denom)
+    return per.step * _safe_ratio(np.abs(phases @ per.translates(per.src.pws[2])) ** 2, per.den)
 
 
 def polyphase_conditional_psd(
@@ -458,5 +464,5 @@ def polyphase_conditional_psd(
     The double translate sum in the numerator collapses to a squared modulus
     of a single phased sum.
     """
-    grid, k, A, denom = _polyphase_translates(_Source(Sx, Sn, [H]), fs)
-    return ScalarCurve(grid / fs, _polyphase_values(k, A, denom, fs, [delta])[0])
+    per = _Source(Sx, Sn, [H]).period(fs)
+    return ScalarCurve(per.grid / fs, _polyphase_values(per, [delta])[0])

@@ -10,10 +10,13 @@ R(theta) is piecewise log-linear, so _Waterfill reads the water level off
 values sorted once and their cumulative sums, in closed form at any rate.
 The polyphase bound's n offset spectra share one grid and one per-sample
 rate, so _WaterfillStack holds them as one stack, sorted once per fs, and
-solves every offset at a rate in one vectorised step.  Each one-rate
-function f has a private form _f without R that returns that object (a
-function of R, for the polyphase bound) from a sampling._Source, so a sweep
-builds the fs-free pieces once and each fs's object once.  Logarithms
+solves every offset at a rate in one vectorised step, after a cap on the
+size of that stack.  Each one-rate function f has a private form _f without R
+that returns that object (a function of R, for the polyphase bound).  The
+form takes the source's period at fs, a sampling._Period; the forms that read
+only the SNR ratio (the optimal filters, D*, D-dagger and idrf_stationary)
+take the sampling._Source and fs instead.  So a sweep builds the fs-free
+pieces once and each fs's period and object once.  Logarithms
 are base 2 throughout, so rates are in bits and the flat-spectrum closed forms
 come out exact.
 """
@@ -32,7 +35,7 @@ from .sampling import (
     _eigen_curves_multi,
     _folded,
     _mmse_and_curve,
-    _polyphase_translates,
+    _Period,
     _polyphase_values,
     _Source,
     _top_translates,
@@ -67,6 +70,10 @@ __all__ = [
     "polyphase_lower_bound",
     "drf_of_estimator",
 ]
+
+# Most entries of the polyphase bound's (offsets x translates) phases and
+# (offsets x cells) spectra, as the CLI caps the oracle's cross covariance.
+_MAX_OFFSET_ENTRIES = 10_000_000
 
 BITS_PER_TIME = "bits-per-time-unit"
 BITS_PER_SAMPLE = "bits-per-sample"
@@ -287,8 +294,8 @@ def idrf_vector(curves, M: int, rate_per_symbol, mmse: float) -> WaterfillSoluti
     return _Waterfill(curves, mmse, 1.0 / M).solve(rate_per_symbol)
 
 
-def _drf_sampled_single(src: _Source, fs):
-    return _Waterfill.of_source(src.sigma2, _folded(src, fs))
+def _drf_sampled_single(per: _Period):
+    return _Waterfill.of_source(per.src.sigma2, _folded(per))
 
 
 def drf_sampled_single(
@@ -299,11 +306,11 @@ def drf_sampled_single(
     R,
 ) -> WaterfillSolution:
     """Minimal distortion at rate R bits/time from single-branch samples at fs."""
-    return _drf_sampled_single(_Source(Sx, Sn, [H]), fs).solve(R, fs)
+    return _drf_sampled_single(_Source(Sx, Sn, [H]).period(fs)).solve(R, fs)
 
 
-def _drf_sampled_multi(src: _Source, fs):
-    return _Waterfill.of_source(src.sigma2, _eigen_curves_multi(src, fs))
+def _drf_sampled_multi(per: _Period):
+    return _Waterfill.of_source(per.src.sigma2, _eigen_curves_multi(per))
 
 
 def drf_sampled_multi(
@@ -313,7 +320,7 @@ def drf_sampled_multi(
     R,
 ) -> WaterfillSolution:
     """Same as drf_sampled_single but for a P-branch filter bank."""
-    return _drf_sampled_multi(_Source(Sx, Sn, spec.branches), spec.fs).solve(R, spec.fs)
+    return _drf_sampled_multi(_Source(Sx, Sn, spec.branches).period(spec.fs)).solve(R, spec.fs)
 
 
 def _drf_sampled_optimal(src: _Source, fs, P):
@@ -366,19 +373,22 @@ def d_star_lower_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -
     return _d_star_lower_bound(_Source(Sx, Sn), fs).solve(R, fs).distortion
 
 
-def _polyphase_lower_bound(src: _Source, fs, mmse, N_delta: int = 64):
+def _polyphase_lower_bound(per: _Period, mmse, N_delta: int = 64):
     """The bound at fs as a function of R bits/time and the distortion d of
     drf_sampled_single at R, given the sampling MMSE; the n offset spectra are
     one stack, sorted here once."""
-    grid, k, A, denom = _polyphase_translates(src, fs)
-    n = max(N_delta, len(k))
-    v = _polyphase_values(k, A, denom, fs, np.arange(n) / n)
-    offsets = _WaterfillStack(np.diff(grid / fs), v[v.max(axis=1) > 0])
+    fs, translates = per.step, 2 * per.kmax + 1
+    n = max(N_delta, translates)
+    if n * max(translates, len(per.mids)) > _MAX_OFFSET_ENTRIES:
+        raise WaterfillError(f"{n} offsets by {translates} translates and {len(per.mids)} "
+                             f"cells exceed the cap of {_MAX_OFFSET_ENTRIES} entries")
+    v = _polyphase_values(per, np.arange(n) / n)
+    offsets = _WaterfillStack(np.diff(per.grid / fs), v[v.max(axis=1) > 0])
 
     def at_rate(R: float, d: float) -> float:
         # added in offset order, as n separate waterfills would be
         bound = mmse + sum(offsets.solve(R / fs)[1].tolist()) / n
-        if bound > d + 1e-10 * max(1.0, src.sigma2):
+        if bound > d + 1e-10 * max(1.0, per.src.sigma2):
             raise SpectrumError(f"polyphase bound {bound} exceeds the distortion {d}")
         return bound
     return at_rate
@@ -406,10 +416,10 @@ def polyphase_lower_bound(
     """
     _check_count(N_delta, "N_delta", 8, WaterfillError)
     R = _as_rate(R, fs)
-    src = _Source(Sx, Sn, [H])
-    mmse, curve = _mmse_and_curve(src, fs)
-    d = _Waterfill.of_source(src.sigma2, curve).solve(R).distortion
-    return _polyphase_lower_bound(src, fs, mmse, N_delta)(R, d)
+    per = _Source(Sx, Sn, [H]).period(fs)
+    mmse, curve = _mmse_and_curve(per)
+    d = _Waterfill.of_source(per.src.sigma2, curve).solve(R).distortion
+    return _polyphase_lower_bound(per, mmse, N_delta)(R, d)
 
 
 def drf_of_estimator(

@@ -9,6 +9,7 @@ from subnyq.cli import BIMODAL_SEGMENTS
 from subnyq.linalg import NotHermitianError, NotPositiveSemidefiniteError
 from subnyq.sampling import maximal_af_sets, mmse_optimal, mmse_single
 from subnyq.spectra import BP_TOL, ComplexGainProfile, FrequencySet, SpectralDensity
+from subnyq.spectra import _alias_grid, _dedup, _translate_count
 from subnyq.waterfill import d_dagger, drf_sampled_optimal, drf_sampled_single, rate_of_theta
 
 SIGMA2 = 1.0
@@ -158,6 +159,15 @@ def alias_cells_loop(points, step, lo, hi, ks):
     pts = sorted({lo, hi} | {p + k * step for p in points for k in ks
                              if lo < p + k * step < hi})
     return [pts[0]] + [q for p, q in zip(pts, pts[1:]) if q - p > BP_TOL]
+
+
+def period_cut_union(pws, fs):
+    """(grid, kmax) of (-fs/2, fs/2) by the rule one cut per (source, fs)
+    replaced: the union of every piece's own aliased grid, and the largest
+    translate count."""
+    lo, hi = -fs / 2.0, fs / 2.0
+    grid = _dedup(np.concatenate([_alias_grid(pw, fs, lo, hi) for pw in pws]))
+    return grid, max(_translate_count(pw, fs, hi) for pw in pws)
 
 
 def _gain(H, f):

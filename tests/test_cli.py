@@ -255,6 +255,19 @@ class TestRunModes:
         assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
         assert len(builds) == len(doc["sampler"]["fs"])
 
+    @pytest.mark.parametrize("mode, P, cuts", [("bounds", 1, 2), ("drf", 3, 1)])
+    def test_one_period_cut_per_fs(self, tmp_path, monkeypatch, mode, P, cuts):
+        # bounds: the source's period and D*'s; a bank: the source's period.
+        # Only sampling's binding counts: the unfolded MMSE cross-check cuts
+        # its own grid through spectra._pw_aliased.
+        doc = dict(BIMODAL_CONFIG)
+        if P == 3:
+            doc["sampler"] = {"fs": [0.48, 1.92, 0.48], "P": 3, "filters": BANK_FILTERS}
+        real, calls = sampling._alias_grid, []
+        monkeypatch.setattr(sampling, "_alias_grid", lambda *a: calls.append(a) or real(*a))
+        assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
+        assert len(calls) == cuts * len(doc["sampler"]["fs"])
+
     @pytest.mark.parametrize("N_delta", [8, 64, 200])
     @pytest.mark.parametrize("fs_list", [[0.32, 1.92], [0.04, 0.32]])
     def test_bounds_waterfills_per_fs(self, monkeypatch, fs_list, N_delta):
@@ -277,13 +290,13 @@ class TestRunModes:
         monkeypatch.setattr(waterfill._Waterfill, "__init__", init)
         monkeypatch.setattr(waterfill._Waterfill, "solve", solve)
         monkeypatch.setattr(waterfill, "_polyphase_lower_bound",
-                            lambda src, fs, mmse: real_bound(src, fs, mmse, N_delta))
+                            lambda per, mmse: real_bound(per, mmse, N_delta))
         stacks = count_calls(monkeypatch, "_WaterfillStack")
         offsets = count_calls(monkeypatch, "_polyphase_values")
         rows = _sweep_rows("bounds", Sx, Sn, fs_list, rates)
         assert len(rows) == len(fs_list) * len(rates)
         assert [len(deltas) for *_, deltas in offsets] == [
-            max(N_delta, len(sampling._polyphase_translates(sampling._Source(Sx, Sn), fs)[1]))
+            max(N_delta, 2 * sampling._Source(Sx, Sn).period(fs).kmax + 1)
             for fs in fs_list]
         # idrf_stationary once per sweep; drf, D* and D-dagger once per fs
         assert len(inits) == 1 + 3 * len(fs_list) and len(stacks) == len(fs_list)
@@ -640,14 +653,41 @@ class TestExitCodes:
         if case == "missing-directory":  # found with the config errors, before any curve
             assert builds == []
 
-    @pytest.mark.parametrize("sub", ["", "sub"])
-    def test_figure_out_dir_is_a_file_exits_2(self, tmp_path, capsys, sub):
+    # the file itself, a folder under it, and a tree whose parent is missing
+    @pytest.mark.parametrize("sub", ["", "sub", "missing"])
+    def test_figure_out_dir_is_a_file_exits_2(self, tmp_path, capsys, monkeypatch, sub):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        assert main(["figure", "--figure", "rect", "--out", str(blocker / sub)]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        out, cause = {
+            "": (blocker, f"output path is not a directory: {blocker}"),
+            "sub": (blocker / "sub", f"output directory does not exist: {blocker}"),
+            "missing": (tmp_path / "missing" / "a" / "b",
+                        f"output directory does not exist: {tmp_path / 'missing' / 'a'}"),
+        }[sub]
+        sweeps = count_calls(monkeypatch, "_figure_rows")
+        assert main(["figure", "--figure", "rect", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {cause}\n"
+        assert sweeps == []  # checked before the sweep
         assert list(tmp_path.iterdir()) == [blocker]
         assert blocker.read_text() == ""
+
+    def test_figure_out_makes_only_the_last_folder(self, tmp_path):
+        out = tmp_path / "figures"
+        assert main(["figure", "--figure", "rect", "--out", str(out)]) == 0
+        assert (out / "rect.csv").is_file()
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["figure", "--figure", "rect", "--config", "{cfg}"], "mode figure takes no --config"),
+        (["mmse", "--config", "{cfg}", "--figure", "rect"], "--figure is for mode 'figure' only"),
+    ], ids=["config-in-figure", "figure-in-mmse"])
+    def test_ignored_option_exits_2(self, tmp_path, capsys, monkeypatch, argv, cause):
+        cfg = write_config(tmp_path, RECT_CONFIG)
+        out = tmp_path / "out"
+        sweeps = [count_calls(monkeypatch, name) for name in ("_figure_rows", "_sweep")]
+        assert main([a.format(cfg=cfg) for a in argv] + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {cause}\n"
+        assert sweeps == [[], []]
+        assert not out.exists()
 
     def test_unknown_format_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "x.xml")

@@ -167,7 +167,7 @@ class TestOracleInputs:
 
 def test_oracle_shares_no_translate_kernel():
     # the oracles check the spectral path, so they must not run its kernels
-    kernels = {"_alias_grid", "_translates", "_pw_aliased", "_period_cells",
+    kernels = {"_alias_grid", "_translates", "_pw_aliased", "_Period",
                "_top_translates", "_folded"}
     assert not kernels & set(vars(oracle))
 

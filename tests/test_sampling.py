@@ -13,7 +13,6 @@ from subnyq.sampling import (
     SamplerSpec,
     ScalarCurve,
     _matrices_on_points,
-    _period_cells,
     _Source,
     build_branch_matrices,
     eigen_curves_multi,
@@ -34,6 +33,7 @@ from subnyq.spectra import (
     integrate,
     _pw_from_density,
     _translate_count,
+    _translates,
     snr_ratio,
     superlevel_set_of_measure,
 )
@@ -43,6 +43,7 @@ from support import (
     branch_matrices_loop,
     maximal_af_sets_loop,
     optimal_pieces_loop,
+    period_cut_union,
     polyphase_loop,
     s_tilde_loop,
     rect_density,
@@ -367,9 +368,9 @@ TIED_LEVELS = st.one_of(st.sampled_from([0.0, 0.25, 1.0]), LEVELS)
 
 
 @st.composite
-def densities(draw, max_segments=3, levels=LEVELS):
-    """Up to max_segments segments on [0, 2]."""
-    edges = draw(grid_edges(0, 2, max_segments + 1))
+def densities(draw, max_segments=3, levels=LEVELS, hi=2):
+    """Up to max_segments segments on [0, hi]."""
+    edges = draw(grid_edges(0, hi, max_segments + 1))
     return SpectralDensity([(lo, hi, draw(levels)) for lo, hi in zip(edges, edges[1:])])
 
 
@@ -462,6 +463,26 @@ class TestTranslateKernel:
                 assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12 * sigma2), (a, b)
 
 
+class TestPeriod:
+    """One cut per (source, fs) serves every piece of the source."""
+
+    # noise on [0, 3] can reach past a source on [0, 2]; gains span (-3, 3)
+    @given(densities(), st.one_of(densities(), densities(hi=3)),
+           st.lists(gains(), min_size=1, max_size=3), st.floats(0.05, 3.0))
+    @settings(max_examples=100, deadline=None)
+    def test_one_cut_is_the_union_of_piece_cuts(self, Sx, Sn, branches, fs):
+        src = _Source(Sx, Sn, branches)
+        per = src.period(fs)
+        cuts = [[pw for *_, pz, pk in src.pairs for pw in (pz, pk)]]
+        if len(branches) == 1:  # the single-branch forms' pieces
+            num, den, sxz = src.pws
+            cuts += [[num, den], [sxz, den]]
+            assert np.array_equal(per.den, _translates(den, fs, per.mids, per.kmax).sum(axis=0))
+        for pws in cuts:
+            grid, kmax = period_cut_union(pws, fs)
+            assert np.array_equal(per.grid, grid) and per.kmax == kmax
+
+
 class TestStackedEigenSolve:
     """eigen_curves_multi solves all cells as one stack, bit for bit as the
     per-cell loop in tests/support, errors included."""
@@ -479,9 +500,8 @@ class TestStackedEigenSolve:
         if repeat:
             branches = branches[:2] + branches[:1]
         spec = SamplerSpec(fs, branches)
-        pairs = _Source(Sx, Sn, spec.branches).pairs
-        _, mids, _ = _period_cells([pw for *_, pz, pk in pairs for pw in (pz, pk)], fs)
-        sy, kk = _matrices_on_points(pairs, spec.P, fs, mids)
+        src = _Source(Sx, Sn, spec.branches)
+        sy, kk = _matrices_on_points(src.pairs, spec.P, fs, src.period(fs).mids)
         try:
             want = whitened_eigenvalues_loop(sy, kk)
         except LinalgError as e:
@@ -528,8 +548,8 @@ class TestNonFinite:
         # overflowing Sx^2 did that until _Source.grid refused it)
         real = sampling._folded
 
-        def nan_curve(src, fs):
-            curve = real(src, fs)
+        def nan_curve(per):
+            curve = real(per)
             return ScalarCurve(curve.bp, curve.vals * np.nan)
         monkeypatch.setattr(sampling, "_folded", nan_curve)
         with pytest.raises(SpectrumError, match="cross-check"):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from subnyq import waterfill
 from subnyq.cli import BIMODAL_SEGMENTS
 from subnyq.oracle import iid_drf
-from subnyq.sampling import SamplerSpec, mmse_single, s_tilde_single
+from subnyq.sampling import SamplerSpec, _Source, mmse_single, s_tilde_single
 from subnyq.spectra import ComplexGainProfile, SpectralDensity, SpectrumError
 from subnyq.waterfill import (
     BITS_PER_SAMPLE,
@@ -427,6 +427,15 @@ class TestDStarAndPolyphaseBounds:
     def test_polyphase_rejects_tiny_grid(self):
         with pytest.raises(WaterfillError):
             polyphase_lower_bound(rect_density(), zero_density(), None, 0.5, 1.0, N_delta=4)
+
+    def test_polyphase_offset_stack_is_capped(self):
+        # both counts raise before the offsets' phases are allocated: 10**12
+        # would need terabytes, and the smallest count over the cap
+        per = _Source(rect_density(), zero_density()).period(0.5)
+        over = waterfill._MAX_OFFSET_ENTRIES // max(2 * per.kmax + 1, len(per.mids)) + 1
+        for N_delta in (over, 10**12):
+            with pytest.raises(WaterfillError, match="exceed the cap"):
+                polyphase_lower_bound(rect_density(), zero_density(), None, 0.5, 1.0, N_delta)
 
     @pytest.mark.parametrize("fs", [0.01, 0.02, 0.03, 0.04])
     def test_polyphase_below_drf_far_below_nyquist(self, fs):
