@@ -3,10 +3,12 @@
 A config is a single JSON document describing the source and noise spectra,
 the sampler and the rate points.  A sweep runs over fs, and for each fs over
 the rates where the mode takes one.  _sweep, the one driver of modes and
-figures, builds the fs-free pieces once (a sampling._Source), the curves,
-waterfills and oracles of each fs once, and reads each rate's rows off them.
-Points are computed one after another in config order, so output is
-deterministic byte for byte.
+figures, builds the fs-free pieces once (a sampling._Source) and the curves
+and waterfills of the scalar paths once per block of consecutive fs, as one
+stack; at_fs reads each fs's row off its block (the filter bank's curves
+and the oracles are built per fs), and each rate's rows are read off those.
+Points are computed one after another in config order, and every row is what
+the one-fs functions return, so output is deterministic byte for byte.
 
 Exit codes: 0 success, 2 config problem (reported before any point is
 computed; an output file that cannot be written is one too), 3 numerical
@@ -212,11 +214,40 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
+def _rows(fs_list, blocks, build, row=lambda work, i: work.row(i)):
+    """at_fs's reader of per-fs work built a block of consecutive fs at a time.
+
+    blocks yields the sweep's blocks in order (sampling._Period blocks, or
+    arrays of fs); build(block) makes a block's work when its first fs is
+    read, and row(work, i) reads row i of it.  The reader is called once per
+    fs of fs_list, in order, so a failure is raised at the fs whose block or
+    row it belongs to.
+    """
+    def reads():
+        fs_left = iter(fs_list)
+        for per in blocks:
+            work = build(per)
+            for i in range(len(per)):
+                yield next(fs_left), work, i
+
+    it = reads()
+
+    def read(fs):
+        expected, work, i = next(it)
+        if fs != expected:
+            raise ValueError(f"at_fs takes the sweep's fs in order: {expected} next, got {fs}")
+        return row(work, i)
+    return read
+
+
 def _sweep(mode: str, cfg: ExperimentConfig):
-    """(header, at_fs, rates): at_fs(fs) builds every curve, waterfill and
-    oracle of one fs and returns rows_at, and rows_at(R) reads the rows of the
-    point (fs, R) off them; work that needs no fs is done once, on the sweep's
-    sampling._Source.  rates is [None] in the modes that take no rate."""
+    """(header, at_fs, rates): at_fs(fs) reads the curves, waterfills and
+    oracles of one fs and returns rows_at, and rows_at(R) reads the rows of the
+    point (fs, R) off them.  at_fs takes the fs of cfg.fs_list once each, in
+    order: the scalar paths build their per-fs work as one stack per block of
+    consecutive fs (sampling._Source.blocks), and work that needs no fs is
+    done once, on the sweep's sampling._Source.  rates is [None] in the modes
+    that take no rate."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     if mode in ("bounds", "oracle-check") and (cfg.P != 1 or cfg.filters == "optimal"):
@@ -229,17 +260,29 @@ def _sweep(mode: str, cfg: ExperimentConfig):
     branches = cfg.filters if isinstance(cfg.filters, list) else [None] * cfg.P
     src = sampling._Source(cfg.source, cfg.noise, branches)
     src.grid  # read before the first fs: an overflowing level or gain fails the sweep
+    fs_list = cfg.fs_list
+
+    def periods(build, row=lambda work, i: work.row(i), P=None):
+        """A reader of work built on the blocks of the source's periods (of
+        fs/P, cut at the SNR ratio, when P is given)."""
+        return _rows(fs_list, src.blocks(fs_list, P), build, row)
+
+    def daggers():
+        return _rows(fs_list, src.fs_blocks(fs_list), lambda fs: waterfill._d_dagger(src, fs))
 
     if mode == "mmse":
         header = ["fs", "P", "mmse"]
+        if cfg.filters == "optimal":
+            value = periods(lambda per: sampling._top_translates(per, cfg.P),
+                            sampling._mmse_optimal, cfg.P)
+        elif cfg.P == 1:
+            value = periods(sampling._folded,
+                            lambda curves, i: sampling._mmse_and_curve(curves, i)[0])
+        else:
+            value = periods(lambda per: per, lambda per, i: sampling._mmse_multi(per.row(i)))
 
         def at_fs(fs):
-            if cfg.filters == "optimal":
-                val = sampling._mmse_optimal(src, fs, cfg.P)
-            elif cfg.P == 1:
-                val, _ = sampling._mmse_and_curve(src.period(fs))
-            else:
-                val = sampling._mmse_multi(src.period(fs))
+            val = value(fs)
             return lambda R: [[fs, cfg.P, val]]
     elif mode in ("drf", "drf-optimal", "d-dagger"):
         if mode == "drf" and cfg.filters == "optimal":
@@ -247,16 +290,18 @@ def _sweep(mode: str, cfg: ExperimentConfig):
         header = ["fs", "P", "rate_bits_per_time", "theta", "distortion", "mmse_part",
                   "lossy_part"]
         p = "inf" if mode == "d-dagger" else cfg.P
+        if mode == "d-dagger":
+            drf_at = daggers()
+        elif mode == "drf-optimal":
+            drf_at = periods(lambda per: waterfill._drf_sampled_optimal(per, cfg.P), P=cfg.P)
+        elif cfg.P == 1:
+            drf_at = periods(waterfill._drf_sampled_single)
+        else:
+            drf_at = periods(lambda per: per,
+                             lambda per, i: waterfill._drf_sampled_multi(per.row(i)))
 
         def at_fs(fs):
-            if mode == "d-dagger":
-                drf = waterfill._d_dagger(src, fs)
-            elif mode == "drf-optimal":
-                drf = waterfill._drf_sampled_optimal(src, fs, cfg.P)
-            elif cfg.P == 1:
-                drf = waterfill._drf_sampled_single(src.period(fs))
-            else:
-                drf = waterfill._drf_sampled_multi(src.period(fs))
+            drf = drf_at(fs)
 
             def rows_at(R):
                 sol = drf.solve(R.per_time(fs))
@@ -275,14 +320,15 @@ def _sweep(mode: str, cfg: ExperimentConfig):
         header = ["fs", "rate_bits_per_time", "drf_sampled", "idrf_stationary",
                   "mmse", "d_star_lower", "polyphase_lower", "d_dagger"]
         idrf = waterfill._idrf_stationary(src)  # reads the ratio, once per sweep
+        source = periods(_folded_and_drf, _mmse_drf_and_period)
+        d_star_at = periods(waterfill._d_star_lower_bound, P=1)
+        dagger_at = daggers()
 
         def at_fs(fs):
-            per = src.period(fs)
-            mmse, curve = sampling._mmse_and_curve(per)
-            drf = waterfill._Waterfill.of_source(src.sigma2, curve)
-            d_star = waterfill._d_star_lower_bound(src, fs)
+            mmse, drf, per = source(fs)
+            d_star = d_star_at(fs)
             polyphase = waterfill._polyphase_lower_bound(per, mmse)
-            dd = waterfill._d_dagger(src, fs)
+            dd = dagger_at(fs)
 
             def rows_at(R):
                 r = R.per_time(fs)
@@ -297,10 +343,10 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             segments = oracle._observation_segments(src)
         except SpectrumError as e:
             raise ConfigError(f"mode oracle-check: {e}") from None
+        source = periods(_folded_and_drf, _mmse_drf_and_period)
 
         def at_fs(fs):
-            mmse, curve = sampling._mmse_and_curve(src.period(fs))
-            drf = waterfill._Waterfill.of_source(src.sigma2, curve)
+            mmse, drf, _ = source(fs)
             orc = oracle._window_oracle(segments, src.sigma2, fs, cfg.oracle_K,
                                          cfg.oracle_phases)
 
@@ -310,6 +356,19 @@ def _sweep(mode: str, cfg: ExperimentConfig):
                          drf.solve(r).distortion, orc.distortion(r)]]
             return rows_at
     return header, at_fs, rates
+
+
+def _folded_and_drf(per):
+    """A source block's folded curves and drf_sampled_single waterfills."""
+    curves = sampling._folded(per)
+    return curves, waterfill._WaterfillStack.of_curves(per.src.sigma2, curves)
+
+
+def _mmse_drf_and_period(work, i):
+    """(mmse, drf waterfill, period) of row i of _folded_and_drf's work."""
+    curves, drfs = work
+    mmse, _ = sampling._mmse_and_curve(curves, i)
+    return mmse, drfs.row(i), curves.per.row(i)
 
 
 def _sweep_rows(mode: str, Sx, Sn, fs_list, rates=(), P: int = 1, filters=None):

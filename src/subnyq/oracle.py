@@ -158,7 +158,7 @@ class CovarianceWindow:
     def _of(cls, pieces, sigma2: float, fs: float, K: int) -> "CovarianceWindow":
         """The window from _observation_segments' pair and the source power."""
         _check_count(K, "window half-length K")
-        _check_fs(fs)
+        fs = _check_fs(fs)
         xz, zz = map(_even_segments, pieces)
         n = np.arange(-K, K + 1)
         lags = (n[:, None] - n[None, :]) / fs
@@ -337,7 +337,7 @@ def sampled_discretization(
     discretization is lossless.
     """
     _check_count(M, "decimation factor M")
-    _check_fs(fs)
+    fs = _check_fs(fs)
     fr = M * fs
 
     def discretize(pw: _Pw) -> DiscreteSpectrum:

@@ -5,15 +5,24 @@ conditional spectrum given single-branch samples, its P x P generalization
 for filter banks, the MMSE values, the maximal aliasing-free sets (the
 supports of the optimal filters), the sampling-rate bound on the MMSE and the
 polyphase decomposition.  Each curve, MMSE and set function is a thin caller
-of a private per-fs form.  The fs-free pieces of (Sx, Sn, branches) live on a
+of a private form.  The fs-free pieces of (Sx, Sn, branches) live on a
 _Source, which a sweep builds once: the single-branch pieces, the filter
-bank's branch-pair pieces and the SNR ratio behind the optimal filters.  The
-per-fs forms read one _Period per (source, fs), src.period(fs): the period
-(-fs/2, fs/2) cut once, its translate count and the aliased denominator,
-which the folded curve and the polyphase spectra share.  Every piece of a
-source lies on the source's breakpoints, so one cut serves them all.  The
-SNR ratio has other breakpoints, so D* and the optimal filters cut their own
-period of fs/P for it.
+bank's branch-pair pieces and the SNR ratio behind the optimal filters (and
+its segments ranked for D-dagger).
+
+The per-fs work of a sweep is one stack per block of consecutive fs
+(src.blocks): a _Period holds the periods (-fs/2, fs/2) of a block as rows,
+cut in one vectorised step, with their translate counts and aliased
+denominator, which the folded curve and the polyphase spectra share.  Every
+piece of a source lies on the source's breakpoints, so one cut serves them
+all; the SNR ratio has other breakpoints, so D* and the optimal filters cut
+periods of fs/P for it.  _folded and _top_translates read a block as one
+(rows x translates x cells) array and give a _Curves stack; the filter
+bank's eigen path and the polyphase bound read one row of it (_PeriodRow).
+Rows are padded with zero-width cells and zero translates that change no
+bit of a row, and every check is made per row and raised when that row is
+read, so a row is what the one-fs functions, its one-row case, return, and a
+failure names its own fs.  A block holds up to _MAX_BLOCK_ENTRIES entries.
 
 Every path is exact: inputs are piecewise-constant, and every grid is cut at
 the translate lattice of the breakpoints before values are read off, so the
@@ -28,6 +37,7 @@ of _top_translates behind D*, drf_sampled_optimal and the optimal MMSE.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -36,11 +46,14 @@ import numpy as np
 
 from .linalg import hermitian, inv_sqrt_psd
 from .spectra import (
+    _MAX_BLOCK_ENTRIES,
     ComplexGainProfile,
     FrequencySet,
     SpectralDensity,
     SpectrumError,
     _alias_grid,
+    _alias_grids,
+    _as_real,
     _check_count,
     _check_fs,
     _dedup,
@@ -50,7 +63,9 @@ from .spectra import (
     _pw_from_gain,
     _pw_support_radius,
     _Pw,
+    _ranked_segments,
     _translate_count,
+    _translate_counts,
     _translates,
     snr_ratio,
     superlevel_set_of_measure,
@@ -84,14 +99,14 @@ class SamplerSpec:
     branches: tuple
 
     def __init__(self, fs: float, branches: Sequence[ComplexGainProfile | None]):
-        _check_fs(fs)
+        fs = _check_fs(fs)
         branches = tuple(branches)
         if len(branches) < 1:
             raise SpectrumError("need at least one branch")
         for b in branches:
             if b is not None and not isinstance(b, ComplexGainProfile):
                 raise SpectrumError(f"bad branch filter {b!r}")
-        object.__setattr__(self, "fs", float(fs))
+        object.__setattr__(self, "fs", fs)
         object.__setattr__(self, "branches", branches)
 
     @property
@@ -149,20 +164,79 @@ class EigenCurves:
 
 
 class _Period:
-    """The period (-step/2, step/2) cut at every translate of pw's breakpoints,
-    its translate count kmax, den (pw aliased, built when first read) and src."""
+    """The periods (-step/2, step/2) of a block of steps, one row per step, each
+    cut at every translate of pw's breakpoints: grid and mids, cells (the cell
+    count), kmax (the translate count), den (pw aliased, built when first read)
+    and src.  Rows are padded to one width with zero-width cells at their top
+    edge, whose mids sit at +inf, where every piece reads 0; translates() pads
+    each row's translates with zero rows up to the block's largest count.  A
+    sum over translates adds them one after another down each cell column (a
+    row holds two cells at least, so numpy never sums a column pairwise), so a
+    row's sums, maxima and sorts come out as in a block of its own."""
 
-    def __init__(self, pw: _Pw, step: float, src: _Source | None = None):
-        _check_fs(step)
-        self.pw, self.step, self.src = pw, step, src
-        self.grid = _alias_grid(pw, step, -step / 2.0, step / 2.0)
-        self.mids = 0.5 * (self.grid[:-1] + self.grid[1:])
-        self.kmax = _translate_count(pw, step, step / 2.0)
+    def __init__(self, pw: _Pw, steps, src: _Source | None = None, counts=None):
+        """counts, if given, is _translate_counts(pw, steps), as a sweep has it."""
+        self.pw, self.src = pw, src
+        self.steps = np.asarray(steps, dtype=float)
+        kmax, ok = _translate_counts(pw, self.steps) if counts is None else counts
+        if not ok.all():  # the first failing step raises its own error
+            step = float(self.steps[np.argmin(ok)])
+            _check_fs(step)
+            _translate_count(pw, step, step / 2.0)
+        self.kmax = kmax.astype(int)
+        self.grid, self.cells = _alias_grids(pw, self.steps, self.kmax)
+        mids = 0.5 * (self.grid[:, :-1] + self.grid[:, 1:])
+        self.mids = np.where(np.arange(mids.shape[1]) < self.cells[:, None], mids, np.inf)
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def translates(self, pw: _Pw) -> np.ndarray:
+        """pw(mids - step*k) on every row, (rows, translates, cells)."""
+        return _translates(pw, self.steps, self.mids, int(self.kmax.max()))
+
+    den = cached_property(lambda self: self.translates(self.pw).sum(axis=1))
+
+    def row(self, i: int) -> _PeriodRow:
+        return _PeriodRow(self, i)
+
+
+class _PeriodRow:
+    """Row i of a period block as a period of its own, on its own cells: step,
+    grid, mids, kmax, den (read off the block's) and src; translates() is
+    (translates, cells).  The filter bank's eigen path and the polyphase bound
+    read one, as they are not batched."""
+
+    def __init__(self, per: _Period, i: int):
+        c = per.cells[i]
+        self.src, self._per, self._i = per.src, per, i
+        self.step, self.kmax = float(per.steps[i]), int(per.kmax[i])
+        self.grid, self.mids = per.grid[i, :c + 1], per.mids[i, :c]
 
     def translates(self, pw: _Pw) -> np.ndarray:
         return _translates(pw, self.step, self.mids, self.kmax)
 
-    den = cached_property(lambda self: self.translates(self.pw).sum(axis=0))
+    den = cached_property(lambda self: self._per.den[self._i, :len(self.mids)])
+
+
+def _block_bounds(pw: _Pw, kmax: np.ndarray, ok: np.ndarray):
+    """(start, stop) of the blocks of consecutive rows, in order, given each
+    row's translate count and check (_translate_counts): as many rows as keep
+    rows x translates x cells within _MAX_BLOCK_ENTRIES, where a row's cells
+    are taken at their most, one more than pw's breakpoints (each lands inside
+    a period once at most).  A row that fails its check is a block of its
+    own, whose _Period raises its error."""
+    cells = max(len(pw.bp) + 1, 2)
+    most = _MAX_BLOCK_ENTRIES // (5 * cells) + 1  # kmax >= 2, so 5 translates at least
+    start = 0
+    while start < len(kmax):
+        rows = slice(start, start + most)
+        fits = np.logical_and.accumulate(ok[rows]) & (
+            np.arange(1, len(kmax[rows]) + 1) * np.maximum.accumulate(2 * kmax[rows] + 1)
+            <= _MAX_BLOCK_ENTRIES // cells)
+        stop = start + max(1, int(fits.sum()))
+        yield start, stop
+        start = stop
 
 
 class _Source:
@@ -215,11 +289,46 @@ class _Source:
         return [(i, j, _Pw(bp, z * w), _Pw(bp, x * x * w)) for i in range(len(g))
                 for j in range(i, len(g)) for w in [np.conj(g[i]) * g[j]]]
 
-    def period(self, fs: float) -> _Period:
-        """The period of fs, cut at (Sx+Sn) max_i |H_i|^2: every piece here lies
-        on its breakpoints and inside its support, so that one cut serves all."""
+    ranked = cached_property(lambda self: _ranked_segments(self.ratio))  # for D-dagger
+
+    @cached_property
+    def period_pw(self) -> _Pw:
+        """(Sx+Sn) max_i |H_i|^2: every piece here lies on its breakpoints and
+        inside its support, so that one cut of it serves all."""
         bp, _, _, z, g = self.grid
-        return _Period(_Pw(bp, z * (np.abs(g) ** 2).max(axis=0)), fs, self)
+        return _Pw(bp, z * (np.abs(g) ** 2).max(axis=0))
+
+    def _cut(self, fs, P: int | None) -> tuple[_Pw, np.ndarray]:
+        """(pw, steps) of the periods of fs: period_pw and fs, or with P the
+        SNR ratio, whose breakpoints differ, and fs/P (D* and the optimal
+        filters)."""
+        if P is None:
+            return self.period_pw, np.asarray(fs, dtype=float)
+        return self.ratio_pw, np.asarray(fs, dtype=float) / P
+
+    def periods(self, fs, P: int | None = None) -> _Period:
+        """The periods of the fs in fs as one block."""
+        return _Period(*self._cut(fs, P), self)
+
+    def period(self, fs: float) -> _PeriodRow:
+        return self.periods([_check_fs(fs)]).row(0)
+
+    def blocks(self, fs_list, P: int | None = None):
+        """periods(fs_list, P) as blocks of consecutive fs, in order, each built
+        when its first fs is read, so a sweep builds one at a time."""
+        pw, steps = self._cut(fs_list, P)
+        kmax, ok = _translate_counts(pw, steps)
+        for start, stop in _block_bounds(pw, kmax, ok):
+            rows = slice(start, stop)
+            yield _Period(pw, steps[rows], self, (kmax[rows], ok[rows]))
+
+    def fs_blocks(self, fs_list):
+        """fs_list as blocks of consecutive fs for D-dagger, whose (rows x
+        segments x merged intervals) overlaps stay within _MAX_BLOCK_ENTRIES."""
+        fs = np.asarray(fs_list, dtype=float)
+        rows = max(1, _MAX_BLOCK_ENTRIES // (2 * len(self.ratio.segments) ** 2 + 1))
+        for start in range(0, len(fs), rows):
+            yield fs[start:start + rows]
 
 
 def _safe_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -230,18 +339,55 @@ def _safe_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _folded(per: _Period) -> ScalarCurve:
-    """s_tilde_single from the pieces of a one-branch source, whose period's
+class _Curves:
+    """Curves on the rows of a period block, as one stack: row i holds the
+    curves values[i, p] (the one folded curve, or the P top translates) on the
+    cells of per.grid[i], whose widths are w[i]; padding cells have zero width
+    and value.  Its own pieces are its last depth[i] curves on its own cells,
+    as a block of its own holds them.  check(i) raises row i's failure, if it
+    has one: a folded row above its translate bound, marked in over."""
+
+    def __init__(self, per: _Period, values: np.ndarray, depth=1, over=None):
+        self.per, self.values, self.over = per, values, over
+        self.depth = np.broadcast_to(depth, len(per))
+        self.w = np.diff(per.grid, axis=1)
+
+    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, v), each (rows, curves x cells): each row's pieces, curve by curve."""
+        v = self.values.reshape(len(self.values), -1)
+        return np.broadcast_to(self.w[:, None, :], self.values.shape).reshape(v.shape), v
+
+    def own(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(w, v): row i's own widths (cells,) and curves (curves, cells)."""
+        c = self.per.cells[i]
+        return self.w[i, :c], self.values[i, self.values.shape[1] - self.depth[i]:, :c]
+
+    def integral(self, i: int) -> float:
+        w, v = self.own(i)
+        return float(np.sum(w * v))
+
+    def check(self, i: int) -> None:
+        if self.over is not None and self.over[i]:
+            raise SpectrumError("conditional spectrum exceeded its translate bound")
+
+    def curve(self, i: int) -> ScalarCurve:
+        """Row i's first curve on its own cells: s_tilde_single, for a folded row."""
+        self.check(i)
+        c = self.per.cells[i]
+        return ScalarCurve(self.per.grid[i, :c + 1], self.values[i, 0, :c])
+
+
+def _folded(per: _Period) -> _Curves:
+    """s_tilde_single on every row of a one-branch source's period block, whose
     den is the aliased (Sx+Sn)|H|^2."""
     num, den, _ = per.src.pws
-    vals = _safe_ratio(per.translates(num).sum(axis=0), per.den)
+    vals = _safe_ratio(per.translates(num).sum(axis=1), per.den)
 
     # structural sanity: the curve can never exceed the best single translate
     # of the per-frequency ratio Sx^2/(Sx+Sn) restricted to the filter support
-    sup = per.translates(_Pw(num.bp, _safe_ratio(num.vals, den.vals))).max(axis=0)
-    if np.any(vals > sup + 1e-9 * max(1.0, float(sup.max(initial=0.0)))):
-        raise SpectrumError("conditional spectrum exceeded its translate bound")
-    return ScalarCurve(per.grid, vals)
+    sup = per.translates(_Pw(num.bp, _safe_ratio(num.vals, den.vals))).max(axis=1)
+    tol = 1e-9 * np.maximum(1.0, sup.max(axis=1, initial=0.0))
+    return _Curves(per, vals[:, None, :], over=np.any(vals > sup + tol[:, None], axis=1))
 
 
 def s_tilde_single(
@@ -256,21 +402,21 @@ def s_tilde_single(
     with 0/0 read as 0.  Only |H|^2 enters, so the phase of the pre-sampling
     filter is irrelevant by construction.
     """
-    return _folded(_Source(Sx, Sn, [H]).period(fs))
+    return _folded(_Source(Sx, Sn, [H]).periods([_check_fs(fs)])).curve(0)
 
 
-def _mmse_and_curve(per: _Period) -> tuple[float, ScalarCurve]:
-    """mmse_single and the s_tilde_single curve it integrates, from one build."""
-    src = per.src
+def _mmse_and_curve(curves: _Curves, i: int) -> tuple[float, ScalarCurve]:
+    """mmse_single and the s_tilde_single curve on row i of a folded block."""
+    curve = curves.curve(i)
+    src, step = curves.per.src, float(curves.per.steps[i])
     num, den, _ = src.pws
-    curve = _folded(per)
     value = src.sigma2 - curve.integral()
 
     # cross-check against the unfolded form: integrate over the whole line
     # Sx(f) * (1 - Sx|H|^2(f) / aliased denominator at f)
     radius = max(_pw_support_radius(src.px), _pw_support_radius(den))
     if radius > 0:
-        den_per = _pw_aliased(den, per.step, -radius, radius)
+        den_per = _pw_aliased(den, step, -radius, radius)
         bp = _dedup(np.concatenate([src.px.bp, num.bp, den_per.bp]))
         mids = 0.5 * (bp[:-1] + bp[1:])
         x = _pw_eval(src.px, mids)
@@ -291,7 +437,7 @@ def mmse_single(
     fs: float,
 ) -> float:
     """MMSE of estimating the source from single-branch samples at rate fs."""
-    return _mmse_and_curve(_Source(Sx, Sn, [H]).period(fs))[0]
+    return _mmse_and_curve(_folded(_Source(Sx, Sn, [H]).periods([_check_fs(fs)])), 0)[0]
 
 
 def _matrices_on_points(pairs, P: int, fs: float, pts: np.ndarray):
@@ -331,7 +477,7 @@ def build_branch_matrices(
     return m[0], m[1]
 
 
-def _eigen_curves_multi(per: _Period) -> EigenCurves:
+def _eigen_curves_multi(per: _PeriodRow) -> EigenCurves:
     sy, kk = _matrices_on_points(per.src.pairs, len(per.src.branches), per.step, per.mids)
     t = inv_sqrt_psd(sy)
     lam = np.linalg.eigh(hermitian(t @ kk @ t))[0]
@@ -361,7 +507,7 @@ def eigen_curves_multi(
     return _eigen_curves_multi(_Source(Sx, Sn, spec.branches).period(spec.fs))
 
 
-def _mmse_multi(per: _Period) -> float:
+def _mmse_multi(per: _PeriodRow) -> float:
     val = per.src.sigma2 - _eigen_curves_multi(per).trace_integral()
     if val < -1e-9 * max(1.0, per.src.sigma2):
         raise SpectrumError(f"negative mmse {val}")
@@ -375,7 +521,7 @@ def mmse_multi(Sx: SpectralDensity, Sn: SpectralDensity, spec: SamplerSpec) -> f
 
 def _maximal_af_sets(ratio: _Pw, fs: float, P: int) -> list[FrequencySet]:
     """maximal_af_sets from the ratio on the full line, which a _Source holds."""
-    _check_fs(fs)
+    fs = _check_fs(fs)
     _check_count(P, "P")
     d = fs / P
     bp = _alias_grid(ratio, d, 0.0, d / 2.0)
@@ -409,38 +555,39 @@ def maximal_af_sets(
     return _maximal_af_sets(_pw_from_density(ratio), fs, P)
 
 
-def _top_translates(ratio: _Pw, fs: float, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """(widths, top): cells of the period of d = fs/P and on them, ascending,
-    the P largest translates of ratio by d: the ratio on the P maximal
-    aliasing-free sets folded onto one period, and at P = 1 D*'s sup."""
-    _check_count(P, "P")
-    _check_fs(fs)
-    per = _Period(ratio, fs / P)
-    return np.diff(per.grid), np.sort(per.translates(ratio), axis=0)[-P:]
+def _top_translates(per: _Period, P: int) -> _Curves:
+    """The P largest translates of per.pw on each row's cells, ascending: for
+    the SNR ratio at d = fs/P, the ratio on the P maximal aliasing-free sets
+    folded onto one period, and at P = 1 D*'s sup.  A row with fewer than P
+    translates keeps them all: the block's padding translates are not its own."""
+    return _Curves(per, np.sort(per.translates(per.pw), axis=1)[:, -P:],
+                   np.minimum(P, 2 * per.kmax + 1))
 
 
-def _mmse_optimal(src: _Source, fs: float, P: int) -> float:
-    w, top = _top_translates(src.ratio_pw, fs, P)
-    return src.sigma2 - float(np.sum(w * top))
+def _mmse_optimal(curves: _Curves, i: int) -> float:
+    return curves.per.src.sigma2 - curves.integral(i)
 
 
 def mmse_optimal(
     Sx: SpectralDensity, Sn: SpectralDensity, fs: float, P: int = 1
 ) -> tuple[float, list[FrequencySet]]:
     """Minimal sampling MMSE over all P-branch filter banks, plus the supports."""
+    _check_count(P, "P")
+    fs = _check_fs(fs)
     src = _Source(Sx, Sn)
-    return _mmse_optimal(src, fs, P), _maximal_af_sets(src.ratio_pw, fs, P)
+    return (_mmse_optimal(_top_translates(src.periods([fs], P), P), 0),
+            _maximal_af_sets(src.ratio_pw, fs, P))
 
 
 def landau_mmse_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float) -> float:
     """Lower bound on any sampling MMSE at total rate fs (any P, any filters)."""
-    _check_fs(fs)
+    fs = _check_fs(fs)
     ratio = snr_ratio(Sx, Sn)
     _, captured = superlevel_set_of_measure(ratio, fs)
     return Sx.total_power() - captured
 
 
-def _polyphase_values(per: _Period, deltas) -> np.ndarray:
+def _polyphase_values(per: _PeriodRow, deltas) -> np.ndarray:
     """Polyphase spectra on the period's cells, one row per offset in deltas;
     the numerators of all offsets come from one product, exp(2 pi i
     outer(delta, k)) @ A, where row k of A is Sx conj(H) translated by fs*k."""
@@ -462,7 +609,10 @@ def polyphase_conditional_psd(
     units: averaging over a full cycle of delta gives fs times the
     s_tilde_single curve evaluated at fs*phi.
     The double translate sum in the numerator collapses to a squared modulus
-    of a single phased sum.
+    of a single phased sum.  delta is any finite real number.
     """
+    delta = _as_real(delta, "delta")
+    if not math.isfinite(delta):
+        raise SpectrumError(f"delta must be finite, got {delta}")
     per = _Source(Sx, Sn, [H]).period(fs)
     return ScalarCurve(per.grid / fs, _polyphase_values(per, [delta])[0])

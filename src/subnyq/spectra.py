@@ -26,10 +26,13 @@ class SpectrumError(ValueError):
     """Invalid spectral data or arguments."""
 
 
-def _check_fs(fs: float) -> None:
-    """The one sampling-rate check: 0 < fs < inf, so NaN fails too."""
+def _check_fs(fs) -> float:
+    """The one sampling-rate check: a real number in (0, inf), so NaN, a bool,
+    a string or a complex fails too; returns fs as a float."""
+    fs = _as_real(fs, "fs")
     if not 0 < fs < math.inf:
         raise SpectrumError(f"fs must be positive and finite, got {fs}")
+    return fs
 
 
 def _check_count(n, name: str, minimum: int = 1, error: type = SpectrumError) -> None:
@@ -283,7 +286,7 @@ def integrate(S: SpectralDensity, F: FrequencySet | None = None) -> float:
 
 def aliased_sum(S: SpectralDensity, fs: float, f: float) -> float:
     """Sum of S(f - fs*k) over all integer k (finite for bounded support)."""
-    _check_fs(fs)
+    fs = _check_fs(fs)
     kmax = math.ceil((S.f_max + abs(f)) / fs) + 1
     return sum(S.evaluate(f - fs * k) for k in range(-kmax, kmax + 1))
 
@@ -331,6 +334,83 @@ def superlevel_set_of_measure(
         else:
             break
     return FrequencySet(chosen).mirrored(), integral
+
+
+def _ranked_segments(S: SpectralDensity):
+    """(lo, hi, v, rank, pair, after): S's segments in order, their ranking by
+    (-value, lo), the order in which superlevel_set_of_measure takes them, the
+    ranked pair widths (a segment plus its mirror), and after[t], how many
+    ranked segments past t fit the empty budget that trimming ranked segment
+    t leaves."""
+    lo, hi, v = (np.array(x, dtype=float) for x in zip(*(
+        (iv.lo, iv.hi, val) for iv, val in S.segments))) if S.segments else (np.zeros(0),) * 3
+    rank = np.lexsort((lo, -v))
+    pair = 2.0 * (hi - lo)[rank]
+    after = np.zeros(len(rank), dtype=int)
+    for t in np.flatnonzero(pair[1:] <= BP_TOL):  # only a sliver fits an empty budget
+        rest = pair[t + 1:]
+        after[t] = _fitting(rest, np.subtract.accumulate(np.concatenate(([0.0], rest))))
+    return lo, hi, v, rank, pair, after
+
+
+def _fitting(pair: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """How many leading pair widths fit the budget left before each, within
+    BP_TOL, per row of budget."""
+    return np.logical_and.accumulate(pair <= budget[..., :-1] + BP_TOL, axis=-1).sum(axis=-1)
+
+
+def _superlevel_pieces(ranked, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v), one row per budget in m: the pieces of
+    _density_pieces(S, superlevel_set_of_measure(S, budget)[0]), in its order,
+    with pieces of zero width and value between them; built with no set, from
+    _ranked_segments(S), for S with disjoint segments.
+
+    The taken segments are a prefix of the ranking: each whose pair width fits
+    the budget left (within BP_TOL), then, if over BP_TOL is left, the next one
+    trimmed to it, then any that fit the empty budget.  The set's rules
+    follow: taken intervals closer than BP_TOL merge into one, held at its
+    first segment, merged ones of width up to BP_TOL drop, and the first
+    merges with its mirror when within BP_TOL of it.  Each segment of S then
+    gives its overlap with every merged interval, f >= 0 half first.
+    """
+    lo, hi, v, rank, pair, after = ranked
+    rows, n_seg = len(m), len(lo)
+    if not n_seg:
+        return np.zeros((rows, 1)), np.zeros((rows, 1))
+    budget = np.subtract.accumulate(  # the loop's, term by term
+        np.concatenate((m[:, None], np.broadcast_to(pair, (rows, n_seg))), axis=1), axis=1)
+    n = _fitting(pair, budget)
+    r, j = np.arange(rows), np.arange(n_seg)
+    left = budget[r, n]
+    trim = (n < n_seg) & (left > BP_TOL)
+    taken = np.empty((rows, n_seg), dtype=bool)
+    taken[:, rank] = j < (n + np.where(trim, after[np.minimum(n, n_seg - 1)] + 1, 0))[:, None]
+    top = np.where(taken, hi, -np.inf)
+    cut = r[trim]
+    top[cut, rank[n[cut]]] = lo[rank[n[cut]]] + left[cut] / 2.0
+
+    # taken intervals in order; tops rise, so the last one's is the running max
+    last = np.maximum.accumulate(top, axis=1)
+    first = taken & (lo > np.concatenate((np.full((rows, 1), -np.inf), last[:, :-1]), axis=1)
+                     + BP_TOL)
+    a = np.where(first, lo, np.inf)
+    b = np.full((rows, n_seg), -np.inf)
+    held = np.nonzero(taken)
+    np.maximum.at(b, (held[0], np.maximum.accumulate(np.where(first, j, 0), axis=1)[held]),
+                  top[held])
+    keep = first & (b - a > BP_TOL)
+    a, b = np.where(keep, a, np.inf), np.where(keep, b, -np.inf)
+    f0 = np.argmax(keep, axis=1)
+    mirror = r[keep[r, f0] & (a[r, f0] <= -a[r, f0] + BP_TOL)]
+    a[mirror, f0[mirror]] = -b[mirror, f0[mirror]]
+
+    # each segment's overlaps; the f < 0 half meets the mirrored intervals in
+    # the reverse order
+    start = np.maximum(lo[:, None], a[:, None, :])
+    end = np.minimum(hi[:, None], b[:, None, :])
+    w = np.where(end > start, end - start, 0.0)
+    w = np.concatenate((w, w[:, :, ::-1]), axis=2).reshape(rows, -1)
+    return w, np.where(w > 0, np.repeat(v, 2 * n_seg), 0.0)
 
 
 class ComplexGainProfile:
@@ -471,6 +551,11 @@ def _pw_support_radius(pw: _Pw) -> float:
 # too large for memory.
 _MAX_TRANSLATES = 1000
 
+# Most entries, rows x translates x cells, of the stack that a sweep builds
+# for one block of consecutive fs.  A sweep builds one block at a time, so
+# its memory does not grow with the length of its fs list.
+_MAX_BLOCK_ENTRIES = 16_384
+
 
 def _translate_count(pw: _Pw, step: float, cell_edge: float) -> int:
     """kmax: pw(f - step*k) is 0 for every |f| <= cell_edge and |k| > kmax."""
@@ -482,11 +567,21 @@ def _translate_count(pw: _Pw, step: float, cell_edge: float) -> int:
     return count
 
 
-def _translates(pw: _Pw, step: float, pts: np.ndarray, kmax: int) -> np.ndarray:
+def _translate_counts(pw: _Pw, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(kmax, ok): _translate_count of each step's period (-step/2, step/2), as
+    floats, and whether the step passes _check_fs and the cap."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        kmax = np.ceil((_pw_support_radius(pw) + steps / 2.0) / steps) + 1
+    return kmax, (steps > 0) & (steps < math.inf) & (kmax <= _MAX_TRANSLATES)
+
+
+def _translates(pw: _Pw, step, pts: np.ndarray, kmax: int) -> np.ndarray:
     """pw(pts - step*k) for k = -kmax..kmax, one row per k: the one place
-    translates are evaluated.  A sum over axis 0 adds rows in ascending k."""
+    translates are evaluated.  pts may carry leading axes, with one step per
+    row of them, and k is then the last axis but one.  A sum over that axis
+    adds rows in ascending k."""
     k = np.arange(-kmax, kmax + 1)
-    return _pw_eval(pw, pts[None, :] - step * k[:, None])
+    return _pw_eval(pw, pts[..., None, :] - np.asarray(step)[..., None, None] * k[:, None])
 
 
 def _alias_grid(pw: _Pw, step: float, lo: float, hi: float) -> np.ndarray:
@@ -494,6 +589,34 @@ def _alias_grid(pw: _Pw, step: float, lo: float, hi: float) -> np.ndarray:
     kmax = _translate_count(pw, step, max(abs(lo), abs(hi)))
     shifted = (pw.bp[None, :] + step * np.arange(-kmax, kmax + 1)[:, None]).ravel()
     return _dedup(np.concatenate(([lo, hi], shifted[(shifted > lo) & (shifted < hi)])))
+
+
+_NEIGHBOURS = np.array([-1.0, 0.0, 1.0])[:, None]
+_NONE = np.finfo(float).max
+
+
+def _alias_grids(pw: _Pw, steps: np.ndarray, kmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, cells): per row, _alias_grid(pw, step, -step/2, step/2) given its
+    kmax, and its cell count; rows are padded to at least two cells with
+    zero-width cells at their top edge.  A breakpoint b lands inside the
+    period only at the shift k nearest -b/step, so just that k and its two
+    neighbours are tried: the same points, to the bit, as every shift gives."""
+    rows, half = len(steps), steps[:, None] / 2.0
+    k = np.rint(-pw.bp / steps[:, None])[:, None, :] + _NEIGHBOURS
+    pts = pw.bp + steps[:, None, None] * k
+    inside = (np.abs(pts) < half[:, :, None]) & (np.abs(k) <= kmax[:, None, None])
+    # _NONE stands past a row's points: finite, so their gaps are too
+    pts = np.concatenate((-half, half, np.full((rows, 1), _NONE),
+                          np.where(inside, pts, _NONE).reshape(rows, -1)), axis=1)
+    pts.sort(axis=1)
+    keep = pts < _NONE
+    keep[:, 1:] &= np.diff(pts, axis=1) > BP_TOL
+    n = keep.sum(axis=1)
+    pts = np.where(keep, pts, _NONE)
+    pts.sort(axis=1)
+    pts = pts[:, :max(3, n.max())]  # two cells at least
+    # past a row's points, its last one repeats
+    return np.maximum.accumulate(np.where(pts < _NONE, pts, -np.inf), axis=1), n - 1
 
 
 def _pw_aliased(pw: _Pw, step: float, lo: float, hi: float) -> _Pw:

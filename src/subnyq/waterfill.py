@@ -6,18 +6,21 @@ pair on a piecewise-constant curve (or a family of eigenvalue curves):
     R(theta) = 1/2 * sum_p int log2+ [lambda_p(f) / theta] df
     D(theta) = mmse + sum_p int min{lambda_p(f), theta} df
 
-R(theta) is piecewise log-linear, so _Waterfill reads the water level off
-values sorted once and their cumulative sums, in closed form at any rate.
-The polyphase bound's n offset spectra share one grid and one per-sample
-rate, so _WaterfillStack holds them as one stack, sorted once per fs, and
-solves every offset at a rate in one vectorised step, after a cap on the
-size of that stack.  Each one-rate function f has a private form _f without R
-that returns that object (a function of R, for the polyphase bound).  The
-form takes the source's period at fs, a sampling._Period; the forms that read
-only the SNR ratio (the optimal filters, D*, D-dagger and idrf_stationary)
-take the sampling._Source and fs instead.  So a sweep builds the fs-free
-pieces once and each fs's period and object once.  Logarithms
-are base 2 throughout, so rates are in bits and the flat-spectrum closed forms
+R(theta) is piecewise log-linear, so the water level is read off values
+sorted once and their cumulative sums, in closed form at any rate.  A
+_WaterfillStack sorts a stack of curves at once, one per row: the folded
+curves of a block of fs (drf_sampled_single), the top-P translates of the
+SNR ratio (D* and drf_sampled_optimal), D-dagger's pieces for a block of fs,
+and the polyphase bound's n offset spectra at one fs, which it solves in one
+vectorised step per rate, after a cap on the size of that stack.  A
+_Waterfill is one row of a stack (a stack of its own when built from one
+curve) and solves it at any rate; a row's sums run over its own pieces, so
+it solves to the bit as its one-row case.  Each one-rate function f has a
+private form _f without R that returns that object: a stack over the rows of
+a block of periods (sampling._Period), of fs for D-dagger, one _Waterfill
+for the filter bank's row and idrf_stationary, or a function of R for the
+polyphase bound.  The public function is the one-row case.  Logarithms are
+base 2 throughout, so rates are in bits and the flat-spectrum closed forms
 come out exact.
 """
 
@@ -36,6 +39,7 @@ from .sampling import (
     _folded,
     _mmse_and_curve,
     _Period,
+    _PeriodRow,
     _polyphase_values,
     _Source,
     _top_translates,
@@ -49,7 +53,7 @@ from .spectra import (
     _check_count,
     _check_fs,
     _density_pieces,
-    superlevel_set_of_measure,
+    _superlevel_pieces,
 )
 
 __all__ = [
@@ -77,6 +81,9 @@ _MAX_OFFSET_ENTRIES = 10_000_000
 
 BITS_PER_TIME = "bits-per-time-unit"
 BITS_PER_SAMPLE = "bits-per-sample"
+
+
+_UNATTAINABLE = "curve is identically zero; no positive rate is attainable"
 
 
 class WaterfillError(ValueError):
@@ -130,7 +137,7 @@ class WaterfillSolution:
 
     def __post_init__(self):
         gap = abs(self.distortion - self.mmse_part - self.lossy_part)
-        if gap > 1e-10 * max(1.0, abs(self.distortion)):
+        if not gap <= 1e-10 * max(1.0, abs(self.distortion)):  # NaN fails too
             raise WaterfillError(f"distortion decomposition off by {gap}")
 
 
@@ -144,7 +151,7 @@ def _pieces(curves) -> tuple[np.ndarray, np.ndarray]:
 
 def rate_of_theta(curves, theta: float) -> float:
     """Bits per unit width: 1/2 * sum w * log2+(v / theta)."""
-    if theta <= 0:
+    if not theta > 0:  # NaN fails too
         raise WaterfillError(f"theta must be positive, got {theta}")
     w, v = _pieces(curves)
     above = v > theta
@@ -156,7 +163,7 @@ def rate_of_theta(curves, theta: float) -> float:
 
 
 def distortion_of_theta(sigma2: float, curves, theta: float) -> WaterfillSolution:
-    if theta < 0:
+    if not theta >= 0:  # NaN fails too
         raise WaterfillError(f"theta must be >= 0, got {theta}")
     w, v = _pieces(curves)
     kept = float(np.sum(w * np.maximum(v - theta, 0.0)))
@@ -172,31 +179,118 @@ def distortion_of_theta(sigma2: float, curves, theta: float) -> WaterfillSolutio
     )
 
 
-class _Waterfill:
-    """Reverse waterfill over one set of curves, sorted once for every rate.
+class _WaterfillStack:
+    """Reverse waterfills over a stack of curves, one per row of values, each
+    sorted once for every rate; w holds the widths, one row per row of values
+    or one row for all.
 
-    With the k largest values active, 2R = S_k - W_k log2(theta), where W_k
-    and S_k are the cumulative sums of w and w log2(v) over the values sorted
-    largest first.  k counts the values whose next-value rate is below R; it
-    is not a binary search, as float ties can leave those rates out of order.
-    R = 0 gives the curve maximum.  Theta comes from its log2, so it
-    underflows to 0.0 only below the smallest subnormal.  The distortion is
-    mmse plus scale times the lossy integral, read off the unsorted curve.
-    One curve only: the polyphase bound's stack of offset spectra is a
-    _WaterfillStack, as a batch axis here would slow every small solve.
+    With the k largest values of a row active, 2R = S_k - W_k log2(theta),
+    where W_k and S_k are the cumulative sums of w and w log2(v) over the row's
+    values sorted largest first.  k counts the values whose next-value rate is
+    below R; it is not a binary search, as float ties can leave those rates out
+    of order.  R = 0 gives the row maximum.  Theta comes from its log2, so it
+    underflows to 0.0 only below the smallest subnormal.  The rows share one
+    stable argsort along axis 1, and every rate one count per row, one exp2 and
+    one row sum.  Pieces of zero width or value sort last and are masked:
+    their log2 is never taken and their next-value rate is inf, so they are
+    never active.  A row with no positive piece has theta 0 at R = 0 and
+    attains no positive rate.
+
+    A row of a block may carry padding pieces; own(i) gives row i's own pieces
+    (by default, the whole row), over which its sums run, so a row solves to
+    the bit as it would in a stack of its own.
     """
 
+    def __init__(self, w: np.ndarray, values: np.ndarray):
+        self.w, self.v = w, values
+        key = np.where((w > 0) & (values > 0), -values, np.inf)
+        order = key.argsort(axis=1, kind="stable")
+        self.rows = np.arange(len(values))
+        at = self.rows[:, None], order
+        key = key[at]
+        kept, v = key < np.inf, -key
+        w = w[order] if w.ndim == 1 else w[at]
+        log_v = np.log2(np.where(kept, v, 1.0))
+        self.top = np.where(kept[:, 0], v[:, 0], 0.0)
+        self.attains = kept[:, 0]
+        # past a row's last kept piece W and S are never read
+        self.W = w.cumsum(axis=1)
+        self.S = (w * log_v).cumsum(axis=1)
+        self.rate_at_next_value = np.where(
+            kept[:, 1:], 0.5 * (self.S[:, :-1] - self.W[:, :-1] * log_v[:, 1:]), np.inf)
+        self.sigma2 = None
+
+    def own(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.w if self.w.ndim == 1 else self.w[i], self.v[i]
+
+    def check(self, i: int) -> None:
+        """Raises row i's failure, if it has one; of_source's check replaces it."""
+
+    @classmethod
+    def of_source(cls, sigma2: float, w: np.ndarray, v: np.ndarray, own=None,
+                  check=None) -> "_WaterfillStack":
+        """Rows whose mmse is sigma2, the source power, less the row's integral;
+        own and check, if given, replace the methods of those names."""
+        stack = cls(w, v)
+        stack.sigma2 = sigma2
+        if own is not None:
+            stack.own = own
+        if check is not None:
+            stack.check = check
+        return stack
+
+    @classmethod
+    def of_curves(cls, sigma2: float, curves) -> "_WaterfillStack":
+        """of_source over the rows of a sampling._Curves, checked as it checks them."""
+        return cls.of_source(sigma2, *curves.pieces(), curves.own, curves.check)
+
+    def solve(self, R: float) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, lossy): per row, the water level at R and the lossy integral.
+        Every row is its own: no padding."""
+        if R == 0:
+            theta = self.top
+        elif not self.attains.all():
+            raise UnattainableRateError(_UNATTAINABLE)
+        else:
+            k = np.count_nonzero(self.rate_at_next_value < R, axis=1)
+            theta = np.exp2((self.S[self.rows, k] - 2.0 * R) / self.W[self.rows, k])
+        return theta, np.sum(self.w * np.minimum(self.v, theta[:, None]), axis=1)
+
+    def row(self, i: int) -> "_Waterfill":
+        """Row i as a _Waterfill of its own, once the row passes its check."""
+        self.check(i)
+        return _Waterfill.of_row(self, i, self.sigma2)
+
+
+class _Waterfill:
+    """Reverse waterfill over one curve, sorted once for every rate: row i of
+    a _WaterfillStack, a stack of its own when built from curves.  It reads
+    the row's sorted sums, and its own pieces for the lossy integral.  The
+    distortion is mmse plus scale times the lossy integral."""
+
     def __init__(self, curves, mmse: float = 0.0, scale: float = 1.0):
-        self.w, self.v = _pieces(curves)
+        w, v = _pieces(curves)
+        if not w.size:  # one piece of zero width stands for none
+            w, v = np.zeros(1), np.zeros(1)
+        self._read(_WaterfillStack(w, v[None]), 0)
         self.mmse, self.scale = mmse, scale
-        keep = (self.w > 0) & (self.v > 0)
-        order = np.argsort(-self.v[keep])
-        w, v = self.w[keep][order], self.v[keep][order]
-        self.top = float(v[0]) if v.size else 0.0
-        log_v = np.log2(v)
-        self.W = np.cumsum(w)
-        self.S = np.cumsum(w * log_v)
-        self.rate_at_next_value = 0.5 * (self.S[:-1] - self.W[:-1] * log_v[1:])
+
+    def _read(self, stack: _WaterfillStack, i: int) -> None:
+        w, v = stack.own(i)
+        # flat, in the order of the row's own pieces: the sums add as before
+        self.stack, self.i, self.v = stack, i, np.ravel(v)
+        self.w = w if w.size == self.v.size else np.tile(w, self.v.size // max(w.size, 1))
+        self.top, self.attains = float(stack.top[i]), stack.attains[i]
+        self.W, self.S = stack.W[i], stack.S[i]
+        self.rate_at_next_value = stack.rate_at_next_value[i]
+
+    @classmethod
+    def of_row(cls, stack: _WaterfillStack, i: int, sigma2: float) -> "_Waterfill":
+        """Row i of stack, whose mmse is sigma2 less the row's integral."""
+        wf = cls.__new__(cls)
+        wf._read(stack, i)
+        wf.mmse, wf.scale = sigma2 - float(np.sum(wf.w * wf.v)), 1.0
+        return wf
 
     @classmethod
     def of_source(cls, sigma2: float, curves) -> "_Waterfill":
@@ -208,56 +302,13 @@ class _Waterfill:
         R = _as_rate(R, fs)
         if R == 0:
             theta = self.top
-        elif not self.W.size:
-            raise UnattainableRateError("curve is identically zero; "
-                                        "no positive rate is attainable")
+        elif not self.attains:
+            raise UnattainableRateError(_UNATTAINABLE)
         else:
             k = int(np.count_nonzero(self.rate_at_next_value < R))
             theta = float(np.exp2((self.S[k] - 2.0 * R) / self.W[k]))
         lossy = self.scale * float(np.sum(self.w * np.minimum(self.v, theta)))
         return WaterfillSolution(theta, R, self.mmse + lossy, self.mmse, lossy)
-
-
-class _WaterfillStack:
-    """Reverse waterfills over a stack of curves on the same widths w, one
-    curve per row of values, sorted once for every rate.
-
-    Row i solves as _Waterfill((w, values[i])) does, on the same cumulative
-    sums, but the rows share one argsort along axis 1 and every rate one
-    count of next-value rates below R per row, one exp2 and one row sum.
-    Pieces of zero width or value sort last and are masked: their log2 is
-    never taken and their next-value rate is inf, so they are never active.
-    A row with no positive piece has theta 0 at R = 0 and, like its
-    _Waterfill, attains no positive rate.
-    """
-
-    def __init__(self, w: np.ndarray, values: np.ndarray):
-        self.w, self.v = w, values
-        keep = (w > 0) & (values > 0)
-        order = np.argsort(np.where(keep, -values, np.inf), axis=1)
-        kept = np.take_along_axis(keep, order, axis=1)
-        v = np.take_along_axis(values, order, axis=1)
-        log_v = np.log2(np.where(kept, v, 1.0))
-        self.top = np.where(kept[:, 0], v[:, 0], 0.0)
-        self.attainable = bool(kept[:, 0].all())
-        # past a row's last kept piece W and S are never read
-        self.W = np.cumsum(w[order], axis=1)
-        self.S = np.cumsum(w[order] * log_v, axis=1)
-        self.rate_at_next_value = np.where(
-            kept[:, 1:], 0.5 * (self.S[:, :-1] - self.W[:, :-1] * log_v[:, 1:]), np.inf)
-        self.rows = np.arange(len(values))
-
-    def solve(self, R: float) -> tuple[np.ndarray, np.ndarray]:
-        """(theta, lossy): per row, the water level at R and the lossy integral."""
-        if R == 0:
-            theta = self.top
-        elif not self.attainable:
-            raise UnattainableRateError("a curve of the stack is identically zero; "
-                                        "no positive rate is attainable")
-        else:
-            k = np.count_nonzero(self.rate_at_next_value < R, axis=1)
-            theta = np.exp2((self.S[self.rows, k] - 2.0 * R) / self.W[self.rows, k])
-        return theta, np.sum(self.w * np.minimum(self.v, theta[:, None]), axis=1)
 
 
 def solve_theta_for_rate(curves, R, fs: float | None = None) -> float:
@@ -294,8 +345,8 @@ def idrf_vector(curves, M: int, rate_per_symbol, mmse: float) -> WaterfillSoluti
     return _Waterfill(curves, mmse, 1.0 / M).solve(rate_per_symbol)
 
 
-def _drf_sampled_single(per: _Period):
-    return _Waterfill.of_source(per.src.sigma2, _folded(per))
+def _drf_sampled_single(per: _Period) -> _WaterfillStack:
+    return _WaterfillStack.of_curves(per.src.sigma2, _folded(per))
 
 
 def drf_sampled_single(
@@ -306,10 +357,11 @@ def drf_sampled_single(
     R,
 ) -> WaterfillSolution:
     """Minimal distortion at rate R bits/time from single-branch samples at fs."""
-    return _drf_sampled_single(_Source(Sx, Sn, [H]).period(fs)).solve(R, fs)
+    fs = _check_fs(fs)
+    return _drf_sampled_single(_Source(Sx, Sn, [H]).periods([fs])).row(0).solve(R, fs)
 
 
-def _drf_sampled_multi(per: _Period):
+def _drf_sampled_multi(per: _PeriodRow) -> _Waterfill:
     return _Waterfill.of_source(per.src.sigma2, _eigen_curves_multi(per))
 
 
@@ -323,9 +375,9 @@ def drf_sampled_multi(
     return _drf_sampled_multi(_Source(Sx, Sn, spec.branches).period(spec.fs)).solve(R, spec.fs)
 
 
-def _drf_sampled_optimal(src: _Source, fs, P):
-    w, top = _top_translates(src.ratio_pw, fs, P)
-    return _Waterfill.of_source(src.sigma2, (np.tile(w, len(top)), top.ravel()))
+def _drf_sampled_optimal(per: _Period, P: int) -> _WaterfillStack:
+    """On a block of the source's periods of fs/P cut at the SNR ratio."""
+    return _WaterfillStack.of_curves(per.src.sigma2, _top_translates(per, P))
 
 
 def drf_sampled_optimal(
@@ -341,13 +393,16 @@ def drf_sampled_optimal(
     the SNR ratio, so the waterfill runs over the ratio on their union: the P
     largest translates of the ratio by fs/P on one period.  No set is built.
     """
-    return _drf_sampled_optimal(_Source(Sx, Sn), fs, P).solve(R, fs)
+    _check_count(P, "P")
+    fs = _check_fs(fs)
+    return _drf_sampled_optimal(_Source(Sx, Sn).periods([fs], P), P).row(0).solve(R, fs)
 
 
-def _d_dagger(src: _Source, fs):
-    _check_fs(fs)
-    F, _ = superlevel_set_of_measure(src.ratio, fs)
-    return _Waterfill.of_source(src.sigma2, _density_pieces(src.ratio, F))
+def _d_dagger(src: _Source, fs: np.ndarray) -> _WaterfillStack:
+    """d_dagger's waterfills, one row per fs: the ratio's segments are ranked
+    once per source, and each fs takes a prefix of them."""
+    w, v = _superlevel_pieces(src.ranked, fs)
+    return _WaterfillStack.of_source(src.sigma2, w, v, lambda i: (w[i][w[i] > 0], v[i][w[i] > 0]))
 
 
 def d_dagger(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> WaterfillSolution:
@@ -356,11 +411,12 @@ def d_dagger(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> Waterfil
     Waterfills the SNR ratio over its best superlevel set of measure fs; a
     lower bound on every finite-P optimum.
     """
-    return _d_dagger(_Source(Sx, Sn), fs).solve(R, fs)
+    fs = _check_fs(fs)
+    return _d_dagger(_Source(Sx, Sn), np.array([fs])).row(0).solve(R, fs)
 
 
-def _d_star_lower_bound(src: _Source, fs):
-    return _drf_sampled_optimal(src, fs, 1)  # the sup over translates is the top-1 row
+def _d_star_lower_bound(per: _Period) -> _WaterfillStack:
+    return _drf_sampled_optimal(per, 1)  # the sup over translates is the top-1 row
 
 
 def d_star_lower_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> float:
@@ -370,10 +426,11 @@ def d_star_lower_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -
     filter; the bound is met by the indicator of the maximal aliasing-free
     set, so it is drf_sampled_optimal at P = 1, bit for bit.
     """
-    return _d_star_lower_bound(_Source(Sx, Sn), fs).solve(R, fs).distortion
+    fs = _check_fs(fs)
+    return _d_star_lower_bound(_Source(Sx, Sn).periods([fs], 1)).row(0).solve(R, fs).distortion
 
 
-def _polyphase_lower_bound(per: _Period, mmse, N_delta: int = 64):
+def _polyphase_lower_bound(per: _PeriodRow, mmse, N_delta: int = 64):
     """The bound at fs as a function of R bits/time and the distortion d of
     drf_sampled_single at R, given the sampling MMSE; the n offset spectra are
     one stack, sorted here once."""
@@ -388,7 +445,7 @@ def _polyphase_lower_bound(per: _Period, mmse, N_delta: int = 64):
     def at_rate(R: float, d: float) -> float:
         # added in offset order, as n separate waterfills would be
         bound = mmse + sum(offsets.solve(R / fs)[1].tolist()) / n
-        if bound > d + 1e-10 * max(1.0, per.src.sigma2):
+        if not bound <= d + 1e-10 * max(1.0, per.src.sigma2):  # NaN fails too
             raise SpectrumError(f"polyphase bound {bound} exceeds the distortion {d}")
         return bound
     return at_rate
@@ -416,10 +473,11 @@ def polyphase_lower_bound(
     """
     _check_count(N_delta, "N_delta", 8, WaterfillError)
     R = _as_rate(R, fs)
-    per = _Source(Sx, Sn, [H]).period(fs)
-    mmse, curve = _mmse_and_curve(per)
-    d = _Waterfill.of_source(per.src.sigma2, curve).solve(R).distortion
-    return _polyphase_lower_bound(per, mmse, N_delta)(R, d)
+    per = _Source(Sx, Sn, [H]).periods([_check_fs(fs)])
+    curves = _folded(per)
+    mmse, _ = _mmse_and_curve(curves, 0)
+    d = _WaterfillStack.of_curves(per.src.sigma2, curves).row(0).solve(R).distortion
+    return _polyphase_lower_bound(per.row(0), mmse, N_delta)(R, d)
 
 
 def drf_of_estimator(

@@ -246,27 +246,49 @@ class TestRunModes:
     @pytest.mark.parametrize("mode, P", [("bounds", 1), ("drf", 1), ("drf", 3),
                                          ("oracle-check", 1)])
     def test_one_curve_build_per_fs(self, tmp_path, monkeypatch, mode, P, n_rates):
+        # one stacked build per block of consecutive fs, each fs in exactly one
+        # block; the filter bank's eigen path builds one curve per fs.  A budget
+        # of 30 entries puts each fs in a block of its own.
         rates = BIMODAL_CONFIG["rates"]["values"][:n_rates]
         doc = dict(BIMODAL_CONFIG, rates={"values": rates})
         name = "_folded" if P == 1 else "_eigen_curves_multi"
         if P == 3:
             doc["sampler"] = {"fs": [0.48, 1.92, 0.48], "P": 3, "filters": BANK_FILTERS}
-        builds = count_calls(monkeypatch, name)
-        assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
-        assert len(builds) == len(doc["sampler"]["fs"])
+        fs_list = doc["sampler"]["fs"]
+        for budget in (None, 30):
+            with monkeypatch.context() as mp:
+                if budget:
+                    mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
+                builds = count_calls(mp, name)
+                assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
+            if P == 3:
+                assert [per.step for (per,) in builds] == fs_list
+            else:
+                assert [fs for (per,) in builds for fs in per.steps.tolist()] == fs_list
+                assert len(builds) == (len(fs_list) if budget else 1)
 
     @pytest.mark.parametrize("mode, P, cuts", [("bounds", 1, 2), ("drf", 3, 1)])
     def test_one_period_cut_per_fs(self, tmp_path, monkeypatch, mode, P, cuts):
-        # bounds: the source's period and D*'s; a bank: the source's period.
-        # Only sampling's binding counts: the unfolded MMSE cross-check cuts
-        # its own grid through spectra._pw_aliased.
+        # bounds: the source's periods and D*'s; a bank: the source's periods.
+        # Each block is cut once, and each fs is in one block of each kind.
+        # The unfolded MMSE cross-check cuts its own grid through
+        # spectra._pw_aliased, and no other period is cut.
         doc = dict(BIMODAL_CONFIG)
         if P == 3:
             doc["sampler"] = {"fs": [0.48, 1.92, 0.48], "P": 3, "filters": BANK_FILTERS}
-        real, calls = sampling._alias_grid, []
-        monkeypatch.setattr(sampling, "_alias_grid", lambda *a: calls.append(a) or real(*a))
-        assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
-        assert len(calls) == cuts * len(doc["sampler"]["fs"])
+        fs_list = doc["sampler"]["fs"]
+        for budget in (None, 30):
+            with monkeypatch.context() as mp:
+                if budget:
+                    mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
+                blocks = count_calls(mp, "_alias_grids")
+                real, cuts_one = sampling._alias_grid, []
+                mp.setattr(sampling, "_alias_grid", lambda *a: cuts_one.append(a) or real(*a))
+                assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
+            assert sorted(fs for _, steps, _ in blocks for fs in steps.tolist()) == sorted(
+                fs_list * cuts)
+            assert len(blocks) == cuts * (len(fs_list) if budget else 1)
+            assert cuts_one == []
 
     @pytest.mark.parametrize("N_delta", [8, 64, 200])
     @pytest.mark.parametrize("fs_list", [[0.32, 1.92], [0.04, 0.32]])
@@ -276,33 +298,45 @@ class TestRunModes:
         Sx = SpectralDensity(BIMODAL_SEGMENTS)
         Sn = SpectralDensity(((0.0, 1.6, 0.05),))
         rates = [0.0, 0.5, 4.0]
-        inits, solves = [], []
-        real_init, real_solve = waterfill._Waterfill.__init__, waterfill._Waterfill.solve
+        real_init, real_solve = waterfill._WaterfillStack.__init__, waterfill._Waterfill.solve
         real_bound = waterfill._polyphase_lower_bound
-
-        def init(self, *args):
-            inits.append(self)
-            real_init(self, *args)
-
-        def solve(self, *args):
-            solves.append(self)
-            return real_solve(self, *args)
-        monkeypatch.setattr(waterfill._Waterfill, "__init__", init)
-        monkeypatch.setattr(waterfill._Waterfill, "solve", solve)
         monkeypatch.setattr(waterfill, "_polyphase_lower_bound",
                             lambda per, mmse: real_bound(per, mmse, N_delta))
-        stacks = count_calls(monkeypatch, "_WaterfillStack")
-        offsets = count_calls(monkeypatch, "_polyphase_values")
-        rows = _sweep_rows("bounds", Sx, Sn, fs_list, rates)
-        assert len(rows) == len(fs_list) * len(rates)
-        assert [len(deltas) for *_, deltas in offsets] == [
-            max(N_delta, 2 * sampling._Source(Sx, Sn).period(fs).kmax + 1)
-            for fs in fs_list]
-        # idrf_stationary once per sweep; drf, D* and D-dagger once per fs
-        assert len(inits) == 1 + 3 * len(fs_list) and len(stacks) == len(fs_list)
-        # each row solves each of the four once: one drf solve per (fs, R)
-        counts = sorted(solves.count(wf) for wf in inits)
-        assert counts == [len(rates)] * (3 * len(fs_list)) + [len(rows)]
+        for budget in (None, 30):
+            stacks, solves = [], []
+
+            def init(self, *args):
+                stacks.append(self)
+                real_init(self, *args)
+
+            def solve(self, R):
+                solves.append((self.stack, self.i))
+                return real_solve(self, R)
+            with monkeypatch.context() as mp:
+                if budget:
+                    mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
+                mp.setattr(waterfill._WaterfillStack, "__init__", init)
+                mp.setattr(waterfill._Waterfill, "solve", solve)
+                offsets = count_calls(mp, "_polyphase_values")
+                rows = _sweep_rows("bounds", Sx, Sn, fs_list, rates)
+            assert len(rows) == len(fs_list) * len(rates)
+            assert [len(deltas) for *_, deltas in offsets] == [
+                max(N_delta, 2 * sampling._Source(Sx, Sn).period(fs).kmax + 1)
+                for fs in fs_list]
+            # idrf_stationary once per sweep, as one row; drf, D* and D-dagger
+            # one stack per block, with a row per fs; the polyphase offsets one
+            # stack per fs, solved whole at each rate
+            idrf, *others = stacks
+            row_stacks = {id(st): st for st, _ in solves if st is not idrf}
+            n_blocks = len(fs_list) if budget else 1
+            assert len(idrf.rows) == 1 and len(row_stacks) == 3 * n_blocks
+            assert sum(len(st.rows) for st in row_stacks.values()) == 3 * len(fs_list)
+            assert len(others) == 3 * n_blocks + len(fs_list)
+            # each row solves drf, D* and D-dagger once at each rate, and idrf once
+            row_solves = [(id(st), i) for st, i in solves if st is not idrf]
+            assert sorted(row_solves.count(key) for key in set(row_solves)) == (
+                [len(rates)] * (3 * len(fs_list)))
+            assert [i for st, i in solves if st is idrf] == [0] * len(rows)
 
     @pytest.mark.parametrize("n_fs", [1, 4])
     @pytest.mark.parametrize("mode, P, filters", [
@@ -508,6 +542,54 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"numerical failure: {cause} 1e+160")
         assert builds == []
         assert not Path(out).exists()
+
+    @pytest.mark.parametrize("mode", ["drf", "mmse", "drf-optimal", "bounds"])
+    def test_failure_mid_block_names_its_fs(self, tmp_path, capsys, mode):
+        # the fs before it make one block; the failing fs raises at its own
+        # point, not while that block is built
+        doc = dict(RECT_CONFIG, noise={"segments": [[0.0, 0.5, 0.2]]})
+        doc["sampler"] = {"fs": [0.3, 0.5, 1e-6, 0.7], "P": 1}
+        out = tmp_path / "x.csv"
+        assert run(write_config(tmp_path, doc), mode, out=str(out)) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure at fs=1e-06: fs = 1e-06 needs 5e+05 translates per side, "
+            "more than the cap of 1000")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, check", [("mmse", "cross-check"), ("mmse", "bound"),
+                                             ("drf", "bound"), ("bounds", "bound")])
+    def test_check_failing_at_third_fs_names_it(self, tmp_path, capsys, monkeypatch,
+                                                mode, check):
+        # all 40 fs are one block; the check fails on its third row only
+        fs_list = [round(0.3 + 0.02 * i, 2) for i in range(40)]
+        third = fs_list[2]
+        if check == "cross-check":
+            real_aliased = sampling._pw_aliased
+
+            def aliased(pw, step, lo, hi):
+                out = real_aliased(pw, step, lo, hi)
+                return spectra._Pw(out.bp, out.vals * (2.0 if step == third else 1.0))
+            monkeypatch.setattr(sampling, "_pw_aliased", aliased)
+            cause = "mmse cross-check failed"
+        else:
+            real_folded = sampling._folded
+
+            def folded(per):
+                curves = real_folded(per)
+                over = curves.over | (per.steps == third)
+                return sampling._Curves(per, curves.values, over=over)
+            for module in (sampling, waterfill, cli):
+                if hasattr(module, "_folded"):
+                    monkeypatch.setattr(module, "_folded", folded)
+            cause = "conditional spectrum exceeded its translate bound"
+        blocks = count_calls(monkeypatch, "_alias_grids")
+        doc = dict(RECT_CONFIG, noise={"segments": [[0.0, 0.5, 0.2]]})
+        doc["sampler"] = {"fs": fs_list, "P": 1}
+        out = tmp_path / "x.csv"
+        assert run(write_config(tmp_path, doc), mode, out=str(out)) == 3
+        assert capsys.readouterr().err.startswith(f"numerical failure at fs={third}: {cause}")
+        assert [len(steps) for _, steps, _ in blocks][:1] == [40]
+        assert not out.exists()
 
     def test_rate_dependent_failure_names_the_rate(self, tmp_path, capsys, monkeypatch):
         # above the Nyquist rate the polyphase bound equals D, so a raised

@@ -6,12 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subnyq import sampling
+from subnyq import oracle, sampling, spectra, waterfill
+from subnyq.cli import BIMODAL_SEGMENTS as BIMODAL
 from subnyq.linalg import LinalgError, hermitian, inv_sqrt_psd
-from subnyq.waterfill import WaterfillError, _Waterfill, d_dagger, drf_sampled_optimal
+from subnyq.waterfill import (
+    WaterfillError,
+    _Waterfill,
+    _WaterfillStack,
+    d_dagger,
+    drf_sampled_optimal,
+)
 from subnyq.sampling import (
     SamplerSpec,
-    ScalarCurve,
     _matrices_on_points,
     _Source,
     build_branch_matrices,
@@ -549,8 +555,8 @@ class TestNonFinite:
         real = sampling._folded
 
         def nan_curve(per):
-            curve = real(per)
-            return ScalarCurve(curve.bp, curve.vals * np.nan)
+            curves = real(per)
+            return sampling._Curves(per, curves.values * np.nan, curves.over)
         monkeypatch.setattr(sampling, "_folded", nan_curve)
         with pytest.raises(SpectrumError, match="cross-check"):
             mmse_single(rect_density(), zero_density(), None, 0.5)
@@ -595,6 +601,186 @@ class TestFsCheck:
         with pytest.raises(SpectrumError, match="fs must be positive and finite"):
             call(fs)
 
+    # every public function that takes fs, with the other arguments valid
+    FS_CALLS = {
+        "sampler-spec": lambda fs: SamplerSpec(fs, [None]),
+        "s-tilde": lambda fs: s_tilde_single(rect_density(), rect_noise(), None, fs),
+        "mmse-single": lambda fs: mmse_single(rect_density(), rect_noise(), None, fs),
+        "maximal-af-sets": lambda fs: maximal_af_sets(rect_density(), fs),
+        "mmse-optimal": lambda fs: mmse_optimal(rect_density(), rect_noise(), fs, 2),
+        "landau": lambda fs: landau_mmse_bound(rect_density(), rect_noise(), fs),
+        "polyphase-psd": lambda fs: polyphase_conditional_psd(
+            rect_density(), rect_noise(), None, fs, 0.25),
+        "drf-single": lambda fs: waterfill.drf_sampled_single(
+            rect_density(), rect_noise(), None, fs, 1.0),
+        "drf-optimal": lambda fs: drf_sampled_optimal(rect_density(), rect_noise(), fs, 2, 1.0),
+        "d-dagger": lambda fs: d_dagger(rect_density(), rect_noise(), fs, 1.0),
+        "d-star": lambda fs: waterfill.d_star_lower_bound(rect_density(), rect_noise(), fs, 1.0),
+        "polyphase-bound": lambda fs: waterfill.polyphase_lower_bound(
+            rect_density(), rect_noise(), None, fs, 1.0),
+        "drf-of-estimator": lambda fs: waterfill.drf_of_estimator(
+            rect_density(), rect_noise(), None, fs, 1.0),
+        "aliased-sum": lambda fs: aliased_sum(rect_density(), fs, 0.1),
+        "window-mmse": lambda fs: oracle.finite_window_mmse(
+            rect_density(), rect_noise(), None, fs, 0.0, 4),
+        "window-average": lambda fs: oracle.finite_window_mmse_average(
+            rect_density(), rect_noise(), None, fs, 4, 2),
+        "window-oracle": lambda fs: oracle.window_oracle(
+            rect_density(), rect_noise(), None, fs, 4, 2),
+        "block-oracle": lambda fs: oracle.block_idrf_oracle(
+            rect_density(), rect_noise(), None, fs, 1.0, 4, 2),
+    }
+
+    @pytest.mark.parametrize("fs", [None, "1", 1 + 0j, True, False],
+                             ids=["none", "str", "complex", "true", "false"])
+    @pytest.mark.parametrize("name", list(FS_CALLS))
+    def test_non_real_fs_named_error(self, name, fs):
+        # None, "1" and 1+0j gave a bare TypeError, and True was read as 1
+        with pytest.raises(SpectrumError, match="^fs must be a real number"):
+            self.FS_CALLS[name](fs)
+
+    @pytest.mark.parametrize("name", list(FS_CALLS))
+    def test_integer_fs_reads_as_float(self, name):
+        self.FS_CALLS[name](1)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, "a", None, True, 1j])
+    def test_polyphase_delta_named_error(self, delta):
+        # NaN gave an all-NaN curve and "a" numpy's UFuncTypeError
+        with pytest.raises(SpectrumError, match="^delta must be"):
+            polyphase_conditional_psd(rect_density(), rect_noise(), None, 0.5, delta)
+
     def test_superlevel_set_refuses_nan_measure(self):
         with pytest.raises(SpectrumError, match="measure budget must be >= 0"):
             superlevel_set_of_measure(rect_density(), math.nan)
+
+
+# fs lists that repeat and descend, from a pool and at random
+FS_LISTS = st.lists(st.one_of(st.sampled_from([0.08, 0.32, 0.5, 1.92]), st.floats(0.05, 3.0)),
+                    min_size=1, max_size=8)
+# None keeps the module's budget; 60 entries put nearly every fs in a block
+# of its own, and 400 make blocks of a few fs
+BUDGETS = st.sampled_from([None, 60, 400])
+
+
+def blocks_of(src, fs_list, budget, P=None):
+    with pytest.MonkeyPatch.context() as mp:
+        if budget:
+            mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
+        return list(src.blocks(fs_list, P))
+
+
+class TestBlocks:
+    """A sweep's per-fs work is one stack per block of consecutive fs; every
+    row of a block is, to the bit, what the one-fs functions build alone."""
+
+    @given(densities(), st.one_of(densities(), densities(hi=3)),
+           st.lists(gains(), min_size=1, max_size=3), FS_LISTS, BUDGETS)
+    @settings(max_examples=80, deadline=None)
+    def test_rows_are_the_one_row_case(self, Sx, Sn, branches, fs_list, budget):
+        src = _Source(Sx, Sn, branches)
+        blocks = blocks_of(src, fs_list, budget)
+        rows = [(per, i) for per in blocks for i in range(len(per))]
+        assert [per.steps[i] for per, i in rows] == fs_list
+        for per in blocks:  # within the budget, or a block of one fs
+            cap = budget or sampling._MAX_BLOCK_ENTRIES
+            assert len(per) == 1 or (len(per) * (2 * per.kmax.max() + 1)
+                                     * per.mids.shape[1] <= cap)
+        one_branch = len(branches) == 1
+        folded = {id(per): sampling._folded(per) for per in blocks if one_branch}
+        drfs = {k: _WaterfillStack.of_curves(src.sigma2, c) for k, c in folded.items()}
+        for (per, i), fs in zip(rows, fs_list):
+            alone = src.periods([fs])
+            row, ref = per.row(i), alone.row(0)
+            assert np.array_equal(row.grid, ref.grid) and np.array_equal(row.mids, ref.mids)
+            assert row.kmax == ref.kmax == _translate_count(src.period_pw, fs, fs / 2.0)
+            assert np.array_equal(row.den, ref.den)
+            if not one_branch:
+                continue
+            got, want = folded[id(per)], sampling._folded(alone)
+            assert got.over[i] == want.over[0]
+            if want.over[0]:
+                continue
+            assert np.array_equal(got.curve(i).bp, want.curve(0).bp)
+            assert np.array_equal(got.curve(i).vals, want.curve(0).vals)
+            drf, drf_alone = drfs[id(per)].row(i), _WaterfillStack.of_curves(
+                src.sigma2, want).row(0)
+            for R in (0.0, 0.3, 5.0):
+                try:
+                    sol = drf_alone.solve(R)
+                except WaterfillError as e:
+                    with pytest.raises(type(e)):
+                        drf.solve(R)
+                    continue
+                assert drf.solve(R) == sol
+
+    @given(densities(4, TIED_LEVELS), densities(levels=TIED_LEVELS), FS_LISTS, BUDGETS,
+           st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_top_translates_and_d_dagger_rows(self, Sx, Sn, fs_list, budget, P):
+        # ties among translates, rows with fewer translates than P, D* at P = 1
+        src = _Source(Sx, Sn)
+        blocks = blocks_of(src, fs_list, budget, P)
+        rows = [(per, i) for per in blocks for i in range(len(per))]
+        assert [per.steps[i] for per, i in rows] == (np.array(fs_list) / P).tolist()
+        tops = {id(per): sampling._top_translates(per, P) for per in blocks}
+        stacks = {k: _WaterfillStack.of_curves(src.sigma2, t) for k, t in tops.items()}
+        daggers = waterfill._d_dagger(src, np.array(fs_list))
+        for n, ((per, i), fs) in enumerate(zip(rows, fs_list)):
+            want = sampling._top_translates(src.periods([fs], P), P)
+            for got, ref in zip(tops[id(per)].own(i), want.own(0)):
+                assert np.array_equal(got, ref)
+            assert tops[id(per)].integral(i) == want.integral(0)
+            one = _WaterfillStack.of_curves(src.sigma2, want).row(0)
+            dagger = waterfill._d_dagger(src, np.array([fs])).row(0)
+            for R in (0.0, 0.4, 3.0):
+                for a, b in ((stacks[id(per)].row(i), one), (daggers.row(n), dagger)):
+                    try:
+                        sol = b.solve(R)
+                    except WaterfillError as e:
+                        with pytest.raises(type(e)):
+                            a.solve(R)
+                        continue
+                    assert a.solve(R) == sol
+
+    @pytest.mark.parametrize("P", [8, 10, 12])
+    def test_rows_with_fewer_translates_than_p(self, P):
+        # fs = 3 and 4 above the Nyquist rate 1 of a source on [0, 0.5]: those
+        # rows have fewer translates of fs/P than P, the fs = 0.2 row more
+        Sx = SpectralDensity(((0.0, 0.25, 1.0), (0.25, 0.5, 0.3)))
+        src = _Source(Sx, rect_noise())
+        fs_list = [3.0, 0.2, 4.0]
+        (per,) = src.blocks(fs_list, P)
+        assert [2 * k + 1 < P for k in per.kmax] == [True, False, True]
+        tops = sampling._top_translates(per, P)
+        drf = _WaterfillStack.of_curves(src.sigma2, tops)
+        for i, fs in enumerate(fs_list):
+            want = sampling._top_translates(src.periods([fs], P), P)
+            assert [x.tolist() for x in tops.own(i)] == [x.tolist() for x in want.own(0)]
+            assert sampling._mmse_optimal(tops, i) == mmse_optimal(Sx, rect_noise(), fs, P)[0]
+            assert drf.row(i).solve(0.8) == drf_sampled_optimal(Sx, rect_noise(), fs, P, 0.8)
+
+    def test_long_fs_range_stays_bounded(self):
+        # 100,000 steps: no block passes the budget, and the bounds are found
+        # without building any block
+        src = _Source(SpectralDensity(BIMODAL), SpectralDensity(((0.0, 1.6, 0.05),)))
+        steps = 0.01 + 0.0001 * np.arange(100_000)
+        pw = src.period_pw
+        kmax, ok = spectra._translate_counts(pw, steps)
+        entries = (2 * kmax + 1) * (len(pw.bp) + 1)
+        bounds = list(sampling._block_bounds(pw, kmax, ok))
+        assert bounds[0][0] == 0 and bounds[-1][1] == len(steps)
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert all(stop - start == 1 or (stop - start) * entries[start:stop].max()
+                   <= sampling._MAX_BLOCK_ENTRIES for start, stop in bounds)
+        per = next(src.blocks(steps.tolist()))
+        assert len(per) * (2 * per.kmax.max() + 1) * per.mids.shape[1] <= (
+            sampling._MAX_BLOCK_ENTRIES)
+
+    def test_failing_fs_is_a_block_of_its_own(self):
+        # a row over the translate cap, or not positive, fails only when read
+        src = _Source(rect_density(), rect_noise())
+        blocks = src.blocks([0.3, 0.5, 1e-6, 0.7, 0.7])
+        assert len(next(blocks)) == 2
+        with pytest.raises(SpectrumError, match=r"^fs = 1e-06 needs 5e\+05 translates"):
+            next(blocks)
+        assert [len(per) for per in src.blocks([0.7, 0.7])] == [2]

@@ -10,7 +10,18 @@ from subnyq import waterfill
 from subnyq.cli import BIMODAL_SEGMENTS
 from subnyq.oracle import iid_drf
 from subnyq.sampling import SamplerSpec, _Source, mmse_single, s_tilde_single
-from subnyq.spectra import ComplexGainProfile, SpectralDensity, SpectrumError
+from subnyq.cli import _sweep_rows
+from subnyq.spectra import (
+    ComplexGainProfile,
+    FrequencySet,
+    SpectralDensity,
+    SpectrumError,
+    _density_pieces,
+    _ranked_segments,
+    _superlevel_pieces,
+    snr_ratio,
+    superlevel_set_of_measure,
+)
 from subnyq.waterfill import (
     BITS_PER_SAMPLE,
     RateSpec,
@@ -184,6 +195,18 @@ class TestParametricCore:
     def test_decomposition_invariant_enforced(self):
         with pytest.raises(WaterfillError):
             WaterfillSolution(0.1, 1.0, 1.0, 0.3, 0.3)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: rate_of_theta(TWO, math.nan), id="rate-of-theta"),
+        pytest.param(lambda: distortion_of_theta(1.0, TWO, math.nan), id="distortion-of-theta"),
+        pytest.param(lambda: idrf_vector(TWO, 1, 1.0, mmse=math.nan), id="idrf-vector-mmse"),
+        pytest.param(lambda: WaterfillSolution(0.1, 1.0, math.nan, 0.3, 0.3), id="solution"),
+        pytest.param(lambda: waterfill._Waterfill(TWO, math.nan).solve(0.5), id="waterfill"),
+    ])
+    def test_nan_fails_the_checks(self, call):
+        # each returned 0.0 or a solution with a NaN distortion
+        with pytest.raises(WaterfillError):
+            call()
 
     def test_rate_spec_conversion(self):
         r = RateSpec(2.0, BITS_PER_SAMPLE)
@@ -370,6 +393,75 @@ class TestDDagger:
             for P in (1, 2, 3, 4):
                 ds = drf_sampled_optimal(Sx, Sn, fs, P, 1.0).distortion
                 assert ds >= dd - 1e-9
+
+
+# Segment edges on a grid of 0.25, each moved by a sliver or not, and extra
+# edges a sliver past a grid point: segments of the ratio then come as thin
+# as 1e-10, gaps as narrow, and the first edge within BP_TOL / 2 of 0.
+SLIVERS = st.sampled_from([0.0, 0.0, 0.0, 1e-10, 4e-10, 6e-10, 9e-10, 1.2e-9, 3e-9])
+# budget offsets around the pair-width sums, across BP_TOL and 2 * BP_TOL
+NUDGES = st.sampled_from([0.0, -3e-9, -2e-9, -1.5e-9, -1e-9, -4e-10, 4e-10, 1e-9, 1.5e-9,
+                          2.5e-9, 0.01, -0.01])
+
+
+@st.composite
+def sliver_densities(draw, levels=st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])):
+    edges = {0.25 * k + draw(SLIVERS) for k in draw(st.lists(st.integers(0, 8), min_size=2,
+                                                              max_size=6, unique=True))}
+    edges |= {e + draw(SLIVERS) for e in list(edges)}
+    edges = sorted(edges)
+    return SpectralDensity([(lo, hi, draw(levels)) for lo, hi in zip(edges, edges[1:])])
+
+
+def set_route_pieces(ratio, m):
+    """D-dagger's pieces by the set: superlevel_set_of_measure, then the cut."""
+    return _density_pieces(ratio, superlevel_set_of_measure(ratio, m)[0])
+
+
+class TestDaggerPrefix:
+    """D-dagger takes a prefix of the ratio's ranked segments per fs and builds
+    no set; its pieces are the set route's, in its order, to the bit."""
+
+    @given(sliver_densities(), sliver_densities(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_matches_set_route(self, Sx, Sn, data):
+        ratio = snr_ratio(Sx, Sn)
+        ranked = _ranked_segments(ratio)
+        sums = np.cumsum(ranked[4]).tolist() or [1.0]  # the ranked pair widths
+        budgets = [max(1e-12, data.draw(st.sampled_from(sums)) + data.draw(NUDGES))
+                   for _ in range(4)] + [data.draw(st.floats(1e-3, 5.0))]
+        w, v = _superlevel_pieces(ranked, np.array(budgets))
+        for i, m in enumerate(budgets):
+            want_w, want_v = set_route_pieces(ratio, m)
+            keep = w[i] > 0
+            if not want_v.any():  # the set route's one empty piece
+                assert not keep.any()
+                continue
+            assert np.array_equal(w[i][keep], want_w) and np.array_equal(v[i][keep], want_v)
+            want = waterfill._Waterfill.of_source(Sx.total_power(), (want_w, want_v))
+            got = d_dagger(Sx, Sn, m, 0.7)
+            assert got == want.solve(0.7, m)
+
+    @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+    def test_figure_rows_match_set_route(self, R):
+        Sx, Sn = SpectralDensity(BIMODAL_SEGMENTS), zero_density()
+        ratio = snr_ratio(Sx, Sn)
+        for fs in [i * 0.08 for i in range(1, 41)]:
+            want = waterfill._Waterfill.of_source(Sx.total_power(), set_route_pieces(ratio, fs))
+            assert d_dagger(Sx, Sn, fs, R) == want.solve(R, fs)
+
+    @pytest.mark.parametrize("mode", ["d-dagger", "bounds"])
+    def test_sweep_builds_no_set(self, monkeypatch, mode):
+        built = []
+        real = FrequencySet.__init__
+
+        def init(self, *args):
+            built.append(args)
+            real(self, *args)
+        monkeypatch.setattr(FrequencySet, "__init__", init)
+        Sx, Sn = SpectralDensity(BIMODAL_SEGMENTS), SpectralDensity(((0.0, 1.6, 0.05),))
+        rows = _sweep_rows(mode, Sx, Sn, [0.08, 0.32, 1.2, 1.92, 3.3], [0.5, 2.0])
+        assert len(rows) == 10 and built == []
 
 
 class TestDStarAndPolyphaseBounds:
