@@ -24,6 +24,7 @@ from .spectra import (
     ComplexGainProfile,
     SpectralDensity,
     SpectrumError,
+    _as_finite,
     _check_count,
     _check_fs,
     _dedup,
@@ -31,7 +32,7 @@ from .spectra import (
     _Pw,
     _translate_count,
 )
-from .waterfill import _Waterfill
+from .waterfill import _as_rate, _Waterfill
 
 __all__ = [
     "DiscreteSpectrum",
@@ -91,32 +92,37 @@ def _even_segments(pw: _Pw) -> list[tuple[float, float, float]]:
 def _cov_from_segments(segs: Sequence[tuple], tau: np.ndarray) -> np.ndarray:
     """c(tau) = int S(f) e^{2 pi i f tau} df for even S given on f >= 0.
 
-    The sines are evaluated once per distinct (segment edge, lag) pair: a
-    Toeplitz window repeats each lag many times, and adjacent segments share
-    an edge.  The segments are still summed one after another, so each value
-    is that of the per-lag closed form bit for bit.
+    One (segments x lags) buffer of closed-form terms, filled in place, whose
+    sines are evaluated once per (segment edge, lag) pair, as adjacent
+    segments share an edge.  One reduce adds its rows in segment order, so
+    each value is that of the per-lag closed form bit for bit.
     """
-    tau = np.asarray(tau, dtype=float)
-    lags, where = np.unique(tau, return_inverse=True)
-    out = np.zeros(lags.shape)
-    if len(segs):
-        lo, hi, v = np.array(segs, dtype=float).T
-        edges, at = np.unique(np.concatenate([lo, hi]), return_inverse=True)
-        sines = np.sin(np.multiply.outer(2 * np.pi * edges, lags))
-        small = np.abs(lags) < 1e-12
-        denom = np.pi * lags
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for i_lo, i_hi, a, b, w in zip(at[:len(lo)], at[len(lo):], lo, hi, v):
-                out += np.where(small, 2.0 * w * (b - a),
-                                w * (sines[i_hi] - sines[i_lo]) / denom)
-    return out[where].reshape(tau.shape)
+    lags = np.asarray(tau, dtype=float).ravel()
+    lo, hi, v = np.array(segs, dtype=float).reshape(-1, 3).T
+    edges, at = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    sines = np.sin(np.multiply.outer(2 * np.pi * edges, lags))
+    terms = sines[at[len(lo):]]
+    terms -= sines[at[:len(lo)]]
+    terms *= v[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        terms /= np.pi * lags
+    terms[:, np.abs(lags) < 1e-12] = (2.0 * v * (hi - lo))[:, None]
+    return np.add.reduce(terms, axis=0).reshape(np.shape(tau))
+
+
+def _toeplitz(c: np.ndarray) -> np.ndarray:
+    """The (2K+1) x (2K+1) matrix whose entry (a, b) is c[a - b + 2K], from the
+    values c at the 4K+1 lag indices -2K..2K of a window."""
+    n = np.arange((len(c) + 1) // 2)
+    return c[np.subtract.outer(n, n) + n[-1]]
 
 
 def covariance_from_psd(S: SpectralDensity, tau) -> float | np.ndarray:
-    """Autocovariance at lag tau of a process with the given even PSD."""
-    segs = [(iv.lo, iv.hi, v) for iv, v in S.segments]
-    out = _cov_from_segments(segs, np.asarray(tau, dtype=float))
-    return float(out) if np.isscalar(tau) or np.ndim(tau) == 0 else out
+    """Autocovariance at lag tau, a number or an array, of a process with the given even PSD."""
+    taus = np.ravel(np.asarray(tau, dtype=object))  # entries as given: a bool or str fails
+    lags = np.reshape([_as_finite(t, "lag tau") for t in taus], np.shape(tau))
+    out = _cov_from_segments([(iv.lo, iv.hi, v) for iv, v in S.segments], lags)
+    return float(out) if out.ndim == 0 else out
 
 
 def _observation_segments(src: _Source) -> tuple[_Pw, _Pw]:
@@ -160,14 +166,12 @@ class CovarianceWindow:
         _check_count(K, "window half-length K")
         fs = _check_fs(fs)
         xz, zz = map(_even_segments, pieces)
-        n = np.arange(-K, K + 1)
-        lags = (n[:, None] - n[None, :]) / fs
-        cy = _cov_from_segments(zz, lags)
+        cy = _toeplitz(_cov_from_segments(zz, np.arange(-2 * K, 2 * K + 1) / fs))
         return cls(K=K, fs=fs, C_Y=cy, xz_segments=tuple(xz), sigma2=sigma2)
 
     def cross_vector(self, delta: float) -> np.ndarray:
         n = np.arange(-self.K, self.K + 1)
-        return _cov_from_segments(list(self.xz_segments), (delta - n) / self.fs)
+        return _cov_from_segments(self.xz_segments, (delta - n) / self.fs)
 
 
 def _chol_with_ridge(C: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -209,6 +213,7 @@ def finite_window_mmse(
     the normal equations.  Near-singular covariances get a tiny ridge and the
     result is flagged so exactness-sensitive callers can reject it.
     """
+    delta = _as_finite(delta, "offset delta")
     win = CovarianceWindow.build(Sx, Sn, H, fs, K)
     chol, regularized = _chol_with_ridge(win.C_Y)
     y = np.linalg.solve(chol, win.cross_vector(delta))
@@ -248,10 +253,8 @@ class WindowOracle:
     waterfill: _Waterfill
 
     def distortion(self, R: float) -> float:
-        """block_idrf_oracle at R bits per time unit."""
-        if R < 0:
-            raise SpectrumError(f"rate must be >= 0, got {R}")
-        return self.waterfill.solve(R * (2 * self.K + 1) / self.fs).distortion
+        """block_idrf_oracle at R bits per time unit; WaterfillError for a bad rate."""
+        return self.waterfill.solve(_as_rate(R, self.fs) * (2 * self.K + 1) / self.fs).distortion
 
 
 def window_oracle(
@@ -277,17 +280,15 @@ def _window_oracle(pieces, sigma2: float, fs: float, K: int, n_phases: int) -> W
     _check_count(n_phases, "n_phases")
     win = CovarianceWindow._of(pieces, sigma2, fs, K)
     chol, regularized = _chol_with_ridge(win.C_Y)
-    n = np.arange(-K, K + 1)
-    n_y = len(n)
+    n_y = 2 * K + 1
     n_u = n_y * n_phases
-    # C_YU row m, column (j, i): cov of Y[m] with X((n_i + delta_j)/fs).
-    # One kernel call per phase: a single call over all phases needs
-    # (edges x n_u) temporaries and raises the peak memory.
-    c_yu = np.empty((n_y, n_u))
-    for j in range(n_phases):
-        delta = j / n_phases
-        lags = ((n[None, :] + delta) - n[:, None]) / fs
-        c_yu[:, j * n_y:(j + 1) * n_y] = _cov_from_segments(win.xz_segments, lags)
+    # C_YU row m, column (j, i): cov of Y[m] with X((n_i + delta_j)/fs), at lag
+    # (delta_j - (n_m - n_i))/fs.  Each phase block is Toeplitz: its 4K+1 lags
+    # are evaluated once, then indexed.  One kernel call per phase, as one call
+    # over all phases needs about 1 MB of temporaries per array on staircase.
+    d = np.arange(-2 * K, 2 * K + 1)
+    c_yu = np.hstack([_toeplitz(_cov_from_segments(win.xz_segments, (j / n_phases - d) / fs))
+                      for j in range(n_phases)])
     b = np.linalg.solve(chol, c_yu)
     # column K of phase block j has n_i = 0, the lags of cross_vector(j/n_phases)
     average = _mmse_average(win.sigma2, np.ascontiguousarray(b[:, K::n_y].T), regularized)
@@ -362,12 +363,10 @@ def sampled_discretization(
 def discrete_j_m(Sxz_d: DiscreteSpectrum, Sz_d: DiscreteSpectrum, M: int, phi) -> float:
     """Decimated-by-M conditional spectrum at normalized frequency phi."""
     _check_count(M, "decimation factor M")
-    phis = (float(phi) - np.arange(M)) / M
+    phis = (_as_finite(phi, "phi") - np.arange(M)) / M
     num = float(np.sum(np.abs(Sxz_d.evaluate(phis)) ** 2))
     den = float(np.real(np.sum(Sz_d.evaluate(phis))))
-    if den <= 0:
-        return 0.0
-    return num / den / M
+    return num / den / M if den > 0 else 0.0
 
 
 def discrete_j_m_curve(

@@ -37,7 +37,6 @@ of _top_translates behind D*, drf_sampled_optimal and the optimal MMSE.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -53,7 +52,7 @@ from .spectra import (
     SpectrumError,
     _alias_grid,
     _alias_grids,
-    _as_real,
+    _as_finite,
     _check_count,
     _check_fs,
     _dedup,
@@ -611,8 +610,6 @@ def polyphase_conditional_psd(
     The double translate sum in the numerator collapses to a squared modulus
     of a single phased sum.  delta is any finite real number.
     """
-    delta = _as_real(delta, "delta")
-    if not math.isfinite(delta):
-        raise SpectrumError(f"delta must be finite, got {delta}")
+    delta = _as_finite(delta, "delta")
     per = _Source(Sx, Sn, [H]).period(fs)
     return ScalarCurve(per.grid / fs, _polyphase_values(per, [delta])[0])

@@ -54,6 +54,13 @@ def _as_real(x, what: str, error: type = SpectrumError) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _as_finite(x, what: str) -> float:
+    """_as_real(x, what), or SpectrumError unless it is finite."""
+    if not math.isfinite(x := _as_real(x, what)):
+        raise SpectrumError(f"{what} must be finite, got {x}")
+    return x
+
+
 def _as_complex(x, what: str) -> complex:
     """x as a complex: a number, not a bool, string or None; an integer too
     large for a float becomes inf."""
@@ -311,8 +318,9 @@ def superlevel_set_of_measure(
 
     Segments are taken by descending value; the segment that overshoots the
     budget is trimmed symmetrically about the origin (keeping the low-|f| end
-    of it and its mirror) so the output stays even.  Equal values are broken
-    toward smaller |f|.
+    of it and its mirror) so the output stays even; a trim narrower than the
+    float spacing at the segment's low edge takes no piece and adds nothing to
+    the integral.  Equal values are broken toward smaller |f|.
     """
     if not m >= 0:  # NaN fails too
         raise SpectrumError(f"measure budget must be >= 0, got {m}")
@@ -328,8 +336,9 @@ def superlevel_set_of_measure(
             budget -= pair
         elif budget > BP_TOL:
             half = budget / 2.0
-            chosen.append(FrequencyInterval(iv.lo, iv.lo + half))
-            integral += budget * v
+            if iv.lo + half > iv.lo:
+                chosen.append(FrequencyInterval(iv.lo, iv.lo + half))
+                integral += budget * v
             budget = 0.0
         else:
             break

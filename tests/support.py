@@ -5,12 +5,19 @@ import math
 
 import numpy as np
 
+from subnyq import oracle
 from subnyq.cli import BIMODAL_SEGMENTS
 from subnyq.linalg import NotHermitianError, NotPositiveSemidefiniteError
 from subnyq.sampling import maximal_af_sets, mmse_optimal, mmse_single
 from subnyq.spectra import BP_TOL, ComplexGainProfile, FrequencySet, SpectralDensity
 from subnyq.spectra import _alias_grid, _dedup, _translate_count
-from subnyq.waterfill import d_dagger, drf_sampled_optimal, drf_sampled_single, rate_of_theta
+from subnyq.waterfill import (
+    _Waterfill,
+    d_dagger,
+    drf_sampled_optimal,
+    drf_sampled_single,
+    rate_of_theta,
+)
 
 SIGMA2 = 1.0
 
@@ -140,6 +147,25 @@ def cov_loop(segs, tau):
                 c += v * (np.sin(2 * np.pi * hi * t) - np.sin(2 * np.pi * lo * t)) / (np.pi * t)
         out[idx] = c
     return out
+
+
+def window_oracle_loop(pieces, sigma2, fs, K, n_phases):
+    """Loop reference for oracle._window_oracle: (mmse_average, waterfill) with
+    C_Y and C_YU from cov_loop on the full lag matrices (n_a - n_b)/fs and
+    ((n_b + delta) - n_a)/fs, one entry at a time, then the oracle's own
+    Cholesky solve, windowed average and block waterfill."""
+    xz, zz = map(oracle._even_segments, pieces)
+    n = np.arange(-K, K + 1)
+    c_y = cov_loop(zz, (n[:, None] - n[None, :]) / fs)
+    c_yu = np.hstack([cov_loop(xz, ((n[None, :] + j / n_phases) - n[:, None]) / fs)
+                      for j in range(n_phases)])
+    chol, regularized = oracle._chol_with_ridge(c_y)
+    b = np.linalg.solve(chol, c_yu)
+    average = oracle._mmse_average(sigma2, np.ascontiguousarray(b[:, K::len(n)].T), regularized)
+    eig = np.clip(np.linalg.eigvalsh(b @ b.T), 0.0, None)
+    n_u = len(n) * n_phases
+    return average, _Waterfill((np.ones_like(eig), eig), sigma2 - float(eig.sum()) / n_u,
+                               1.0 / n_u)
 
 
 # Loop references for the translate kernel: the per-k forms the library used

@@ -22,9 +22,9 @@ from subnyq.oracle import (
     sampled_discretization,
     window_oracle,
 )
-from subnyq.sampling import mmse_single, s_tilde_single
+from subnyq.sampling import _Source, mmse_single, s_tilde_single
 from subnyq.spectra import ComplexGainProfile, SpectralDensity, SpectrumError
-from subnyq.waterfill import drf_sampled_single, solve_theta_for_rate
+from subnyq.waterfill import WaterfillError, drf_sampled_single, solve_theta_for_rate
 from support import (
     bandpass_density,
     cov_loop,
@@ -32,6 +32,7 @@ from support import (
     rect_density,
     rect_noise,
     triangular_density,
+    window_oracle_loop,
     zero_density,
 )
 
@@ -124,6 +125,62 @@ class TestDistinctLags:
         assert d == block_idrf_oracle(Sx, Sn, H, fs, 0.8, K, 3)
 
 
+@st.composite
+def window_cases(draw, phases, bounded_below):
+    """(Sx, Sn, H, fs, K, n_phases): a staircase source on edges k/8, noise
+    and a real even low-pass filter that passes part of the source.  With
+    bounded_below, the noise and the filter's pass band cover (0, fs/2) and
+    the source, so the observation spectrum has a floor on every frequency
+    and C_Y is well conditioned."""
+    K, fs, n_phases = draw(st.integers(1, 12)), draw(st.floats(0.2, 3.0)), draw(phases)
+    edges = sorted(draw(st.lists(st.integers(0, 16), min_size=2, max_size=6, unique=True)))
+    Sx = SpectralDensity([(a / 8, b / 8, draw(st.floats(0.1, 3.0)))
+                          for a, b in zip(edges, edges[1:])])
+    cover = max(fs / 2, edges[-1] / 8)
+    if bounded_below:
+        Sn = SpectralDensity(((0.0, cover + 0.5, draw(st.floats(0.05, 1.0))),))
+        cut = draw(st.one_of(st.none(), st.floats(cover, cover + 1.0)))
+    else:
+        Sn = draw(st.sampled_from([zero_density(), rect_noise(5.0, 0.3), rect_noise(0.5, 2.5)]))
+        cut = draw(st.one_of(st.none(), st.floats(edges[0] / 8 + 0.05, 3.0)))
+    H = None if cut is None else ComplexGainProfile([(-cut, cut, draw(st.floats(0.5, 2.0)))])
+    return Sx, Sn, H, fs, K, n_phases
+
+
+class TestToeplitzWindow:
+    """_window_oracle reads C_Y and each phase block of C_YU off the 4K+1
+    distinct lags of a Toeplitz window.  What it returns is what the full lag
+    matrices (n_a - n_b)/fs and ((n_b + delta) - n_a)/fs give: bit for bit
+    when delta = j/n_phases is dyadic, as every lag is then the same float,
+    and within rounding otherwise, where (n_b + delta) rounds per entry."""
+
+    RATES = (0.0, 0.5, 2.0)
+
+    def oracle_and_loop(self, Sx, Sn, H, fs, K, n_phases):
+        src = _Source(Sx, Sn, [H])
+        pieces = oracle._observation_segments(src)
+        orc = oracle._window_oracle(pieces, src.sigma2, fs, K, n_phases)
+        average, wf = window_oracle_loop(pieces, src.sigma2, fs, K, n_phases)
+        assert orc.mmse_average.regularized == average.regularized
+        return ([orc.mmse_average.value] + [orc.distortion(R) for R in self.RATES],
+                [average.value] + [wf.solve(R * (2 * K + 1) / fs).distortion
+                                   for R in self.RATES])
+
+    @given(window_cases(st.sampled_from([1, 2, 4, 8, 16]), bounded_below=False))
+    @settings(max_examples=100, deadline=None)
+    def test_dyadic_phases_bitwise(self, case):
+        got, want = self.oracle_and_loop(*case)
+        assert got == want
+
+    @given(window_cases(st.sampled_from([3, 5, 7]), bounded_below=True))
+    @settings(max_examples=100, deadline=None)
+    def test_other_phases_within_rounding(self, case):
+        # one rounding of a lag moves a distortion by about the window's
+        # conditioning times 1e-16, so these windows have a noise floor
+        got, want = self.oracle_and_loop(*case)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 class TestWindowOracle:
     """window_oracle does the rate-independent work of both window oracles
     once; what it returns, the ridge flag included, agrees with the oracles
@@ -154,10 +211,26 @@ class TestOracleInputs:
             rect_density(), rect_noise(5.0), None, math.nan, 0.0, 4), id="window-mmse-fs-nan"),
         pytest.param(lambda: block_idrf_oracle(
             rect_density(), rect_noise(5.0), None, math.inf, 1.0, 4), id="block-fs-inf"),
+        *(pytest.param(lambda t=t: covariance_from_psd(rect_density(), t), id=f"tau-{name}")
+          for t, name in ((math.nan, "nan"), (math.inf, "inf"), ("a", "str"),
+                          ([0.5, math.nan], "array-nan"), (1j, "complex"))),
+        *(pytest.param(lambda d=d: finite_window_mmse(
+            rect_density(), rect_noise(5.0), None, 0.6, d, 4), id=f"delta-{name}")
+          for d, name in ((math.nan, "nan"), (math.inf, "inf"), ("x", "str"))),
+        *(pytest.param(lambda p=p: discrete_j_m(*sampled_discretization(
+            rect_density(), zero_density(), None, 1.0, 2), 2, p), id=f"phi-{name}")
+          for p, name in ((math.nan, "nan"), (-math.inf, "-inf"), ("0.1", "str"))),
     ])
     def test_named_error(self, call):
-        with pytest.raises(SpectrumError, match="n_phases must be >= 1|positive and finite"):
+        with pytest.raises(SpectrumError, match="n_phases must be >= 1|positive and finite"
+                                                "|must be finite|must be a real number"):
             call()
+
+    # R = -1 is TestBlockOracle.test_invalid_rate
+    @pytest.mark.parametrize("R", ["1", True, math.nan, math.inf, 1 + 0j])
+    def test_bad_rate_is_waterfill_error(self, R):
+        with pytest.raises(WaterfillError, match="rate must be"):
+            block_idrf_oracle(rect_density(), rect_noise(5.0), None, 0.6, R, 4)
 
     def test_window_oracle_refuses_complex_gain(self):
         H = ComplexGainProfile([(-0.4, 0.4, 1.0 + 0.5j)])
@@ -320,7 +393,7 @@ class TestBlockOracle:
             assert abs(d - exact) <= 0.02 * 1.0
 
     def test_invalid_rate(self):
-        with pytest.raises(SpectrumError):
+        with pytest.raises(WaterfillError):
             block_idrf_oracle(rect_density(), zero_density(), None, 0.5, -1.0, 4)
 
 

@@ -314,6 +314,16 @@ class TestMmseOptimalAndLandau:
         assert landau_mmse_bound(bandpass_density(), zero_density(), 2.0) == pytest.approx(0.0, abs=1e-12)
         assert landau_mmse_bound(bandpass_density(), zero_density(), 1.0) == pytest.approx(0.5)
 
+    def test_landau_trim_below_float_spacing(self):
+        # half the budget, 7.5e-10, rounds away at 1e7: the trim takes no
+        # piece and adds nothing, as D-dagger's prefix route gives
+        S = SpectralDensity(((1e7, 1e7 + 1, 1.0),))
+        F, captured = superlevel_set_of_measure(S, 1.5e-9)
+        assert F.measure() == 0.0 and captured == 0.0
+        assert landau_mmse_bound(S, zero_density(), 1.5e-9) == 2.0
+        w, _ = spectra._superlevel_pieces(spectra._ranked_segments(S), np.array([1.5e-9]))
+        assert not w.any()
+
     def test_landau_below_optimal_and_gap_shrinks(self):
         S = SpectralDensity(((0.0, 0.4, 1.0), (0.4, 0.8, 0.2), (0.8, 1.2, 0.8), (1.2, 1.6, 0.1)))
         fs = 0.96
