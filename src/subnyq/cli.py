@@ -3,10 +3,12 @@
 A config is a single JSON document describing the source and noise spectra,
 the sampler and the rate points.  A sweep runs over fs, and for each fs over
 the rates where the mode takes one.  _sweep, the one driver of modes and
-figures, builds the fs-free pieces once (a sampling._Source) and the curves
-and waterfills of the scalar paths once per block of consecutive fs, as one
-stack; at_fs reads each fs's row off its block (the filter bank's curves
-and the oracles are built per fs), and each rate's rows are read off those.
+figures, builds the fs-free pieces once (a sampling._Source) and the curves,
+MMSE cross-checks and waterfills of the scalar paths once per block of
+consecutive fs, as one stack; at_fs reads each fs's row off its block (the
+filter bank's curves and the oracles are built per fs), and each rate's
+rows are read off those: a block's waterfills are solved once per rate, for
+all of its rows, when its first row reads that rate.
 Points are computed one after another in config order, and every row is what
 the one-fs functions return, so output is deterministic byte for byte.
 
@@ -304,7 +306,7 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             drf = drf_at(fs)
 
             def rows_at(R):
-                sol = drf.solve(R.per_time(fs))
+                sol = drf.solve(R)
                 return [[fs, p, sol.rate, sol.theta, sol.distortion, sol.mmse_part,
                          sol.lossy_part]]
             return rows_at
@@ -332,9 +334,9 @@ def _sweep(mode: str, cfg: ExperimentConfig):
 
             def rows_at(R):
                 r = R.per_time(fs)
-                d = drf.solve(r).distortion
-                return [[fs, r, d, idrf.solve(r).distortion, mmse,
-                         d_star.solve(r).distortion, polyphase(r, d), dd.solve(r).distortion]]
+                d = drf.solve(R).distortion
+                return [[fs, r, d, idrf.solve(R, fs).distortion, mmse,
+                         d_star.solve(R).distortion, polyphase(r, d), dd.solve(R).distortion]]
             return rows_at
     else:  # oracle-check
         header = ["fs", "rate_bits_per_time", "mmse_exact", "mmse_window",
@@ -353,7 +355,7 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             def rows_at(R):
                 r = R.per_time(fs)
                 return [[fs, r, mmse, orc.mmse_average.value,
-                         drf.solve(r).distortion, orc.distortion(r)]]
+                         drf.solve(R).distortion, orc.distortion(r)]]
             return rows_at
     return header, at_fs, rates
 

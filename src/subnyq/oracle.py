@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .linalg import LinalgError
 from .sampling import _Source
 from .spectra import (
     BP_TOL,
@@ -175,11 +176,18 @@ class CovarianceWindow:
 
 
 def _chol_with_ridge(C: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Cholesky factor of C, with a ridge of RIDGE_FACTOR times its trace if
+    C alone has none; LinalgError if it has none even then, as an all-zero C
+    (nothing observed) has not."""
     try:
         return np.linalg.cholesky(C), False
     except np.linalg.LinAlgError:
         ridge = RIDGE_FACTOR * float(np.trace(C))
+    try:
         return np.linalg.cholesky(C + ridge * np.eye(len(C))), True
+    except np.linalg.LinAlgError:
+        raise LinalgError(f"window covariance is not positive definite, even with a "
+                          f"ridge of {ridge:g}") from None
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ all; the SNR ratio has other breakpoints, so D* and the optimal filters cut
 periods of fs/P for it.  _folded and _top_translates read a block as one
 (rows x translates x cells) array and give a _Curves stack; the filter
 bank's eigen path and the polyphase bound read one row of it (_PeriodRow).
+The unfolded MMSE cross-check of a folded block is one kernel over all of
+its rows too (_unfolded_mmse), which shares no cut with the folded path.
 Rows are padded with zero-width cells and zero translates that change no
 bit of a row, and every check is made per row and raised when that row is
 read, so a row is what the one-fs functions, its one-row case, return, and a
@@ -32,7 +34,8 @@ piecewise-constant functions, not samples of them.  All translates
 S(f - k*fs) come from one kernel, spectra._translates, as one (translates x
 cells) array: the sums and bound of s_tilde_single, the S_Y and K entries,
 the polyphase phased sums, the maximal_af_sets ranking and the top-P ranking
-of _top_translates behind D*, drf_sampled_optimal and the optimal MMSE.
+of _top_translates behind D*, drf_sampled_optimal and the optimal MMSE.  The
+cross-check, which checks them, sums its own translates.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import numpy as np
 from .linalg import hermitian, inv_sqrt_psd
 from .spectra import (
     _MAX_BLOCK_ENTRIES,
+    BP_TOL,
     ComplexGainProfile,
     FrequencySet,
     SpectralDensity,
@@ -56,7 +60,6 @@ from .spectra import (
     _check_count,
     _check_fs,
     _dedup,
-    _pw_aliased,
     _pw_eval,
     _pw_from_density,
     _pw_from_gain,
@@ -165,18 +168,20 @@ class EigenCurves:
 class _Period:
     """The periods (-step/2, step/2) of a block of steps, one row per step, each
     cut at every translate of pw's breakpoints: grid and mids, cells (the cell
-    count), kmax (the translate count), den (pw aliased, built when first read)
-    and src.  Rows are padded to one width with zero-width cells at their top
-    edge, whose mids sit at +inf, where every piece reads 0; translates() pads
-    each row's translates with zero rows up to the block's largest count.  A
-    sum over translates adds them one after another down each cell column (a
-    row holds two cells at least, so numpy never sums a column pairwise), so a
-    row's sums, maxima and sorts come out as in a block of its own."""
+    count), kmax (the translate count), den (pw aliased, built when first read),
+    src and fs, each row's sampling rate (by default its step).  Rows are
+    padded to one width with zero-width cells at their top edge, whose mids
+    sit at +inf, where every piece reads 0; translates() pads each row's
+    translates with zero rows up to the block's largest count.  A sum over
+    translates adds them one after another down each cell column (a row holds
+    two cells at least, so numpy never sums a column pairwise), so a row's
+    sums, maxima and sorts come out as in a block of its own."""
 
-    def __init__(self, pw: _Pw, steps, src: _Source | None = None, counts=None):
+    def __init__(self, pw: _Pw, steps, src: _Source | None = None, counts=None, fs=None):
         """counts, if given, is _translate_counts(pw, steps), as a sweep has it."""
         self.pw, self.src = pw, src
         self.steps = np.asarray(steps, dtype=float)
+        self.fs = self.steps if fs is None else np.asarray(fs, dtype=float)
         kmax, ok = _translate_counts(pw, self.steps) if counts is None else counts
         if not ok.all():  # the first failing step raises its own error
             step = float(self.steps[np.argmin(ok)])
@@ -202,14 +207,14 @@ class _Period:
 
 class _PeriodRow:
     """Row i of a period block as a period of its own, on its own cells: step,
-    grid, mids, kmax, den (read off the block's) and src; translates() is
+    fs, grid, mids, kmax, den (read off the block's) and src; translates() is
     (translates, cells).  The filter bank's eigen path and the polyphase bound
     read one, as they are not batched."""
 
     def __init__(self, per: _Period, i: int):
         c = per.cells[i]
         self.src, self._per, self._i = per.src, per, i
-        self.step, self.kmax = float(per.steps[i]), int(per.kmax[i])
+        self.step, self.fs, self.kmax = float(per.steps[i]), float(per.fs[i]), int(per.kmax[i])
         self.grid, self.mids = per.grid[i, :c + 1], per.mids[i, :c]
 
     def translates(self, pw: _Pw) -> np.ndarray:
@@ -297,17 +302,19 @@ class _Source:
         bp, _, _, z, g = self.grid
         return _Pw(bp, z * (np.abs(g) ** 2).max(axis=0))
 
-    def _cut(self, fs, P: int | None) -> tuple[_Pw, np.ndarray]:
-        """(pw, steps) of the periods of fs: period_pw and fs, or with P the
-        SNR ratio, whose breakpoints differ, and fs/P (D* and the optimal
+    def _cut(self, fs, P: int | None) -> tuple[_Pw, np.ndarray, np.ndarray]:
+        """(pw, steps, fs) of the periods of fs: period_pw and fs, or with P
+        the SNR ratio, whose breakpoints differ, and fs/P (D* and the optimal
         filters)."""
+        fs = np.asarray(fs, dtype=float)
         if P is None:
-            return self.period_pw, np.asarray(fs, dtype=float)
-        return self.ratio_pw, np.asarray(fs, dtype=float) / P
+            return self.period_pw, fs, fs
+        return self.ratio_pw, fs / P, fs
 
     def periods(self, fs, P: int | None = None) -> _Period:
         """The periods of the fs in fs as one block."""
-        return _Period(*self._cut(fs, P), self)
+        pw, steps, fs = self._cut(fs, P)
+        return _Period(pw, steps, self, fs=fs)
 
     def period(self, fs: float) -> _PeriodRow:
         return self.periods([_check_fs(fs)]).row(0)
@@ -315,11 +322,11 @@ class _Source:
     def blocks(self, fs_list, P: int | None = None):
         """periods(fs_list, P) as blocks of consecutive fs, in order, each built
         when its first fs is read, so a sweep builds one at a time."""
-        pw, steps = self._cut(fs_list, P)
+        pw, steps, fs = self._cut(fs_list, P)
         kmax, ok = _translate_counts(pw, steps)
         for start, stop in _block_bounds(pw, kmax, ok):
             rows = slice(start, stop)
-            yield _Period(pw, steps[rows], self, (kmax[rows], ok[rows]))
+            yield _Period(pw, steps[rows], self, (kmax[rows], ok[rows]), fs[rows])
 
     def fs_blocks(self, fs_list):
         """fs_list as blocks of consecutive fs for D-dagger, whose (rows x
@@ -344,7 +351,9 @@ class _Curves:
     cells of per.grid[i], whose widths are w[i]; padding cells have zero width
     and value.  Its own pieces are its last depth[i] curves on its own cells,
     as a block of its own holds them.  check(i) raises row i's failure, if it
-    has one: a folded row above its translate bound, marked in over."""
+    has one: a folded row above its translate bound, marked in over.  For a
+    folded block, unfolded holds each row's MMSE cross-check (_unfolded_mmse),
+    made for the whole block when first read."""
 
     def __init__(self, per: _Period, values: np.ndarray, depth=1, over=None):
         self.per, self.values, self.over = per, values, over
@@ -355,6 +364,15 @@ class _Curves:
         """(w, v), each (rows, curves x cells): each row's pieces, curve by curve."""
         v = self.values.reshape(len(self.values), -1)
         return np.broadcast_to(self.w[:, None, :], self.values.shape).reshape(v.shape), v
+
+    def own_mask(self) -> np.ndarray:
+        """(rows, curves x cells): which of the pieces() are each row's own."""
+        n, cells = self.values.shape[1:]
+        own = ((np.arange(n) >= n - self.depth[:, None])[:, :, None]
+               & (np.arange(cells) < self.per.cells[:, None])[:, None, :])
+        return own.reshape(len(own), -1)
+
+    unfolded = cached_property(lambda self: _unfolded_mmse(self.per.src, self.per.steps))
 
     def own(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(w, v): row i's own widths (cells,) and curves (curves, cells)."""
@@ -404,28 +422,95 @@ def s_tilde_single(
     return _folded(_Source(Sx, Sn, [H]).periods([_check_fs(fs)])).curve(0)
 
 
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, at): counts[i] entries owned by each i in turn, and each one's
+    place among its owner's."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+def _unfolded_mmse(src: _Source, steps: np.ndarray) -> np.ndarray:
+    """The MMSE at each step as the unfolded integral over the line: that of Sx
+    less that of Sx^2|H|^2 over the aliased (Sx+Sn)|H|^2 on (-r, r), where r is
+    the support radius of (Sx+Sn)|H|^2, outside which Sx^2|H|^2 is 0.
+
+    It cross-checks the folded MMSE, so it shares no cut with it: each row's
+    period is cut by every shift of the breakpoints (as _alias_grid cuts it,
+    not by the nearest shift alone), its translates summed, and the period
+    tiled over (-r, r); the line is cut at those tiles and at the numerator's
+    breakpoints, merged within BP_TOL as _dedup merges them, and each merged
+    cell reads the tiled cell that holds it.  The rows lie end to end in flat
+    arrays, each with its own shifts, cells and tiles: a row has no more tiles
+    than translates, and no more cells than breakpoints plus one."""
+    num, den, _ = src.pws
+    x = float(np.sum(np.diff(src.px.bp) * src.px.vals))
+    r = _pw_support_radius(den)
+    if r == 0:  # nothing is observed, so nothing is estimated
+        return np.full(len(steps), x)
+    every = np.arange(len(steps))
+    kmax = _translate_counts(den, steps)[0].astype(int)
+
+    # each row's period, cut at every shift of den's breakpoints that lands in it
+    row, k = _ragged(2 * kmax + 1)
+    pts = den.bp + (steps[row] * (k - kmax[row]))[:, None]
+    row = np.broadcast_to(row[:, None], pts.shape)
+    inside = np.abs(pts) < steps[row] / 2.0
+    row = np.concatenate((every, every, row[inside]))
+    pts = np.concatenate((-steps / 2.0, steps / 2.0, pts[inside]))
+    order = np.lexsort((pts, row))
+    row, pts = row[order], pts[order]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = (np.diff(pts) > BP_TOL) | (row[1:] != row[:-1])
+    row, pts = row[keep], pts[keep]
+    same = row[1:] == row[:-1]
+    cell, lo = row[:-1][same], pts[:-1][same]
+    mids = 0.5 * (lo + pts[1:][same])
+    at, k = _ragged(2 * kmax[cell] + 1)
+    aliased = np.bincount(at, _pw_eval(den, mids[at] - steps[cell[at]] * (k - kmax[cell[at]])),
+                          len(mids))
+
+    # tile j of a row is its period shifted by step*j; the tiles run from the
+    # one that holds -r to the one that holds r, and each tiled cell's low edge
+    # below r is a point that carries the cell's aliased value
+    j_lo = np.floor(-r / steps + 0.5)
+    at, j = _ragged((np.ceil(r / steps - 0.5) - j_lo + 1).astype(int)[cell])
+    edge = lo[at] + steps[cell[at]] * (j_lo[cell[at]] + j)
+    below = edge < r
+    inner = num.bp[(num.bp > -r) & (num.bp < r)]
+    row = np.concatenate((every, np.repeat(every, len(inner)), every, cell[at][below]))
+    pts = np.concatenate((np.full(len(steps), -r), np.tile(inner, len(steps)),
+                          np.full(len(steps), r), edge[below]))
+    value = np.concatenate((np.full(len(steps) * (len(inner) + 2), np.nan), aliased[at][below]))
+    order = np.lexsort((pts, row))
+    row, pts, value = row[order], pts[order], value[order]
+    # edges at or below -r only give the first cell its value; -r stays
+    keep = pts >= -r
+    keep[1:] &= (np.diff(pts) > BP_TOL) | (pts[1:] == -r)
+
+    # a kept point's cell runs to the next kept point of its row and reads the
+    # value of the last edge before that
+    n = len(pts)
+    at = np.arange(n)
+    last = np.maximum.accumulate(np.where(np.isnan(value), 0, at))
+    nxt = np.minimum.accumulate(np.where(keep, at, n)[::-1])[::-1]
+    nxt = np.append(nxt[1:], n)
+    end = np.minimum(nxt, n - 1)
+    cells = keep & (nxt < n) & (row[end] == row)
+    w = np.where(cells, pts[end] - pts, 0.0)
+    mids = np.where(cells, 0.5 * (pts + pts[end]), np.inf)
+    frac = _safe_ratio(_pw_eval(num, mids), value[last[end - 1]])  # a NaN value reads as 0
+    return x - np.bincount(row, w * frac, len(steps))
+
+
 def _mmse_and_curve(curves: _Curves, i: int) -> tuple[float, ScalarCurve]:
     """mmse_single and the s_tilde_single curve on row i of a folded block."""
     curve = curves.curve(i)
-    src, step = curves.per.src, float(curves.per.steps[i])
-    num, den, _ = src.pws
-    value = src.sigma2 - curve.integral()
-
-    # cross-check against the unfolded form: integrate over the whole line
-    # Sx(f) * (1 - Sx|H|^2(f) / aliased denominator at f)
-    radius = max(_pw_support_radius(src.px), _pw_support_radius(den))
-    if radius > 0:
-        den_per = _pw_aliased(den, step, -radius, radius)
-        bp = _dedup(np.concatenate([src.px.bp, num.bp, den_per.bp]))
-        mids = 0.5 * (bp[:-1] + bp[1:])
-        x = _pw_eval(src.px, mids)
-        frac = _safe_ratio(_pw_eval(num, mids), _pw_eval(den_per, mids))
-        alt = float(np.sum(np.diff(bp) * x) - np.sum(np.diff(bp) * frac))
-        # written so that a NaN residual fails too
-        if not abs(alt - value) <= 1e-10 * max(1.0, src.sigma2):
-            raise SpectrumError(
-                f"mmse cross-check failed: folded {value} vs unfolded {alt}"
-            )
+    sigma2 = curves.per.src.sigma2
+    value = sigma2 - curve.integral()
+    alt = float(curves.unfolded[i])
+    # written so that a NaN residual fails too
+    if not abs(alt - value) <= 1e-10 * max(1.0, sigma2):
+        raise SpectrumError(f"mmse cross-check failed: folded {value} vs unfolded {alt}")
     return value, curve
 
 

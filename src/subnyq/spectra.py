@@ -626,21 +626,3 @@ def _alias_grids(pw: _Pw, steps: np.ndarray, kmax: np.ndarray) -> tuple[np.ndarr
     pts = pts[:, :max(3, n.max())]  # two cells at least
     # past a row's points, its last one repeats
     return np.maximum.accumulate(np.where(pts < _NONE, pts, -np.inf), axis=1), n - 1
-
-
-def _pw_aliased(pw: _Pw, step: float, lo: float, hi: float) -> _Pw:
-    """Restrict sum_k pw(f - step*k) to [lo, hi].
-
-    The sum is step-periodic, so it is read once on the cells of the period
-    [-step/2, step/2] and repeated over [lo, hi]: memory grows with the
-    translate count, not with its square, however wide [lo, hi] is.
-    """
-    half = step / 2.0
-    bp = _alias_grid(pw, step, -half, half)
-    vals = _translates(pw, step, 0.5 * (bp[:-1] + bp[1:]),
-                       _translate_count(pw, step, half)).sum(axis=0)
-    j = np.arange(math.floor(lo / step + 0.5), math.ceil(hi / step - 0.5) + 1)
-    tiled = _Pw(np.append((bp[:-1] + step * j[:, None]).ravel(), bp[-1] + step * j[-1]),
-                np.tile(vals, len(j)))
-    grid = _dedup(np.concatenate(([lo, hi], tiled.bp[(tiled.bp > lo) & (tiled.bp < hi)])))
-    return _Pw(grid, _pw_eval(tiled, 0.5 * (grid[:-1] + grid[1:])))

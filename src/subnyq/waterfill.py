@@ -11,23 +11,29 @@ sorted once and their cumulative sums, in closed form at any rate.  A
 _WaterfillStack sorts a stack of curves at once, one per row: the folded
 curves of a block of fs (drf_sampled_single), the top-P translates of the
 SNR ratio (D* and drf_sampled_optimal), D-dagger's pieces for a block of fs,
-and the polyphase bound's n offset spectra at one fs, which it solves in one
-vectorised step per rate, after a cap on the size of that stack.  A
+and the polyphase bound's n offset spectra at one fs (after a cap on the
+size of that stack).  It solves a rate for every row in one vectorised step,
+its level: theta, the lossy integral and the rate per row, where a rate in
+bits per sample gives each row its own.  Rows whose own pieces are as many
+are summed as one (group x pieces) array, so each row's sums run over its
+own pieces in their order and it solves to the bit as its one-row case.  A
 _Waterfill is one row of a stack (a stack of its own when built from one
-curve) and solves it at any rate; a row's sums run over its own pieces, so
-it solves to the bit as its one-row case.  Each one-rate function f has a
-private form _f without R that returns that object: a stack over the rows of
-a block of periods (sampling._Period), of fs for D-dagger, one _Waterfill
-for the filter bank's row and idrf_stationary, or a function of R for the
-polyphase bound.  The public function is the one-row case.  Logarithms are
-base 2 throughout, so rates are in bits and the flat-spectrum closed forms
-come out exact.
+curve) and reads its solution off the stack's level at any rate; a block
+keeps its level at each RateSpec, which all of its rows read in turn, and
+a row's failure at a rate is raised only when that row is read there.
+Each one-rate function f has a private form _f without R that returns that
+object: a stack over the rows of a block of periods (sampling._Period), of
+fs for D-dagger, one _Waterfill for the filter bank's row and
+idrf_stationary, or a function of R for the polyphase bound.  The public
+function is the one-row case.  Logarithms are base 2 throughout, so rates
+are in bits and the flat-spectrum closed forms come out exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -191,15 +197,20 @@ class _WaterfillStack:
     of order.  R = 0 gives the row maximum.  Theta comes from its log2, so it
     underflows to 0.0 only below the smallest subnormal.  The rows share one
     stable argsort along axis 1, and every rate one count per row, one exp2 and
-    one row sum.  Pieces of zero width or value sort last and are masked:
+    one sum per row.  Pieces of zero width or value sort last and are masked:
     their log2 is never taken and their next-value rate is inf, so they are
     never active.  A row with no positive piece has theta 0 at R = 0 and
     attains no positive rate.
 
-    A row of a block may carry padding pieces; own(i) gives row i's own pieces
-    (by default, the whole row), over which its sums run, so a row solves to
-    the bit as it would in a stack of its own.
+    A row of a block may carry padding pieces; own, if set, marks each row's
+    own pieces (rows x pieces), over which its sums run in their order, so a
+    row solves to the bit as it would in a stack of its own.  mmse (per row),
+    scale (of the lossy integral) and fs (per row, for rates in bits per
+    sample) are 0, 1 and None unless set.
     """
+
+    own = fs = None
+    scale = 1.0
 
     def __init__(self, w: np.ndarray, values: np.ndarray):
         self.w, self.v = w, values
@@ -218,97 +229,133 @@ class _WaterfillStack:
         self.S = (w * log_v).cumsum(axis=1)
         self.rate_at_next_value = np.where(
             kept[:, 1:], 0.5 * (self.S[:, :-1] - self.W[:, :-1] * log_v[:, 1:]), np.inf)
-        self.sigma2 = None
-
-    def own(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.w if self.w.ndim == 1 else self.w[i], self.v[i]
+        # a row reads W at a kept piece, where it is positive, or, with none
+        # kept, at its first: 1 there spares a division by 0 in a level that
+        # is never read
+        self.W[~self.attains, 0] = 1.0
+        self.mmse = np.zeros(len(values))
+        self._levels = {}
 
     def check(self, i: int) -> None:
         """Raises row i's failure, if it has one; of_source's check replaces it."""
 
     @classmethod
     def of_source(cls, sigma2: float, w: np.ndarray, v: np.ndarray, own=None,
-                  check=None) -> "_WaterfillStack":
+                  check=None, fs=None) -> "_WaterfillStack":
         """Rows whose mmse is sigma2, the source power, less the row's integral;
-        own and check, if given, replace the methods of those names."""
+        check, if given, replaces the method of that name."""
         stack = cls(w, v)
-        stack.sigma2 = sigma2
-        if own is not None:
-            stack.own = own
+        stack.own, stack.fs = own, fs
         if check is not None:
             stack.check = check
+        stack.mmse = sigma2 - stack._own_sums()
         return stack
 
     @classmethod
     def of_curves(cls, sigma2: float, curves) -> "_WaterfillStack":
-        """of_source over the rows of a sampling._Curves, checked as it checks them."""
-        return cls.of_source(sigma2, *curves.pieces(), curves.own, curves.check)
+        """of_source over the rows of a sampling._Curves, checked as it checks
+        them, at the sampling rates of its periods."""
+        return cls.of_source(sigma2, *curves.pieces(), curves.own_mask(), curves.check,
+                             curves.per.fs)
+
+    @cached_property
+    def _groups(self) -> list:
+        """(rows, w, v) per group of rows with as many own pieces: those
+        pieces, in order, one row per row of the group.  A gather is C-ordered,
+        so a row's pieces lie next to each other and numpy sums each row
+        pairwise as it sums the row alone."""
+        if self.own is None:
+            return [(slice(None), self.w, self.v)]
+        w = np.broadcast_to(self.w, self.v.shape)
+        counts = self.own.sum(axis=1)
+        groups = []
+        for n in set(counts.tolist()):
+            rows = np.flatnonzero(counts == n)
+            at = rows[:, None], np.nonzero(self.own[rows])[1].reshape(len(rows), n)
+            groups.append((rows, w[at], self.v[at]))
+        return groups
+
+    def _own_sums(self, theta=None) -> np.ndarray:
+        """Per row, the sum of w * v over its own pieces, or of w * min(v, theta)
+        given a level per row."""
+        out = np.empty(len(self.v))
+        for rows, w, v in self._groups:
+            out[rows] = np.add.reduce(  # np.sum's reduce, without its wrapper
+                w * (v if theta is None else np.minimum(v, theta[rows, None])), axis=1)
+        return out
+
+    def level(self, R) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(theta, lossy, attained, rate) per row at R, a rate in bits per
+        time or a RateSpec, which in bits per sample gives each row its own
+        rate at its fs (rate is then one per row, else one number).  attained
+        is False where R > 0 and the row attains no positive rate.  The level
+        at a RateSpec is kept, as every row of a block reads it in turn.  A
+        rate is 0 in every row or in none, as every fs is positive."""
+        spec = isinstance(R, RateSpec)
+        if spec and (out := self._levels.get(R)) is not None:
+            return out
+        rate = _as_rate(R, self.fs)
+        if (R.value if spec else rate) == 0:
+            theta, attained = self.top, np.ones(len(self.v), dtype=bool)
+        else:
+            k = (self.rate_at_next_value < (rate[:, None] if isinstance(rate, np.ndarray)
+                                            else rate)).sum(axis=1)
+            theta = np.exp2((self.S[self.rows, k] - 2.0 * rate) / self.W[self.rows, k])
+            attained = self.attains
+        lossy = self._own_sums(theta)
+        out = theta, lossy if self.scale == 1.0 else self.scale * lossy, attained, rate
+        if spec:
+            self._levels[R] = out
+        return out
 
     def solve(self, R: float) -> tuple[np.ndarray, np.ndarray]:
-        """(theta, lossy): per row, the water level at R and the lossy integral.
-        Every row is its own: no padding."""
-        if R == 0:
-            theta = self.top
-        elif not self.attains.all():
+        """(theta, lossy) of every row at R, or UnattainableRateError if a row
+        attains no positive rate."""
+        theta, lossy, attained, _ = self.level(R)
+        if not attained.all():
             raise UnattainableRateError(_UNATTAINABLE)
-        else:
-            k = np.count_nonzero(self.rate_at_next_value < R, axis=1)
-            theta = np.exp2((self.S[self.rows, k] - 2.0 * R) / self.W[self.rows, k])
-        return theta, np.sum(self.w * np.minimum(self.v, theta[:, None]), axis=1)
+        return theta, lossy
 
     def row(self, i: int) -> "_Waterfill":
-        """Row i as a _Waterfill of its own, once the row passes its check."""
+        """Row i as a _Waterfill, once the row passes its check."""
         self.check(i)
-        return _Waterfill.of_row(self, i, self.sigma2)
+        wf = _Waterfill.__new__(_Waterfill)
+        wf.stack, wf.i = self, i
+        return wf
 
 
 class _Waterfill:
-    """Reverse waterfill over one curve, sorted once for every rate: row i of
-    a _WaterfillStack, a stack of its own when built from curves.  It reads
-    the row's sorted sums, and its own pieces for the lossy integral.  The
-    distortion is mmse plus scale times the lossy integral."""
+    """Reverse waterfill over one curve: row i of a _WaterfillStack, solved at
+    any rate by reading the stack's level there, or a stack of its own when
+    built from curves.  The distortion is mmse plus scale times the lossy
+    integral."""
 
-    def __init__(self, curves, mmse: float = 0.0, scale: float = 1.0):
+    def __init__(self, curves, mmse: float = 0.0, scale: float = 1.0, fs=None):
         w, v = _pieces(curves)
         if not w.size:  # one piece of zero width stands for none
             w, v = np.zeros(1), np.zeros(1)
-        self._read(_WaterfillStack(w, v[None]), 0)
-        self.mmse, self.scale = mmse, scale
-
-    def _read(self, stack: _WaterfillStack, i: int) -> None:
-        w, v = stack.own(i)
-        # flat, in the order of the row's own pieces: the sums add as before
-        self.stack, self.i, self.v = stack, i, np.ravel(v)
-        self.w = w if w.size == self.v.size else np.tile(w, self.v.size // max(w.size, 1))
-        self.top, self.attains = float(stack.top[i]), stack.attains[i]
-        self.W, self.S = stack.W[i], stack.S[i]
-        self.rate_at_next_value = stack.rate_at_next_value[i]
+        self.stack, self.i = _WaterfillStack(w, v[None]), 0
+        self.stack.mmse, self.stack.scale = np.array([mmse], dtype=float), scale
+        self.stack.fs = None if fs is None else np.array([fs], dtype=float)
 
     @classmethod
-    def of_row(cls, stack: _WaterfillStack, i: int, sigma2: float) -> "_Waterfill":
-        """Row i of stack, whose mmse is sigma2 less the row's integral."""
-        wf = cls.__new__(cls)
-        wf._read(stack, i)
-        wf.mmse, wf.scale = sigma2 - float(np.sum(wf.w * wf.v)), 1.0
-        return wf
-
-    @classmethod
-    def of_source(cls, sigma2: float, curves) -> "_Waterfill":
+    def of_source(cls, sigma2: float, curves, fs=None) -> "_Waterfill":
         """Waterfill whose mmse is sigma2, the source power, less the curves' integral."""
         w, v = _pieces(curves)
-        return cls((w, v), sigma2 - float(np.sum(w * v)))
+        return cls((w, v), sigma2 - float(np.sum(w * v)), fs=fs)
 
     def solve(self, R, fs: float | None = None) -> WaterfillSolution:
-        R = _as_rate(R, fs)
-        if R == 0:
-            theta = self.top
-        elif not self.attains:
+        """The solution at R, in bits per time, or per sample at fs (by
+        default, the row's own)."""
+        if fs is not None and isinstance(R, RateSpec) and R.unit == BITS_PER_SAMPLE:
+            R = R.per_time(fs)
+        theta, lossy, attained, rate = self.stack.level(R)
+        if not attained[self.i]:
             raise UnattainableRateError(_UNATTAINABLE)
-        else:
-            k = int(np.count_nonzero(self.rate_at_next_value < R))
-            theta = float(np.exp2((self.S[k] - 2.0 * R) / self.W[k]))
-        lossy = self.scale * float(np.sum(self.w * np.minimum(self.v, theta)))
-        return WaterfillSolution(theta, R, self.mmse + lossy, self.mmse, lossy)
+        mmse, lossy = float(self.stack.mmse[self.i]), float(lossy[self.i])
+        if isinstance(rate, np.ndarray):
+            rate = rate[self.i]
+        return WaterfillSolution(float(theta[self.i]), float(rate), mmse + lossy, mmse, lossy)
 
 
 def solve_theta_for_rate(curves, R, fs: float | None = None) -> float:
@@ -358,11 +405,11 @@ def drf_sampled_single(
 ) -> WaterfillSolution:
     """Minimal distortion at rate R bits/time from single-branch samples at fs."""
     fs = _check_fs(fs)
-    return _drf_sampled_single(_Source(Sx, Sn, [H]).periods([fs])).row(0).solve(R, fs)
+    return _drf_sampled_single(_Source(Sx, Sn, [H]).periods([fs])).row(0).solve(R)
 
 
 def _drf_sampled_multi(per: _PeriodRow) -> _Waterfill:
-    return _Waterfill.of_source(per.src.sigma2, _eigen_curves_multi(per))
+    return _Waterfill.of_source(per.src.sigma2, _eigen_curves_multi(per), per.fs)
 
 
 def drf_sampled_multi(
@@ -372,7 +419,7 @@ def drf_sampled_multi(
     R,
 ) -> WaterfillSolution:
     """Same as drf_sampled_single but for a P-branch filter bank."""
-    return _drf_sampled_multi(_Source(Sx, Sn, spec.branches).period(spec.fs)).solve(R, spec.fs)
+    return _drf_sampled_multi(_Source(Sx, Sn, spec.branches).period(spec.fs)).solve(R)
 
 
 def _drf_sampled_optimal(per: _Period, P: int) -> _WaterfillStack:
@@ -395,14 +442,14 @@ def drf_sampled_optimal(
     """
     _check_count(P, "P")
     fs = _check_fs(fs)
-    return _drf_sampled_optimal(_Source(Sx, Sn).periods([fs], P), P).row(0).solve(R, fs)
+    return _drf_sampled_optimal(_Source(Sx, Sn).periods([fs], P), P).row(0).solve(R)
 
 
 def _d_dagger(src: _Source, fs: np.ndarray) -> _WaterfillStack:
     """d_dagger's waterfills, one row per fs: the ratio's segments are ranked
     once per source, and each fs takes a prefix of them."""
     w, v = _superlevel_pieces(src.ranked, fs)
-    return _WaterfillStack.of_source(src.sigma2, w, v, lambda i: (w[i][w[i] > 0], v[i][w[i] > 0]))
+    return _WaterfillStack.of_source(src.sigma2, w, v, w > 0, fs=fs)
 
 
 def d_dagger(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> WaterfillSolution:
@@ -412,7 +459,7 @@ def d_dagger(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> Waterfil
     lower bound on every finite-P optimum.
     """
     fs = _check_fs(fs)
-    return _d_dagger(_Source(Sx, Sn), np.array([fs])).row(0).solve(R, fs)
+    return _d_dagger(_Source(Sx, Sn), np.array([fs])).row(0).solve(R)
 
 
 def _d_star_lower_bound(per: _Period) -> _WaterfillStack:
@@ -427,7 +474,7 @@ def d_star_lower_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -
     set, so it is drf_sampled_optimal at P = 1, bit for bit.
     """
     fs = _check_fs(fs)
-    return _d_star_lower_bound(_Source(Sx, Sn).periods([fs], 1)).row(0).solve(R, fs).distortion
+    return _d_star_lower_bound(_Source(Sx, Sn).periods([fs], 1)).row(0).solve(R).distortion
 
 
 def _polyphase_lower_bound(per: _PeriodRow, mmse, N_delta: int = 64):

@@ -10,8 +10,11 @@ from subnyq.cli import BIMODAL_SEGMENTS
 from subnyq.linalg import NotHermitianError, NotPositiveSemidefiniteError
 from subnyq.sampling import maximal_af_sets, mmse_optimal, mmse_single
 from subnyq.spectra import BP_TOL, ComplexGainProfile, FrequencySet, SpectralDensity
-from subnyq.spectra import _alias_grid, _dedup, _translate_count
+from subnyq.spectra import _alias_grid, _dedup, _pw_eval, _pw_support_radius, _Pw
+from subnyq.spectra import _translate_count, _translates
 from subnyq.waterfill import (
+    UnattainableRateError,
+    WaterfillSolution,
     _Waterfill,
     d_dagger,
     drf_sampled_optimal,
@@ -361,3 +364,61 @@ def figure_rows_loop(name):
                     rows += [[fs, P, p, iv.lo, iv.hi] for iv in F.intervals]
         return ["fs", "P", "branch", "lo", "hi"], rows
     raise ValueError(f"unknown figure {name!r}")
+
+
+def pw_aliased_loop(pw, step, lo, hi):
+    """sum_k pw(f - step*k) on [lo, hi]: read once on the cells of the period
+    [-step/2, step/2], cut by every shift, and tiled over [lo, hi]."""
+    half = step / 2.0
+    bp = _alias_grid(pw, step, -half, half)
+    vals = _translates(pw, step, 0.5 * (bp[:-1] + bp[1:]),
+                       _translate_count(pw, step, half)).sum(axis=0)
+    j = np.arange(math.floor(lo / step + 0.5), math.ceil(hi / step - 0.5) + 1)
+    tiled = _Pw(np.append((bp[:-1] + step * j[:, None]).ravel(), bp[-1] + step * j[-1]),
+                np.tile(vals, len(j)))
+    grid = _dedup(np.concatenate(([lo, hi], tiled.bp[(tiled.bp > lo) & (tiled.bp < hi)])))
+    return _Pw(grid, _pw_eval(tiled, 0.5 * (grid[:-1] + grid[1:])))
+
+
+def unfolded_mmse_loop(src, fs):
+    """Loop reference for sampling._unfolded_mmse at one fs: the integral of
+    Sx - Sx^2|H|^2 / (the aliased (Sx+Sn)|H|^2) over the whole line, on one
+    grid cut at the breakpoints of Sx, of the numerator and of the aliased
+    denominator tiled over (-r, r), r the larger support radius."""
+    num, den, _ = src.pws
+    radius = max(_pw_support_radius(src.px), _pw_support_radius(den))
+    if radius == 0:
+        return 0.0
+    den_per = pw_aliased_loop(den, fs, -radius, radius)
+    bp = _dedup(np.concatenate([src.px.bp, num.bp, den_per.bp]))
+    mids = 0.5 * (bp[:-1] + bp[1:])
+    x = _pw_eval(src.px, mids)
+    d = _pw_eval(den_per, mids)
+    frac = np.where(d > 0, _pw_eval(num, mids) / np.where(d > 0, d, 1.0), 0.0)
+    return float(np.sum(np.diff(bp) * x) - np.sum(np.diff(bp) * frac))
+
+
+def row_solve_loop(w, v, mmse, R):
+    """Loop reference for one row's waterfill at R bits per time, solved on
+    its own as the per-row path solved it: the row's pieces sorted once, the
+    water level read off their cumulative sums, and the lossy integral summed
+    over the row alone."""
+    w, v = np.asarray(w, dtype=float), np.asarray(v, dtype=float)
+    if not w.size:  # one piece of zero width stands for none
+        w, v = np.zeros(1), np.zeros(1)
+    key = np.where((w > 0) & (v > 0), -v, np.inf)
+    order = key.argsort(kind="stable")
+    kept, top = key[order] < np.inf, -key[order]
+    ws = w[order]
+    log_v = np.log2(np.where(kept, top, 1.0))
+    W, S = ws.cumsum(), (ws * log_v).cumsum()
+    if R == 0:
+        theta = float(top[0]) if kept[0] else 0.0
+    elif not kept[0]:
+        raise UnattainableRateError("no positive rate")
+    else:
+        k = int(np.count_nonzero(np.where(kept[1:], 0.5 * (S[:-1] - W[:-1] * log_v[1:]), np.inf)
+                                 < R))
+        theta = float(np.exp2((S[k] - 2.0 * R) / W[k]))
+    lossy = float(np.sum(w * np.minimum(v, theta)))
+    return WaterfillSolution(theta, R, mmse + lossy, mmse, lossy)

@@ -17,6 +17,7 @@ from subnyq.cli import _sweep, _sweep_rows
 from subnyq.oracle import block_idrf_oracle, finite_window_mmse_average
 from subnyq.sampling import SamplerSpec, mmse_single
 from subnyq.spectra import SpectralDensity
+from subnyq.waterfill import RateSpec
 from support import figure_rows_loop
 
 RECT_CONFIG = {
@@ -271,8 +272,8 @@ class TestRunModes:
     def test_one_period_cut_per_fs(self, tmp_path, monkeypatch, mode, P, cuts):
         # bounds: the source's periods and D*'s; a bank: the source's periods.
         # Each block is cut once, and each fs is in one block of each kind.
-        # The unfolded MMSE cross-check cuts its own grid through
-        # spectra._pw_aliased, and no other period is cut.
+        # The unfolded MMSE cross-check cuts its own periods inside
+        # sampling._unfolded_mmse, and no other period is cut.
         doc = dict(BIMODAL_CONFIG)
         if P == 3:
             doc["sampler"] = {"fs": [0.48, 1.92, 0.48], "P": 3, "filters": BANK_FILTERS}
@@ -299,24 +300,30 @@ class TestRunModes:
         Sn = SpectralDensity(((0.0, 1.6, 0.05),))
         rates = [0.0, 0.5, 4.0]
         real_init, real_solve = waterfill._WaterfillStack.__init__, waterfill._Waterfill.solve
+        real_sums = waterfill._WaterfillStack._own_sums
         real_bound = waterfill._polyphase_lower_bound
         monkeypatch.setattr(waterfill, "_polyphase_lower_bound",
                             lambda per, mmse: real_bound(per, mmse, N_delta))
         for budget in (None, 30):
-            stacks, solves = [], []
+            stacks, solves, sums = [], [], []
 
             def init(self, *args):
                 stacks.append(self)
                 real_init(self, *args)
 
-            def solve(self, R):
+            def solve(self, R, fs=None):
                 solves.append((self.stack, self.i))
-                return real_solve(self, R)
+                return real_solve(self, R, fs)
+
+            def own_sums(self, theta=None):  # once for the mmse, once per level
+                sums.append(self)
+                return real_sums(self, theta)
             with monkeypatch.context() as mp:
                 if budget:
                     mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
                 mp.setattr(waterfill._WaterfillStack, "__init__", init)
                 mp.setattr(waterfill._Waterfill, "solve", solve)
+                mp.setattr(waterfill._WaterfillStack, "_own_sums", own_sums)
                 offsets = count_calls(mp, "_polyphase_values")
                 rows = _sweep_rows("bounds", Sx, Sn, fs_list, rates)
             assert len(rows) == len(fs_list) * len(rates)
@@ -337,6 +344,11 @@ class TestRunModes:
             assert sorted(row_solves.count(key) for key in set(row_solves)) == (
                 [len(rates)] * (3 * len(fs_list)))
             assert [i for st, i in solves if st is idrf] == [0] * len(rows)
+            # but a stack finds its level once per rate, for all of its rows:
+            # idrf's rates are in bits per time, so once per sweep
+            assert [sums.count(st) for st in row_stacks.values()] == [1 + len(rates)] * (
+                3 * n_blocks)
+            assert sums.count(idrf) == len(rates)
 
     @pytest.mark.parametrize("n_fs", [1, 4])
     @pytest.mark.parametrize("mode, P, filters", [
@@ -564,12 +576,11 @@ class TestExitCodes:
         fs_list = [round(0.3 + 0.02 * i, 2) for i in range(40)]
         third = fs_list[2]
         if check == "cross-check":
-            real_aliased = sampling._pw_aliased
+            real_unfolded = sampling._unfolded_mmse
 
-            def aliased(pw, step, lo, hi):
-                out = real_aliased(pw, step, lo, hi)
-                return spectra._Pw(out.bp, out.vals * (2.0 if step == third else 1.0))
-            monkeypatch.setattr(sampling, "_pw_aliased", aliased)
+            def unfolded(src, steps):  # one call for the block; the third row is off
+                return real_unfolded(src, steps) * (1.0 + (steps == third))
+            monkeypatch.setattr(sampling, "_unfolded_mmse", unfolded)
             cause = "mmse cross-check failed"
         else:
             real_folded = sampling._folded
@@ -589,6 +600,42 @@ class TestExitCodes:
         assert run(write_config(tmp_path, doc), mode, out=str(out)) == 3
         assert capsys.readouterr().err.startswith(f"numerical failure at fs={third}: {cause}")
         assert [len(steps) for _, steps, _ in blocks][:1] == [40]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["drf", "drf-optimal", "d-dagger", "bounds"])
+    def test_rate_failure_mid_block_names_its_point(self, tmp_path, capsys, monkeypatch, mode):
+        # each rate is solved once for the whole 40-fs block; a failure of the
+        # third row at the second rate is raised when that row is read there
+        fs_list = [round(0.3 + 0.02 * i, 2) for i in range(40)]
+        real_level = waterfill._WaterfillStack.level
+
+        def level(self, R):
+            theta, lossy, attained, rate = real_level(self, R)
+            if len(self.rows) == 40 and R == RateSpec(2.0):
+                lossy = lossy.copy()
+                lossy[2] = math.nan
+            return theta, lossy, attained, rate
+        monkeypatch.setattr(waterfill._WaterfillStack, "level", level)
+        doc = dict(RECT_CONFIG, noise={"segments": [[0.0, 0.5, 0.2]]})
+        doc["sampler"] = {"fs": fs_list, "P": 1}
+        doc["rates"] = {"values": [1.0, 2.0, 3.0]}
+        out = tmp_path / "x.csv"
+        assert run(write_config(tmp_path, doc), mode, out=str(out)) == 3
+        assert capsys.readouterr().err.startswith(
+            f"numerical failure at fs={fs_list[2]}, R=2 bits-per-time-unit: "
+            "distortion decomposition off by nan")
+        assert not out.exists()
+
+    def test_nothing_observed_by_the_oracle_exits_3(self, tmp_path, capsys):
+        # a source outside the filter's pass band and no noise: the window
+        # covariance is 0, and a ridge of 0 cannot make it definite
+        doc = dict(RECT_CONFIG, source={"segments": [[1.0, 2.0, 1.0]]},
+                   sampler={"fs": [0.5], "P": 1, "filters": [[[-0.5, 0.5, 1.0]]]},
+                   oracle={"K": 4, "phases": 8})
+        out = tmp_path / "x.csv"
+        assert run(write_config(tmp_path, doc), "oracle-check", out=str(out)) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure at fs=0.5: window covariance is not positive definite")
         assert not out.exists()
 
     def test_rate_dependent_failure_names_the_rate(self, tmp_path, capsys, monkeypatch):

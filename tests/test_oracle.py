@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subnyq import oracle
+from subnyq.linalg import LinalgError
 from subnyq.oracle import (
     CovarianceWindow,
     DiscreteSpectrum,
@@ -237,10 +238,18 @@ class TestOracleInputs:
         with pytest.raises(SpectrumError, match="need real filter gains"):
             window_oracle(rect_density(), rect_noise(5.0), H, 0.3, 4, 2)
 
+    def test_window_oracle_with_nothing_observed_raises_linalg_error(self):
+        # the source lies outside the pass band and there is no noise: the
+        # window covariance is 0, and so is its ridge; numpy's LinAlgError
+        # escaped here
+        H = ComplexGainProfile([(-0.5, 0.5, 1.0)])
+        with pytest.raises(LinalgError, match="^window covariance is not positive definite"):
+            window_oracle(SpectralDensity(((1.0, 2.0, 1.0),)), zero_density(), H, 0.5, 4)
+
 
 def test_oracle_shares_no_translate_kernel():
     # the oracles check the spectral path, so they must not run its kernels
-    kernels = {"_alias_grid", "_translates", "_pw_aliased", "_Period",
+    kernels = {"_alias_grid", "_translates", "_unfolded_mmse", "_Period",
                "_top_translates", "_folded"}
     assert not kernels & set(vars(oracle))
 

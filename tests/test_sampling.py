@@ -10,6 +10,9 @@ from subnyq import oracle, sampling, spectra, waterfill
 from subnyq.cli import BIMODAL_SEGMENTS as BIMODAL
 from subnyq.linalg import LinalgError, hermitian, inv_sqrt_psd
 from subnyq.waterfill import (
+    BITS_PER_SAMPLE,
+    RateSpec,
+    UnattainableRateError,
     WaterfillError,
     _Waterfill,
     _WaterfillStack,
@@ -54,7 +57,9 @@ from support import (
     s_tilde_loop,
     rect_density,
     rect_noise,
+    row_solve_loop,
     triangular_density,
+    unfolded_mmse_loop,
     whitened_eigenvalues_loop,
     zero_density,
 )
@@ -679,6 +684,32 @@ def blocks_of(src, fs_list, budget, P=None):
         return list(src.blocks(fs_list, P))
 
 
+# rates in bits per time, and in bits per sample, which give each row its own
+RATES = [0.0, 0.4, 3.0, RateSpec(0.0, BITS_PER_SAMPLE), RateSpec(0.7, BITS_PER_SAMPLE),
+         RateSpec(1.5)]
+
+
+def own_pieces(curves, i):
+    """Row i's own pieces of a _Curves stack, flat, curve by curve."""
+    w, v = curves.own(i)
+    return np.tile(w, len(v)), v.ravel()
+
+
+def assert_rows_solve_as_loop(rows, sigma2):
+    """Each (stack, i, fs, w, v) of rows: row i of stack at every rate of
+    RATES is the per-row loop's solution for its own pieces w and v."""
+    for R in RATES:
+        for stack, i, fs, w, v in rows:
+            r = R.per_time(fs) if isinstance(R, RateSpec) else R
+            try:
+                want = row_solve_loop(w, v, sigma2 - float(np.sum(w * v)), r)
+            except UnattainableRateError:
+                with pytest.raises(UnattainableRateError):
+                    stack.row(i).solve(R)
+                continue
+            assert stack.row(i).solve(R) == want
+
+
 class TestBlocks:
     """A sweep's per-fs work is one stack per block of consecutive fs; every
     row of a block is, to the bit, what the one-fs functions build alone."""
@@ -752,6 +783,40 @@ class TestBlocks:
                         continue
                     assert a.solve(R) == sol
 
+    @given(densities(), st.one_of(densities(), densities(hi=3)), gains(), FS_LISTS, BUDGETS)
+    @settings(max_examples=80, deadline=None)
+    def test_unfolded_mmse_is_the_row_loop(self, Sx, Sn, H, fs_list, budget):
+        # one block kernel for the cross-check of a block's rows, against the
+        # unfolded check made one fs at a time
+        src = _Source(Sx, Sn, [H])
+        for per in blocks_of(src, fs_list, budget):
+            for fs, alt in zip(per.steps.tolist(), sampling._unfolded_mmse(src, per.steps)):
+                assert abs(alt - unfolded_mmse_loop(src, fs)) <= 1e-12 * max(1.0, src.sigma2)
+
+    @given(densities(4, TIED_LEVELS), densities(levels=TIED_LEVELS), gains(), FS_LISTS, BUDGETS,
+           st.integers(1, 4), st.sampled_from(["folded", "top", "dagger"]))
+    @settings(max_examples=120, deadline=None)
+    def test_per_rate_solve_is_the_row_loop(self, Sx, Sn, H, fs_list, budget, P, kind):
+        # a block solves each rate once for all of its rows; each row reads the
+        # solution that the per-row path gives for its own pieces, bit for bit
+        src = _Source(Sx, Sn, [H] if kind == "folded" else [None])
+        rows = []  # (stack, i, fs, own widths, own values)
+        if kind == "dagger":
+            stack = waterfill._d_dagger(src, np.array(fs_list))
+            w, v = spectra._superlevel_pieces(src.ranked, np.array(fs_list))
+            rows = [(stack, i, fs, w[i][w[i] > 0], v[i][w[i] > 0])
+                    for i, fs in enumerate(fs_list)]
+        for per in blocks_of(src, fs_list, budget, P if kind == "top" else None):
+            if kind == "dagger":
+                break
+            curves = (sampling._folded(per) if kind == "folded"
+                      else sampling._top_translates(per, P))
+            stack = _WaterfillStack.of_curves(src.sigma2, curves)
+            for i, fs in enumerate(per.fs.tolist()):
+                if curves.over is None or not curves.over[i]:
+                    rows.append((stack, i, fs, *own_pieces(curves, i)))
+        assert_rows_solve_as_loop(rows, src.sigma2)
+
     @pytest.mark.parametrize("P", [8, 10, 12])
     def test_rows_with_fewer_translates_than_p(self, P):
         # fs = 3 and 4 above the Nyquist rate 1 of a source on [0, 0.5]: those
@@ -763,6 +828,8 @@ class TestBlocks:
         assert [2 * k + 1 < P for k in per.kmax] == [True, False, True]
         tops = sampling._top_translates(per, P)
         drf = _WaterfillStack.of_curves(src.sigma2, tops)
+        assert_rows_solve_as_loop([(drf, i, fs, *own_pieces(tops, i))
+                                   for i, fs in enumerate(fs_list)], src.sigma2)
         for i, fs in enumerate(fs_list):
             want = sampling._top_translates(src.periods([fs], P), P)
             assert [x.tolist() for x in tops.own(i)] == [x.tolist() for x in want.own(0)]
