@@ -312,11 +312,12 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             return rows_at
     elif mode == "af-sets":
         header = ["fs", "P", "branch", "lo", "hi"]
+        sets_at = periods(lambda per: per,
+                          lambda per, i: sampling._maximal_af_sets(per.row(i), cfg.P), cfg.P)
 
         def at_fs(fs):
-            sets = sampling._maximal_af_sets(src.ratio_pw, fs, cfg.P)
             rows = [[fs, cfg.P, p, iv.lo, iv.hi]
-                    for p, F in enumerate(sets, start=1) for iv in F.intervals]
+                    for p, F in enumerate(sets_at(fs), start=1) for iv in F.intervals]
             return lambda R: rows
     elif mode == "bounds":
         header = ["fs", "rate_bits_per_time", "drf_sampled", "idrf_stationary",

@@ -351,7 +351,7 @@ def sampled_discretization(
 
     def discretize(pw: _Pw) -> DiscreteSpectrum:
         # The translates are cut and summed here, k by k, and not by the
-        # library's kernel (spectra._alias_grid and _translates): at M = 1 this
+        # library's kernel (spectra._alias_grids and _translates): at M = 1 this
         # device would otherwise check that kernel against itself.
         kmax = _translate_count(pw, fr, fr / 2.0)
         grid_pts = [np.array([-fr / 2.0, fr / 2.0])]
@@ -399,6 +399,7 @@ def discrete_j_m_curve(
 
 def iid_drf(C_U: float, C_V: float, C_UV: float, R: float) -> float:
     """Distortion-rate of scalar U described at R bits from observation V."""
+    R = _as_rate(R)
     if C_V <= 0:
         if C_UV != 0:
             raise SpectrumError("zero-variance observation with nonzero cross term")

@@ -15,10 +15,10 @@ The per-fs work of a sweep is one stack per block of consecutive fs
 cut in one vectorised step, with their translate counts and aliased
 denominator, which the folded curve and the polyphase spectra share.  Every
 piece of a source lies on the source's breakpoints, so one cut serves them
-all; the SNR ratio has other breakpoints, so D* and the optimal filters cut
-periods of fs/P for it.  _folded and _top_translates read a block as one
-(rows x translates x cells) array and give a _Curves stack; the filter
-bank's eigen path and the polyphase bound read one row of it (_PeriodRow).
+all; the SNR ratio has other breakpoints, so D* and the optimal filters and
+sets cut periods of fs/P for it.  _folded and _top_translates read a block as
+one (rows x translates x cells) array, a _Curves stack; the filter bank, the
+polyphase bound and the sets read one row of it (_PeriodRow).
 The unfolded MMSE cross-check of a folded block is one kernel over all of
 its rows too (_unfolded_mmse), which shares no cut with the folded path.
 Rows are padded with zero-width cells and zero translates that change no
@@ -32,10 +32,9 @@ curves returned here (the eigenvalue curves included, one stacked eigen-solve
 over the (cells, P, P) matrices of a filter bank) are the true
 piecewise-constant functions, not samples of them.  All translates
 S(f - k*fs) come from one kernel, spectra._translates, as one (translates x
-cells) array: the sums and bound of s_tilde_single, the S_Y and K entries,
-the polyphase phased sums, the maximal_af_sets ranking and the top-P ranking
-of _top_translates behind D*, drf_sampled_optimal and the optimal MMSE.  The
-cross-check, which checks them, sums its own translates.
+cells) array: the sums and bound of s_tilde_single, the S_Y and K entries
+(one stack of pieces), the polyphase phased sums and the rankings behind D*,
+the optimal filters and their sets.  The cross-check cuts its own.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from .spectra import (
     FrequencySet,
     SpectralDensity,
     SpectrumError,
-    _alias_grid,
     _alias_grids,
     _as_finite,
     _check_count,
@@ -206,14 +204,13 @@ class _Period:
 
 
 class _PeriodRow:
-    """Row i of a period block as a period of its own, on its own cells: step,
-    fs, grid, mids, kmax, den (read off the block's) and src; translates() is
-    (translates, cells).  The filter bank's eigen path and the polyphase bound
-    read one, as they are not batched."""
+    """Row i of a period block as a period of its own, on its own cells: pw,
+    step, fs, grid, mids, kmax, den (read off the block's) and src;
+    translates() is (translates, cells).  The unbatched paths read one."""
 
     def __init__(self, per: _Period, i: int):
         c = per.cells[i]
-        self.src, self._per, self._i = per.src, per, i
+        self.pw, self.src, self._per, self._i = per.pw, per.src, per, i
         self.step, self.fs, self.kmax = float(per.steps[i]), float(per.fs[i]), int(per.kmax[i])
         self.grid, self.mids = per.grid[i, :c + 1], per.mids[i, :c]
 
@@ -287,11 +284,13 @@ class _Source:
         return _Pw(bp, x * x * w), _Pw(bp, z * w), _Pw(bp, x * np.conj(g[0]))
 
     @cached_property
-    def pairs(self):
-        """(i, j, pz, pk) per branch pair i <= j: conj(H_i)H_j times Sx+Sn and times Sx^2."""
+    def pairs(self) -> _Pw:
+        """The filter bank's pieces as one stack: conj(H_i)H_j times Sx+Sn for
+        each branch pair i <= j, in np.triu_indices order, then each times Sx^2."""
         bp, _, x, z, g = self.grid
-        return [(i, j, _Pw(bp, z * w), _Pw(bp, x * x * w)) for i in range(len(g))
-                for j in range(i, len(g)) for w in [np.conj(g[i]) * g[j]]]
+        i, j = np.triu_indices(len(g))
+        w = np.conj(g[i]) * g[j]
+        return _Pw(bp, np.concatenate([z * w, x * x * w]))
 
     ranked = cached_property(lambda self: _ranked_segments(self.ratio))  # for D-dagger
 
@@ -435,8 +434,8 @@ def _unfolded_mmse(src: _Source, steps: np.ndarray) -> np.ndarray:
     the support radius of (Sx+Sn)|H|^2, outside which Sx^2|H|^2 is 0.
 
     It cross-checks the folded MMSE, so it shares no cut with it: each row's
-    period is cut by every shift of the breakpoints (as _alias_grid cuts it,
-    not by the nearest shift alone), its translates summed, and the period
+    period is cut by every shift of the breakpoints (not by the nearest shift
+    alone, as _alias_grids cuts it), its translates summed, and the period
     tiled over (-r, r); the line is cut at those tiles and at the numerator's
     breakpoints, merged within BP_TOL as _dedup merges them, and each merged
     cell reads the tiled cell that holds it.  The rows lie end to end in flat
@@ -524,22 +523,21 @@ def mmse_single(
     return _mmse_and_curve(_folded(_Source(Sx, Sn, [H]).periods([_check_fs(fs)])), 0)[0]
 
 
-def _matrices_on_points(pairs, P: int, fs: float, pts: np.ndarray):
-    """Aliased S_Y and K matrices stacked over the given frequencies."""
-    # pk vanishes wherever pz does, so the pz counts cover both
-    edge = max(fs / 2.0, float(np.abs(pts).max()))
-    kmax = max(_translate_count(pz, fs, edge) for _, _, pz, _ in pairs)
-    sy = np.zeros((len(pts), P, P), dtype=complex)
-    kk = np.zeros((len(pts), P, P), dtype=complex)
-    for i, j, pz, pk in pairs:
-        az = _translates(pz, fs, pts, kmax).sum(axis=0)
-        ak = _translates(pk, fs, pts, kmax).sum(axis=0)
-        sy[:, i, j] = az
-        kk[:, i, j] = ak
-        if i != j:
-            sy[:, j, i] = np.conj(az)
-            kk[:, j, i] = np.conj(ak)
-    return sy, kk
+def _branch_matrices(src: _Source, step: float, pts: np.ndarray, kmax: int) -> np.ndarray:
+    """S_Y and K at pts, (2, points, P, P): src.pairs summed over translates by
+    step, |k| <= kmax, in calls of pieces x translates x points within
+    _MAX_BLOCK_ENTRIES (one piece at least); the diagonal keeps its own value."""
+    pairs, P = src.pairs, len(src.branches)
+    size = max(1, _MAX_BLOCK_ENTRIES // ((2 * kmax + 1) * len(pts)))
+    sums = np.concatenate([
+        _translates(_Pw(pairs.bp, pairs.vals[at:at + size]), step, pts, kmax).sum(axis=-2)
+        for at in range(0, len(pairs.vals), size)])
+    entries = sums.reshape(2, -1, len(pts)).transpose(0, 2, 1)
+    i, j = np.triu_indices(P)
+    m = np.empty((2, len(pts), P, P), dtype=complex)
+    m[:, :, j, i] = np.conj(entries)
+    m[:, :, i, j] = entries
+    return m
 
 
 def build_branch_matrices(
@@ -551,9 +549,10 @@ def build_branch_matrices(
     K the same with Sx^2 in place of (Sx+Sn).  Both come back as P x P
     complex arrays, checked Hermitian and positive semidefinite.
     """
-    sy, kk = _matrices_on_points(_Source(Sx, Sn, spec.branches).pairs, spec.P, spec.fs,
-                                 np.array([float(f)]))
-    m = hermitian(np.concatenate([sy, kk]))
+    f, src = _as_finite(f, "f"), _Source(Sx, Sn, spec.branches)
+    # period_pw covers every pair piece, so its count serves them all
+    kmax = _translate_count(src.period_pw, spec.fs, max(spec.fs / 2.0, abs(f)))
+    m = hermitian(_branch_matrices(src, spec.fs, np.array([f]), kmax).reshape(2, spec.P, spec.P))
     w = np.linalg.eigh(m)[0]
     low = w[:, 0] < -1e-10 * np.maximum(1.0, w[:, -1])
     if np.any(low):
@@ -562,7 +561,7 @@ def build_branch_matrices(
 
 
 def _eigen_curves_multi(per: _PeriodRow) -> EigenCurves:
-    sy, kk = _matrices_on_points(per.src.pairs, len(per.src.branches), per.step, per.mids)
+    sy, kk = _branch_matrices(per.src, per.step, per.mids, per.kmax)
     t = inv_sqrt_psd(sy)
     lam = np.linalg.eigh(hermitian(t @ kk @ t))[0]
 
@@ -603,16 +602,14 @@ def mmse_multi(Sx: SpectralDensity, Sn: SpectralDensity, spec: SamplerSpec) -> f
     return _mmse_multi(_Source(Sx, Sn, spec.branches).period(spec.fs))
 
 
-def _maximal_af_sets(ratio: _Pw, fs: float, P: int) -> list[FrequencySet]:
-    """maximal_af_sets from the ratio on the full line, which a _Source holds."""
-    fs = _check_fs(fs)
-    _check_count(P, "P")
-    d = fs / P
-    bp = _alias_grid(ratio, d, 0.0, d / 2.0)
+def _maximal_af_sets(per: _PeriodRow, P: int) -> list[FrequencySet]:
+    """maximal_af_sets on a period row of the SNR ratio at d = fs/P, on its cells
+    from 0 up: a first point within BP_TOL above 0 merges into 0 as in [0, d/2]."""
+    d, kmax = per.step, per.kmax
+    bp = np.concatenate(([0.0], per.grid[per.grid > BP_TOL]))
     mids = 0.5 * (bp[:-1] + bp[1:])
-    kmax = _translate_count(ratio, d, d / 2.0)
     # row i holds shift k = i - kmax: the ratio at c = mids + k*d
-    v = _translates(ratio, d, mids, kmax)[::-1]
+    v = _translates(per.pw, d, mids, kmax)[::-1]
     k = np.arange(-kmax, kmax + 1)[:, None] + np.zeros(len(mids), dtype=int)
     c = mids + k * d
     sets = []
@@ -636,7 +633,8 @@ def maximal_af_sets(
     the cell is scanned; selections are mirrored, which keeps each set
     symmetric so an indicator filter on it has a real impulse response.
     """
-    return _maximal_af_sets(_pw_from_density(ratio), fs, P)
+    _check_count(P, "P")
+    return _maximal_af_sets(_Period(_pw_from_density(ratio), [_check_fs(fs) / P]).row(0), P)
 
 
 def _top_translates(per: _Period, P: int) -> _Curves:
@@ -657,10 +655,8 @@ def mmse_optimal(
 ) -> tuple[float, list[FrequencySet]]:
     """Minimal sampling MMSE over all P-branch filter banks, plus the supports."""
     _check_count(P, "P")
-    fs = _check_fs(fs)
-    src = _Source(Sx, Sn)
-    return (_mmse_optimal(_top_translates(src.periods([fs], P), P), 0),
-            _maximal_af_sets(src.ratio_pw, fs, P))
+    per = _Source(Sx, Sn).periods([_check_fs(fs)], P)
+    return _mmse_optimal(_top_translates(per, P), 0), _maximal_af_sets(per.row(0), P)
 
 
 def landau_mmse_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float) -> float:

@@ -54,10 +54,10 @@ def _as_real(x, what: str, error: type = SpectrumError) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def _as_finite(x, what: str) -> float:
-    """_as_real(x, what), or SpectrumError unless it is finite."""
-    if not math.isfinite(x := _as_real(x, what)):
-        raise SpectrumError(f"{what} must be finite, got {x}")
+def _as_finite(x, what: str, error: type = SpectrumError) -> float:
+    """_as_real(x, what, error), or error unless it is finite."""
+    if not math.isfinite(x := _as_real(x, what, error)):
+        raise error(f"{what} must be finite, got {x}")
     return x
 
 
@@ -293,7 +293,7 @@ def integrate(S: SpectralDensity, F: FrequencySet | None = None) -> float:
 
 def aliased_sum(S: SpectralDensity, fs: float, f: float) -> float:
     """Sum of S(f - fs*k) over all integer k (finite for bounded support)."""
-    fs = _check_fs(fs)
+    fs, f = _check_fs(fs), _as_finite(f, "f")
     kmax = math.ceil((S.f_max + abs(f)) / fs) + 1
     return sum(S.evaluate(f - fs * k) for k in range(-kmax, kmax + 1))
 
@@ -491,9 +491,9 @@ class ComplexGainProfile:
 # ---------------------------------------------------------------------------
 # Internal piecewise machinery shared with the sampling and oracle modules.
 # A _Pw is a plain full-line piecewise-constant function: breakpoint vector of
-# length n+1 and a value vector of length n, zero outside the covered range.
-# The zero function has no breakpoints at all, so that merging its grid into
-# another adds no cut.
+# length n+1 and a value vector of length n (leading axes stack functions on
+# one grid), zero outside the covered range.  The zero function has no
+# breakpoints at all, so that merging its grid into another adds no cut.
 
 @dataclass(frozen=True)
 class _Pw:
@@ -501,7 +501,7 @@ class _Pw:
     vals: np.ndarray
 
     def __post_init__(self):
-        if len(self.bp) != len(self.vals) + 1 and (len(self.bp) or len(self.vals)):
+        if len(self.bp) != self.vals.shape[-1] + 1 and (len(self.bp) or self.vals.size):
             raise SpectrumError("breakpoint/value length mismatch")
 
 
@@ -518,12 +518,12 @@ def _dedup(points: np.ndarray) -> np.ndarray:
 
 
 def _pw_eval(pw: _Pw, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    idx = np.searchsorted(pw.bp, x, side="right") - 1
-    inside = (idx >= 0) & (idx < len(pw.vals))
-    out = np.zeros(x.shape, dtype=pw.vals.dtype)
-    out[inside] = pw.vals[idx[inside]]
-    return out
+    """pw at x, pw's leading axes first: values padded with a zero at each end
+    (x outside or NaN reads 0), taken C-ordered so each row sums as alone."""
+    padded = np.zeros(pw.vals.shape[:-1] + (pw.vals.shape[-1] + 2,), dtype=pw.vals.dtype)
+    padded[..., 1:-1] = pw.vals
+    idx = np.searchsorted(pw.bp, np.asarray(x, dtype=float), side="right")
+    return np.take(padded, idx, axis=-1)
 
 
 def _pw_from_segments(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray) -> _Pw:
@@ -587,17 +587,10 @@ def _translate_counts(pw: _Pw, steps: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _translates(pw: _Pw, step, pts: np.ndarray, kmax: int) -> np.ndarray:
     """pw(pts - step*k) for k = -kmax..kmax, one row per k: the one place
     translates are evaluated.  pts may carry leading axes, with one step per
-    row of them, and k is then the last axis but one.  A sum over that axis
-    adds rows in ascending k."""
+    row of them, and k is always the last axis but one; a stacked pw's axes
+    come first.  A sum over that axis adds rows in ascending k."""
     k = np.arange(-kmax, kmax + 1)
     return _pw_eval(pw, pts[..., None, :] - np.asarray(step)[..., None, None] * k[:, None])
-
-
-def _alias_grid(pw: _Pw, step: float, lo: float, hi: float) -> np.ndarray:
-    """Breakpoints of sum/sup over translates of pw by step*Z, clipped to [lo, hi]."""
-    kmax = _translate_count(pw, step, max(abs(lo), abs(hi)))
-    shifted = (pw.bp[None, :] + step * np.arange(-kmax, kmax + 1)[:, None]).ravel()
-    return _dedup(np.concatenate(([lo, hi], shifted[(shifted > lo) & (shifted < hi)])))
 
 
 _NEIGHBOURS = np.array([-1.0, 0.0, 1.0])[:, None]
@@ -605,11 +598,11 @@ _NONE = np.finfo(float).max
 
 
 def _alias_grids(pw: _Pw, steps: np.ndarray, kmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(grid, cells): per row, _alias_grid(pw, step, -step/2, step/2) given its
-    kmax, and its cell count; rows are padded to at least two cells with
-    zero-width cells at their top edge.  A breakpoint b lands inside the
-    period only at the shift k nearest -b/step, so just that k and its two
-    neighbours are tried: the same points, to the bit, as every shift gives."""
+    """(grid, cells): per row, the one cut of (-step/2, step/2) that every
+    spectral path reads, at pw's breakpoints shifted by step*k, |k| <= kmax,
+    merged as _dedup merges, padded to two cells at least with zero-width cells
+    at its top edge, and its cell count.  A breakpoint b lands inside only at
+    the k nearest -b/step, so that k and its neighbours give every point."""
     rows, half = len(steps), steps[:, None] / 2.0
     k = np.rint(-pw.bp / steps[:, None])[:, None, :] + _NEIGHBOURS
     pts = pw.bp + steps[:, None, None] * k

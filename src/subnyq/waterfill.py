@@ -55,6 +55,7 @@ from .spectra import (
     ComplexGainProfile,
     SpectralDensity,
     SpectrumError,
+    _as_finite,
     _as_real,
     _check_count,
     _check_fs,
@@ -148,11 +149,19 @@ class WaterfillSolution:
 
 
 def _pieces(curves) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten any supported curve description into (widths, values)."""
+    """Flatten any supported curve description into (widths, values): the
+    library's curves, or raw (w, v), which are checked."""
     if isinstance(curves, (ScalarCurve, EigenCurves)):
         return curves.pieces()
-    w, v = curves
-    return np.asarray(w, dtype=float), np.asarray(v, dtype=float)
+    try:
+        w, v = (np.asarray(x) for x in curves)
+    except (TypeError, ValueError):  # not a pair, or ragged
+        w = v = np.zeros((0, 0))
+    real = w.ndim == v.ndim == 1 and len(w) == len(v) and {w.dtype.kind, v.dtype.kind} <= {*"iuf"}
+    if not (real and all(((x >= 0) & (x < math.inf)).all() for x in (w, v))):
+        raise WaterfillError("pieces must be (widths, values), 1-D arrays of real numbers of "
+                             "one length, each finite and >= 0")
+    return w.astype(float), v.astype(float)
 
 
 def rate_of_theta(curves, theta: float) -> float:
@@ -169,6 +178,7 @@ def rate_of_theta(curves, theta: float) -> float:
 
 
 def distortion_of_theta(sigma2: float, curves, theta: float) -> WaterfillSolution:
+    sigma2 = _as_finite(sigma2, "sigma2", WaterfillError)
     if not theta >= 0:  # NaN fails too
         raise WaterfillError(f"theta must be >= 0, got {theta}")
     w, v = _pieces(curves)
@@ -389,6 +399,7 @@ def idrf_vector(curves, M: int, rate_per_symbol, mmse: float) -> WaterfillSoluti
     only the lossy term picks up the 1/M.
     """
     _check_count(M, "M", error=WaterfillError)
+    mmse = _as_finite(mmse, "mmse", WaterfillError)
     return _Waterfill(curves, mmse, 1.0 / M).solve(rate_per_symbol)
 
 
@@ -404,8 +415,7 @@ def drf_sampled_single(
     R,
 ) -> WaterfillSolution:
     """Minimal distortion at rate R bits/time from single-branch samples at fs."""
-    fs = _check_fs(fs)
-    return _drf_sampled_single(_Source(Sx, Sn, [H]).periods([fs])).row(0).solve(R)
+    return _drf_sampled_single(_Source(Sx, Sn, [H]).periods([_check_fs(fs)])).row(0).solve(R)
 
 
 def _drf_sampled_multi(per: _PeriodRow) -> _Waterfill:
@@ -441,8 +451,7 @@ def drf_sampled_optimal(
     largest translates of the ratio by fs/P on one period.  No set is built.
     """
     _check_count(P, "P")
-    fs = _check_fs(fs)
-    return _drf_sampled_optimal(_Source(Sx, Sn).periods([fs], P), P).row(0).solve(R)
+    return _drf_sampled_optimal(_Source(Sx, Sn).periods([_check_fs(fs)], P), P).row(0).solve(R)
 
 
 def _d_dagger(src: _Source, fs: np.ndarray) -> _WaterfillStack:
@@ -458,8 +467,7 @@ def d_dagger(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> Waterfil
     Waterfills the SNR ratio over its best superlevel set of measure fs; a
     lower bound on every finite-P optimum.
     """
-    fs = _check_fs(fs)
-    return _d_dagger(_Source(Sx, Sn), np.array([fs])).row(0).solve(R)
+    return _d_dagger(_Source(Sx, Sn), np.array([_check_fs(fs)])).row(0).solve(R)
 
 
 def _d_star_lower_bound(per: _Period) -> _WaterfillStack:

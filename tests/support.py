@@ -10,7 +10,7 @@ from subnyq.cli import BIMODAL_SEGMENTS
 from subnyq.linalg import NotHermitianError, NotPositiveSemidefiniteError
 from subnyq.sampling import maximal_af_sets, mmse_optimal, mmse_single
 from subnyq.spectra import BP_TOL, ComplexGainProfile, FrequencySet, SpectralDensity
-from subnyq.spectra import _alias_grid, _dedup, _pw_eval, _pw_support_radius, _Pw
+from subnyq.spectra import _dedup, _pw_eval, _pw_support_radius, _Pw
 from subnyq.spectra import _translate_count, _translates
 from subnyq.waterfill import (
     UnattainableRateError,
@@ -190,12 +190,20 @@ def alias_cells_loop(points, step, lo, hi, ks):
     return [pts[0]] + [q for p, q in zip(pts, pts[1:]) if q - p > BP_TOL]
 
 
+def alias_grid(pw, step, lo, hi):
+    """The reference cut: [lo, hi] cut at every translate of pw's breakpoints
+    by step*k for every k up to the translate count, merged within BP_TOL."""
+    kmax = _translate_count(pw, step, max(abs(lo), abs(hi)))
+    shifted = (pw.bp[None, :] + step * np.arange(-kmax, kmax + 1)[:, None]).ravel()
+    return _dedup(np.concatenate(([lo, hi], shifted[(shifted > lo) & (shifted < hi)])))
+
+
 def period_cut_union(pws, fs):
     """(grid, kmax) of (-fs/2, fs/2) by the rule one cut per (source, fs)
     replaced: the union of every piece's own aliased grid, and the largest
     translate count."""
     lo, hi = -fs / 2.0, fs / 2.0
-    grid = _dedup(np.concatenate([_alias_grid(pw, fs, lo, hi) for pw in pws]))
+    grid = _dedup(np.concatenate([alias_grid(pw, fs, lo, hi) for pw in pws]))
     return grid, max(_translate_count(pw, fs, hi) for pw in pws)
 
 
@@ -370,7 +378,7 @@ def pw_aliased_loop(pw, step, lo, hi):
     """sum_k pw(f - step*k) on [lo, hi]: read once on the cells of the period
     [-step/2, step/2], cut by every shift, and tiled over [lo, hi]."""
     half = step / 2.0
-    bp = _alias_grid(pw, step, -half, half)
+    bp = alias_grid(pw, step, -half, half)
     vals = _translates(pw, step, 0.5 * (bp[:-1] + bp[1:]),
                        _translate_count(pw, step, half)).sum(axis=0)
     j = np.arange(math.floor(lo / step + 0.5), math.ceil(hi / step - 0.5) + 1)

@@ -268,28 +268,31 @@ class TestRunModes:
                 assert [fs for (per,) in builds for fs in per.steps.tolist()] == fs_list
                 assert len(builds) == (len(fs_list) if budget else 1)
 
-    @pytest.mark.parametrize("mode, P, cuts", [("bounds", 1, 2), ("drf", 3, 1)])
-    def test_one_period_cut_per_fs(self, tmp_path, monkeypatch, mode, P, cuts):
-        # bounds: the source's periods and D*'s; a bank: the source's periods.
-        # Each block is cut once, and each fs is in one block of each kind.
-        # The unfolded MMSE cross-check cuts its own periods inside
-        # sampling._unfolded_mmse, and no other period is cut.
+    @pytest.mark.parametrize("mode, P, filters, cuts", [
+        pytest.param("bounds", 1, None, [1, 1], id="bounds-1-2"),
+        pytest.param("drf", 3, BANK_FILTERS, [1], id="drf-3-1"),
+        pytest.param("af-sets", 2, None, [2], id="af-sets-2-1"),
+        pytest.param("drf-optimal", 3, None, [3], id="drf-optimal-3-1")])
+    def test_one_period_cut_per_fs(self, tmp_path, monkeypatch, mode, P, filters, cuts):
+        # bounds: the source's periods and D*'s; a bank: the source's periods;
+        # af-sets and drf-optimal: the SNR ratio's periods of fs/P, so each
+        # entry of cuts is the P of one kind of period.  Each block is cut
+        # once, and each fs is in one block of each kind.  The unfolded MMSE
+        # cross-check cuts its own periods inside sampling._unfolded_mmse, and
+        # no other period is cut.
         doc = dict(BIMODAL_CONFIG)
-        if P == 3:
-            doc["sampler"] = {"fs": [0.48, 1.92, 0.48], "P": 3, "filters": BANK_FILTERS}
+        if mode != "bounds":
+            doc["sampler"] = {"fs": [0.48, 1.92, 0.48], "P": P, "filters": filters}
         fs_list = doc["sampler"]["fs"]
         for budget in (None, 30):
             with monkeypatch.context() as mp:
                 if budget:
                     mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
                 blocks = count_calls(mp, "_alias_grids")
-                real, cuts_one = sampling._alias_grid, []
-                mp.setattr(sampling, "_alias_grid", lambda *a: cuts_one.append(a) or real(*a))
                 assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
-            assert sorted(fs for _, steps, _ in blocks for fs in steps.tolist()) == sorted(
-                fs_list * cuts)
-            assert len(blocks) == cuts * (len(fs_list) if budget else 1)
-            assert cuts_one == []
+            assert sorted(step for _, steps, _ in blocks for step in steps.tolist()) == sorted(
+                fs / p for p in cuts for fs in fs_list)
+            assert len(blocks) == len(cuts) * (len(fs_list) if budget else 1)
 
     @pytest.mark.parametrize("N_delta", [8, 64, 200])
     @pytest.mark.parametrize("fs_list", [[0.32, 1.92], [0.04, 0.32]])
@@ -555,7 +558,7 @@ class TestExitCodes:
         assert builds == []
         assert not Path(out).exists()
 
-    @pytest.mark.parametrize("mode", ["drf", "mmse", "drf-optimal", "bounds"])
+    @pytest.mark.parametrize("mode", ["drf", "mmse", "drf-optimal", "bounds", "af-sets"])
     def test_failure_mid_block_names_its_fs(self, tmp_path, capsys, mode):
         # the fs before it make one block; the failing fs raises at its own
         # point, not while that block is built

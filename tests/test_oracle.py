@@ -249,7 +249,7 @@ class TestOracleInputs:
 
 def test_oracle_shares_no_translate_kernel():
     # the oracles check the spectral path, so they must not run its kernels
-    kernels = {"_alias_grid", "_translates", "_unfolded_mmse", "_Period",
+    kernels = {"_alias_grids", "_translates", "_branch_matrices", "_unfolded_mmse", "_Period",
                "_top_translates", "_folded"}
     assert not kernels & set(vars(oracle))
 

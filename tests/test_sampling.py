@@ -21,7 +21,7 @@ from subnyq.waterfill import (
 )
 from subnyq.sampling import (
     SamplerSpec,
-    _matrices_on_points,
+    _branch_matrices,
     _Source,
     build_branch_matrices,
     eigen_curves_multi,
@@ -40,6 +40,7 @@ from subnyq.spectra import (
     SpectrumError,
     aliased_sum,
     integrate,
+    _Pw,
     _pw_from_density,
     _translate_count,
     _translates,
@@ -494,7 +495,7 @@ class TestPeriod:
     def test_one_cut_is_the_union_of_piece_cuts(self, Sx, Sn, branches, fs):
         src = _Source(Sx, Sn, branches)
         per = src.period(fs)
-        cuts = [[pw for *_, pz, pk in src.pairs for pw in (pz, pk)]]
+        cuts = [[_Pw(src.pairs.bp, vals) for vals in src.pairs.vals]]
         if len(branches) == 1:  # the single-branch forms' pieces
             num, den, sxz = src.pws
             cuts += [[num, den], [sxz, den]]
@@ -502,6 +503,19 @@ class TestPeriod:
         for pws in cuts:
             grid, kmax = period_cut_union(pws, fs)
             assert np.array_equal(per.grid, grid) and per.kmax == kmax
+
+
+def test_mmse_optimal_cuts_one_period(monkeypatch):
+    # the value and the sets read one period of the SNR ratio at fs/P
+    built, real = [], sampling._Period.__init__
+    monkeypatch.setattr(sampling._Period, "__init__",
+                        lambda self, *a, **k: built.append(self) or real(self, *a, **k))
+    cuts, real_cut = [], sampling._alias_grids
+    monkeypatch.setattr(sampling, "_alias_grids", lambda *a: cuts.append(a) or real_cut(*a))
+    Sx, Sn = SpectralDensity(BIMODAL), SpectralDensity(((0.0, 1.6, 0.05),))
+    _, sets = mmse_optimal(Sx, Sn, 0.96, 3)
+    assert len(built) == len(cuts) == 1
+    assert sets == maximal_af_sets(snr_ratio(Sx, Sn), 0.96, 3)
 
 
 class TestStackedEigenSolve:
@@ -522,15 +536,30 @@ class TestStackedEigenSolve:
             branches = branches[:2] + branches[:1]
         spec = SamplerSpec(fs, branches)
         src = _Source(Sx, Sn, spec.branches)
-        sy, kk = _matrices_on_points(src.pairs, spec.P, fs, src.period(fs).mids)
+        per = src.period(fs)
+        sy, kk = _branch_matrices(src, fs, per.mids, per.kmax)
         try:
             want = whitened_eigenvalues_loop(sy, kk)
         except LinalgError as e:
-            with pytest.raises(LinalgError) as got:
-                eigen_curves_multi(Sx, Sn, spec)
-            assert got.type is type(e)
-            return
-        assert np.array_equal(eigen_curves_multi(Sx, Sn, spec).lam, want)
+            want = type(e)
+        # the pair pieces split across translate calls: 1 puts each in a call
+        # of its own, and the last budget two in each
+        entries = (2 * per.kmax + 1) * len(per.mids)
+        for budget in (sampling._MAX_BLOCK_ENTRIES, 1, 2 * entries):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
+                calls, real = [], sampling._translates
+                mp.setattr(sampling, "_translates",
+                           lambda pw, *a: calls.append(len(pw.vals)) or real(pw, *a))
+                assert np.array_equal(_branch_matrices(src, fs, per.mids, per.kmax), [sy, kk])
+                assert sum(calls) == len(src.pairs.vals)
+                assert max(calls) <= max(1, budget // entries)
+                if isinstance(want, type):
+                    with pytest.raises(LinalgError) as got:
+                        eigen_curves_multi(Sx, Sn, spec)
+                    assert got.type is want
+                else:
+                    assert np.array_equal(eigen_curves_multi(Sx, Sn, spec).lam, want)
 
 
 class TestEmptyPieces:
@@ -663,6 +692,18 @@ class TestFsCheck:
         # NaN gave an all-NaN curve and "a" numpy's UFuncTypeError
         with pytest.raises(SpectrumError, match="^delta must be"):
             polyphase_conditional_psd(rect_density(), rect_noise(), None, 0.5, delta)
+
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf, "0.1", None])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda f: aliased_sum(rect_density(), 0.5, f), id="aliased-sum"),
+        pytest.param(lambda f: build_branch_matrices(rect_density(), rect_noise(), SamplerSpec(
+            0.5, [None, None]), f), id="branch-matrices"),
+    ])
+    def test_frequency_named_error(self, call, f):
+        # NaN gave a bare ValueError or all-zero matrices, and inf an
+        # OverflowError or an error that blamed fs
+        with pytest.raises(SpectrumError, match="^f must be"):
+            call(f)
 
     def test_superlevel_set_refuses_nan_measure(self):
         with pytest.raises(SpectrumError, match="measure budget must be >= 0"):

@@ -16,6 +16,8 @@ from subnyq.spectra import (
     integrate,
     snr_ratio,
     superlevel_set_of_measure,
+    _pw_eval,
+    _Pw,
 )
 from subnyq.oracle import (
     block_idrf_oracle,
@@ -67,6 +69,42 @@ class TestEvaluate:
     def test_rejects_non_finite(self, seg):
         with pytest.raises(SpectrumError, match="not finite"):
             SpectralDensity((seg,))
+
+
+def pw_eval_loop(bp, vals, x):
+    """vals[i] where bp[i] <= x < bp[i+1], else 0, one x at a time."""
+    return next((v for lo, hi, v in zip(bp, bp[1:], vals) if lo <= x < hi), 0 * vals[:1].sum())
+
+
+@st.composite
+def stacked_pieces(draw):
+    """(bp, vals, x): a stack of 1-3 functions on 0-5 sorted breakpoints
+    (none for the empty _Pw), real or complex, and points below, on,
+    between and above the breakpoints, and NaN."""
+    bp = np.array(sorted(draw(st.sets(st.integers(-8, 8), max_size=6)))) / 4.0
+    n, rows = max(len(bp) - 1, 0), draw(st.integers(1, 3))
+    vals = np.array(draw(st.lists(st.lists(st.sampled_from([0.0, 0.5, 2.0, -1.0]), min_size=n,
+                                           max_size=n), min_size=rows, max_size=rows)))
+    vals = vals.reshape(rows, n)
+    if draw(st.booleans()):
+        vals = vals + 1j * vals[::-1]
+    x = draw(st.lists(st.one_of(st.sampled_from(bp.tolist() or [0.0]),
+                                st.floats(-3.0, 3.0), st.just(math.nan)), max_size=8))
+    return bp, vals, np.array(x, dtype=float)
+
+
+class TestStackedEval:
+    @given(stacked_pieces())
+    @settings(max_examples=200, deadline=None)
+    def test_stack_is_the_rows(self, case):
+        # a stacked _Pw reads, bit for bit, what each of its rows reads alone
+        bp, vals, x = case
+        got = _pw_eval(_Pw(bp, vals), x)
+        assert got.dtype == vals.dtype and got.shape == (len(vals), len(x))
+        for row, want in zip(got, vals):
+            assert np.array_equal(row, _pw_eval(_Pw(bp, want), x))
+            assert np.array_equal(row, [pw_eval_loop(bp, want, p) for p in x])
+        assert np.array_equal(_pw_eval(_Pw(bp, vals), x.reshape(-1, 1)), got[:, :, None])
 
 
 class TestIntegrate:

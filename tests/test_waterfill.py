@@ -208,6 +208,33 @@ class TestParametricCore:
         with pytest.raises(WaterfillError):
             call()
 
+    # each returned a wrong value, or raised a bare IndexError, ValueError or
+    # TypeError, or a misleading WaterfillError
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: solve_theta_for_rate(([1.0, 2.0], [1.0]), 1.0), id="lengths"),
+        pytest.param(lambda: solve_theta_for_rate(([1.0], [1.0, 2.0]), 1.0), id="lengths-v"),
+        pytest.param(lambda: solve_theta_for_rate(([[1.0]], [[1.0]]), 1.0), id="2d"),
+        pytest.param(lambda: rate_of_theta((["a"], ["b"]), 0.5), id="strings"),
+        pytest.param(lambda: solve_theta_for_rate(([1.0], [1j]), 1.0), id="complex"),
+        pytest.param(lambda: solve_theta_for_rate(([1.0, 1.0], [1.0, [2.0]]), 1.0), id="ragged"),
+        pytest.param(lambda: solve_theta_for_rate((1.0, 2.0, 3.0), 1.0), id="not-a-pair"),
+        pytest.param(lambda: idrf_vector(([1.0, 1.0], [-1.0, 2.0]), 2, 1.0, 0.0),
+                     id="negative-value"),
+        pytest.param(lambda: solve_theta_for_rate(([-1.0], [1.0]), 1.0), id="negative-width"),
+        pytest.param(lambda: solve_theta_for_rate(([1.0], [math.nan]), 1.0), id="nan-value"),
+        pytest.param(lambda: solve_theta_for_rate(([1.0], [math.inf]), 1.0), id="inf-value"),
+        pytest.param(lambda: rate_of_theta(([math.inf], [1.0]), 0.5), id="inf-width"),
+        pytest.param(lambda: idrf_vector(TWO, 1, 1.0, math.inf), id="inf-mmse"),
+        pytest.param(lambda: distortion_of_theta(math.nan, TWO, 0.5), id="nan-sigma2"),
+        pytest.param(lambda: distortion_of_theta("1", TWO, 0.5), id="str-sigma2"),
+        pytest.param(lambda: iid_drf(1.0, 1.0, 0.5, -1.0), id="iid-negative-rate"),
+        pytest.param(lambda: iid_drf(1.0, 1.0, 0.5, "1"), id="iid-str-rate"),
+        pytest.param(lambda: iid_drf(1.0, 1.0, 0.5, math.nan), id="iid-nan-rate"),
+    ])
+    def test_bad_pieces_and_arguments_named(self, call):
+        with pytest.raises(WaterfillError, match="^(pieces|piece widths|mmse|sigma2|rate) "):
+            call()
+
     def test_rate_spec_conversion(self):
         r = RateSpec(2.0, BITS_PER_SAMPLE)
         assert r.per_time(0.5) == pytest.approx(1.0)
