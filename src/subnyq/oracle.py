@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .linalg import LinalgError
 from .sampling import _Source
@@ -25,6 +26,7 @@ from .spectra import (
     ComplexGainProfile,
     SpectralDensity,
     SpectrumError,
+    _MAX_BLOCK_ENTRIES,
     _as_finite,
     _check_count,
     _check_fs,
@@ -93,29 +95,44 @@ def _even_segments(pw: _Pw) -> list[tuple[float, float, float]]:
 def _cov_from_segments(segs: Sequence[tuple], tau: np.ndarray) -> np.ndarray:
     """c(tau) = int S(f) e^{2 pi i f tau} df for even S given on f >= 0.
 
-    One (segments x lags) buffer of closed-form terms, filled in place, whose
-    sines are evaluated once per (segment edge, lag) pair, as adjacent
-    segments share an edge.  One reduce adds its rows in segment order, so
-    each value is that of the per-lag closed form bit for bit.
+    c is even, and so is each closed-form value bit for bit: fl(2 pi e (-t))
+    is -fl(2 pi e t), the sine is odd, and every later step is symmetric in
+    the sign.  So the closed form is evaluated once per distinct |tau| and
+    gathered back into tau's shape.  The distinct lags go in chunks whose
+    (segments or edges, the more of the two) x lags stay within
+    _MAX_BLOCK_ENTRIES, one lag at least; per chunk, one buffer of terms,
+    filled in place, whose sines are evaluated once per (edge, lag) pair, as
+    adjacent segments share an edge.  Each lag
+    adds its terms in segment order, so every value is that of the per-lag
+    closed form bit for bit.
     """
-    lags = np.asarray(tau, dtype=float).ravel()
+    lags, back = np.unique(np.abs(np.asarray(tau, dtype=float)), return_inverse=True)
     lo, hi, v = np.array(segs, dtype=float).reshape(-1, 3).T
     edges, at = np.unique(np.concatenate([lo, hi]), return_inverse=True)
-    sines = np.sin(np.multiply.outer(2 * np.pi * edges, lags))
-    terms = sines[at[len(lo):]]
-    terms -= sines[at[:len(lo)]]
-    terms *= v[:, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        terms /= np.pi * lags
-    terms[:, np.abs(lags) < 1e-12] = (2.0 * v * (hi - lo))[:, None]
-    return np.add.reduce(terms, axis=0).reshape(np.shape(tau))
+    out = np.empty_like(lags)
+    step = max(1, _MAX_BLOCK_ENTRIES // max(len(edges), len(lo), 1))
+    for start in range(0, len(lags), step):
+        t = lags[start:start + step]
+        sines = np.sin(np.multiply.outer(2 * np.pi * edges, t))
+        terms = sines[at[len(lo):]]
+        terms -= sines[at[:len(lo)]]
+        terms *= v[:, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            terms /= np.pi * t
+        terms[:, t < 1e-12] = (2.0 * v * (hi - lo))[:, None]
+        if len(t) == 1:  # numpy reduces a lone column pairwise; cumsum adds in order
+            terms = np.cumsum(terms, axis=0)[-1:]
+        out[start:start + step] = np.add.reduce(terms, axis=0)
+    return out[back].reshape(np.shape(tau))
 
 
 def _toeplitz(c: np.ndarray) -> np.ndarray:
-    """The (2K+1) x (2K+1) matrix whose entry (a, b) is c[a - b + 2K], from the
-    values c at the 4K+1 lag indices -2K..2K of a window."""
-    n = np.arange((len(c) + 1) // 2)
-    return c[np.subtract.outer(n, n) + n[-1]]
+    """The (2K+1) x (2K+1) matrices whose entry (a, b) is c[..., a - b + 2K],
+    from the values c at the 4K+1 lag indices -2K..2K of a window, one per
+    leading index of c.  Row a is a window of c reversed, so this is a
+    strided view of c: no entry is copied."""
+    n = (c.shape[-1] + 1) // 2
+    return sliding_window_view(c[..., ::-1], n, axis=-1)[..., n - 1::-1, :]
 
 
 def covariance_from_psd(S: SpectralDensity, tau) -> float | np.ndarray:
@@ -167,7 +184,7 @@ class CovarianceWindow:
         _check_count(K, "window half-length K")
         fs = _check_fs(fs)
         xz, zz = map(_even_segments, pieces)
-        cy = _toeplitz(_cov_from_segments(zz, np.arange(-2 * K, 2 * K + 1) / fs))
+        cy = _toeplitz(_cov_from_segments(zz, np.arange(-2 * K, 2 * K + 1) / fs)).copy()
         return cls(K=K, fs=fs, C_Y=cy, xz_segments=tuple(xz), sigma2=sigma2)
 
     def cross_vector(self, delta: float) -> np.ndarray:
@@ -291,12 +308,13 @@ def _window_oracle(pieces, sigma2: float, fs: float, K: int, n_phases: int) -> W
     n_y = 2 * K + 1
     n_u = n_y * n_phases
     # C_YU row m, column (j, i): cov of Y[m] with X((n_i + delta_j)/fs), at lag
-    # (delta_j - (n_m - n_i))/fs.  Each phase block is Toeplitz: its 4K+1 lags
-    # are evaluated once, then indexed.  One kernel call per phase, as one call
-    # over all phases needs about 1 MB of temporaries per array on staircase.
+    # (delta_j - (n_m - n_i))/fs.  Each phase block is Toeplitz, so one kernel
+    # call evaluates the (phases x (4K+1)) lags (j/n_phases - d)/fs, each
+    # distinct |lag| once, and one copy lays the blocks, as views of c, side
+    # by side.
     d = np.arange(-2 * K, 2 * K + 1)
-    c_yu = np.hstack([_toeplitz(_cov_from_segments(win.xz_segments, (j / n_phases - d) / fs))
-                      for j in range(n_phases)])
+    c = _cov_from_segments(win.xz_segments, (np.arange(n_phases)[:, None] / n_phases - d) / fs)
+    c_yu = np.swapaxes(_toeplitz(c), 0, 1).reshape(n_y, n_u)
     b = np.linalg.solve(chol, c_yu)
     # column K of phase block j has n_i = 0, the lags of cross_vector(j/n_phases)
     average = _mmse_average(win.sigma2, np.ascontiguousarray(b[:, K::n_y].T), regularized)

@@ -550,8 +550,11 @@ def build_branch_matrices(
     complex arrays, checked Hermitian and positive semidefinite.
     """
     f, src = _as_finite(f, "f"), _Source(Sx, Sn, spec.branches)
-    # period_pw covers every pair piece, so its count serves them all
-    kmax = _translate_count(src.period_pw, spec.fs, max(spec.fs / 2.0, abs(f)))
+    # period_pw covers every pair piece, so its count serves them all; the
+    # count at the period's edge checks fs, and one at a larger |f| checks f
+    kmax = _translate_count(src.period_pw, spec.fs, spec.fs / 2.0)
+    if abs(f) > spec.fs / 2.0:
+        kmax = _translate_count(src.period_pw, spec.fs, abs(f), f"f = {f:g} at fs = {spec.fs:g}")
     m = hermitian(_branch_matrices(src, spec.fs, np.array([f]), kmax).reshape(2, spec.P, spec.P))
     w = np.linalg.eigh(m)[0]
     low = w[:, 0] < -1e-10 * np.maximum(1.0, w[:, -1])

@@ -292,23 +292,42 @@ def integrate(S: SpectralDensity, F: FrequencySet | None = None) -> float:
 
 
 def aliased_sum(S: SpectralDensity, fs: float, f: float) -> float:
-    """Sum of S(f - fs*k) over all integer k (finite for bounded support)."""
+    """Sum of S(f - fs*k) over all integer k (finite for bounded support).
+
+    Only the k with |f - fs*k| <= f_max reach the support, and they lie
+    within ceil(f_max/fs + 1/2) + 1 of round(f/fs), so the sum runs over
+    that window in ascending k: as many terms at any f, and every term it
+    leaves out is an exact zero.  SpectrumError past the translate cap."""
     fs, f = _check_fs(fs), _as_finite(f, "f")
-    kmax = math.ceil((S.f_max + abs(f)) / fs) + 1
-    return sum(S.evaluate(f - fs * k) for k in range(-kmax, kmax + 1))
+    half = _translate_count(_pw_from_density(S), fs, fs / 2.0)
+    center = f / fs
+    if not math.isfinite(center):
+        raise SpectrumError(f"f = {f:g} is too far out for fs = {fs:g}")
+    k0 = round(center)
+    return sum((S.evaluate(f - fs * k) for k in range(k0 - half, k0 + half + 1)), 0.0)
+
+
+def _segment_values(S: SpectralDensity, f: np.ndarray) -> np.ndarray:
+    """S.evaluate at every f >= 0 at once: the value of the first segment with
+    lo <= f < hi, or 0.  The segments are sorted by lo, so the first whose hi
+    exceeds f is the first at which the running maximum of hi does, and it
+    holds f if its lo does not exceed f; an empty segment at infinity closes
+    the list and reads 0."""
+    lo, hi, v = np.array([(iv.lo, iv.hi, val) for iv, val in S.segments]
+                         + [(math.inf, math.inf, 0.0)]).T
+    i = np.searchsorted(np.maximum.accumulate(hi), f, side="right")
+    return np.where(lo[i] <= f, v[i], 0.0)
 
 
 def snr_ratio(Sx: SpectralDensity, Sn: SpectralDensity) -> SpectralDensity:
     """Pointwise Sx^2 / (Sx + Sn) on a common refinement; 0/0 taken as 0."""
-    pts = sorted(set(Sx.breakpoints()) | set(Sn.breakpoints()))
-    segs = []
-    for lo, hi in zip(pts, pts[1:]):
-        mid = 0.5 * (lo + hi)
-        x = Sx.evaluate(mid)
-        d = x + Sn.evaluate(mid)
-        if x > 0 and d > 0:
-            segs.append((lo, hi, x * x / d))
-    return SpectralDensity(segs)
+    pts = np.array(sorted(set(Sx.breakpoints()) | set(Sn.breakpoints())), dtype=float)
+    mid = 0.5 * (pts[:-1] + pts[1:])
+    cells = zip(pts[:-1].tolist(), pts[1:].tolist(), _segment_values(Sx, mid).tolist(),
+                _segment_values(Sn, mid).tolist())
+    # in Python floats, rounded as numpy rounds them, an overflow is an inf
+    # that SpectralDensity names, not a warning; x > 0 makes x + n > 0
+    return SpectralDensity([(lo, hi, x * x / (x + n)) for lo, hi, x, n in cells if x > 0])
 
 
 def superlevel_set_of_measure(
@@ -566,13 +585,14 @@ _MAX_TRANSLATES = 1000
 _MAX_BLOCK_ENTRIES = 16_384
 
 
-def _translate_count(pw: _Pw, step: float, cell_edge: float) -> int:
-    """kmax: pw(f - step*k) is 0 for every |f| <= cell_edge and |k| > kmax."""
+def _translate_count(pw: _Pw, step: float, cell_edge: float, what: str = "") -> int:
+    """kmax: pw(f - step*k) is 0 for every |f| <= cell_edge and |k| > kmax.
+    Past _MAX_TRANSLATES, SpectrumError names what needs them, fs by default."""
     span = (_pw_support_radius(pw) + cell_edge) / step
     count = math.ceil(span) + 1 if math.isfinite(span) else math.inf
     if count > _MAX_TRANSLATES:
-        raise SpectrumError(f"fs = {step:g} needs {count:.4g} translates per side, "
-                            f"more than the cap of {_MAX_TRANSLATES}")
+        raise SpectrumError(f"{what or f'fs = {step:g}'} needs {count:.4g} translates per "
+                            f"side, more than the cap of {_MAX_TRANSLATES}")
     return count
 
 

@@ -152,6 +152,27 @@ def cov_loop(segs, tau):
     return out
 
 
+def aliased_sum_loop(S, fs, f):
+    """Loop reference for spectra.aliased_sum: S(f - fs*k) added in ascending
+    k over every k with |f - fs*k| <= f_max + |f| + fs, the earlier form."""
+    kmax = math.ceil((S.f_max + abs(f)) / fs) + 1
+    return sum(S.evaluate(f - fs * k) for k in range(-kmax, kmax + 1))
+
+
+def snr_ratio_loop(Sx, Sn):
+    """Loop reference for spectra.snr_ratio: each merged cell read off the
+    public evaluate at its midpoint, one cell at a time (quadratic)."""
+    pts = sorted(set(Sx.breakpoints()) | set(Sn.breakpoints()))
+    segs = []
+    for lo, hi in zip(pts, pts[1:]):
+        mid = 0.5 * (lo + hi)
+        x = Sx.evaluate(mid)
+        d = x + Sn.evaluate(mid)
+        if x > 0 and d > 0:
+            segs.append((lo, hi, x * x / d))
+    return SpectralDensity(segs)
+
+
 def window_oracle_loop(pieces, sigma2, fs, K, n_phases):
     """Loop reference for oracle._window_oracle: (mmse_average, waterfill) with
     C_Y and C_YU from cov_loop on the full lag matrices (n_a - n_b)/fs and

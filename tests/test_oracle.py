@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,19 +103,101 @@ STAIRCASES = st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5).flatmap(
         + [(e[0], e[1], vals[0]), (e[-1], e[-1], 1.5)]))
 
 
+# Longer staircases: from 8 segments on, numpy adds up a lone column pairwise,
+# not in segment order.
+LONG_STAIRCASES = st.lists(st.floats(0.0, 3.0), min_size=9, max_size=40).map(sorted).flatmap(
+    lambda e: st.lists(st.floats(0.01, 3.0), min_size=len(e) - 1, max_size=len(e) - 1).map(
+        lambda vals: [(a, b, v) for a, b, v in zip(e, e[1:], vals)]))
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def check_matches_loop(segs, lags, data):
+    """The kernel on draws of lags, with repeats, flat and as a grid, against
+    the per-lag loop, bit for bit."""
+    picks = data.draw(st.lists(st.integers(0, len(lags) - 1), min_size=1, max_size=24))
+    tau = np.array([lags[i] for i in picks])
+    assert np.array_equal(oracle._cov_from_segments(segs, tau), cov_loop(segs, tau))
+    rows = data.draw(st.sampled_from([d for d in (1, 2, 3, 4) if len(tau) % d == 0]))
+    grid = tau.reshape(rows, -1)
+    assert np.array_equal(oracle._cov_from_segments(segs, grid), cov_loop(segs, grid))
+
+
 class TestDistinctLags:
-    """_cov_from_segments evaluates each distinct lag once; the values are
-    those of the per-lag closed form, bit for bit."""
+    """_cov_from_segments evaluates each distinct |lag| once, in chunks of
+    (edges x lags) within _MAX_BLOCK_ENTRIES, and gathers the values back;
+    they are those of the per-lag closed form, bit for bit, however the lags
+    are chunked."""
 
     @given(st.one_of(SEGMENTS, STAIRCASES), LAGS, st.data())
     @settings(max_examples=160, deadline=None)
     def test_matches_loop_bitwise(self, segs, lags, data):
-        picks = data.draw(st.lists(st.integers(0, len(lags) - 1), min_size=1, max_size=24))
-        tau = np.array([lags[i] for i in picks])
-        assert np.array_equal(oracle._cov_from_segments(segs, tau), cov_loop(segs, tau))
-        rows = data.draw(st.sampled_from([d for d in (1, 2, 3, 4) if len(tau) % d == 0]))
-        grid = tau.reshape(rows, -1)
-        assert np.array_equal(oracle._cov_from_segments(segs, grid), cov_loop(segs, grid))
+        check_matches_loop(segs, lags, data)
+
+    # a budget of per_chunk lags a chunk splits every call of more distinct
+    # |lag| values; a one-lag chunk is a lone column
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3])
+    @given(st.one_of(SEGMENTS, STAIRCASES, LONG_STAIRCASES), LAGS, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop_bitwise_in_chunks(self, per_chunk, segs, lags, data):
+        edges = np.unique(np.array(segs, dtype=float).reshape(-1, 3)[:, :2])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_MAX_BLOCK_ENTRIES", per_chunk * max(len(edges), len(segs), 1))
+            check_matches_loop(segs, lags, data)
+
+    @given(st.one_of(SEGMENTS, STAIRCASES, LONG_STAIRCASES),
+           st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12))
+    @settings(max_examples=160, deadline=None)
+    def test_even_in_lag_bitwise(self, segs, lags):
+        # fl(2 pi e (-t)) = -fl(2 pi e t), the sine is odd and every later
+        # step is symmetric in the sign: the closed form at -t is that at t,
+        # so the kernel may evaluate each |t| once
+        tau = np.array(lags)
+        assert same_bits(cov_loop(segs, -tau), cov_loop(segs, tau))
+        assert same_bits(oracle._cov_from_segments(segs, -tau), oracle._cov_from_segments(segs, tau))
+
+    def test_lone_lag_adds_in_segment_order(self):
+        # numpy sums a one-column buffer pairwise; with 129 segments that
+        # moved a scalar covariance off the per-lag closed form in its last bits
+        rng = np.random.default_rng(11)
+        edges = np.sort(rng.uniform(0.0, 3.0, 130))
+        segs = list(zip(edges[:-1], edges[1:], rng.uniform(0.05, 2.0, 129)))
+        S = SpectralDensity(segs)
+        for tau in rng.uniform(-30.0, 30.0, 40):
+            want = cov_loop(segs, np.array([tau]))
+            assert same_bits(oracle._cov_from_segments(segs, np.array([tau])), want)
+            assert same_bits(covariance_from_psd(S, float(tau)), want[0])
+
+    def test_window_oracle_calls_the_kernel_twice_per_fs(self, monkeypatch):
+        # C_Y, then all of C_YU: at K = 32 and 8 phases, C_YU's 8 x 129 lags
+        # (j/8 - d)/fs hold 520 distinct |lag| values, and C_Y's 129 hold 65
+        Sx = SpectralDensity([(i / 100, (i + 1) / 100, 1.0 - i / 128) for i in range(128)])
+        src = _Source(Sx, SpectralDensity(((0.0, 1.28, 0.05),)), [None])
+        pieces = oracle._observation_segments(src)
+        calls, real = [], oracle._cov_from_segments
+
+        def counted(segs, tau):
+            calls.append((np.shape(tau), len(np.unique(np.abs(tau)))))
+            return real(segs, tau)
+        monkeypatch.setattr(oracle, "_cov_from_segments", counted)
+        for fs in (0.32, 1.92):
+            calls.clear()
+            oracle._window_oracle(pieces, src.sigma2, fs, 32, 8)
+            assert calls == [((129,), 65), ((8, 129), 520)]
+
+    def test_chunks_bound_memory(self):
+        # one (segments x lags) buffer for all 8,001 lags peaked at 49.6 MB
+        S = SpectralDensity([(i / 100, (i + 1) / 100, 1.0 + i % 7) for i in range(256)])
+        tau = np.linspace(-40.0, 40.0, 8001)
+        tracemalloc.start()
+        try:
+            covariance_from_psd(S, tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     @pytest.mark.parametrize("H", [None, ComplexGainProfile([(-0.6, 0.6, 0.5)])])
     def test_window_and_block_match_loop(self, monkeypatch, H):

@@ -591,6 +591,17 @@ class TestTranslateCap:
         with pytest.raises(SpectrumError, match=r"fs = .* translates per side"):
             _translate_count(_pw_from_density(rect_density()), fs, fs / 2.0)
 
+    @pytest.mark.parametrize("f", [1e12, -1e12])
+    def test_far_f_is_named(self, f):
+        # fs = 0.5 alone needs 3 translates a side; the error blamed fs
+        with pytest.raises(SpectrumError, match="^" + re.escape(f"f = {f:g} at fs = 0.5 needs")):
+            build_branch_matrices(rect_density(), rect_noise(), SamplerSpec(0.5, [None, None]), f)
+
+    def test_tiny_fs_at_far_f_names_fs(self):
+        with pytest.raises(SpectrumError, match=r"^fs = 1e-05 needs"):
+            build_branch_matrices(rect_density(), rect_noise(), SamplerSpec(1e-5, [None, None]),
+                                  1e12)
+
 
 class TestNonFinite:
     def test_mmse_cross_check_fails_on_nan_residual(self, monkeypatch):

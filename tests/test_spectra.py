@@ -35,11 +35,34 @@ from subnyq.waterfill import (
     polyphase_lower_bound,
     solve_theta_for_rate,
 )
-from support import bandpass_density, rect_density, rect_noise, zero_density
+from support import (
+    aliased_sum_loop,
+    bandpass_density,
+    rect_density,
+    rect_noise,
+    snr_ratio_loop,
+    zero_density,
+)
 
 
 def fset(*pairs):
     return FrequencySet(pairs)
+
+
+@st.composite
+def staircases(draw, max_steps=6):
+    """A density on edges k/8 with some cells empty; a segment may run past
+    its top edge by 4e-10, under BP_TOL, into the next one, where evaluate
+    reads the first of the two."""
+    edges = sorted(draw(st.lists(st.integers(0, 40), min_size=1, max_size=max_steps + 1,
+                                 unique=True)))
+    segs = [(a / 8, b / 8 + draw(st.sampled_from([0.0, 0.0, 4e-10])), draw(st.floats(0.0, 3.0)))
+            for a, b in zip(edges, edges[1:]) if draw(st.booleans())]
+    return SpectralDensity(segs)
+
+
+def segment_tuples(S):
+    return [(iv.lo, iv.hi, v) for iv, v in S.segments]
 
 
 class TestEvaluate:
@@ -142,6 +165,35 @@ class TestAliasedSum:
                 aliased_sum(S, 1.3, f + 1.3), abs=1e-12
             )
 
+    @given(staircases(), st.floats(0.05, 3.0), st.floats(-20.0, 20.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_sum_bitwise(self, S, fs, f):
+        assert aliased_sum(S, fs, f) == aliased_sum_loop(S, fs, f)
+
+    def test_far_frequency_evaluates_one_window(self, monkeypatch):
+        # k ran over 2 ceil((f_max + |f|)/fs) + 3 translates, so f = 1e12
+        # hung; at any f the window is 2 (ceil(f_max/fs + 1/2) + 1) + 1 = 7
+        S, calls, real = rect_density(1.0, 1.0), [], SpectralDensity.evaluate
+
+        def counted(self, f):
+            calls.append(f)
+            if len(calls) > 7:
+                raise AssertionError("more than 7 translates evaluated")
+            return real(self, f)
+        monkeypatch.setattr(SpectralDensity, "evaluate", counted)
+        for f in (1e12, -1e12, 0.0):
+            calls.clear()
+            assert aliased_sum(S, 1.0, f) == 1.0
+            assert len(calls) == 7
+
+    def test_tiny_fs_is_capped(self):
+        with pytest.raises(SpectrumError, match=r"^fs = 0.0001 needs .* translates per side"):
+            aliased_sum(rect_density(), 1e-4, 0.1)
+
+    def test_f_over_fs_past_the_float_range(self):
+        with pytest.raises(SpectrumError, match=r"^f = 1e\+10 is too far out for fs = 1e-300"):
+            aliased_sum(zero_density(), 1e-300, 1e10)
+
     def test_power_conservation(self):
         S = bandpass_density()
         fs = 0.8
@@ -171,6 +223,28 @@ class TestSnrRatio:
         r = snr_ratio(S, zero_density())
         assert r.evaluate(1.5) == S.evaluate(1.5)
         assert r.total_power() == pytest.approx(S.total_power())
+
+    @given(staircases(), staircases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop_bitwise(self, Sx, Sn):
+        assert segment_tuples(snr_ratio(Sx, Sn)) == segment_tuples(snr_ratio_loop(Sx, Sn))
+
+    def test_overlap_reads_first_segment(self):
+        Sx = SpectralDensity(((0.0, 1.0 + 5e-10, 1.0), (1.0, 2.0, 2.0)))
+        r = snr_ratio(Sx, zero_density())
+        assert segment_tuples(r) == segment_tuples(snr_ratio_loop(Sx, zero_density()))
+        assert r.evaluate(1.0 + 2e-10) == 1.0
+
+    def test_ten_thousand_segments(self, monkeypatch):
+        # each cell was read with evaluate, a scan of every segment: 1.1 s at
+        # 4,000 segments; now no cell calls it
+        levels = np.random.default_rng(5).uniform(0.05, 1.0, 10_000).tolist()
+        Sx = SpectralDensity([(i / 100, (i + 1) / 100, v) for i, v in enumerate(levels)])
+        Sn = SpectralDensity(((0.0, 50.0, 0.1),))
+        monkeypatch.setattr(SpectralDensity, "evaluate", lambda *a: pytest.fail("evaluate"))
+        want = [(i / 100, (i + 1) / 100, x * x / (x + (0.1 if i < 5000 else 0.0)))
+                for i, x in enumerate(levels)]
+        assert segment_tuples(snr_ratio(Sx, Sn)) == want
 
 
 class TestSuperlevelSet:
