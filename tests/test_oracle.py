@@ -126,10 +126,9 @@ def check_matches_loop(segs, lags, data):
 
 
 class TestDistinctLags:
-    """_cov_from_segments evaluates each distinct |lag| once, in chunks of
-    (edges x lags) within _MAX_BLOCK_ENTRIES, and gathers the values back;
-    they are those of the per-lag closed form, bit for bit, however the lags
-    are chunked."""
+    """_cov_from_segments evaluates each distinct |lag| once, in chunks
+    within _MAX_BLOCK_ENTRIES, and gathers the values back; they are those of
+    the per-lag closed form, bit for bit, however the lags are chunked."""
 
     @given(st.one_of(SEGMENTS, STAIRCASES), LAGS, st.data())
     @settings(max_examples=160, deadline=None)
