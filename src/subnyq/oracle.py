@@ -35,7 +35,7 @@ from .spectra import (
     _Pw,
     _translate_count,
 )
-from .waterfill import _as_rate, _Waterfill
+from .waterfill import _as_rate, _rate_per_sample, _Waterfill
 
 __all__ = [
     "DiscreteSpectrum",
@@ -279,7 +279,7 @@ class WindowOracle:
 
     def distortion(self, R: float) -> float:
         """block_idrf_oracle at R bits per time unit; WaterfillError for a bad rate."""
-        return self.waterfill.solve(_as_rate(R, self.fs) * (2 * self.K + 1) / self.fs).distortion
+        return self.waterfill.solve(_rate_per_sample(R, self.fs, 2 * self.K + 1)).distortion
 
 
 def window_oracle(

@@ -21,10 +21,11 @@ one (rows x translates x cells) array, a _Curves stack; the filter bank, the
 polyphase bound and the sets read one row of it (_PeriodRow).
 The unfolded MMSE cross-check of a folded block is one kernel over all of
 its rows too (_unfolded_mmse), which shares no cut with the folded path.
-Rows are padded with zero-width cells and zero translates that change no
-bit of a row, and every check is made per row and raised when that row is
-read, so a row is what the one-fs functions, its one-row case, return, and a
-failure names its own fs.  A block holds up to _MAX_BLOCK_ENTRIES entries.
+Rows are padded with zero-width cells and zero translates, which move no
+bit of a row as its sums add in order (spectra._ordered_sum); each check is
+made per row and raised when that row is read, so a row is what the one-fs
+functions return and a failure names its own fs.  A block holds up to
+_MAX_BLOCK_ENTRIES entries.
 
 Every path is exact: inputs are piecewise-constant, and every grid is cut at
 the translate lattice of the breakpoints before values are read off, so the
@@ -58,6 +59,7 @@ from .spectra import (
     _check_count,
     _check_fs,
     _dedup,
+    _ordered_sum,
     _pw_eval,
     _pw_from_density,
     _pw_from_gain,
@@ -170,10 +172,9 @@ class _Period:
     src and fs, each row's sampling rate (by default its step).  Rows are
     padded to one width with zero-width cells at their top edge, whose mids
     sit at +inf, where every piece reads 0; translates() pads each row's
-    translates with zero rows up to the block's largest count.  A sum over
-    translates adds them one after another down each cell column (a row holds
-    two cells at least, so numpy never sums a column pairwise), so a row's
-    sums, maxima and sorts come out as in a block of its own."""
+    translates with zero rows up to the block's largest count.  Translates
+    are summed with _ordered_sum, in ascending k, so the padding moves no bit
+    and a row's sums, maxima and sorts come out as in a block of its own."""
 
     def __init__(self, pw: _Pw, steps, src: _Source | None = None, counts=None, fs=None):
         """counts, if given, is _translate_counts(pw, steps), as a sweep has it."""
@@ -197,7 +198,7 @@ class _Period:
         """pw(mids - step*k) on every row, (rows, translates, cells)."""
         return _translates(pw, self.steps, self.mids, int(self.kmax.max()))
 
-    den = cached_property(lambda self: self.translates(self.pw).sum(axis=1))
+    den = cached_property(lambda self: _ordered_sum(self.translates(self.pw), axis=1))
 
     def row(self, i: int) -> _PeriodRow:
         return _PeriodRow(self, i)
@@ -227,7 +228,7 @@ def _block_bounds(pw: _Pw, kmax: np.ndarray, ok: np.ndarray):
     are taken at their most, one more than pw's breakpoints (each lands inside
     a period once at most).  A row that fails its check is a block of its
     own, whose _Period raises its error."""
-    cells = max(len(pw.bp) + 1, 2)
+    cells = len(pw.bp) + 1
     most = _MAX_BLOCK_ENTRIES // (5 * cells) + 1  # kmax >= 2, so 5 translates at least
     start = 0
     while start < len(kmax):
@@ -348,15 +349,15 @@ class _Curves:
     """Curves on the rows of a period block, as one stack: row i holds the
     curves values[i, p] (the one folded curve, or the P top translates) on the
     cells of per.grid[i], whose widths are w[i]; padding cells have zero width
-    and value.  Its own pieces are its last depth[i] curves on its own cells,
-    as a block of its own holds them.  check(i) raises row i's failure, if it
-    has one: a folded row above its translate bound, marked in over.  For a
-    folded block, unfolded holds each row's MMSE cross-check (_unfolded_mmse),
-    made for the whole block when first read."""
+    and value, and a row with fewer translates than curves has zero curves
+    first.  Sums over a row run in order (_ordered_sum), so that padding moves
+    no bit of them.  check(i) raises row i's failure, if it has one: a folded
+    row above its translate bound, marked in over.  For a folded block,
+    unfolded holds each row's MMSE cross-check (_unfolded_mmse), made for the
+    whole block when first read."""
 
-    def __init__(self, per: _Period, values: np.ndarray, depth=1, over=None):
+    def __init__(self, per: _Period, values: np.ndarray, over=None):
         self.per, self.values, self.over = per, values, over
-        self.depth = np.broadcast_to(depth, len(per))
         self.w = np.diff(per.grid, axis=1)
 
     def pieces(self) -> tuple[np.ndarray, np.ndarray]:
@@ -364,23 +365,10 @@ class _Curves:
         v = self.values.reshape(len(self.values), -1)
         return np.broadcast_to(self.w[:, None, :], self.values.shape).reshape(v.shape), v
 
-    def own_mask(self) -> np.ndarray:
-        """(rows, curves x cells): which of the pieces() are each row's own."""
-        n, cells = self.values.shape[1:]
-        own = ((np.arange(n) >= n - self.depth[:, None])[:, :, None]
-               & (np.arange(cells) < self.per.cells[:, None])[:, None, :])
-        return own.reshape(len(own), -1)
-
     unfolded = cached_property(lambda self: _unfolded_mmse(self.per.src, self.per.steps))
 
-    def own(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(w, v): row i's own widths (cells,) and curves (curves, cells)."""
-        c = self.per.cells[i]
-        return self.w[i, :c], self.values[i, self.values.shape[1] - self.depth[i]:, :c]
-
     def integral(self, i: int) -> float:
-        w, v = self.own(i)
-        return float(np.sum(w * v))
+        return float(_ordered_sum((self.w[i] * self.values[i]).ravel()))
 
     def check(self, i: int) -> None:
         if self.over is not None and self.over[i]:
@@ -397,7 +385,7 @@ def _folded(per: _Period) -> _Curves:
     """s_tilde_single on every row of a one-branch source's period block, whose
     den is the aliased (Sx+Sn)|H|^2."""
     num, den, _ = per.src.pws
-    vals = _safe_ratio(per.translates(num).sum(axis=1), per.den)
+    vals = _safe_ratio(_ordered_sum(per.translates(num), axis=1), per.den)
 
     # structural sanity: the curve can never exceed the best single translate
     # of the per-frequency ratio Sx^2/(Sx+Sn) restricted to the filter support
@@ -451,7 +439,8 @@ def _unfolded_mmse(src: _Source, steps: np.ndarray) -> np.ndarray:
 
     # each row's period, cut at every shift of den's breakpoints that lands in it
     row, k = _ragged(2 * kmax + 1)
-    pts = den.bp + (steps[row] * (k - kmax[row]))[:, None]
+    with np.errstate(over="ignore"):  # a shift past the float range lands outside
+        pts = den.bp + (steps[row] * (k - kmax[row]))[:, None]
     row = np.broadcast_to(row[:, None], pts.shape)
     inside = np.abs(pts) < steps[row] / 2.0
     row = np.concatenate((every, every, row[inside]))
@@ -465,8 +454,9 @@ def _unfolded_mmse(src: _Source, steps: np.ndarray) -> np.ndarray:
     cell, lo = row[:-1][same], pts[:-1][same]
     mids = 0.5 * (lo + pts[1:][same])
     at, k = _ragged(2 * kmax[cell] + 1)
-    aliased = np.bincount(at, _pw_eval(den, mids[at] - steps[cell[at]] * (k - kmax[cell[at]])),
-                          len(mids))
+    with np.errstate(over="ignore"):  # a shift past the float range reads 0
+        shifted = mids[at] - steps[cell[at]] * (k - kmax[cell[at]])
+    aliased = np.bincount(at, _pw_eval(den, shifted), len(mids))
 
     # tile j of a row is its period shifted by step*j; the tiles run from the
     # one that holds -r to the one that holds r, and each tiled cell's low edge
@@ -501,11 +491,18 @@ def _unfolded_mmse(src: _Source, steps: np.ndarray) -> np.ndarray:
     return x - np.bincount(row, w * frac, len(steps))
 
 
+def _mmse(sigma2, integral):
+    """The MMSE, sigma2 (the source power) less the integral of the
+    estimator's spectrum, per entry: floored at 0, as an MMSE whose exact
+    value is 0 can round below it."""
+    return np.maximum(sigma2 - integral, 0.0)
+
+
 def _mmse_and_curve(curves: _Curves, i: int) -> tuple[float, ScalarCurve]:
     """mmse_single and the s_tilde_single curve on row i of a folded block."""
     curve = curves.curve(i)
     sigma2 = curves.per.src.sigma2
-    value = sigma2 - curve.integral()
+    value = float(_mmse(sigma2, curve.integral()))
     alt = float(curves.unfolded[i])
     # written so that a NaN residual fails too
     if not abs(alt - value) <= 1e-10 * max(1.0, sigma2):
@@ -594,10 +591,10 @@ def eigen_curves_multi(
 
 
 def _mmse_multi(per: _PeriodRow) -> float:
-    val = per.src.sigma2 - _eigen_curves_multi(per).trace_integral()
-    if val < -1e-9 * max(1.0, per.src.sigma2):
-        raise SpectrumError(f"negative mmse {val}")
-    return max(val, 0.0)
+    sigma2, integral = per.src.sigma2, _eigen_curves_multi(per).trace_integral()
+    if sigma2 - integral < -1e-9 * max(1.0, sigma2):
+        raise SpectrumError(f"negative mmse {sigma2 - integral}")
+    return float(_mmse(sigma2, integral))
 
 
 def mmse_multi(Sx: SpectralDensity, Sn: SpectralDensity, spec: SamplerSpec) -> float:
@@ -614,7 +611,8 @@ def _maximal_af_sets(per: _PeriodRow, P: int) -> list[FrequencySet]:
     # row i holds shift k = i - kmax: the ratio at c = mids + k*d
     v = _translates(per.pw, d, mids, kmax)[::-1]
     k = np.arange(-kmax, kmax + 1)[:, None] + np.zeros(len(mids), dtype=int)
-    c = mids + k * d
+    with np.errstate(over="ignore"):  # a shift past the float range ranks last
+        c = mids + k * d
     sets = []
     for rows in np.lexsort((k, c >= 0, np.abs(c), -v), axis=0)[:P]:
         keep = v[rows, np.arange(len(mids))] > 0
@@ -644,13 +642,12 @@ def _top_translates(per: _Period, P: int) -> _Curves:
     """The P largest translates of per.pw on each row's cells, ascending: for
     the SNR ratio at d = fs/P, the ratio on the P maximal aliasing-free sets
     folded onto one period, and at P = 1 D*'s sup.  A row with fewer than P
-    translates keeps them all: the block's padding translates are not its own."""
-    return _Curves(per, np.sort(per.translates(per.pw), axis=1)[:, -P:],
-                   np.minimum(P, 2 * per.kmax + 1))
+    translates keeps them all, after the block's zero padding translates."""
+    return _Curves(per, np.sort(per.translates(per.pw), axis=1)[:, -P:])
 
 
 def _mmse_optimal(curves: _Curves, i: int) -> float:
-    return curves.per.src.sigma2 - curves.integral(i)
+    return float(_mmse(curves.per.src.sigma2, curves.integral(i)))
 
 
 def mmse_optimal(

@@ -608,9 +608,20 @@ def _translates(pw: _Pw, step, pts: np.ndarray, kmax: int) -> np.ndarray:
     """pw(pts - step*k) for k = -kmax..kmax, one row per k: the one place
     translates are evaluated.  pts may carry leading axes, with one step per
     row of them, and k is always the last axis but one; a stacked pw's axes
-    come first.  A sum over that axis adds rows in ascending k."""
+    come first.  _ordered_sum over that axis adds rows in ascending k."""
     k = np.arange(-kmax, kmax + 1)
-    return _pw_eval(pw, pts[..., None, :] - np.asarray(step)[..., None, None] * k[:, None])
+    with np.errstate(over="ignore"):  # a shift past the float range reads 0
+        x = pts[..., None, :] - np.asarray(step)[..., None, None] * k[:, None]
+    return _pw_eval(pw, x)
+
+
+def _ordered_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """x summed along axis entry after entry, in order (an empty axis sums to
+    0): zero entries move no bit, as x + 0 = x, so a row of a padded block sums
+    to the bits of the row alone, where np.sum's pairwise order would not."""
+    if not x.shape[axis]:
+        return x.sum(axis=axis)
+    return np.add.accumulate(x, axis=axis).take(-1, axis=axis)
 
 
 _NEIGHBOURS = np.array([-1.0, 0.0, 1.0])[:, None]
@@ -620,9 +631,9 @@ _NONE = np.finfo(float).max
 def _alias_grids(pw: _Pw, steps: np.ndarray, kmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(grid, cells): per row, the one cut of (-step/2, step/2) that every
     spectral path reads, at pw's breakpoints shifted by step*k, |k| <= kmax,
-    merged as _dedup merges, padded to two cells at least with zero-width cells
-    at its top edge, and its cell count.  A breakpoint b lands inside only at
-    the k nearest -b/step, so that k and its neighbours give every point."""
+    merged as _dedup merges, padded to the widest row (one cell at least) with
+    zero-width cells at its top edge, and its cell count.  A breakpoint b lands
+    inside only at the k nearest -b/step, so k and its neighbours give every point."""
     rows, half = len(steps), steps[:, None] / 2.0
     k = np.rint(-pw.bp / steps[:, None])[:, None, :] + _NEIGHBOURS
     pts = pw.bp + steps[:, None, None] * k
@@ -636,6 +647,6 @@ def _alias_grids(pw: _Pw, steps: np.ndarray, kmax: np.ndarray) -> tuple[np.ndarr
     n = keep.sum(axis=1)
     pts = np.where(keep, pts, _NONE)
     pts.sort(axis=1)
-    pts = pts[:, :max(3, n.max())]  # two cells at least
+    pts = pts[:, :max(2, n.max())]
     # past a row's points, its last one repeats
     return np.maximum.accumulate(np.where(pts < _NONE, pts, -np.inf), axis=1), n - 1

@@ -14,9 +14,9 @@ SNR ratio (D* and drf_sampled_optimal), D-dagger's pieces for a block of fs,
 and the polyphase bound's n offset spectra at one fs (after a cap on the
 size of that stack).  It solves a rate for every row in one vectorised step,
 its level: theta, the lossy integral and the rate per row, where a rate in
-bits per sample gives each row its own.  Rows whose own pieces are as many
-are summed as one (group x pieces) array, so each row's sums run over its
-own pieces in their order and it solves to the bit as its one-row case.  A
+bits per sample gives each row its own.  Each row's sums add its pieces one
+after another (spectra._ordered_sum), so the zero pieces that pad a row in a
+block move no bit and it solves to the bit as its one-row case.  A
 _Waterfill is one row of a stack (a stack of its own when built from one
 curve) and reads its solution off the stack's level at any rate; a block
 keeps its level at each RateSpec, which all of its rows read in turn, and
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .sampling import (
     ScalarCurve,
     _eigen_curves_multi,
     _folded,
+    _mmse,
     _mmse_and_curve,
     _Period,
     _PeriodRow,
@@ -60,6 +60,7 @@ from .spectra import (
     _check_count,
     _check_fs,
     _density_pieces,
+    _ordered_sum,
     _superlevel_pieces,
 )
 
@@ -132,6 +133,15 @@ def _as_rate(R, fs: float | None = None) -> float:
     R = _as_real(R, "rate", WaterfillError)
     _check_rate(R)
     return R
+
+
+def _rate_per_sample(R, fs: float, samples: int = 1) -> float:
+    """_as_rate(R, fs) in bits per sample at fs, over a block of samples;
+    WaterfillError, naming the rate and fs, where that overflows."""
+    R = _as_rate(R, fs)
+    if (rate := R * samples / fs) == math.inf:
+        raise WaterfillError(f"rate R = {R:g} bits per time at fs = {fs:g} overflows per sample")
+    return rate
 
 
 @dataclass(frozen=True)
@@ -212,14 +222,14 @@ class _WaterfillStack:
     never active.  A row with no positive piece has theta 0 at R = 0 and
     attains no positive rate.
 
-    A row of a block may carry padding pieces; own, if set, marks each row's
-    own pieces (rows x pieces), over which its sums run in their order, so a
-    row solves to the bit as it would in a stack of its own.  mmse (per row),
-    scale (of the lossy integral) and fs (per row, for rates in bits per
-    sample) are 0, 1 and None unless set.
+    A row of a block may carry padding pieces of zero width or value; its
+    sums add its pieces in order, so they move no bit, and a row solves to
+    the bit as it would in a stack of its own.  mmse (per row), scale (of the
+    lossy integral) and fs (per row, for rates in bits per sample) are 0, 1
+    and None unless set.
     """
 
-    own = fs = None
+    fs = None
     scale = 1.0
 
     def __init__(self, w: np.ndarray, values: np.ndarray):
@@ -234,11 +244,12 @@ class _WaterfillStack:
         log_v = np.log2(np.where(kept, v, 1.0))
         self.top = np.where(kept[:, 0], v[:, 0], 0.0)
         self.attains = kept[:, 0]
-        # past a row's last kept piece W and S are never read
-        self.W = w.cumsum(axis=1)
-        self.S = (w * log_v).cumsum(axis=1)
-        self.rate_at_next_value = np.where(
-            kept[:, 1:], 0.5 * (self.S[:, :-1] - self.W[:, :-1] * log_v[:, 1:]), np.inf)
+        # past a row's last kept piece W and S are never read, and may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.W = w.cumsum(axis=1)
+            self.S = (w * log_v).cumsum(axis=1)
+            self.rate_at_next_value = np.where(
+                kept[:, 1:], 0.5 * (self.S[:, :-1] - self.W[:, :-1] * log_v[:, 1:]), np.inf)
         # a row reads W at a kept piece, where it is positive, or, with none
         # kept, at its first: 1 there spares a division by 0 in a level that
         # is never read
@@ -250,49 +261,28 @@ class _WaterfillStack:
         """Raises row i's failure, if it has one; of_source's check replaces it."""
 
     @classmethod
-    def of_source(cls, sigma2: float, w: np.ndarray, v: np.ndarray, own=None,
-                  check=None, fs=None) -> "_WaterfillStack":
-        """Rows whose mmse is sigma2, the source power, less the row's integral;
-        check, if given, replaces the method of that name."""
+    def of_source(cls, sigma2: float, w: np.ndarray, v: np.ndarray, check=None,
+                  fs=None) -> "_WaterfillStack":
+        """Rows whose mmse is sigma2, the source power, less the row's integral
+        (sampling._mmse); check, if given, replaces the method of that name."""
         stack = cls(w, v)
-        stack.own, stack.fs = own, fs
+        stack.fs = fs
         if check is not None:
             stack.check = check
-        stack.mmse = sigma2 - stack._own_sums()
+        stack.mmse = _mmse(sigma2, stack._row_sums())
         return stack
 
     @classmethod
     def of_curves(cls, sigma2: float, curves) -> "_WaterfillStack":
         """of_source over the rows of a sampling._Curves, checked as it checks
         them, at the sampling rates of its periods."""
-        return cls.of_source(sigma2, *curves.pieces(), curves.own_mask(), curves.check,
-                             curves.per.fs)
+        return cls.of_source(sigma2, *curves.pieces(), curves.check, curves.per.fs)
 
-    @cached_property
-    def _groups(self) -> list:
-        """(rows, w, v) per group of rows with as many own pieces: those
-        pieces, in order, one row per row of the group.  A gather is C-ordered,
-        so a row's pieces lie next to each other and numpy sums each row
-        pairwise as it sums the row alone."""
-        if self.own is None:
-            return [(slice(None), self.w, self.v)]
-        w = np.broadcast_to(self.w, self.v.shape)
-        counts = self.own.sum(axis=1)
-        groups = []
-        for n in set(counts.tolist()):
-            rows = np.flatnonzero(counts == n)
-            at = rows[:, None], np.nonzero(self.own[rows])[1].reshape(len(rows), n)
-            groups.append((rows, w[at], self.v[at]))
-        return groups
-
-    def _own_sums(self, theta=None) -> np.ndarray:
-        """Per row, the sum of w * v over its own pieces, or of w * min(v, theta)
-        given a level per row."""
-        out = np.empty(len(self.v))
-        for rows, w, v in self._groups:
-            out[rows] = np.add.reduce(  # np.sum's reduce, without its wrapper
-                w * (v if theta is None else np.minimum(v, theta[rows, None])), axis=1)
-        return out
+    def _row_sums(self, theta=None) -> np.ndarray:
+        """Per row, the sum of w * v over its pieces in order, or of
+        w * min(v, theta) given a level per row."""
+        v = self.v if theta is None else np.minimum(self.v, theta[:, None])
+        return _ordered_sum(self.w * v)
 
     def level(self, R) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(theta, lossy, attained, rate) per row at R, a rate in bits per
@@ -312,7 +302,7 @@ class _WaterfillStack:
                                             else rate)).sum(axis=1)
             theta = np.exp2((self.S[self.rows, k] - 2.0 * rate) / self.W[self.rows, k])
             attained = self.attains
-        lossy = self._own_sums(theta)
+        lossy = self._row_sums(theta)
         out = theta, lossy if self.scale == 1.0 else self.scale * lossy, attained, rate
         if spec:
             self._levels[R] = out
@@ -350,9 +340,10 @@ class _Waterfill:
 
     @classmethod
     def of_source(cls, sigma2: float, curves, fs=None) -> "_Waterfill":
-        """Waterfill whose mmse is sigma2, the source power, less the curves' integral."""
+        """Waterfill whose mmse is sigma2, the source power, less the curves'
+        integral (sampling._mmse), summed as a stack's row sums it."""
         w, v = _pieces(curves)
-        return cls((w, v), sigma2 - float(np.sum(w * v)), fs=fs)
+        return cls((w, v), float(_mmse(sigma2, _ordered_sum(w * v))), fs=fs)
 
     def solve(self, R, fs: float | None = None) -> WaterfillSolution:
         """The solution at R, in bits per time, or per sample at fs (by
@@ -458,7 +449,7 @@ def _d_dagger(src: _Source, fs: np.ndarray) -> _WaterfillStack:
     """d_dagger's waterfills, one row per fs: the ratio's segments are ranked
     once per source, and each fs takes a prefix of them."""
     w, v = _superlevel_pieces(src.ranked, fs)
-    return _WaterfillStack.of_source(src.sigma2, w, v, w > 0, fs=fs)
+    return _WaterfillStack.of_source(src.sigma2, w, v, fs=fs)
 
 
 def d_dagger(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> WaterfillSolution:
@@ -499,7 +490,7 @@ def _polyphase_lower_bound(per: _PeriodRow, mmse, N_delta: int = 64):
 
     def at_rate(R: float, d: float) -> float:
         # added in offset order, as n separate waterfills would be
-        bound = mmse + sum(offsets.solve(R / fs)[1].tolist()) / n
+        bound = mmse + sum(offsets.solve(_rate_per_sample(R, fs))[1].tolist()) / n
         if not bound <= d + 1e-10 * max(1.0, per.src.sigma2):  # NaN fails too
             raise SpectrumError(f"polyphase bound {bound} exceeds the distortion {d}")
         return bound

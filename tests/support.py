@@ -431,7 +431,7 @@ def row_solve_loop(w, v, mmse, R):
     """Loop reference for one row's waterfill at R bits per time, solved on
     its own as the per-row path solved it: the row's pieces sorted once, the
     water level read off their cumulative sums, and the lossy integral summed
-    over the row alone."""
+    over the row alone, piece after piece."""
     w, v = np.asarray(w, dtype=float), np.asarray(v, dtype=float)
     if not w.size:  # one piece of zero width stands for none
         w, v = np.zeros(1), np.zeros(1)
@@ -449,5 +449,5 @@ def row_solve_loop(w, v, mmse, R):
         k = int(np.count_nonzero(np.where(kept[1:], 0.5 * (S[:-1] - W[:-1] * log_v[1:]), np.inf)
                                  < R))
         theta = float(np.exp2((S[k] - 2.0 * R) / W[k]))
-    lossy = float(np.sum(w * np.minimum(v, theta)))
+    lossy = float(np.cumsum(w * np.minimum(v, theta))[-1])
     return WaterfillSolution(theta, R, mmse + lossy, mmse, lossy)

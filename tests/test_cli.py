@@ -303,7 +303,7 @@ class TestRunModes:
         Sn = SpectralDensity(((0.0, 1.6, 0.05),))
         rates = [0.0, 0.5, 4.0]
         real_init, real_solve = waterfill._WaterfillStack.__init__, waterfill._Waterfill.solve
-        real_sums = waterfill._WaterfillStack._own_sums
+        real_sums = waterfill._WaterfillStack._row_sums
         real_bound = waterfill._polyphase_lower_bound
         monkeypatch.setattr(waterfill, "_polyphase_lower_bound",
                             lambda per, mmse: real_bound(per, mmse, N_delta))
@@ -318,7 +318,7 @@ class TestRunModes:
                 solves.append((self.stack, self.i))
                 return real_solve(self, R, fs)
 
-            def own_sums(self, theta=None):  # once for the mmse, once per level
+            def row_sums(self, theta=None):  # once for the mmse, once per level
                 sums.append(self)
                 return real_sums(self, theta)
             with monkeypatch.context() as mp:
@@ -326,7 +326,7 @@ class TestRunModes:
                     mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
                 mp.setattr(waterfill._WaterfillStack, "__init__", init)
                 mp.setattr(waterfill._Waterfill, "solve", solve)
-                mp.setattr(waterfill._WaterfillStack, "_own_sums", own_sums)
+                mp.setattr(waterfill._WaterfillStack, "_row_sums", row_sums)
                 offsets = count_calls(mp, "_polyphase_values")
                 rows = _sweep_rows("bounds", Sx, Sn, fs_list, rates)
             assert len(rows) == len(fs_list) * len(rates)
@@ -386,6 +386,23 @@ class TestRunModes:
         pieces = count_calls(monkeypatch, "_density_pieces")
         assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
         assert sets == [] and pieces == []
+
+    @pytest.mark.parametrize("mode, P, filters", [
+        *(pytest.param(mode, 1, None, id=mode) for mode in MODES),
+        *(pytest.param(mode, P, None, id=f"{mode}-P{P}") for P in (2, 3)
+          for mode in MODES if mode not in ("bounds", "oracle-check")),
+        *(pytest.param("mmse", P, "optimal", id=f"mmse-P{P}-optimal") for P in (1, 2, 3)),
+    ])
+    def test_fs_near_the_float_maximum(self, mode, P, filters):
+        # shifts k*fs past the float range overflow to inf, where every piece
+        # reads 0, as it should: no warning (each RuntimeWarning fails a test),
+        # and the rows at fs = 1e308 print as those at fs = 1e20, apart from
+        # the fs column
+        Sx, Sn = SpectralDensity(BIMODAL_SEGMENTS), SpectralDensity(((0.0, 1.6, 0.05),))
+        huge, big = [[[_fmt(v) for v in row[1:]]
+                      for row in _sweep_rows(mode, Sx, Sn, [fs], [0.5, 2.0], P, filters)]
+                     for fs in (1e308, 1e20)]
+        assert huge == big
 
     def test_bank_rows_match_direct_calls(self):
         # in-memory rows, so that == holds them bit for bit; fs repeats
@@ -515,6 +532,15 @@ class TestExitCodes:
         doc["rates"] = {"values": [value]}
         assert run(write_config(tmp_path, doc), "drf") == 2
         assert "rates.values invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["bounds", "oracle-check"])
+    def test_rate_per_sample_overflow_names_r_and_fs(self, tmp_path, capsys, mode):
+        # R/fs overflowed, and the error named a rate of inf that was never given
+        doc = dict(BIMODAL_CONFIG, sampler={"fs": [0.5], "P": 1}, rates={"values": [1e308]})
+        assert run(write_config(tmp_path, doc), mode) == 3
+        err = capsys.readouterr().err
+        assert "rate R = 1e+308 bits per time at fs = 0.5 overflows" in err
+        assert "got inf" not in err
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_fmt_rejects_infinity(self, value):

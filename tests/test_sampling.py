@@ -741,20 +741,32 @@ RATES = [0.0, 0.4, 3.0, RateSpec(0.0, BITS_PER_SAMPLE), RateSpec(0.7, BITS_PER_S
          RateSpec(1.5)]
 
 
-def own_pieces(curves, i):
+def own(curves, i, P=1):
+    """(w, v): row i's own widths (cells,) and curves (curves, cells) of a
+    _Curves stack of one curve, or of the top P translates, as a block of its
+    own holds them: its cells, and its last min(P, translates) curves.  A row
+    may have no cells."""
+    per = curves.per
+    c, n = per.cells[i], min(P, 2 * per.kmax[i] + 1)
+    return curves.w[i, :c], curves.values[i, curves.values.shape[1] - n:, :c]
+
+
+def own_pieces(curves, i, P=1):
     """Row i's own pieces of a _Curves stack, flat, curve by curve."""
-    w, v = curves.own(i)
+    w, v = own(curves, i, P)
     return np.tile(w, len(v)), v.ravel()
 
 
 def assert_rows_solve_as_loop(rows, sigma2):
     """Each (stack, i, fs, w, v) of rows: row i of stack at every rate of
-    RATES is the per-row loop's solution for its own pieces w and v."""
+    RATES is the per-row loop's solution for its own pieces w and v, whose
+    mmse is sigma2 less their integral, summed in order, floored at 0."""
     for R in RATES:
         for stack, i, fs, w, v in rows:
             r = R.per_time(fs) if isinstance(R, RateSpec) else R
+            mmse = max(sigma2 - float(np.cumsum(np.append(0.0, w * v))[-1]), 0.0)
             try:
-                want = row_solve_loop(w, v, sigma2 - float(np.sum(w * v)), r)
+                want = row_solve_loop(w, v, mmse, r)
             except UnattainableRateError:
                 with pytest.raises(UnattainableRateError):
                     stack.row(i).solve(R)
@@ -820,7 +832,7 @@ class TestBlocks:
         daggers = waterfill._d_dagger(src, np.array(fs_list))
         for n, ((per, i), fs) in enumerate(zip(rows, fs_list)):
             want = sampling._top_translates(src.periods([fs], P), P)
-            for got, ref in zip(tops[id(per)].own(i), want.own(0)):
+            for got, ref in zip(own(tops[id(per)], i, P), own(want, 0, P)):
                 assert np.array_equal(got, ref)
             assert tops[id(per)].integral(i) == want.integral(0)
             one = _WaterfillStack.of_curves(src.sigma2, want).row(0)
@@ -866,7 +878,7 @@ class TestBlocks:
             stack = _WaterfillStack.of_curves(src.sigma2, curves)
             for i, fs in enumerate(per.fs.tolist()):
                 if curves.over is None or not curves.over[i]:
-                    rows.append((stack, i, fs, *own_pieces(curves, i)))
+                    rows.append((stack, i, fs, *own_pieces(curves, i, P if kind == "top" else 1)))
         assert_rows_solve_as_loop(rows, src.sigma2)
 
     @pytest.mark.parametrize("P", [8, 10, 12])
@@ -880,13 +892,31 @@ class TestBlocks:
         assert [2 * k + 1 < P for k in per.kmax] == [True, False, True]
         tops = sampling._top_translates(per, P)
         drf = _WaterfillStack.of_curves(src.sigma2, tops)
-        assert_rows_solve_as_loop([(drf, i, fs, *own_pieces(tops, i))
+        assert_rows_solve_as_loop([(drf, i, fs, *own_pieces(tops, i, P))
                                    for i, fs in enumerate(fs_list)], src.sigma2)
         for i, fs in enumerate(fs_list):
             want = sampling._top_translates(src.periods([fs], P), P)
-            assert [x.tolist() for x in tops.own(i)] == [x.tolist() for x in want.own(0)]
+            assert [x.tolist() for x in own(tops, i, P)] == [x.tolist() for x in own(want, 0, P)]
             assert sampling._mmse_optimal(tops, i) == mmse_optimal(Sx, rect_noise(), fs, P)[0]
             assert drf.row(i).solve(0.8) == drf_sampled_optimal(Sx, rect_noise(), fs, P, 0.8)
+
+    def test_one_cell_row_sums_translates_in_ascending_k(self):
+        # every breakpoint of the band lands on the edges of the period of
+        # fs = 0.5, so its row is one cell, and its aliased sums add the
+        # translates at the cell's mid, 0, one after another in ascending k
+        levels = np.random.default_rng(0).uniform(0.1, 1.0, 12)
+        Sx = SpectralDensity([(0.25 + 0.5 * m, 0.75 + 0.5 * m, v) for m, v in enumerate(levels)])
+        src = _Source(Sx, SpectralDensity(((0.25, 6.25, 0.03),)))
+        per = src.periods([0.5])
+        assert per.grid.tolist() == [[-0.25, 0.25]] and per.mids.tolist() == [[0.0]]
+        num, den, _ = src.pws
+        want_num = want_den = 0.0
+        for k in range(-per.kmax[0], per.kmax[0] + 1):
+            f = np.array([-0.5 * k])
+            want_num += spectra._pw_eval(num, f)[0]
+            want_den += spectra._pw_eval(den, f)[0]
+        assert per.den.tolist() == [[want_den]]
+        assert sampling._folded(per).curve(0).vals.tolist() == [want_num / want_den]
 
     def test_long_fs_range_stays_bounded(self):
         # 100,000 steps: no block passes the budget, and the bounds are found

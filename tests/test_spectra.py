@@ -16,6 +16,7 @@ from subnyq.spectra import (
     integrate,
     snr_ratio,
     superlevel_set_of_measure,
+    _ordered_sum,
     _pw_eval,
     _Pw,
 )
@@ -128,6 +129,47 @@ class TestStackedEval:
             assert np.array_equal(row, _pw_eval(_Pw(bp, want), x))
             assert np.array_equal(row, [pw_eval_loop(bp, want, p) for p in x])
         assert np.array_equal(_pw_eval(_Pw(bp, vals), x.reshape(-1, 1)), got[:, :, None])
+
+
+@st.composite
+def padded_rows(draw):
+    """(w, v, pw, pv): a row's widths (cells,) and curves (curves, cells), and
+    the row padded with zero-width cells anywhere, holding any value, and with
+    zero curves first."""
+    cells, curves = draw(st.integers(0, 12)), draw(st.integers(1, 3))
+    level = st.floats(0.0, 10.0)
+    w = np.array(draw(st.lists(level, min_size=cells, max_size=cells)))
+    v = np.array(draw(st.lists(level, min_size=curves * cells, max_size=curves * cells)))
+    v = v.reshape(curves, cells)
+    at = draw(st.lists(st.integers(0, cells), max_size=6))
+    pw = np.insert(w, at, 0.0)
+    pv = np.insert(v, at, np.array(draw(st.lists(level, min_size=curves * len(at),
+                                                  max_size=curves * len(at)))).reshape(
+        curves, len(at)), axis=1)
+    pv = np.concatenate((np.zeros((draw(st.integers(0, 3)), len(pw))), pv))
+    return w, v, pw, pv
+
+
+class TestOrderedSum:
+    @given(padded_rows(), st.integers(0, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_padded_row_sums_to_the_row_alone(self, case, at):
+        # a row's pieces, curve by curve, added one after another: zero cells
+        # and leading zero curves, anywhere in a block's row, move no bit
+        w, v, pw, pv = case
+        alone = _ordered_sum((w * v).ravel())
+        want = 0.0
+        for x in (w * v).ravel():
+            want += x
+        assert alone == want
+        padded = (pw * pv).ravel()
+        block = np.insert(np.full((2, len(padded)), 0.7), at, padded, axis=0)
+        assert _ordered_sum(block)[at] == alone
+        assert _ordered_sum(block.T, axis=0)[at] == alone
+
+    def test_empty_axis_sums_to_zero(self):
+        assert _ordered_sum(np.zeros((3, 0))).tolist() == [0.0] * 3
+        assert _ordered_sum(np.zeros((0, 2, 4)), axis=0).tolist() == [[0.0] * 4] * 2
 
 
 class TestIntegrate:

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from subnyq import waterfill
 from subnyq.cli import BIMODAL_SEGMENTS
 from subnyq.oracle import iid_drf
-from subnyq.sampling import SamplerSpec, _Source, mmse_single, s_tilde_single
+from subnyq.sampling import (
+    SamplerSpec,
+    _Source,
+    mmse_multi,
+    mmse_optimal,
+    mmse_single,
+    s_tilde_single,
+)
 from subnyq.cli import _sweep_rows
 from subnyq.spectra import (
     ComplexGainProfile,
@@ -634,6 +641,20 @@ class TestGlobalProperties:
                 assert d >= star - 1e-9
                 assert star == pytest.approx(opt1, abs=1e-9)
                 assert opt1 >= dag - 1e-9
+
+    @pytest.mark.parametrize("P", [1, 2, 3])
+    @pytest.mark.parametrize("fs", [3.2, 3.28, 4.0])
+    def test_zero_mmse_is_not_negative(self, fs, P):
+        # noiseless at or above the Nyquist rate 3.2, every MMSE is exactly 0;
+        # mmse_optimal and the drf-optimal rows read -2.2e-16 at fs = 3.2, P = 2
+        Sx, Sn = SpectralDensity(BIMODAL_SEGMENTS), zero_density()
+        spec = SamplerSpec(fs, [None] * P)
+        mmses = [mmse_optimal(Sx, Sn, fs, P)[0], mmse_multi(Sx, Sn, spec),
+                 drf_sampled_optimal(Sx, Sn, fs, P, 0.5).mmse_part,
+                 drf_sampled_multi(Sx, Sn, spec, 0.5).mmse_part,
+                 d_dagger(Sx, Sn, fs, 0.5).mmse_part, idrf_stationary(Sx, Sn, None, 0.5).mmse_part,
+                 mmse_single(Sx, Sn, None, fs), drf_sampled_single(Sx, Sn, None, fs, 0.5).mmse_part]
+        assert all(0.0 <= m <= 1e-12 for m in mmses), mmses
 
     def test_pointwise_larger_curve_never_hurts(self):
         for _ in range(25):
