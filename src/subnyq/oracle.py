@@ -309,11 +309,14 @@ def _window_oracle(pieces, sigma2: float, fs: float, K: int, n_phases: int) -> W
     n_u = n_y * n_phases
     # C_YU row m, column (j, i): cov of Y[m] with X((n_i + delta_j)/fs), at lag
     # (delta_j - (n_m - n_i))/fs.  Each phase block is Toeplitz, so one kernel
-    # call evaluates the (phases x (4K+1)) lags (j/n_phases - d)/fs, each
-    # distinct |lag| once, and one copy lays the blocks, as views of c, side
-    # by side.
+    # call evaluates the (phases x (4K+1)) lags (j - n_phases d)/n_phases/fs,
+    # each distinct |lag| once, and one copy lays the blocks, as views of c,
+    # side by side.  The numerator j - n_phases d is an exact integer, so each
+    # lag in sampling periods is its exact value rounded once (j/n_phases - d
+    # rounds twice when j/n_phases is not dyadic).
     d = np.arange(-2 * K, 2 * K + 1)
-    c = _cov_from_segments(win.xz_segments, (np.arange(n_phases)[:, None] / n_phases - d) / fs)
+    periods = (np.arange(n_phases)[:, None] - n_phases * d) / n_phases
+    c = _cov_from_segments(win.xz_segments, periods / fs)
     c_yu = np.swapaxes(_toeplitz(c), 0, 1).reshape(n_y, n_u)
     b = np.linalg.solve(chol, c_yu)
     # column K of phase block j has n_i = 0, the lags of cross_vector(j/n_phases)

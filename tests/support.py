@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -176,13 +177,15 @@ def snr_ratio_loop(Sx, Sn):
 def window_oracle_loop(pieces, sigma2, fs, K, n_phases):
     """Loop reference for oracle._window_oracle: (mmse_average, waterfill) with
     C_Y and C_YU from cov_loop on the full lag matrices (n_a - n_b)/fs and
-    ((n_b + delta) - n_a)/fs, one entry at a time, then the oracle's own
-    Cholesky solve, windowed average and block waterfill."""
+    (n_b + j/n_phases - n_a)/fs, the latter's numerator an exact fraction per
+    entry rounded once, then the oracle's own Cholesky solve, windowed
+    average and block waterfill."""
     xz, zz = map(oracle._even_segments, pieces)
     n = np.arange(-K, K + 1)
     c_y = cov_loop(zz, (n[:, None] - n[None, :]) / fs)
-    c_yu = np.hstack([cov_loop(xz, ((n[None, :] + j / n_phases) - n[:, None]) / fs)
-                      for j in range(n_phases)])
+    lag = [np.array([[float(Fraction(int(b)) + Fraction(j, n_phases) - int(a)) for b in n]
+                     for a in n]) / fs for j in range(n_phases)]
+    c_yu = np.hstack([cov_loop(xz, t) for t in lag])
     chol, regularized = oracle._chol_with_ridge(c_y)
     b = np.linalg.solve(chol, c_yu)
     average = oracle._mmse_average(sigma2, np.ascontiguousarray(b[:, K::len(n)].T), regularized)

@@ -233,9 +233,9 @@ def window_cases(draw, phases, bounded_below):
 class TestToeplitzWindow:
     """_window_oracle reads C_Y and each phase block of C_YU off the 4K+1
     distinct lags of a Toeplitz window.  What it returns is what the full lag
-    matrices (n_a - n_b)/fs and ((n_b + delta) - n_a)/fs give: bit for bit
-    when delta = j/n_phases is dyadic, as every lag is then the same float,
-    and within rounding otherwise, where (n_b + delta) rounds per entry."""
+    matrices (n_a - n_b)/fs and (n_b + delta - n_a)/fs give, the latter with
+    each entry's exact fraction rounded once: bit for bit, as every lag is
+    then the same float, whether delta = j/n_phases is dyadic or not."""
 
     RATES = (0.0, 0.5, 2.0)
 
