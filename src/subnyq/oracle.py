@@ -31,6 +31,7 @@ from .spectra import (
     _check_count,
     _check_fs,
     _dedup,
+    _ordered_sum,
     _pw_eval,
     _Pw,
     _translate_count,
@@ -120,9 +121,9 @@ def _cov_from_segments(segs: Sequence[tuple], tau: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
             terms /= np.pi * t
         terms[:, t < 1e-12] = (2.0 * v * (hi - lo))[:, None]
-        if len(t) == 1:  # numpy reduces a lone column pairwise; cumsum adds in order
-            terms = np.cumsum(terms, axis=0)[-1:]
-        out[start:start + step] = np.add.reduce(terms, axis=0)
+        # numpy reduces a lone column pairwise, and more than one in row order
+        out[start:start + step] = (_ordered_sum(terms, axis=0) if len(t) == 1
+                                   else np.add.reduce(terms, axis=0))
     return out[back].reshape(np.shape(tau))
 
 

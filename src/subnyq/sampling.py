@@ -7,8 +7,8 @@ supports of the optimal filters), the sampling-rate bound on the MMSE and the
 polyphase decomposition.  Each curve, MMSE and set function is a thin caller
 of a private form.  The fs-free pieces of (Sx, Sn, branches) live on a
 _Source, which a sweep builds once: the single-branch pieces, the filter
-bank's branch-pair pieces and the SNR ratio behind the optimal filters (and
-its segments ranked for D-dagger).
+bank's branch-pair pieces and the SNR ratio behind the optimal filters and
+D-dagger.
 
 The per-fs work of a sweep is one stack per block of consecutive fs
 (src.blocks): a _Period holds the periods (-fs/2, fs/2) of a block as rows,
@@ -65,7 +65,6 @@ from .spectra import (
     _pw_from_gain,
     _pw_support_radius,
     _Pw,
-    _ranked_segments,
     _translate_count,
     _translate_counts,
     _translates,
@@ -293,8 +292,6 @@ class _Source:
         w = np.conj(g[i]) * g[j]
         return _Pw(bp, np.concatenate([z * w, x * x * w]))
 
-    ranked = cached_property(lambda self: _ranked_segments(self.ratio))  # for D-dagger
-
     @cached_property
     def period_pw(self) -> _Pw:
         """(Sx+Sn) max_i |H_i|^2: every piece here lies on its breakpoints and
@@ -330,9 +327,12 @@ class _Source:
 
     def fs_blocks(self, fs_list):
         """fs_list as blocks of consecutive fs for D-dagger, whose (rows x
-        segments x merged intervals) overlaps stay within _MAX_BLOCK_ENTRIES."""
+        pieces) stay within _MAX_BLOCK_ENTRIES.  A row holds fewer than 4n
+        pieces of the ratio's n segments: on each side of 0, n disjoint
+        segment halves meet at most n disjoint set intervals (each begins at
+        a segment it takes) in fewer than 2n places."""
         fs = np.asarray(fs_list, dtype=float)
-        rows = max(1, _MAX_BLOCK_ENTRIES // (2 * len(self.ratio.segments) ** 2 + 1))
+        rows = max(1, _MAX_BLOCK_ENTRIES // (4 * len(self.ratio.segments) + 1))
         for start in range(0, len(fs), rows):
             yield fs[start:start + rows]
 

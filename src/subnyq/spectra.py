@@ -252,7 +252,7 @@ class SpectralDensity:
         return FrequencySet(iv for iv, _ in self.segments).mirrored()
 
     def evaluate(self, f: float) -> float:
-        f = abs(f)
+        f = abs(_as_real(f, "f"))
         for iv, v in self.segments:
             if iv.lo <= f < iv.hi:
                 return v
@@ -266,23 +266,63 @@ class SpectralDensity:
         return sorted(pts)
 
 
+def _intervals(F) -> tuple:
+    """F's intervals; SpectrumError unless F is a FrequencySet."""
+    if not isinstance(F, FrequencySet):
+        raise SpectrumError(f"expected a FrequencySet, got {F!r}")
+    return F.intervals
+
+
+def _searchsorted_rows(owner: np.ndarray, rows: int, keys: np.ndarray, x: np.ndarray,
+                       side: str) -> np.ndarray:
+    """(rows, len(x)): np.searchsorted(row r's keys, x, side) for each row r,
+    plus the count of keys in the rows before it, so an index into keys; the
+    keys are grouped by row (owner ascends) and ascend in each.  Counted, not
+    searched: a key counts toward every x of the sorted x from its place on."""
+    xs = np.sort(x)
+    at = np.searchsorted(xs, keys, side="left" if side == "right" else "right")
+    hist = np.bincount(owner * (len(x) + 1) + at, minlength=rows * (len(x) + 1))
+    return hist.cumsum().reshape(rows, -1)[:, np.searchsorted(xs, x)]
+
+
+def _set_pieces(S: SpectralDensity, sets) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v), one row per entry of sets, a FrequencySet or None for the whole
+    line: the (width, value) pieces of S on the set, mirror included, segment
+    by segment, the f >= 0 half before its mirror, each half cut by the set's
+    intervals in turn; rows are padded with zero pieces to one length.
+
+    A set's intervals are sorted and disjoint, so those that meet a half
+    (x0, x1) are a run: from the first whose hi exceeds x0 up to the first
+    whose lo is not below x1."""
+    lo, hi, val = np.array([(iv.lo, iv.hi, v) for iv, v in S.segments],
+                           dtype=float).reshape(-1, 3).T
+    x0, x1 = np.stack((lo, -hi), axis=1).ravel(), np.stack((hi, -lo), axis=1).ravel()
+    ivs = [(FrequencyInterval(-math.inf, math.inf),) if F is None else _intervals(F)
+           for F in sets]
+    owner = np.repeat(np.arange(len(ivs)), np.array([len(row) for row in ivs]))
+    a = np.array([iv.lo for row in ivs for iv in row], dtype=float)
+    b = np.array([iv.hi for row in ivs for iv in row], dtype=float)
+    first = _searchsorted_rows(owner, len(ivs), b, x0, "right").ravel()
+    runs = _searchsorted_rows(owner, len(ivs), a, x1, "left").ravel() - first
+    run = np.repeat(np.arange(len(runs)), runs)  # each piece's, by (row, half)
+    at = np.cumsum(runs) - runs  # each run's first piece
+    k = np.arange(len(run)) + (first - at)[run]
+    row, half = np.divmod(run, len(x0))
+    col = np.arange(len(run)) - at[row * len(x0)]
+    w, v = np.zeros((2, len(ivs), max(1, col.max(initial=0) + 1)))
+    w[row, col] = np.minimum(x1[half], b[k]) - np.maximum(x0[half], a[k])
+    v[row, col] = val[half // 2]
+    return w, v
+
+
 def _density_pieces(S: SpectralDensity, F: FrequencySet | None = None):
-    """(width, value) pieces of S, optionally restricted to F (mirror included)."""
-    widths, vals = [], []
-    for iv, v in S.segments:
-        for half in ((iv.lo, iv.hi), (-iv.hi, -iv.lo)):
-            if F is None:
-                widths.append(half[1] - half[0])
-                vals.append(v)
-                continue
-            for g in F.intervals:
-                lo, hi = max(half[0], g.lo), min(half[1], g.hi)
-                if hi > lo:
-                    widths.append(hi - lo)
-                    vals.append(v)
-    if not widths:
-        return np.array([1.0]), np.array([0.0])
-    return np.array(widths), np.array(vals)
+    """(width, value) pieces of S, optionally restricted to F (mirror
+    included), in _set_pieces' order; one piece of width 1 and value 0 if
+    there are none."""
+    w, v = _set_pieces(S, [F])
+    if not w[0, 0] > 0:
+        return np.ones(1), np.zeros(1)
+    return w[0], v[0]
 
 
 def integrate(S: SpectralDensity, F: FrequencySet | None = None) -> float:
@@ -341,7 +381,7 @@ def superlevel_set_of_measure(
     float spacing at the segment's low edge takes no piece and adds nothing to
     the integral.  Equal values are broken toward smaller |f|.
     """
-    if not m >= 0:  # NaN fails too
+    if not (m := _as_real(m, "measure budget")) >= 0:  # NaN fails too
         raise SpectrumError(f"measure budget must be >= 0, got {m}")
     ranked = sorted(S.segments, key=lambda s: (-s[1], s[0].lo))
     chosen = []
@@ -362,83 +402,6 @@ def superlevel_set_of_measure(
         else:
             break
     return FrequencySet(chosen).mirrored(), integral
-
-
-def _ranked_segments(S: SpectralDensity):
-    """(lo, hi, v, rank, pair, after): S's segments in order, their ranking by
-    (-value, lo), the order in which superlevel_set_of_measure takes them, the
-    ranked pair widths (a segment plus its mirror), and after[t], how many
-    ranked segments past t fit the empty budget that trimming ranked segment
-    t leaves."""
-    lo, hi, v = (np.array(x, dtype=float) for x in zip(*(
-        (iv.lo, iv.hi, val) for iv, val in S.segments))) if S.segments else (np.zeros(0),) * 3
-    rank = np.lexsort((lo, -v))
-    pair = 2.0 * (hi - lo)[rank]
-    after = np.zeros(len(rank), dtype=int)
-    for t in np.flatnonzero(pair[1:] <= BP_TOL):  # only a sliver fits an empty budget
-        rest = pair[t + 1:]
-        after[t] = _fitting(rest, np.subtract.accumulate(np.concatenate(([0.0], rest))))
-    return lo, hi, v, rank, pair, after
-
-
-def _fitting(pair: np.ndarray, budget: np.ndarray) -> np.ndarray:
-    """How many leading pair widths fit the budget left before each, within
-    BP_TOL, per row of budget."""
-    return np.logical_and.accumulate(pair <= budget[..., :-1] + BP_TOL, axis=-1).sum(axis=-1)
-
-
-def _superlevel_pieces(ranked, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(w, v), one row per budget in m: the pieces of
-    _density_pieces(S, superlevel_set_of_measure(S, budget)[0]), in its order,
-    with pieces of zero width and value between them; built with no set, from
-    _ranked_segments(S), for S with disjoint segments.
-
-    The taken segments are a prefix of the ranking: each whose pair width fits
-    the budget left (within BP_TOL), then, if over BP_TOL is left, the next one
-    trimmed to it, then any that fit the empty budget.  The set's rules
-    follow: taken intervals closer than BP_TOL merge into one, held at its
-    first segment, merged ones of width up to BP_TOL drop, and the first
-    merges with its mirror when within BP_TOL of it.  Each segment of S then
-    gives its overlap with every merged interval, f >= 0 half first.
-    """
-    lo, hi, v, rank, pair, after = ranked
-    rows, n_seg = len(m), len(lo)
-    if not n_seg:
-        return np.zeros((rows, 1)), np.zeros((rows, 1))
-    budget = np.subtract.accumulate(  # the loop's, term by term
-        np.concatenate((m[:, None], np.broadcast_to(pair, (rows, n_seg))), axis=1), axis=1)
-    n = _fitting(pair, budget)
-    r, j = np.arange(rows), np.arange(n_seg)
-    left = budget[r, n]
-    trim = (n < n_seg) & (left > BP_TOL)
-    taken = np.empty((rows, n_seg), dtype=bool)
-    taken[:, rank] = j < (n + np.where(trim, after[np.minimum(n, n_seg - 1)] + 1, 0))[:, None]
-    top = np.where(taken, hi, -np.inf)
-    cut = r[trim]
-    top[cut, rank[n[cut]]] = lo[rank[n[cut]]] + left[cut] / 2.0
-
-    # taken intervals in order; tops rise, so the last one's is the running max
-    last = np.maximum.accumulate(top, axis=1)
-    first = taken & (lo > np.concatenate((np.full((rows, 1), -np.inf), last[:, :-1]), axis=1)
-                     + BP_TOL)
-    a = np.where(first, lo, np.inf)
-    b = np.full((rows, n_seg), -np.inf)
-    held = np.nonzero(taken)
-    np.maximum.at(b, (held[0], np.maximum.accumulate(np.where(first, j, 0), axis=1)[held]),
-                  top[held])
-    keep = first & (b - a > BP_TOL)
-    a, b = np.where(keep, a, np.inf), np.where(keep, b, -np.inf)
-    f0 = np.argmax(keep, axis=1)
-    mirror = r[keep[r, f0] & (a[r, f0] <= -a[r, f0] + BP_TOL)]
-    a[mirror, f0[mirror]] = -b[mirror, f0[mirror]]
-
-    # each segment's overlaps; the f < 0 half meets the mirrored intervals in
-    # the reverse order
-    start = np.maximum(lo[:, None], a[:, None, :])
-    end = np.minimum(hi[:, None], b[:, None, :])
-    w = np.where(end > start, end - start, 0.0)
-    w = np.concatenate((w, w[:, :, ::-1]), axis=2).reshape(rows, -1)
-    return w, np.where(w > 0, np.repeat(v, 2 * n_seg), 0.0)
 
 
 class ComplexGainProfile:
@@ -488,7 +451,7 @@ class ComplexGainProfile:
 
     @classmethod
     def indicator(cls, F: FrequencySet) -> "ComplexGainProfile":
-        return cls((iv.lo, iv.hi, 1.0) for iv in F.intervals)
+        return cls((iv.lo, iv.hi, 1.0) for iv in _intervals(F))
 
     def support(self) -> FrequencySet:
         return FrequencySet((lo, hi) for lo, hi, _ in self.segments)

@@ -10,9 +10,10 @@ R(theta) is piecewise log-linear, so the water level is read off values
 sorted once and their cumulative sums, in closed form at any rate.  A
 _WaterfillStack sorts a stack of curves at once, one per row: the folded
 curves of a block of fs (drf_sampled_single), the top-P translates of the
-SNR ratio (D* and drf_sampled_optimal), D-dagger's pieces for a block of fs,
-and the polyphase bound's n offset spectra at one fs (after a cap on the
-size of that stack).  It solves a rate for every row in one vectorised step,
+SNR ratio (D* and drf_sampled_optimal), the ratio's pieces on its best
+superlevel sets of measure fs for a block of fs (D-dagger), and the
+polyphase bound's n offset spectra at one fs (after a cap on the size of
+that stack).  It solves a rate for every row in one vectorised step,
 its level: theta, the lossy integral and the rate per row, where a rate in
 bits per sample gives each row its own.  Each row's sums add its pieces one
 after another (spectra._ordered_sum), so the zero pieces that pad a row in a
@@ -61,7 +62,8 @@ from .spectra import (
     _check_fs,
     _density_pieces,
     _ordered_sum,
-    _superlevel_pieces,
+    _set_pieces,
+    superlevel_set_of_measure,
 )
 
 __all__ = [
@@ -112,10 +114,17 @@ class RateSpec:
         if self.unit not in (BITS_PER_TIME, BITS_PER_SAMPLE):
             raise WaterfillError(f"unknown rate unit {self.unit!r}")
 
-    def per_time(self, fs: float) -> float:
-        if self.unit == BITS_PER_SAMPLE:
-            return self.value * fs
-        return self.value
+    def per_time(self, fs):
+        """The rate in bits per time at fs, a number or an array of them;
+        WaterfillError, naming the rate and fs, where that overflows."""
+        if self.unit != BITS_PER_SAMPLE:
+            return self.value
+        with np.errstate(over="ignore"):  # named below instead
+            rate = self.value * fs
+        if (over := np.asarray(rate) == math.inf).any():
+            raise WaterfillError(f"rate R = {self.value:g} bits per sample at fs = "
+                                 f"{np.asarray(fs)[over][0]:g} overflows per time")
+        return rate
 
 
 def _check_rate(R) -> None:
@@ -446,9 +455,10 @@ def drf_sampled_optimal(
 
 
 def _d_dagger(src: _Source, fs: np.ndarray) -> _WaterfillStack:
-    """d_dagger's waterfills, one row per fs: the ratio's segments are ranked
-    once per source, and each fs takes a prefix of them."""
-    w, v = _superlevel_pieces(src.ranked, fs)
+    """d_dagger's waterfills, one row per fs: the SNR ratio's pieces on its
+    best superlevel set of measure fs, zero-padded to one length."""
+    sets = [superlevel_set_of_measure(src.ratio, f)[0] for f in fs.tolist()]
+    w, v = _set_pieces(src.ratio, sets)
     return _WaterfillStack.of_source(src.sigma2, w, v, fs=fs)
 
 

@@ -160,6 +160,36 @@ def aliased_sum_loop(S, fs, f):
     return sum(S.evaluate(f - fs * k) for k in range(-kmax, kmax + 1))
 
 
+def density_pieces_loop(S, F=None):
+    """Loop reference for spectra._density_pieces: each segment of S, its
+    f >= 0 half before its mirror, cut by every interval of F in turn; one
+    piece of width 1 and value 0 if there are none."""
+    widths, vals = [], []
+    for iv, v in S.segments:
+        for half in ((iv.lo, iv.hi), (-iv.hi, -iv.lo)):
+            if F is None:
+                widths.append(half[1] - half[0])
+                vals.append(v)
+                continue
+            for g in F.intervals:
+                lo, hi = max(half[0], g.lo), min(half[1], g.hi)
+                if hi > lo:
+                    widths.append(hi - lo)
+                    vals.append(v)
+    if not widths:
+        return np.array([1.0]), np.array([0.0])
+    return np.array(widths), np.array(vals)
+
+
+def is_padded_row(w, v, pieces):
+    """Whether a row (w, v) of spectra._set_pieces holds the loop's pieces in
+    order and then zero pieces only (all zero for the loop's empty piece)."""
+    want_w, want_v = pieces
+    n = len(want_w) if want_v.any() else 0
+    return (np.array_equal(w[:n], want_w[:n]) and np.array_equal(v[:n], want_v[:n])
+            and not w[n:].any() and not v[n:].any())
+
+
 def snr_ratio_loop(Sx, Sn):
     """Loop reference for spectra.snr_ratio: each merged cell read off the
     public evaluate at its midpoint, one cell at a time (quadratic)."""

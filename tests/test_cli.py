@@ -542,6 +542,17 @@ class TestExitCodes:
         assert "rate R = 1e+308 bits per time at fs = 0.5 overflows" in err
         assert "got inf" not in err
 
+    @pytest.mark.parametrize("mode", ["drf", "drf-optimal", "d-dagger", "bounds", "oracle-check"])
+    def test_rate_per_time_overflow_names_r_and_fs(self, tmp_path, capsys, mode):
+        # R*fs overflowed: numpy warned, and the error named an inf in the
+        # results or a rate of inf that was never given
+        doc = dict(BIMODAL_CONFIG, sampler={"fs": [2.0], "P": 1},
+                   rates={"values": [1e308], "unit": "bits-per-sample"})
+        assert run(write_config(tmp_path, doc), mode) == 3
+        err = capsys.readouterr().err
+        assert "rate R = 1e+308 bits per sample at fs = 2 overflows" in err
+        assert "inf" not in err and "RuntimeWarning" not in err
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_fmt_rejects_infinity(self, value):
         with pytest.raises(NumericalFailure):

@@ -20,6 +20,7 @@ from subnyq.waterfill import (
     drf_sampled_optimal,
 )
 from subnyq.sampling import (
+    EigenCurves,
     SamplerSpec,
     _branch_matrices,
     _Source,
@@ -322,12 +323,12 @@ class TestMmseOptimalAndLandau:
 
     def test_landau_trim_below_float_spacing(self):
         # half the budget, 7.5e-10, rounds away at 1e7: the trim takes no
-        # piece and adds nothing, as D-dagger's prefix route gives
+        # piece and adds nothing, as D-dagger's pieces give
         S = SpectralDensity(((1e7, 1e7 + 1, 1.0),))
         F, captured = superlevel_set_of_measure(S, 1.5e-9)
         assert F.measure() == 0.0 and captured == 0.0
         assert landau_mmse_bound(S, zero_density(), 1.5e-9) == 2.0
-        w, _ = spectra._superlevel_pieces(spectra._ranked_segments(S), np.array([1.5e-9]))
+        w, _ = spectra._set_pieces(S, [F])
         assert not w.any()
 
     def test_landau_below_optimal_and_gap_shrinks(self):
@@ -530,6 +531,10 @@ class TestStackedEigenSolve:
     @example(SpectralDensity(((0.0, 1.0, 1.0), (1.0, 2.0, 1e-5))), zero_density(),
              [ComplexGainProfile([(-1.4, 0.8, -1.8 - 1.9j)]),
               ComplexGainProfile([(-3.0, 3.0, 1.0)])], False, 2.0)
+    # the loop's trace integral exceeds sigma^2 by 3.9e-7 relative: the
+    # library's trace check fails it
+    @example(SpectralDensity(((0.03125, 0.546875, 0.38075929772),)), zero_density(),
+             [None, ComplexGainProfile([(-2.765625, 0.296875, 1e-05j)])], True, 1.0)
     @settings(max_examples=80, deadline=None)
     def test_matches_cell_loop(self, Sx, Sn, branches, repeat, fs):
         if repeat:
@@ -542,6 +547,13 @@ class TestStackedEigenSolve:
             want = whitened_eigenvalues_loop(sy, kk)
         except LinalgError as e:
             want = type(e)
+        else:  # _eigen_curves_multi's own checks, with its tolerances
+            top, sigma2 = float(want.max(initial=0.0)), src.sigma2
+            if want.size and float(want.min()) < -1e-10 * max(1.0, top):
+                want = SpectrumError
+            elif (EigenCurves(per.grid, np.maximum(want, 0.0)).trace_integral()
+                  > sigma2 + 1e-9 * max(1.0, sigma2)):
+                want = SpectrumError
         # the pair pieces split across translate calls: 1 puts each in a call
         # of its own, and the last budget two in each
         entries = (2 * per.kmax + 1) * len(per.mids)
@@ -555,7 +567,7 @@ class TestStackedEigenSolve:
                 assert sum(calls) == len(src.pairs.vals)
                 assert max(calls) <= max(1, budget // entries)
                 if isinstance(want, type):
-                    with pytest.raises(LinalgError) as got:
+                    with pytest.raises((LinalgError, SpectrumError)) as got:
                         eigen_curves_multi(Sx, Sn, spec)
                     assert got.type is want
                 else:
@@ -867,7 +879,8 @@ class TestBlocks:
         rows = []  # (stack, i, fs, own widths, own values)
         if kind == "dagger":
             stack = waterfill._d_dagger(src, np.array(fs_list))
-            w, v = spectra._superlevel_pieces(src.ranked, np.array(fs_list))
+            w, v = spectra._set_pieces(src.ratio, [superlevel_set_of_measure(src.ratio, fs)[0]
+                                                   for fs in fs_list])
             rows = [(stack, i, fs, w[i][w[i] > 0], v[i][w[i] > 0])
                     for i, fs in enumerate(fs_list)]
         for per in blocks_of(src, fs_list, budget, P if kind == "top" else None):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subnyq.spectra import (
@@ -16,8 +16,10 @@ from subnyq.spectra import (
     integrate,
     snr_ratio,
     superlevel_set_of_measure,
+    _density_pieces,
     _ordered_sum,
     _pw_eval,
+    _set_pieces,
     _Pw,
 )
 from subnyq.oracle import (
@@ -39,6 +41,8 @@ from subnyq.waterfill import (
 from support import (
     aliased_sum_loop,
     bandpass_density,
+    density_pieces_loop,
+    is_padded_row,
     rect_density,
     rect_noise,
     snr_ratio_loop,
@@ -184,6 +188,23 @@ class TestIntegrate:
 
     def test_mirror_side_counts(self):
         assert integrate(bandpass_density(), fset((-3.0, -1.5))) == 0.25
+
+    @given(staircases(), st.lists(st.lists(st.tuples(st.integers(-48, 48), st.integers(1, 12)),
+                                           max_size=4), min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_pieces_match_loop(self, S, rows):
+        # intervals on edges k/16 cut the k/8 staircase inside its segments
+        # and at their edges, on both sides of 0: one set at a time and all
+        # at once, bit for bit and dtype included
+        sets = [None] + [FrequencySet((k / 16, (k + n) / 16) for k, n in row) for row in rows]
+        w, v = _set_pieces(S, sets)
+        for i, F in enumerate(sets):
+            want = density_pieces_loop(S, F)
+            got = _density_pieces(S, F)
+            assert [x.dtype for x in got] == [x.dtype for x in want]
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+            assert is_padded_row(w[i], v[i], want)
+            assert integrate(S, F) == float(np.sum(want[0] * want[1]))
 
 
 class TestAliasedSum:
@@ -423,10 +444,11 @@ ANY_SEGMENT = st.one_of(st.lists(ANY_VALUE, max_size=4).map(tuple), ANY_VALUE)
 
 
 class TestConstructorInput:
-    """SpectralDensity, ComplexGainProfile and RateSpec take a value of any
-    type: a wrong-arity segment and a str, None, complex or bool where a
-    real number belongs raise their module's named error, never a bare
-    TypeError or ValueError."""
+    """SpectralDensity, ComplexGainProfile and RateSpec, and the set path's
+    functions, take a value of any type: a wrong-arity segment, a str, None,
+    complex or bool where a real number belongs and a list where a
+    FrequencySet belongs raise their module's named error, never a bare
+    TypeError, ValueError or AttributeError."""
 
     @pytest.mark.parametrize("call, error", [
         pytest.param(lambda: RateSpec("1"), WaterfillError, id="rate-str"),
@@ -452,6 +474,13 @@ class TestConstructorInput:
                      id="gain-complex-edge"),
         pytest.param(lambda: ComplexGainProfile.conjugate_symmetric([(0.0, "1", 1.0)]),
                      SpectrumError, id="conjugate-symmetric-str-edge"),
+        pytest.param(lambda: superlevel_set_of_measure(rect_density(), "1"), SpectrumError,
+                     id="superlevel-str-measure"),
+        pytest.param(lambda: integrate(rect_density(), [(0.0, 1.0)]), SpectrumError,
+                     id="integrate-list-set"),
+        pytest.param(lambda: ComplexGainProfile.indicator([(0.0, 1.0)]), SpectrumError,
+                     id="indicator-list-set"),
+        pytest.param(lambda: rect_density().evaluate("x"), SpectrumError, id="evaluate-str"),
     ])
     def test_bad_value_raises_named_error(self, call, error):
         with pytest.raises(error) as got:
@@ -479,10 +508,14 @@ class TestConstructorInput:
                    for lo, hi, g in H.segments)
 
     @given(ANY_VALUE, st.one_of(st.sampled_from([BITS_PER_TIME, BITS_PER_SAMPLE]), ANY_VALUE))
+    @example(8.98846567431158e+307, BITS_PER_SAMPLE)  # R * 2 overflows
     @settings(max_examples=200, deadline=None)
     def test_rate_fuzz(self, value, unit):
         try:
             r = RateSpec(value, unit)
         except WaterfillError:
             return
-        assert 0 <= r.per_time(2.0) < math.inf
+        try:
+            assert 0 <= r.per_time(2.0) < math.inf
+        except WaterfillError:  # named where R * fs overflows, and only there
+            assert r.unit == BITS_PER_SAMPLE and r.value * 2.0 == math.inf

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,15 +18,12 @@ from subnyq.sampling import (
     mmse_single,
     s_tilde_single,
 )
-from subnyq.cli import _sweep_rows
 from subnyq.spectra import (
     ComplexGainProfile,
-    FrequencySet,
     SpectralDensity,
     SpectrumError,
     _density_pieces,
-    _ranked_segments,
-    _superlevel_pieces,
+    _set_pieces,
     snr_ratio,
     superlevel_set_of_measure,
 )
@@ -53,6 +51,8 @@ from support import (
     bandpass_drf_closed,
     bisect_theta_for_rate,
     bisection_tolerance,
+    density_pieces_loop,
+    is_padded_row,
     random_density,
     rect_density,
     rect_drf_closed,
@@ -248,6 +248,12 @@ class TestParametricCore:
         sol_a = drf_sampled_single(rect_density(), zero_density(), None, 0.5, r)
         sol_b = drf_sampled_single(rect_density(), zero_density(), None, 0.5, 1.0)
         assert sol_a.distortion == pytest.approx(sol_b.distortion, abs=1e-12)
+
+    @pytest.mark.parametrize("fs", [2.0, np.array([0.5, 2.0, 4.0])], ids=["scalar", "block"])
+    def test_rate_per_time_overflow_names_r_and_fs(self, fs):
+        # the first fs at which R*fs overflows is named, with no numpy warning
+        with pytest.raises(WaterfillError, match=r"R = 1e\+308 bits per sample at fs = 2 "):
+            RateSpec(1e308, BITS_PER_SAMPLE).per_time(fs)
 
 
 class TestIdrfStationary:
@@ -448,30 +454,33 @@ def sliver_densities(draw, levels=st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])):
 
 
 def set_route_pieces(ratio, m):
-    """D-dagger's pieces by the set: superlevel_set_of_measure, then the cut."""
-    return _density_pieces(ratio, superlevel_set_of_measure(ratio, m)[0])
+    """D-dagger's pieces by the set: superlevel_set_of_measure, then the loop cut."""
+    return density_pieces_loop(ratio, superlevel_set_of_measure(ratio, m)[0])
 
 
 class TestDaggerPrefix:
-    """D-dagger takes a prefix of the ratio's ranked segments per fs and builds
-    no set; its pieces are the set route's, in its order, to the bit."""
+    """D-dagger waterfills the ratio's pieces on its best superlevel set of
+    measure fs, which takes a prefix of the ratio's segments ranked by value;
+    the overlap kernel cuts them as the loop in tests/support does, to the bit."""
 
     @given(sliver_densities(), sliver_densities(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_prefix_matches_set_route(self, Sx, Sn, data):
         ratio = snr_ratio(Sx, Sn)
-        ranked = _ranked_segments(ratio)
-        sums = np.cumsum(ranked[4]).tolist() or [1.0]  # the ranked pair widths
+        ranked = sorted(ratio.segments, key=lambda s: (-s[1], s[0].lo))
+        sums = np.cumsum([2.0 * iv.width for iv, _ in ranked]).tolist() or [1.0]
         budgets = [max(1e-12, data.draw(st.sampled_from(sums)) + data.draw(NUDGES))
                    for _ in range(4)] + [data.draw(st.floats(1e-3, 5.0))]
-        w, v = _superlevel_pieces(ranked, np.array(budgets))
-        for i, m in enumerate(budgets):
-            want_w, want_v = set_route_pieces(ratio, m)
-            keep = w[i] > 0
-            if not want_v.any():  # the set route's one empty piece
-                assert not keep.any()
+        sets = [superlevel_set_of_measure(ratio, m)[0] for m in budgets]
+        w, v = _set_pieces(ratio, sets)  # several sets at once
+        for i, (m, F) in enumerate(zip(budgets, sets)):
+            want_w, want_v = density_pieces_loop(ratio, F)
+            got_w, got_v = _density_pieces(ratio, F)  # one set
+            assert got_w.dtype == want_w.dtype and got_v.dtype == want_v.dtype
+            assert np.array_equal(got_w, want_w) and np.array_equal(got_v, want_v)
+            assert is_padded_row(w[i], v[i], (want_w, want_v))
+            if not want_v.any():  # the loop's one empty piece
                 continue
-            assert np.array_equal(w[i][keep], want_w) and np.array_equal(v[i][keep], want_v)
             want = waterfill._Waterfill.of_source(Sx.total_power(), (want_w, want_v))
             got = d_dagger(Sx, Sn, m, 0.7)
             assert got == want.solve(0.7, m)
@@ -484,18 +493,19 @@ class TestDaggerPrefix:
             want = waterfill._Waterfill.of_source(Sx.total_power(), set_route_pieces(ratio, fs))
             assert d_dagger(Sx, Sn, fs, R) == want.solve(R, fs)
 
-    @pytest.mark.parametrize("mode", ["d-dagger", "bounds"])
-    def test_sweep_builds_no_set(self, monkeypatch, mode):
-        built = []
-        real = FrequencySet.__init__
-
-        def init(self, *args):
-            built.append(args)
-            real(self, *args)
-        monkeypatch.setattr(FrequencySet, "__init__", init)
-        Sx, Sn = SpectralDensity(BIMODAL_SEGMENTS), SpectralDensity(((0.0, 1.6, 0.05),))
-        rows = _sweep_rows(mode, Sx, Sn, [0.08, 0.32, 1.2, 1.92, 3.3], [0.5, 2.0])
-        assert len(rows) == 10 and built == []
+    def test_memory_is_linear_in_segments(self):
+        # a dense (rows x segments x segments) cut of the ratio peaks at
+        # 713 MB here; the kernel's pieces grow with the segment count
+        levels = np.random.default_rng(0).uniform(0.1, 2.0, 2000)
+        Sx = SpectralDensity([(0.01 * i, 0.01 * (i + 1), v) for i, v in enumerate(levels.tolist())])
+        Sn = SpectralDensity(((0.0, 20.0, 0.05),))
+        tracemalloc.start()
+        try:
+            d_dagger(Sx, Sn, 20.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestDStarAndPolyphaseBounds:
