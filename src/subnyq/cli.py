@@ -3,14 +3,12 @@
 A config is a single JSON document describing the source and noise spectra,
 the sampler and the rate points.  A sweep runs over fs, and for each fs over
 the rates where the mode takes one.  _sweep, the one driver of modes and
-figures, builds the fs-free pieces once (a sampling._Source) and the curves,
-MMSE cross-checks and waterfills of the scalar paths once per block of
-consecutive fs, as one stack; at_fs reads each fs's row off its block (the
-filter bank's curves and the oracles are built per fs), and each rate's
-rows are read off those: a block's waterfills are solved once per rate, for
-all of its rows, when its first row reads that rate.
-Points are computed one after another in config order, and every row is what
-the one-fs functions return, so output is deterministic byte for byte.
+figures, builds the fs-free pieces once (a sampling._Source) and the per-fs
+work of every mode but the oracles' once per block of consecutive fs, as one
+stack; at_fs reads each fs's row off its block, and a block's waterfills are
+solved once per rate, for all of its rows, when its first row reads that
+rate.  Points are computed one after another in config order, and every row
+is what the one-fs functions return, so output is deterministic byte for byte.
 
 Exit codes: 0 success, 2 config problem (reported before any point is
 computed; an output file that cannot be written is one too), 3 numerical
@@ -21,6 +19,7 @@ no output is written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -246,10 +245,10 @@ def _sweep(mode: str, cfg: ExperimentConfig):
     """(header, at_fs, rates): at_fs(fs) reads the curves, waterfills and
     oracles of one fs and returns rows_at, and rows_at(R) reads the rows of the
     point (fs, R) off them.  at_fs takes the fs of cfg.fs_list once each, in
-    order: the scalar paths build their per-fs work as one stack per block of
-    consecutive fs (sampling._Source.blocks), and work that needs no fs is
-    done once, on the sweep's sampling._Source.  rates is [None] in the modes
-    that take no rate."""
+    order: every path but the oracles builds its per-fs work as one stack per
+    block of consecutive fs (sampling._Source.blocks), and work that needs no
+    fs is done once, on the sweep's sampling._Source.  rates is [None] in the
+    modes that take no rate."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     if mode in ("bounds", "oracle-check") and (cfg.P != 1 or cfg.filters == "optimal"):
@@ -281,7 +280,7 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             value = periods(sampling._folded,
                             lambda curves, i: sampling._mmse_and_curve(curves, i)[0])
         else:
-            value = periods(lambda per: per, lambda per, i: sampling._mmse_multi(per.row(i)))
+            value = periods(sampling._BankCurves, sampling._mmse_multi)
 
         def at_fs(fs):
             val = value(fs)
@@ -296,11 +295,9 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             drf_at = daggers()
         elif mode == "drf-optimal":
             drf_at = periods(lambda per: waterfill._drf_sampled_optimal(per, cfg.P), P=cfg.P)
-        elif cfg.P == 1:
-            drf_at = periods(waterfill._drf_sampled_single)
         else:
-            drf_at = periods(lambda per: per,
-                             lambda per, i: waterfill._drf_sampled_multi(per.row(i)))
+            drf_at = periods(waterfill._drf_sampled_single if cfg.P == 1
+                             else waterfill._drf_sampled_multi)
 
         def at_fs(fs):
             drf = drf_at(fs)
@@ -312,8 +309,8 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             return rows_at
     elif mode == "af-sets":
         header = ["fs", "P", "branch", "lo", "hi"]
-        sets_at = periods(lambda per: per,
-                          lambda per, i: sampling._maximal_af_sets(per.row(i), cfg.P), cfg.P)
+        sets_at = periods(lambda per: sampling._maximal_af_sets(per, cfg.P),
+                          lambda sets_of, i: sets_of(i), cfg.P)
 
         def at_fs(fs):
             rows = [[fs, cfg.P, p, iv.lo, iv.hi]
@@ -323,21 +320,21 @@ def _sweep(mode: str, cfg: ExperimentConfig):
         header = ["fs", "rate_bits_per_time", "drf_sampled", "idrf_stationary",
                   "mmse", "d_star_lower", "polyphase_lower", "d_dagger"]
         idrf = waterfill._idrf_stationary(src)  # reads the ratio, once per sweep
-        source = periods(_folded_and_drf, _mmse_drf_and_period)
+        source = periods(lambda per: (*_folded_and_drf(per),
+                                      waterfill._polyphase_lower_bound(per)), _folded_row)
         d_star_at = periods(waterfill._d_star_lower_bound, P=1)
         dagger_at = daggers()
 
         def at_fs(fs):
-            mmse, drf, per = source(fs)
+            mmse, drf, polyphase = source(fs)
             d_star = d_star_at(fs)
-            polyphase = waterfill._polyphase_lower_bound(per, mmse)
             dd = dagger_at(fs)
 
             def rows_at(R):
                 r = R.per_time(fs)
                 d = drf.solve(R).distortion
                 return [[fs, r, d, idrf.solve(R, fs).distortion, mmse,
-                         d_star.solve(R).distortion, polyphase(r, d), dd.solve(R).distortion]]
+                         d_star.solve(R).distortion, polyphase(R, d), dd.solve(R).distortion]]
             return rows_at
     else:  # oracle-check
         header = ["fs", "rate_bits_per_time", "mmse_exact", "mmse_window",
@@ -346,10 +343,10 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             segments = oracle._observation_segments(src)
         except SpectrumError as e:
             raise ConfigError(f"mode oracle-check: {e}") from None
-        source = periods(_folded_and_drf, _mmse_drf_and_period)
+        source = periods(_folded_and_drf, _folded_row)
 
         def at_fs(fs):
-            mmse, drf, _ = source(fs)
+            mmse, drf = source(fs)
             orc = oracle._window_oracle(segments, src.sigma2, fs, cfg.oracle_K,
                                          cfg.oracle_phases)
 
@@ -367,11 +364,12 @@ def _folded_and_drf(per):
     return curves, waterfill._WaterfillStack.of_curves(per.src.sigma2, curves)
 
 
-def _mmse_drf_and_period(work, i):
-    """(mmse, drf waterfill, period) of row i of _folded_and_drf's work."""
-    curves, drfs = work
+def _folded_row(work, i):
+    """(mmse, drf waterfill) of row i of _folded_and_drf's work, and its
+    polyphase bound where the work holds the block's ones after it."""
+    curves, drfs, *polyphase = work
     mmse, _ = sampling._mmse_and_curve(curves, i)
-    return mmse, drfs.row(i), curves.per.row(i)
+    return (mmse, drfs.row(i), *(bound(i, mmse) for bound in polyphase))
 
 
 def _sweep_rows(mode: str, Sx, Sn, fs_list, rates=(), P: int = 1, filters=None):
@@ -519,7 +517,9 @@ def reproduce_figure(name: str, out_dir: str = ".", fmt: str = "csv") -> int:
     return _write(header, lines, os.path.join(out_dir, f"{name}.{fmt}"), fmt)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="subnyq",
         description="Distortion-rate sweeps for sampled Gaussian sources",
@@ -536,7 +536,11 @@ def main(argv=None) -> int:
                         help="figure name (mode 'figure' only)")
     parser.add_argument("--format", dest="fmt", choices=FORMATS,
                         default="csv")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     # a setting the mode would ignore is refused, as in a config
     if args.mode == "figure":

@@ -26,6 +26,29 @@ class NotPositiveSemidefiniteError(LinalgError):
     pass
 
 
+def _raise_first(checks, at=...) -> None:
+    """Raises the error of the first of checks, (fails, error) pairs, that fails
+    on a matrix at the index at of a stack (by default, anywhere): fails masks
+    the matrices that fail it, and error(at) names the first there."""
+    for fails, error in checks:
+        if np.any(fails[at]):
+            raise error(at)
+
+
+def _hermitian(a) -> tuple[np.ndarray, list]:
+    """hermitian on every matrix of a stack, whatever its check finds, and
+    that check, as _raise_first takes it."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise LinalgError(f"need square matrices, got shape {a.shape}")
+    ah = np.swapaxes(a.conj(), -1, -2)
+    scale = np.abs(a).max(axis=(-2, -1))
+    scale = np.where(scale == 0, 1.0, scale)
+    fails = np.abs(a - ah).max(axis=(-2, -1)) > 1e-12 * scale
+    return (a + ah) / 2.0, [(fails, lambda at: NotHermitianError(
+        "matrix is not Hermitian within tolerance"))]
+
+
 def hermitian(a) -> np.ndarray:
     """(a + a^H) / 2 for a stack of matrices, each checked to be Hermitian.
 
@@ -33,15 +56,27 @@ def hermitian(a) -> np.ndarray:
     so downstream code never sees asymmetry at the round-off level, and a
     large matrix in the stack does not excuse a small one.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise LinalgError(f"need square matrices, got shape {a.shape}")
-    ah = np.swapaxes(a.conj(), -1, -2)
-    scale = np.abs(a).max(axis=(-2, -1))
-    scale = np.where(scale == 0, 1.0, scale)
-    if np.any(np.abs(a - ah).max(axis=(-2, -1)) > 1e-12 * scale):
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
-    return (a + ah) / 2.0
+    h, checks = _hermitian(a)
+    _raise_first(checks)
+    return h
+
+
+def _inv_sqrt_psd(a) -> tuple[np.ndarray, list]:
+    """inv_sqrt_psd on every matrix of a stack, whatever its checks find, and
+    those checks in the order it makes them, as _raise_first takes them: the
+    input Hermitian, then PSD, then the result Hermitian."""
+    h, checks = _hermitian(a)
+    w, v = np.linalg.eigh(h)
+    top = w[..., -1:]
+    # the cut is absolute where no eigenvalue is positive
+    cut = DEFAULT_RANK_TOL * np.where(top <= 0, 1.0, top)
+    low = w[..., 0] < -cut[..., 0]
+    inv = np.where(w > cut, 1.0 / np.sqrt(np.maximum(w, cut)), 0.0)
+    t = (v * inv[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    t, result_checks = _hermitian(np.where(top[..., None] <= 0, 0.0, t))
+    return t, checks + [(low, lambda at: NotPositiveSemidefiniteError(
+        f"eigenvalue {w[at][..., 0][low[at]][0]} below -{DEFAULT_RANK_TOL} * lambda_max"))
+    ] + result_checks
 
 
 def inv_sqrt_psd(a) -> np.ndarray:
@@ -52,15 +87,6 @@ def inv_sqrt_psd(a) -> np.ndarray:
     configurations (linearly dependent sampling branches) pass through
     without blowing up.  A matrix with no positive eigenvalue maps to 0.
     """
-    w, v = np.linalg.eigh(hermitian(a))
-    top = w[..., -1:]
-    # the cut is absolute where no eigenvalue is positive
-    cut = DEFAULT_RANK_TOL * np.where(top <= 0, 1.0, top)
-    low = w[..., :1] < -cut
-    if np.any(low):
-        raise NotPositiveSemidefiniteError(
-            f"eigenvalue {w[..., :1][low][0]} below -{DEFAULT_RANK_TOL} * lambda_max"
-        )
-    inv = np.where(w > cut, 1.0 / np.sqrt(np.maximum(w, cut)), 0.0)
-    t = (v * inv[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    return hermitian(np.where(top[..., None] <= 0, 0.0, t))
+    t, checks = _inv_sqrt_psd(a)
+    _raise_first(checks)
+    return t

@@ -6,36 +6,26 @@ for filter banks, the MMSE values, the maximal aliasing-free sets (the
 supports of the optimal filters), the sampling-rate bound on the MMSE and the
 polyphase decomposition.  Each curve, MMSE and set function is a thin caller
 of a private form.  The fs-free pieces of (Sx, Sn, branches) live on a
-_Source, which a sweep builds once: the single-branch pieces, the filter
-bank's branch-pair pieces and the SNR ratio behind the optimal filters and
-D-dagger.
+_Source, which a sweep builds once.
 
 The per-fs work of a sweep is one stack per block of consecutive fs
 (src.blocks): a _Period holds the periods (-fs/2, fs/2) of a block as rows,
-cut in one vectorised step, with their translate counts and aliased
-denominator, which the folded curve and the polyphase spectra share.  Every
-piece of a source lies on the source's breakpoints, so one cut serves them
-all; the SNR ratio has other breakpoints, so D* and the optimal filters and
-sets cut periods of fs/P for it.  _folded and _top_translates read a block as
-one (rows x translates x cells) array, a _Curves stack; the filter bank, the
-polyphase bound and the sets read one row of it (_PeriodRow).
-The unfolded MMSE cross-check of a folded block is one kernel over all of
-its rows too (_unfolded_mmse), which shares no cut with the folded path.
-Rows are padded with zero-width cells and zero translates, which move no
-bit of a row as its sums add in order (spectra._ordered_sum); each check is
-made per row and raised when that row is read, so a row is what the one-fs
-functions return and a failure names its own fs.  A block holds up to
-_MAX_BLOCK_ENTRIES entries.
+cut in one vectorised step (of fs/P, cut at the SNR ratio, for D* and the
+optimal filters and sets), with their translate counts and aliased
+denominator.  Every path reads the block: the folded curves, the top
+translates, the filter bank's eigenvalue curves (_BankCurves, one stacked
+eigen-solve over the block's (rows x cells) P x P matrices), the polyphase
+spectra and the MMSE cross-check (_unfolded_mmse, which shares no cut with
+the folded path); the sets read each row's own cells off it.  Rows are padded
+with zero-width cells and zero translates, which move no bit of a row as its
+sums add in order (spectra._ordered_sum); each check is made per row and
+raised when that row is read, so a row is what the one-fs functions return
+(a one-row block) and a failure names its own fs.
 
 Every path is exact: inputs are piecewise-constant, and every grid is cut at
 the translate lattice of the breakpoints before values are read off, so the
-curves returned here (the eigenvalue curves included, one stacked eigen-solve
-over the (cells, P, P) matrices of a filter bank) are the true
-piecewise-constant functions, not samples of them.  All translates
-S(f - k*fs) come from one kernel, spectra._translates, as one (translates x
-cells) array: the sums and bound of s_tilde_single, the S_Y and K entries
-(one stack of pieces), the polyphase phased sums and the rankings behind D*,
-the optimal filters and their sets.  The cross-check cuts its own.
+curves returned here are the true piecewise-constant functions, not samples
+of them.  All translates S(f - k*fs) come from one kernel, spectra._translates.
 """
 
 from __future__ import annotations
@@ -46,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import hermitian, inv_sqrt_psd
+from .linalg import _hermitian, _inv_sqrt_psd, _raise_first, hermitian
 from .spectra import (
     _MAX_BLOCK_ENTRIES,
     BP_TOL,
@@ -182,9 +172,11 @@ class _Period:
         self.fs = self.steps if fs is None else np.asarray(fs, dtype=float)
         kmax, ok = _translate_counts(pw, self.steps) if counts is None else counts
         if not ok.all():  # the first failing step raises its own error
-            step = float(self.steps[np.argmin(ok)])
+            first = np.argmin(ok)
+            step, fs = float(self.steps[first]), float(self.fs[first])
             _check_fs(step)
-            _translate_count(pw, step, step / 2.0)
+            _translate_count(pw, step, step / 2.0, "" if step == fs else
+                             f"fs/P = {step:g} (fs = {fs:g})")
         self.kmax = kmax.astype(int)
         self.grid, self.cells = _alias_grids(pw, self.steps, self.kmax)
         mids = 0.5 * (self.grid[:, :-1] + self.grid[:, 1:])
@@ -199,41 +191,23 @@ class _Period:
 
     den = cached_property(lambda self: _ordered_sum(self.translates(self.pw), axis=1))
 
-    def row(self, i: int) -> _PeriodRow:
-        return _PeriodRow(self, i)
 
-
-class _PeriodRow:
-    """Row i of a period block as a period of its own, on its own cells: pw,
-    step, fs, grid, mids, kmax, den (read off the block's) and src;
-    translates() is (translates, cells).  The unbatched paths read one."""
-
-    def __init__(self, per: _Period, i: int):
-        c = per.cells[i]
-        self.pw, self.src, self._per, self._i = per.pw, per.src, per, i
-        self.step, self.fs, self.kmax = float(per.steps[i]), float(per.fs[i]), int(per.kmax[i])
-        self.grid, self.mids = per.grid[i, :c + 1], per.mids[i, :c]
-
-    def translates(self, pw: _Pw) -> np.ndarray:
-        return _translates(pw, self.step, self.mids, self.kmax)
-
-    den = cached_property(lambda self: self._per.den[self._i, :len(self.mids)])
-
-
-def _block_bounds(pw: _Pw, kmax: np.ndarray, ok: np.ndarray):
+def _block_bounds(pw: _Pw, kmax: np.ndarray, ok: np.ndarray, width: int = 1):
     """(start, stop) of the blocks of consecutive rows, in order, given each
     row's translate count and check (_translate_counts): as many rows as keep
-    rows x translates x cells within _MAX_BLOCK_ENTRIES, where a row's cells
-    are taken at their most, one more than pw's breakpoints (each lands inside
-    a period once at most).  A row that fails its check is a block of its
-    own, whose _Period raises its error."""
+    rows x cells x (the larger of a row's translates and width, the entries a
+    cell holds besides) within _MAX_BLOCK_ENTRIES, where a row's cells are
+    taken at their most, one more than pw's breakpoints (each lands inside a
+    period once at most).  A row that fails its check is a block of its own,
+    whose _Period raises its error."""
     cells = len(pw.bp) + 1
-    most = _MAX_BLOCK_ENTRIES // (5 * cells) + 1  # kmax >= 2, so 5 translates at least
+    most = _MAX_BLOCK_ENTRIES // (max(5, width) * cells) + 1  # kmax >= 2: 5 translates at least
     start = 0
     while start < len(kmax):
         rows = slice(start, start + most)
         fits = np.logical_and.accumulate(ok[rows]) & (
-            np.arange(1, len(kmax[rows]) + 1) * np.maximum.accumulate(2 * kmax[rows] + 1)
+            np.arange(1, len(kmax[rows]) + 1)
+            * np.maximum.accumulate(np.maximum(2 * kmax[rows] + 1, width))
             <= _MAX_BLOCK_ENTRIES // cells)
         stop = start + max(1, int(fits.sum()))
         yield start, stop
@@ -313,15 +287,14 @@ class _Source:
         pw, steps, fs = self._cut(fs, P)
         return _Period(pw, steps, self, fs=fs)
 
-    def period(self, fs: float) -> _PeriodRow:
-        return self.periods([_check_fs(fs)]).row(0)
-
     def blocks(self, fs_list, P: int | None = None):
         """periods(fs_list, P) as blocks of consecutive fs, in order, each built
-        when its first fs is read, so a sweep builds one at a time."""
+        when its first fs is read, so a sweep builds one at a time.  A cell of
+        the source's periods holds a filter bank's P x P matrix entries too."""
         pw, steps, fs = self._cut(fs_list, P)
         kmax, ok = _translate_counts(pw, steps)
-        for start, stop in _block_bounds(pw, kmax, ok):
+        entries = len(self.branches) ** 2 if P is None else 1  # of a bank's matrices
+        for start, stop in _block_bounds(pw, kmax, ok, entries):
             rows = slice(start, stop)
             yield _Period(pw, steps[rows], self, (kmax[rows], ok[rows]), fs[rows])
 
@@ -520,20 +493,22 @@ def mmse_single(
     return _mmse_and_curve(_folded(_Source(Sx, Sn, [H]).periods([_check_fs(fs)])), 0)[0]
 
 
-def _branch_matrices(src: _Source, step: float, pts: np.ndarray, kmax: int) -> np.ndarray:
-    """S_Y and K at pts, (2, points, P, P): src.pairs summed over translates by
-    step, |k| <= kmax, in calls of pieces x translates x points within
+def _branch_matrices(src: _Source, steps, pts: np.ndarray, kmax: int) -> np.ndarray:
+    """S_Y and K at pts, (2, *pts.shape, P, P): src.pairs summed over the
+    translates by steps (one per row of pts, or one for all), |k| <= kmax, in
+    ascending k (_ordered_sum), in calls of pieces x translates x points within
     _MAX_BLOCK_ENTRIES (one piece at least); the diagonal keeps its own value."""
     pairs, P = src.pairs, len(src.branches)
-    size = max(1, _MAX_BLOCK_ENTRIES // ((2 * kmax + 1) * len(pts)))
+    size = max(1, _MAX_BLOCK_ENTRIES // ((2 * kmax + 1) * pts.size))
     sums = np.concatenate([
-        _translates(_Pw(pairs.bp, pairs.vals[at:at + size]), step, pts, kmax).sum(axis=-2)
+        _ordered_sum(_translates(_Pw(pairs.bp, pairs.vals[at:at + size]), steps, pts, kmax),
+                     axis=-2)
         for at in range(0, len(pairs.vals), size)])
-    entries = sums.reshape(2, -1, len(pts)).transpose(0, 2, 1)
+    entries = np.moveaxis(sums.reshape(2, -1, *pts.shape), 1, -1)
     i, j = np.triu_indices(P)
-    m = np.empty((2, len(pts), P, P), dtype=complex)
-    m[:, :, j, i] = np.conj(entries)
-    m[:, :, i, j] = entries
+    m = np.empty((2, *pts.shape, P, P), dtype=complex)
+    m[..., j, i] = np.conj(entries)
+    m[..., i, j] = entries
     return m
 
 
@@ -560,19 +535,37 @@ def build_branch_matrices(
     return m[0], m[1]
 
 
-def _eigen_curves_multi(per: _PeriodRow) -> EigenCurves:
-    sy, kk = _branch_matrices(per.src, per.step, per.mids, per.kmax)
-    t = inv_sqrt_psd(sy)
-    lam = np.linalg.eigh(hermitian(t @ kk @ t))[0]
+class _BankCurves:
+    """A filter bank's eigenvalue curves on the rows of a period block, from one
+    stacked solve of its (rows x cells) P x P matrices: lam (rows, cells, P),
+    ascending and clipped at 0.  pieces() lays a row's out cell by cell, as
+    EigenCurves.pieces does, and integral holds their sums in order.  check(i)
+    raises row i's first failure in the order its checks are made: S_Y
+    Hermitian and PSD, S_Y^-1/2 and S_Y^-1/2 K S_Y^-1/2 Hermitian, no
+    eigenvalue below 0 past round-off, and the trace bound."""
 
-    lam_max = float(lam.max(initial=0.0))
-    if lam.size and float(lam.min()) < -1e-10 * max(1.0, lam_max):
-        raise SpectrumError(f"negative eigenvalue {lam.min()} in conditional spectrum")
-    lam = np.maximum(lam, 0.0)
-    curves = EigenCurves(per.grid, lam)
-    if curves.trace_integral() > per.src.sigma2 + 1e-9 * max(1.0, per.src.sigma2):
-        raise SpectrumError("estimator power exceeds source power")
-    return curves
+    def __init__(self, per: _Period):
+        self.per, sigma2, P = per, per.src.sigma2, len(per.src.branches)
+        sy, kk = _branch_matrices(per.src, per.steps, per.mids, int(per.kmax.max()))
+        t, self.checks = _inv_sqrt_psd(sy)
+        m, checks = _hermitian(t @ kk @ t)
+        lam = np.linalg.eigh(m)[0]
+        top = lam.max(axis=(1, 2), initial=0.0)
+        low = lam.min(axis=(1, 2)) < -1e-10 * np.maximum(1.0, top)
+        self.lam = np.maximum(lam, 0.0)
+        self.w = np.repeat(np.diff(per.grid, axis=1), P, axis=1)
+        self.integral = _ordered_sum(self.w * self.lam.reshape(len(lam), -1))
+        self.checks += checks + [
+            (low, lambda i: SpectrumError(
+                f"negative eigenvalue {lam[i].min()} in conditional spectrum")),
+            (self.integral > sigma2 + 1e-9 * max(1.0, sigma2),
+             lambda i: SpectrumError("estimator power exceeds source power"))]
+
+    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.w, self.lam.reshape(self.w.shape)
+
+    def check(self, i: int) -> None:
+        _raise_first(self.checks, i)
 
 
 def eigen_curves_multi(
@@ -587,11 +580,16 @@ def eigen_curves_multi(
     The matrices are constant on each cell, so these are the exact curves;
     all cells go through one stacked eigen-solve.
     """
-    return _eigen_curves_multi(_Source(Sx, Sn, spec.branches).period(spec.fs))
+    curves = _BankCurves(_Source(Sx, Sn, spec.branches).periods([spec.fs]))
+    curves.check(0)
+    return EigenCurves(curves.per.grid[0], curves.lam[0])
 
 
-def _mmse_multi(per: _PeriodRow) -> float:
-    sigma2, integral = per.src.sigma2, _eigen_curves_multi(per).trace_integral()
+def _mmse_multi(curves: _BankCurves, i: int) -> float:
+    """mmse_multi on row i of a bank block: the source power less the row's
+    integral, which its waterfills' mmse reads too."""
+    curves.check(i)
+    sigma2, integral = curves.per.src.sigma2, float(curves.integral[i])
     if sigma2 - integral < -1e-9 * max(1.0, sigma2):
         raise SpectrumError(f"negative mmse {sigma2 - integral}")
     return float(_mmse(sigma2, integral))
@@ -599,27 +597,30 @@ def _mmse_multi(per: _PeriodRow) -> float:
 
 def mmse_multi(Sx: SpectralDensity, Sn: SpectralDensity, spec: SamplerSpec) -> float:
     """MMSE of estimating the source from the samples of a P-branch filter bank."""
-    return _mmse_multi(_Source(Sx, Sn, spec.branches).period(spec.fs))
+    return _mmse_multi(_BankCurves(_Source(Sx, Sn, spec.branches).periods([spec.fs])), 0)
 
 
-def _maximal_af_sets(per: _PeriodRow, P: int) -> list[FrequencySet]:
-    """maximal_af_sets on a period row of the SNR ratio at d = fs/P, on its cells
-    from 0 up: a first point within BP_TOL above 0 merges into 0 as in [0, d/2]."""
-    d, kmax = per.step, per.kmax
-    bp = np.concatenate(([0.0], per.grid[per.grid > BP_TOL]))
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    # row i holds shift k = i - kmax: the ratio at c = mids + k*d
-    v = _translates(per.pw, d, mids, kmax)[::-1]
-    k = np.arange(-kmax, kmax + 1)[:, None] + np.zeros(len(mids), dtype=int)
-    with np.errstate(over="ignore"):  # a shift past the float range ranks last
-        c = mids + k * d
-    sets = []
-    for rows in np.lexsort((k, c >= 0, np.abs(c), -v), axis=0)[:P]:
-        keep = v[rows, np.arange(len(mids))] > 0
-        off = (rows[keep] - kmax) * d
-        lo, hi = bp[:-1][keep] + off, bp[1:][keep] + off
-        sets.append(FrequencySet(zip(np.concatenate([lo, -hi]), np.concatenate([hi, -lo]))))
-    return sets + [FrequencySet()] * (P - len(sets))
+def _maximal_af_sets(per: _Period, P: int):
+    """maximal_af_sets on the rows of a block of the SNR ratio's periods of d =
+    fs/P, as a function of the row i, which reads the row's own cells from 0
+    up: a first point within BP_TOL above 0 merges into 0 as in [0, d/2]."""
+    def sets_of(i: int) -> list[FrequencySet]:
+        d, kmax, grid = float(per.steps[i]), int(per.kmax[i]), per.grid[i, :per.cells[i] + 1]
+        bp = np.concatenate(([0.0], grid[grid > BP_TOL]))
+        mids = 0.5 * (bp[:-1] + bp[1:])
+        # row j holds shift k = j - kmax: the ratio at c = mids + k*d
+        v = _translates(per.pw, d, mids, kmax)[::-1]
+        k = np.arange(-kmax, kmax + 1)[:, None] + np.zeros(len(mids), dtype=int)
+        with np.errstate(over="ignore"):  # a shift past the float range ranks last
+            c = mids + k * d
+        sets = []
+        for rows in np.lexsort((k, c >= 0, np.abs(c), -v), axis=0)[:P]:
+            keep = v[rows, np.arange(len(mids))] > 0
+            off = (rows[keep] - kmax) * d
+            lo, hi = bp[:-1][keep] + off, bp[1:][keep] + off
+            sets.append(FrequencySet(zip(np.concatenate([lo, -hi]), np.concatenate([hi, -lo]))))
+        return sets + [FrequencySet()] * (P - len(sets))
+    return sets_of
 
 
 def maximal_af_sets(
@@ -635,7 +636,7 @@ def maximal_af_sets(
     symmetric so an indicator filter on it has a real impulse response.
     """
     _check_count(P, "P")
-    return _maximal_af_sets(_Period(_pw_from_density(ratio), [_check_fs(fs) / P]).row(0), P)
+    return _maximal_af_sets(_Period(_pw_from_density(ratio), [_check_fs(fs) / P], fs=[fs]), P)(0)
 
 
 def _top_translates(per: _Period, P: int) -> _Curves:
@@ -656,7 +657,7 @@ def mmse_optimal(
     """Minimal sampling MMSE over all P-branch filter banks, plus the supports."""
     _check_count(P, "P")
     per = _Source(Sx, Sn).periods([_check_fs(fs)], P)
-    return _mmse_optimal(_top_translates(per, P), 0), _maximal_af_sets(per.row(0), P)
+    return _mmse_optimal(_top_translates(per, P), 0), _maximal_af_sets(per, P)(0)
 
 
 def landau_mmse_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float) -> float:
@@ -667,13 +668,19 @@ def landau_mmse_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float) -> fl
     return Sx.total_power() - captured
 
 
-def _polyphase_values(per: _PeriodRow, deltas) -> np.ndarray:
-    """Polyphase spectra on the period's cells, one row per offset in deltas;
-    the numerators of all offsets come from one product, exp(2 pi i
-    outer(delta, k)) @ A, where row k of A is Sx conj(H) translated by fs*k."""
-    k = np.arange(-per.kmax, per.kmax + 1)
-    phases = np.exp(1j * np.outer(deltas, 2.0 * np.pi * k))
-    return per.step * _safe_ratio(np.abs(phases @ per.translates(per.src.pws[2])) ** 2, per.den)
+def _polyphase_values(per: _Period, deltas) -> np.ndarray:
+    """Polyphase spectra on the cells of a block's rows, (offsets, rows,
+    cells): deltas[i] holds row i's offsets, and a row reads 0 past its own.
+    The numerators of a row's offsets come from one product, exp(2 pi i
+    outer(delta, k)) @ A, where row k of A is Sx conj(H) translated by fs*k,
+    on the row's own translates and cells, so that its sums are its own."""
+    a = per.translates(per.src.pws[2])
+    num = np.zeros((max(map(len, deltas)), len(per), a.shape[2]), dtype=complex)
+    for i, d in enumerate(deltas):
+        kmax, c, mid = int(per.kmax[i]), per.cells[i], a.shape[1] // 2
+        phases = np.exp(1j * np.outer(d, 2.0 * np.pi * np.arange(-kmax, kmax + 1)))
+        num[:len(d), i, :c] = phases @ a[i, mid - kmax:mid + kmax + 1, :c]
+    return per.steps[:, None] * _safe_ratio(np.abs(num) ** 2, per.den)
 
 
 def polyphase_conditional_psd(
@@ -691,6 +698,6 @@ def polyphase_conditional_psd(
     The double translate sum in the numerator collapses to a squared modulus
     of a single phased sum.  delta is any finite real number.
     """
-    delta = _as_finite(delta, "delta")
-    per = _Source(Sx, Sn, [H]).period(fs)
-    return ScalarCurve(per.grid / fs, _polyphase_values(per, [delta])[0])
+    delta, fs = _as_finite(delta, "delta"), _check_fs(fs)
+    per = _Source(Sx, Sn, [H]).periods([fs])
+    return ScalarCurve(per.grid[0] / fs, _polyphase_values(per, [[delta]])[0, 0])

@@ -8,26 +8,17 @@ pair on a piecewise-constant curve (or a family of eigenvalue curves):
 
 R(theta) is piecewise log-linear, so the water level is read off values
 sorted once and their cumulative sums, in closed form at any rate.  A
-_WaterfillStack sorts a stack of curves at once, one per row: the folded
-curves of a block of fs (drf_sampled_single), the top-P translates of the
-SNR ratio (D* and drf_sampled_optimal), the ratio's pieces on its best
-superlevel sets of measure fs for a block of fs (D-dagger), and the
-polyphase bound's n offset spectra at one fs (after a cap on the size of
-that stack).  It solves a rate for every row in one vectorised step,
-its level: theta, the lossy integral and the rate per row, where a rate in
-bits per sample gives each row its own.  Each row's sums add its pieces one
-after another (spectra._ordered_sum), so the zero pieces that pad a row in a
-block move no bit and it solves to the bit as its one-row case.  A
-_Waterfill is one row of a stack (a stack of its own when built from one
-curve) and reads its solution off the stack's level at any rate; a block
-keeps its level at each RateSpec, which all of its rows read in turn, and
-a row's failure at a rate is raised only when that row is read there.
-Each one-rate function f has a private form _f without R that returns that
-object: a stack over the rows of a block of periods (sampling._Period), of
-fs for D-dagger, one _Waterfill for the filter bank's row and
-idrf_stationary, or a function of R for the polyphase bound.  The public
-function is the one-row case.  Logarithms are base 2 throughout, so rates
-are in bits and the flat-spectrum closed forms come out exact.
+_WaterfillStack sorts a stack of curves at once, one per row, and solves a
+rate for every row in one vectorised step.  Each row's sums add its pieces
+in order (spectra._ordered_sum), so the zero pieces that pad a row in a block
+move no bit and it solves to the bit as its one-row case.  A _Waterfill is
+one row of a stack and reads its solution off the stack's level at any rate;
+a row's failure at a rate is raised only when that row is read there.  Each
+one-rate function f has a private form _f without R over a block of fs (a
+sampling._Period, or the fs themselves for D-dagger): a stack with a row per
+fs, or for the polyphase bound a function of the row.  The public function
+is the one-row case.  Logarithms are base 2 throughout, so rates are in bits
+and the flat-spectrum closed forms come out exact.
 """
 
 from __future__ import annotations
@@ -41,12 +32,11 @@ from .sampling import (
     EigenCurves,
     SamplerSpec,
     ScalarCurve,
-    _eigen_curves_multi,
+    _BankCurves,
     _folded,
     _mmse,
     _mmse_and_curve,
     _Period,
-    _PeriodRow,
     _polyphase_values,
     _Source,
     _top_translates,
@@ -295,35 +285,25 @@ class _WaterfillStack:
 
     def level(self, R) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(theta, lossy, attained, rate) per row at R, a rate in bits per
-        time or a RateSpec, which in bits per sample gives each row its own
-        rate at its fs (rate is then one per row, else one number).  attained
-        is False where R > 0 and the row attains no positive rate.  The level
-        at a RateSpec is kept, as every row of a block reads it in turn.  A
-        rate is 0 in every row or in none, as every fs is positive."""
+        time, a RateSpec, which in bits per sample gives each row its own rate
+        at its fs, or an array of rates, one per row (rate is then one per
+        row, else one number).  attained is False where a row's rate is
+        positive and the row attains none.  The level at a RateSpec is kept,
+        as every row of a block reads it in turn."""
         spec = isinstance(R, RateSpec)
         if spec and (out := self._levels.get(R)) is not None:
             return out
-        rate = _as_rate(R, self.fs)
-        if (R.value if spec else rate) == 0:
-            theta, attained = self.top, np.ones(len(self.v), dtype=bool)
-        else:
-            k = (self.rate_at_next_value < (rate[:, None] if isinstance(rate, np.ndarray)
-                                            else rate)).sum(axis=1)
-            theta = np.exp2((self.S[self.rows, k] - 2.0 * rate) / self.W[self.rows, k])
-            attained = self.attains
+        rate = R if isinstance(R, np.ndarray) else _as_rate(R, self.fs)
+        zero = np.asarray(R.value if spec else rate) == 0  # the level is the row maximum
+        k = (self.rate_at_next_value < np.reshape(rate, (-1, 1))).sum(axis=1)
+        theta = np.where(zero, self.top,
+                         np.exp2((self.S[self.rows, k] - 2.0 * rate) / self.W[self.rows, k]))
+        attained = zero | self.attains
         lossy = self._row_sums(theta)
         out = theta, lossy if self.scale == 1.0 else self.scale * lossy, attained, rate
         if spec:
             self._levels[R] = out
         return out
-
-    def solve(self, R: float) -> tuple[np.ndarray, np.ndarray]:
-        """(theta, lossy) of every row at R, or UnattainableRateError if a row
-        attains no positive rate."""
-        theta, lossy, attained, _ = self.level(R)
-        if not attained.all():
-            raise UnattainableRateError(_UNATTAINABLE)
-        return theta, lossy
 
     def row(self, i: int) -> "_Waterfill":
         """Row i as a _Waterfill, once the row passes its check."""
@@ -339,20 +319,19 @@ class _Waterfill:
     built from curves.  The distortion is mmse plus scale times the lossy
     integral."""
 
-    def __init__(self, curves, mmse: float = 0.0, scale: float = 1.0, fs=None):
+    def __init__(self, curves, mmse: float = 0.0, scale: float = 1.0):
         w, v = _pieces(curves)
         if not w.size:  # one piece of zero width stands for none
             w, v = np.zeros(1), np.zeros(1)
         self.stack, self.i = _WaterfillStack(w, v[None]), 0
         self.stack.mmse, self.stack.scale = np.array([mmse], dtype=float), scale
-        self.stack.fs = None if fs is None else np.array([fs], dtype=float)
 
     @classmethod
-    def of_source(cls, sigma2: float, curves, fs=None) -> "_Waterfill":
+    def of_source(cls, sigma2: float, curves) -> "_Waterfill":
         """Waterfill whose mmse is sigma2, the source power, less the curves'
         integral (sampling._mmse), summed as a stack's row sums it."""
         w, v = _pieces(curves)
-        return cls((w, v), float(_mmse(sigma2, _ordered_sum(w * v))), fs=fs)
+        return cls((w, v), float(_mmse(sigma2, _ordered_sum(w * v))))
 
     def solve(self, R, fs: float | None = None) -> WaterfillSolution:
         """The solution at R, in bits per time, or per sample at fs (by
@@ -418,8 +397,8 @@ def drf_sampled_single(
     return _drf_sampled_single(_Source(Sx, Sn, [H]).periods([_check_fs(fs)])).row(0).solve(R)
 
 
-def _drf_sampled_multi(per: _PeriodRow) -> _Waterfill:
-    return _Waterfill.of_source(per.src.sigma2, _eigen_curves_multi(per), per.fs)
+def _drf_sampled_multi(per: _Period) -> _WaterfillStack:
+    return _WaterfillStack.of_curves(per.src.sigma2, _BankCurves(per))
 
 
 def drf_sampled_multi(
@@ -429,7 +408,7 @@ def drf_sampled_multi(
     R,
 ) -> WaterfillSolution:
     """Same as drf_sampled_single but for a P-branch filter bank."""
-    return _drf_sampled_multi(_Source(Sx, Sn, spec.branches).period(spec.fs)).solve(R)
+    return _drf_sampled_multi(_Source(Sx, Sn, spec.branches).periods([spec.fs])).row(0).solve(R)
 
 
 def _drf_sampled_optimal(per: _Period, P: int) -> _WaterfillStack:
@@ -486,25 +465,40 @@ def d_star_lower_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -
     return _d_star_lower_bound(_Source(Sx, Sn).periods([fs], 1)).row(0).solve(R).distortion
 
 
-def _polyphase_lower_bound(per: _PeriodRow, mmse, N_delta: int = 64):
-    """The bound at fs as a function of R bits/time and the distortion d of
-    drf_sampled_single at R, given the sampling MMSE; the n offset spectra are
-    one stack, sorted here once."""
-    fs, translates = per.step, 2 * per.kmax + 1
-    n = max(N_delta, translates)
-    if n * max(translates, len(per.mids)) > _MAX_OFFSET_ENTRIES:
-        raise WaterfillError(f"{n} offsets by {translates} translates and {len(per.mids)} "
-                             f"cells exceed the cap of {_MAX_OFFSET_ENTRIES} entries")
-    v = _polyphase_values(per, np.arange(n) / n)
-    offsets = _WaterfillStack(np.diff(per.grid / fs), v[v.max(axis=1) > 0])
+def _polyphase_lower_bound(per: _Period, N_delta: int = 64):
+    """The bound on the rows of a block of the source's periods, as a function
+    of a row i and its sampling MMSE that gives the bound at that fs as a
+    function of R and the distortion d of drf_sampled_single at R.  Row i has
+    n = max(N_delta, 2*kmax + 1) offsets j/n; the offset spectra of all rows
+    are one stack, sorted here once and solved once per R for all rows, each
+    at its own rate per sample.  A row over the cap is not built, and raises
+    when read."""
+    translates = 2 * per.kmax + 1
+    # a row with more offsets than the cap fails it, so n stops past the cap
+    n = np.maximum(min(N_delta, _MAX_OFFSET_ENTRIES + 1), translates)
+    fits = n * np.maximum(translates, per.cells) <= _MAX_OFFSET_ENTRIES
+    v = _polyphase_values(per, [np.arange(m) / m if ok else [] for m, ok in zip(n, fits)])
+    w = np.diff(per.grid / per.steps[:, None], axis=1)
+    offsets, lossy = _WaterfillStack(np.tile(w, (len(v), 1)), v.reshape(-1, w.shape[1])), {}
 
-    def at_rate(R: float, d: float) -> float:
-        # added in offset order, as n separate waterfills would be
-        bound = mmse + sum(offsets.solve(_rate_per_sample(R, fs))[1].tolist()) / n
-        if not bound <= d + 1e-10 * max(1.0, per.src.sigma2):  # NaN fails too
-            raise SpectrumError(f"polyphase bound {bound} exceeds the distortion {d}")
-        return bound
-    return at_rate
+    def row(i: int, mmse: float):
+        if not fits[i]:
+            raise WaterfillError(f"{max(N_delta, translates[i])} offsets by {translates[i]} "
+                                 f"translates and {per.cells[i]} cells exceed the cap of "
+                                 f"{_MAX_OFFSET_ENTRIES} entries")
+
+        def at_rate(R, d: float) -> float:
+            _rate_per_sample(R, float(per.steps[i]))  # raises where that overflows
+            if R not in lossy:  # per row, added in offset order, as n waterfills would be
+                with np.errstate(over="ignore"):  # a row whose rate overflows raises when read
+                    rate = np.tile(_as_rate(R, per.fs) / per.steps, len(v))
+                lossy[R] = _ordered_sum(offsets.level(rate)[1].reshape(len(v), -1), axis=0) / n
+            bound = mmse + float(lossy[R][i])
+            if not bound <= d + 1e-10 * max(1.0, per.src.sigma2):  # NaN fails too
+                raise SpectrumError(f"polyphase bound {bound} exceeds the distortion {d}")
+            return bound
+        return at_rate
+    return row
 
 
 def polyphase_lower_bound(
@@ -533,7 +527,7 @@ def polyphase_lower_bound(
     curves = _folded(per)
     mmse, _ = _mmse_and_curve(curves, 0)
     d = _WaterfillStack.of_curves(per.src.sigma2, curves).row(0).solve(R).distortion
-    return _polyphase_lower_bound(per.row(0), mmse, N_delta)(R, d)
+    return _polyphase_lower_bound(per, N_delta)(0, mmse)(R, d)
 
 
 def drf_of_estimator(

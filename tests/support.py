@@ -6,17 +6,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from subnyq import oracle
+from subnyq import oracle, waterfill
 from subnyq.cli import BIMODAL_SEGMENTS
-from subnyq.linalg import NotHermitianError, NotPositiveSemidefiniteError
-from subnyq.sampling import maximal_af_sets, mmse_optimal, mmse_single
+from subnyq.linalg import NotHermitianError, NotPositiveSemidefiniteError, hermitian, inv_sqrt_psd
+from subnyq.sampling import EigenCurves, maximal_af_sets, mmse_optimal, mmse_single
 from subnyq.spectra import BP_TOL, ComplexGainProfile, FrequencySet, SpectralDensity
 from subnyq.spectra import _dedup, _pw_eval, _pw_support_radius, _Pw
-from subnyq.spectra import _translate_count, _translates
+from subnyq.spectra import SpectrumError, _translate_count, _translates
 from subnyq.waterfill import (
     UnattainableRateError,
+    WaterfillError,
     WaterfillSolution,
+    _rate_per_sample,
     _Waterfill,
+    _WaterfillStack,
     d_dagger,
     drf_sampled_optimal,
     drf_sampled_single,
@@ -325,6 +328,75 @@ def whitened_eigenvalues_loop(sy, kk):
         t = _inv_sqrt_psd_one(sy[c])
         lam[c] = np.linalg.eigh(_symmetrised(t @ kk[c] @ t))[0]
     return np.maximum(lam, 0.0)
+
+
+def _own_period(src, fs):
+    """(grid, mids, kmax) of the period of fs on its own cells: the one row of
+    a block of one fs."""
+    per = src.periods([fs])
+    return per.grid[0], per.mids[0], int(per.kmax[0])
+
+
+def eigen_curves_loop(src, fs):
+    """Loop reference for sampling._BankCurves at one fs, as the per-fs path
+    solved it before a block was one stack: (curves, integral), the curves on
+    the period's own cells and their pieces' integral summed in order.  S_Y
+    and K add their translates one after another in ascending k; then the
+    public linalg routines on the period's cells, a check for an eigenvalue
+    below 0, and the trace check on that integral, each raising its error."""
+    grid, mids, kmax = _own_period(src, fs)
+    translates = _translates(src.pairs, fs, mids, kmax)  # (pieces, translates, cells)
+    sums = translates[:, 0]
+    for k in range(1, 2 * kmax + 1):
+        sums = sums + translates[:, k]
+    P = len(src.branches)
+    i, j = np.triu_indices(P)
+    sy, kk = np.empty((2, len(mids), P, P), dtype=complex)
+    for m, entries in ((sy, sums[:len(i)]), (kk, sums[len(i):])):
+        m[:, j, i] = np.conj(entries.T)
+        m[:, i, j] = entries.T
+    t = inv_sqrt_psd(sy)
+    lam = np.linalg.eigh(hermitian(t @ kk @ t))[0]
+    if float(lam.min()) < -1e-10 * max(1.0, float(lam.max(initial=0.0))):
+        raise SpectrumError(f"negative eigenvalue {lam.min()} in conditional spectrum")
+    curves = EigenCurves(grid, np.maximum(lam, 0.0))
+    w, v = curves.pieces()
+    integral = float(np.cumsum(w * v)[-1])
+    if integral > src.sigma2 + 1e-9 * max(1.0, src.sigma2):
+        raise SpectrumError("estimator power exceeds source power")
+    return curves, integral
+
+
+def polyphase_bound_loop(src, fs, mmse, N_delta=64):
+    """Loop reference for waterfill._polyphase_lower_bound at one fs, as the
+    per-fs path built it: the n = max(N_delta, 2*kmax + 1) offset spectra of
+    the period alone, those not all 0 as one stack of their own, and at R
+    bits per time the offsets' lossy integrals added in order over n, plus
+    mmse; a bound above the distortion d raises.  Returns at_rate(R, d)."""
+    grid, mids, kmax = _own_period(src, fs)
+    translates, n, cap = 2 * kmax + 1, max(N_delta, 2 * kmax + 1), waterfill._MAX_OFFSET_ENTRIES
+    if n * max(translates, len(mids)) > cap:
+        raise WaterfillError(f"{n} offsets by {translates} translates and {len(mids)} "
+                             f"cells exceed the cap of {cap} entries")
+    _, den, sxz = src.pws
+    k = np.arange(-kmax, kmax + 1)
+    phases = np.exp(1j * np.outer(np.arange(n) / n, 2.0 * np.pi * k))
+    aliased = _translates(den, fs, mids, kmax)
+    den_sum = aliased[0]
+    for row in aliased[1:]:
+        den_sum = den_sum + row
+    num = np.abs(phases @ _translates(sxz, fs, mids, kmax)) ** 2
+    v = fs * np.where(den_sum > 0, num / np.where(den_sum > 0, den_sum, 1.0), 0.0)
+    offsets = _WaterfillStack(np.diff(grid / fs), v[v.max(axis=1) > 0])
+
+    def at_rate(R, d):
+        _, lossy, attained, _ = offsets.level(_rate_per_sample(R, fs))
+        assert attained.all()
+        bound = mmse + sum(lossy.tolist()) / n
+        if not bound <= d + 1e-10 * max(1.0, src.sigma2):
+            raise SpectrumError(f"polyphase bound {bound} exceeds the distortion {d}")
+        return bound
+    return at_rate
 
 
 def polyphase_loop(Sx, Sn, H, fs, delta, phi):

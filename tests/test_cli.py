@@ -248,11 +248,11 @@ class TestRunModes:
                                          ("oracle-check", 1)])
     def test_one_curve_build_per_fs(self, tmp_path, monkeypatch, mode, P, n_rates):
         # one stacked build per block of consecutive fs, each fs in exactly one
-        # block; the filter bank's eigen path builds one curve per fs.  A budget
-        # of 30 entries puts each fs in a block of its own.
+        # block, the filter bank's eigen curves too.  A budget of 30 entries
+        # puts each fs in a block of its own.
         rates = BIMODAL_CONFIG["rates"]["values"][:n_rates]
         doc = dict(BIMODAL_CONFIG, rates={"values": rates})
-        name = "_folded" if P == 1 else "_eigen_curves_multi"
+        name = "_folded" if P == 1 else "_BankCurves"
         if P == 3:
             doc["sampler"] = {"fs": [0.48, 1.92, 0.48], "P": 3, "filters": BANK_FILTERS}
         fs_list = doc["sampler"]["fs"]
@@ -262,11 +262,27 @@ class TestRunModes:
                     mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
                 builds = count_calls(mp, name)
                 assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
-            if P == 3:
-                assert [per.step for (per,) in builds] == fs_list
-            else:
-                assert [fs for (per,) in builds for fs in per.steps.tolist()] == fs_list
-                assert len(builds) == (len(fs_list) if budget else 1)
+            assert [fs for (per,) in builds for fs in per.steps.tolist()] == fs_list
+            assert len(builds) == (len(fs_list) if budget else 1)
+
+    @pytest.mark.parametrize("mode, kernel", [("drf", "_branch_matrices"),
+                                              ("mmse", "_branch_matrices"),
+                                              ("bounds", "_polyphase_values")])
+    def test_bank_and_polyphase_kernels_once_per_block(self, tmp_path, monkeypatch, mode,
+                                                       kernel):
+        # the filter bank's matrices and the polyphase bound's offset spectra
+        # are built for a whole block at once, not for one fs at a time
+        doc = dict(BIMODAL_CONFIG, sampler={"fs": [0.48, 1.92, 0.32, 0.48], "P": 1})
+        if mode != "bounds":
+            doc["sampler"].update(P=3, filters=BANK_FILTERS)
+        fs_list = doc["sampler"]["fs"]
+        for budget in (None, 30):
+            with monkeypatch.context() as mp:
+                if budget:
+                    mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
+                builds = count_calls(mp, kernel)
+                assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
+            assert [len(args[1]) for args in builds] == ([1] * 4 if budget else [4])
 
     @pytest.mark.parametrize("mode, P, filters, cuts", [
         pytest.param("bounds", 1, None, [1, 1], id="bounds-1-2"),
@@ -306,7 +322,7 @@ class TestRunModes:
         real_sums = waterfill._WaterfillStack._row_sums
         real_bound = waterfill._polyphase_lower_bound
         monkeypatch.setattr(waterfill, "_polyphase_lower_bound",
-                            lambda per, mmse: real_bound(per, mmse, N_delta))
+                            lambda per: real_bound(per, N_delta))
         for budget in (None, 30):
             stacks, solves, sums = [], [], []
 
@@ -330,18 +346,23 @@ class TestRunModes:
                 offsets = count_calls(mp, "_polyphase_values")
                 rows = _sweep_rows("bounds", Sx, Sn, fs_list, rates)
             assert len(rows) == len(fs_list) * len(rates)
-            assert [len(deltas) for *_, deltas in offsets] == [
-                max(N_delta, 2 * sampling._Source(Sx, Sn).period(fs).kmax + 1)
+            assert [len(d) for _, deltas in offsets for d in deltas] == [
+                max(N_delta, 2 * sampling._Source(Sx, Sn).periods([fs]).kmax[0] + 1)
                 for fs in fs_list]
             # idrf_stationary once per sweep, as one row; drf, D* and D-dagger
             # one stack per block, with a row per fs; the polyphase offsets one
-            # stack per fs, solved whole at each rate
+            # stack per block, with a row per offset of each fs (padded to the
+            # block's most), solved whole once at each rate
             idrf, *others = stacks
             row_stacks = {id(st): st for st, _ in solves if st is not idrf}
             n_blocks = len(fs_list) if budget else 1
             assert len(idrf.rows) == 1 and len(row_stacks) == 3 * n_blocks
             assert sum(len(st.rows) for st in row_stacks.values()) == 3 * len(fs_list)
-            assert len(others) == 3 * n_blocks + len(fs_list)
+            assert len(others) == 4 * n_blocks
+            offset_stacks = [st for st in others if id(st) not in row_stacks]
+            assert sum(len(st.rows) for st in offset_stacks) == sum(
+                len(deltas) * max(map(len, deltas)) for _, deltas in offsets)
+            assert [sums.count(st) for st in offset_stacks] == [len(rates)] * n_blocks
             # each row solves drf, D* and D-dagger once at each rate, and idrf once
             row_solves = [(id(st), i) for st, i in solves if st is not idrf]
             assert sorted(row_solves.count(key) for key in set(row_solves)) == (
@@ -419,6 +440,18 @@ class TestRunModes:
             for s in [waterfill.drf_sampled_multi(Sx, Sn, SamplerSpec(fs, bank), R)]]
         assert [r[5] for r in _sweep_rows("bounds", Sx, Sn, fs_list, rates)] == [
             waterfill.d_star_lower_bound(Sx, Sn, fs, R) for fs in fs_list for R in rates]
+
+    @pytest.mark.parametrize("P, filters", [(3, BANK_FILTERS), (2, None)])
+    def test_one_mmse_for_a_bank(self, P, filters):
+        # mmse mode and drf's mmse_part read the same sum of the same pieces,
+        # so they agree to the bit; with the bank at P = 3 they differed in
+        # the last bits at half of these fs
+        Sx, Sn = SpectralDensity(BIMODAL_SEGMENTS), SpectralDensity(((0.0, 1.6, 0.05),))
+        fs_list = [round(0.04 * i, 2) for i in range(2, 101)]
+        bank = filters and cli._filters_from(filters, P)
+        mmse = [row[2] for row in _sweep_rows("mmse", Sx, Sn, fs_list, P=P, filters=bank)]
+        drf = [row[5] for row in _sweep_rows("drf", Sx, Sn, fs_list, [0.5], P=P, filters=bank)]
+        assert mmse == drf
 
     def test_deterministic_output(self, tmp_path):
         doc = dict(RECT_CONFIG)
@@ -560,17 +593,20 @@ class TestExitCodes:
 
     def test_linalg_error_exits_3(self, tmp_path, capsys):
         # an ill-conditioned S_Y: S_Y^-1/2 K S_Y^-1/2 fails the Hermitian check
+        # at fs = 2 alone, in a block with fs that pass
         doc = dict(RECT_CONFIG)
         doc["source"] = {"segments": [[0.0, 1.0, 1.0], [1.0, 2.0, 1e-5]]}
-        doc["sampler"] = {"fs": [2.0], "P": 2,
+        doc["sampler"] = {"fs": [4.0, 2.0, 3.5], "P": 2,
                           "filters": [[[-1.4, 0.8, -1.8, -1.9]], [[-3.0, 3.0, 1.0, 0.0]]]}
         out = str(tmp_path / "x.csv")
-        assert main(["drf", "--config", write_config(tmp_path, doc), "--out", out]) == 3
-        err = capsys.readouterr().err
-        # the eigen curves are built once per fs, before any rate
-        assert err.startswith("numerical failure at fs=2: ")
-        assert "not Hermitian" in err
-        assert not Path(out).exists()
+        for mode in ("drf", "mmse"):
+            assert main([mode, "--config", write_config(tmp_path, doc), "--out", out]) == 3
+            err = capsys.readouterr().err
+            # the block's eigen curves are built once, before any rate, and
+            # the failing row raises when it is read
+            assert err.startswith("numerical failure at fs=2: ")
+            assert "not Hermitian" in err
+            assert not Path(out).exists()
 
     # Sx^2 or |H|^2 overflows; the source's pieces are checked once per
     # sweep, before the first fs, so every mode fails with the same cause,
@@ -595,17 +631,34 @@ class TestExitCodes:
         assert builds == []
         assert not Path(out).exists()
 
-    @pytest.mark.parametrize("mode", ["drf", "mmse", "drf-optimal", "bounds", "af-sets"])
-    def test_failure_mid_block_names_its_fs(self, tmp_path, capsys, mode):
+    @pytest.mark.parametrize("mode, P, filters", [
+        *(pytest.param(mode, 1, None, id=mode)
+          for mode in ("drf", "mmse", "drf-optimal", "bounds", "af-sets")),
+        *(pytest.param(mode, 3, BANK_FILTERS, id=f"{mode}-bank") for mode in ("drf", "mmse"))])
+    def test_failure_mid_block_names_its_fs(self, tmp_path, capsys, mode, P, filters):
         # the fs before it make one block; the failing fs raises at its own
         # point, not while that block is built
         doc = dict(RECT_CONFIG, noise={"segments": [[0.0, 0.5, 0.2]]})
-        doc["sampler"] = {"fs": [0.3, 0.5, 1e-6, 0.7], "P": 1}
+        doc["sampler"] = {"fs": [0.3, 0.5, 1e-6, 0.7], "P": P, "filters": filters}
         out = tmp_path / "x.csv"
         assert run(write_config(tmp_path, doc), mode, out=str(out)) == 3
         assert capsys.readouterr().err.startswith(
             "numerical failure at fs=1e-06: fs = 1e-06 needs 5e+05 translates per side, "
             "more than the cap of 1000")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["drf-optimal", "mmse", "af-sets"])
+    def test_translate_cap_names_fs_and_its_step(self, tmp_path, capsys, mode):
+        # the optimal filters cut periods of fs/P, so the step that needs too
+        # many translates is 0.001, and the error names it and the fs
+        doc = dict(BIMODAL_CONFIG, sampler={"fs": [0.1], "P": 100, "filters": "optimal"})
+        if mode != "mmse":
+            del doc["sampler"]["filters"]
+        out = tmp_path / "x.csv"
+        assert run(write_config(tmp_path, doc), mode, out=str(out)) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure at fs=0.1: fs/P = 0.001 (fs = 0.1) needs 1602 translates per "
+            "side, more than the cap of 1000")
         assert not out.exists()
 
     @pytest.mark.parametrize("mode, check", [("mmse", "cross-check"), ("mmse", "bound"),
@@ -926,6 +979,16 @@ class TestFigures:
             totals[(fs, P)] = totals.get((fs, P), 0.0) + float(hi) - float(lo)
         for (fs, P), m in totals.items():
             assert m <= float(fs) + 1e-9
+
+    def test_parser_keeps_its_defaults(self, tmp_path):
+        # one parser serves every call; an option given once does not stay set
+        assert main(["figure", "--figure", "rect", "--out", str(tmp_path),
+                     "--format", "ndjson"]) == 0
+        assert main(["figure", "--figure", "rect", "--out", str(tmp_path)]) == 0
+        assert cli._parser() is cli._parser()
+        csv = (tmp_path / "rect.csv").read_text().splitlines()
+        assert csv[0] == "fs,rate_bits_per_time,gamma,distortion"
+        assert json.loads((tmp_path / "rect.ndjson").read_text().splitlines()[0])["gamma"] == "inf"
 
     def test_figure_ndjson(self, tmp_path):
         assert reproduce_figure("af-sets", str(tmp_path), fmt="ndjson") == 0

@@ -52,9 +52,11 @@ from support import (
     alias_cells_loop,
     bandpass_density,
     branch_matrices_loop,
+    eigen_curves_loop,
     maximal_af_sets_loop,
     optimal_pieces_loop,
     period_cut_union,
+    polyphase_bound_loop,
     polyphase_loop,
     s_tilde_loop,
     rect_density,
@@ -67,6 +69,12 @@ from support import (
 )
 
 RNG = np.random.default_rng(71)
+
+# the benchmark's P = 3 bank: one-sided complex branches, full rank where
+# three translates meet
+BANK = [ComplexGainProfile([(-1.6, 1.6, 1.0)]),
+        ComplexGainProfile([(-1.6, 0.0, 1.0), (0.0, 1.6, 1j)]),
+        ComplexGainProfile([(-1.6, -0.8, 0.5 + 0.5j), (-0.8, 0.8, 1.0 - 1.0j), (0.8, 1.6, 2j)])]
 
 
 def bandpass_branches():
@@ -495,15 +503,16 @@ class TestPeriod:
     @settings(max_examples=100, deadline=None)
     def test_one_cut_is_the_union_of_piece_cuts(self, Sx, Sn, branches, fs):
         src = _Source(Sx, Sn, branches)
-        per = src.period(fs)
+        per = src.periods([fs])
         cuts = [[_Pw(src.pairs.bp, vals) for vals in src.pairs.vals]]
         if len(branches) == 1:  # the single-branch forms' pieces
             num, den, sxz = src.pws
             cuts += [[num, den], [sxz, den]]
-            assert np.array_equal(per.den, _translates(den, fs, per.mids, per.kmax).sum(axis=0))
+            assert np.array_equal(per.den[0], _translates(den, fs, per.mids[0],
+                                                          per.kmax[0]).sum(axis=0))
         for pws in cuts:
             grid, kmax = period_cut_union(pws, fs)
-            assert np.array_equal(per.grid, grid) and per.kmax == kmax
+            assert np.array_equal(per.grid[0], grid) and per.kmax[0] == kmax
 
 
 def test_mmse_optimal_cuts_one_period(monkeypatch):
@@ -541,29 +550,30 @@ class TestStackedEigenSolve:
             branches = branches[:2] + branches[:1]
         spec = SamplerSpec(fs, branches)
         src = _Source(Sx, Sn, spec.branches)
-        per = src.period(fs)
-        sy, kk = _branch_matrices(src, fs, per.mids, per.kmax)
+        per = src.periods([fs])
+        grid, mids, kmax = per.grid[0], per.mids[0], int(per.kmax[0])
+        sy, kk = _branch_matrices(src, fs, mids, kmax)
         try:
             want = whitened_eigenvalues_loop(sy, kk)
         except LinalgError as e:
             want = type(e)
-        else:  # _eigen_curves_multi's own checks, with its tolerances
+        else:  # the bank's own checks, with their tolerances
             top, sigma2 = float(want.max(initial=0.0)), src.sigma2
+            w, v = EigenCurves(grid, np.maximum(want, 0.0)).pieces()
             if want.size and float(want.min()) < -1e-10 * max(1.0, top):
                 want = SpectrumError
-            elif (EigenCurves(per.grid, np.maximum(want, 0.0)).trace_integral()
-                  > sigma2 + 1e-9 * max(1.0, sigma2)):
+            elif np.cumsum(w * v)[-1] > sigma2 + 1e-9 * max(1.0, sigma2):
                 want = SpectrumError
         # the pair pieces split across translate calls: 1 puts each in a call
         # of its own, and the last budget two in each
-        entries = (2 * per.kmax + 1) * len(per.mids)
+        entries = (2 * kmax + 1) * len(mids)
         for budget in (sampling._MAX_BLOCK_ENTRIES, 1, 2 * entries):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
                 calls, real = [], sampling._translates
                 mp.setattr(sampling, "_translates",
                            lambda pw, *a: calls.append(len(pw.vals)) or real(pw, *a))
-                assert np.array_equal(_branch_matrices(src, fs, per.mids, per.kmax), [sy, kk])
+                assert np.array_equal(_branch_matrices(src, fs, mids, kmax), [sy, kk])
                 assert sum(calls) == len(src.pairs.vals)
                 assert max(calls) <= max(1, budget // entries)
                 if isinstance(want, type):
@@ -807,10 +817,12 @@ class TestBlocks:
         drfs = {k: _WaterfillStack.of_curves(src.sigma2, c) for k, c in folded.items()}
         for (per, i), fs in zip(rows, fs_list):
             alone = src.periods([fs])
-            row, ref = per.row(i), alone.row(0)
-            assert np.array_equal(row.grid, ref.grid) and np.array_equal(row.mids, ref.mids)
-            assert row.kmax == ref.kmax == _translate_count(src.period_pw, fs, fs / 2.0)
-            assert np.array_equal(row.den, ref.den)
+            c = per.cells[i]
+            assert alone.cells.tolist() == [c]
+            assert np.array_equal(per.grid[i, :c + 1], alone.grid[0])
+            assert np.array_equal(per.mids[i, :c], alone.mids[0])
+            assert per.kmax[i] == alone.kmax[0] == _translate_count(src.period_pw, fs, fs / 2.0)
+            assert np.array_equal(per.den[i, :c], alone.den[0])
             if not one_branch:
                 continue
             got, want = folded[id(per)], sampling._folded(alone)
@@ -829,6 +841,85 @@ class TestBlocks:
                         drf.solve(R)
                     continue
                 assert drf.solve(R) == sol
+
+    @given(densities(), st.one_of(densities(), densities(hi=3)),
+           st.lists(gains(), min_size=1, max_size=3), st.booleans(), FS_LISTS, BUDGETS)
+    @example(SpectralDensity(BIMODAL), SpectralDensity(((0.0, 1.6, 0.05),)), BANK, False,
+             [0.08, 0.48, 1.92, 0.5, 4.0, 0.08], None)
+    # an all-pass bank: S_Y has rank 1 on every cell
+    @example(rect_density(), rect_noise(), [None], True, [0.3, 1.2, 0.7], None)
+    # an ill-conditioned S_Y at fs = 2, between two fs that pass, fails the
+    # Hermitian check
+    @example(SpectralDensity(((0.0, 1.0, 1.0), (1.0, 2.0, 1e-5))), zero_density(),
+             [ComplexGainProfile([(-1.4, 0.8, -1.8 - 1.9j)]),
+              ComplexGainProfile([(-3.0, 3.0, 1.0)])], False, [4.0, 2.0, 3.5], None)
+    @settings(max_examples=80, deadline=None)
+    def test_bank_rows_are_the_one_row_case(self, Sx, Sn, branches, repeat, fs_list, budget):
+        # one stacked solve per block; each row is, to the bit, its per-fs
+        # loop reference and its block of one, failures included, and its
+        # waterfills' mmse part is the bank's MMSE
+        if repeat or len(branches) == 1:  # a repeated branch: S_Y is rank-deficient
+            branches = branches[:2] + branches[:1]
+        src = _Source(Sx, Sn, branches)
+        rows = []  # (stack, i, fs, own widths, own values)
+        for per in blocks_of(src, fs_list, budget):
+            bank, drf = sampling._BankCurves(per), waterfill._drf_sampled_multi(per)
+            for i, fs in enumerate(per.fs.tolist()):
+                got = [(bank, i), (sampling._BankCurves(src.periods([fs])), 0)]
+                try:
+                    want, integral = eigen_curves_loop(src, fs)
+                except (LinalgError, SpectrumError) as e:
+                    for curves, j in got:
+                        with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+                            curves.check(j)
+                    with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+                        drf.row(i)
+                    continue
+                c = per.cells[i]
+                for curves, j in got:
+                    curves.check(j)
+                    assert np.array_equal(curves.per.grid[j, :c + 1], want.bp)
+                    assert np.array_equal(curves.lam[j, :c], want.lam)
+                    assert not curves.lam[j, c:].any()
+                    assert curves.integral[j] == integral
+                    assert sampling._mmse_multi(curves, j) == drf.row(i).solve(0.0).mmse_part
+                rows.append((drf, i, fs, *want.pieces()))
+        assert_rows_solve_as_loop(rows, src.sigma2)
+
+    @given(densities(), st.one_of(densities(), densities(hi=3)), gains(), FS_LISTS, BUDGETS,
+           st.sampled_from([8, 64]), st.sampled_from([None, 3000]))
+    @settings(max_examples=80, deadline=None)
+    def test_polyphase_rows_are_the_one_row_case(self, Sx, Sn, H, fs_list, budget, N_delta,
+                                                 cap):
+        # one offset stack per block, solved once per rate for all rows; each
+        # row's bound is, to the bit, its per-fs loop reference and its block
+        # of one.  A cap of 3000 entries fails some rows and not others: a
+        # failing row raises when read, and the rest of its block is built.
+        src = _Source(Sx, Sn, [H])
+        with pytest.MonkeyPatch.context() as mp:
+            if cap:
+                mp.setattr(waterfill, "_MAX_OFFSET_ENTRIES", cap)
+            for per in blocks_of(src, fs_list, budget):
+                curves = sampling._folded(per)
+                bound = waterfill._polyphase_lower_bound(per, N_delta)
+                for i, fs in enumerate(per.fs.tolist()):
+                    try:
+                        mmse, _ = sampling._mmse_and_curve(curves, i)
+                    except SpectrumError:  # no bound is read past a failed MMSE
+                        continue
+                    alone = waterfill._polyphase_lower_bound(src.periods([fs]), N_delta)
+                    got = [lambda: bound(i, mmse), lambda: alone(0, mmse)]
+                    try:
+                        want = polyphase_bound_loop(src, fs, mmse, N_delta)
+                    except WaterfillError as e:
+                        for row in got:
+                            with pytest.raises(WaterfillError, match=f"^{re.escape(str(e))}$"):
+                                row()
+                        continue
+                    for row in got:
+                        at_rate = row()
+                        for R in RATES:
+                            assert at_rate(R, math.inf) == want(R, math.inf)
 
     @given(densities(4, TIED_LEVELS), densities(levels=TIED_LEVELS), FS_LISTS, BUDGETS,
            st.integers(1, 4))

@@ -189,12 +189,14 @@ class TestParametricCore:
         wfs = waterfill._WaterfillStack(w, values)
         rows = [waterfill._Waterfill((w, v)) for v in values]
         for R in rates:
-            if R > 0 and not all(np.any((w > 0) & (v > 0)) for v in values):
-                with pytest.raises(UnattainableRateError):
-                    wfs.solve(R)
-                continue
-            theta, lossy = wfs.solve(R)
-            for t, lo, wf in zip(theta.tolist(), lossy.tolist(), rows):
+            theta, lossy, attained, _ = wfs.level(R)
+            for t, lo, ok, wf in zip(theta.tolist(), lossy.tolist(), attained, rows):
+                if R > 0 and not np.any((w > 0) & (wf.stack.v > 0)):
+                    assert not ok
+                    with pytest.raises(UnattainableRateError):
+                        wf.solve(R)
+                    continue
+                assert ok
                 sol = wf.solve(R)
                 assert math.isclose(t, sol.theta, rel_tol=1e-14)
                 assert math.isclose(lo, sol.lossy_part, rel_tol=1e-14)
@@ -567,8 +569,8 @@ class TestDStarAndPolyphaseBounds:
     def test_polyphase_offset_stack_is_capped(self):
         # both counts raise before the offsets' phases are allocated: 10**12
         # would need terabytes, and the smallest count over the cap
-        per = _Source(rect_density(), zero_density()).period(0.5)
-        over = waterfill._MAX_OFFSET_ENTRIES // max(2 * per.kmax + 1, len(per.mids)) + 1
+        per = _Source(rect_density(), zero_density()).periods([0.5])
+        over = waterfill._MAX_OFFSET_ENTRIES // max(2 * per.kmax[0] + 1, per.cells[0]) + 1
         for N_delta in (over, 10**12):
             with pytest.raises(WaterfillError, match="exceed the cap"):
                 polyphase_lower_bound(rect_density(), zero_density(), None, 0.5, 1.0, N_delta)
