@@ -5,10 +5,11 @@ the sampler and the rate points.  A sweep runs over fs, and for each fs over
 the rates where the mode takes one.  _sweep, the one driver of modes and
 figures, builds the fs-free pieces once (a sampling._Source) and the per-fs
 work of every mode but the oracles' once per block of consecutive fs, as one
-stack; at_fs reads each fs's row off its block, and a block's waterfills are
-solved once per rate, for all of its rows, when its first row reads that
-rate.  Points are computed one after another in config order, and every row
-is what the one-fs functions return, so output is deterministic byte for byte.
+stack, solved once per rate; each mode maps a block and a rate to columns and
+every check to a mask over the block's fs, and one writer, _rows, walks the
+rows in sweep order, raising the first failing check at its own point.  Every
+row is what the one-fs functions return, so output is deterministic byte for
+byte.
 
 Exit codes: 0 success, 2 config problem (reported before any point is
 computed; an output file that cannot be written is one too), 3 numerical
@@ -26,8 +27,10 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import oracle, sampling, waterfill
-from .linalg import LinalgError
+from .linalg import LinalgError, _raise_first
 from .spectra import ComplexGainProfile, SpectralDensity, SpectrumError
 from .waterfill import BITS_PER_SAMPLE, BITS_PER_TIME, RateSpec, WaterfillError
 
@@ -215,40 +218,71 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _rows(fs_list, blocks, build, row=lambda work, i: work.row(i)):
-    """at_fs's reader of per-fs work built a block of consecutive fs at a time.
+def _rows(fs_list, cuts, build, rates, point):
+    """Every output row of a sweep, in sweep order: fs, then rate.  fs_list
+    is cut at every stop of cuts, iterables of (start, stop), into blocks
+    built in turn: build(fs) returns (checks, at) for a block's fs, and at(R)
+    (rows, checks) for all of them at rate R, rows[i] the output rows of fs
+    i.  checks are (fails, error) pairs over the block's fs, as
+    linalg._raise_first takes them; each fs raises the first it fails, at fs
+    for build's, then at (fs, R) for a rate's.  point holds the fs and rate
+    reached, for a failure to name; a block is built at its first fs."""
+    stops = sorted({stop for bounds in cuts for _, stop in bounds})
+    for start, stop in zip([0, *stops], stops):
+        fs = fs_list[start:stop]
+        point[:] = fs[0], None
+        checks, at = build(np.array(fs))
+        tables = [(rows, rate_checks, _fails(rate_checks, len(fs)))
+                  for rows, rate_checks in (at(R) for R in rates)]
+        for i, (f, failing) in enumerate(zip(fs, _fails(checks, len(fs)))):
+            point[:] = f, None
+            if failing:
+                _raise_first(checks, i)
+            for R, (rows, rate_checks, fails) in zip(rates, tables):
+                point[1] = R
+                if fails[i]:
+                    _raise_first(rate_checks, i)
+                yield from rows[i]
 
-    blocks yields the sweep's blocks in order (sampling._Period blocks, or
-    arrays of fs); build(block) makes a block's work when its first fs is
-    read, and row(work, i) reads row i of it.  The reader is called once per
-    fs of fs_list, in order, so a failure is raised at the fs whose block or
-    row it belongs to.
-    """
-    def reads():
-        fs_left = iter(fs_list)
-        for per in blocks:
-            work = build(per)
-            for i in range(len(per)):
-                yield next(fs_left), work, i
 
-    it = reads()
-
-    def read(fs):
-        expected, work, i = next(it)
-        if fs != expected:
-            raise ValueError(f"at_fs takes the sweep's fs in order: {expected} next, got {fs}")
-        return row(work, i)
-    return read
+def _fails(checks, n: int) -> list:
+    """Whether each of n rows fails any of checks, (fails, error) pairs
+    whose masks may hold more entries per row (a bank's, per matrix)."""
+    fails = np.zeros(n, dtype=bool)
+    for check, _ in checks:
+        fails |= check if check.ndim == 1 else check.reshape(n, -1).any(axis=1)
+    return fails.tolist()
 
 
-def _sweep(mode: str, cfg: ExperimentConfig):
-    """(header, at_fs, rates): at_fs(fs) reads the curves, waterfills and
-    oracles of one fs and returns rows_at, and rows_at(R) reads the rows of the
-    point (fs, R) off them.  at_fs takes the fs of cfg.fs_list once each, in
-    order: every path but the oracles builds its per-fs work as one stack per
-    block of consecutive fs (sampling._Source.blocks), and work that needs no
-    fs is done once, on the sweep's sampling._Source.  rates is [None] in the
-    modes that take no rate."""
+def _by_fs(columns) -> list:
+    """One output row per fs of a block, of its columns: each an array with
+    an entry per fs, or one value for all."""
+    n = next(len(c) for c in columns if isinstance(c, np.ndarray))
+    columns = [c.tolist() if isinstance(c, np.ndarray) else [c] * n for c in columns]
+    return [[list(row)] for row in zip(*columns)]
+
+
+def _each(call, n: int):
+    """([call(i) for i in range(n)], check): None where a call raised a
+    numerical failure, and the check of those rows, as linalg._raise_first
+    takes it, which raises what the call raised."""
+    values, errors = [None] * n, {}
+    for i in range(n):
+        try:
+            values[i] = call(i)
+        except (WaterfillError, SpectrumError, LinalgError) as e:
+            errors[i] = e
+    return values, (np.array([i in errors for i in range(n)], dtype=bool), errors.get)
+
+
+def _sweep(mode: str, cfg: ExperimentConfig, point=None):
+    """(header, rows): rows yields the sweep's output rows through _rows, and
+    point (a list, if given) holds the fs and rate reached.  Each mode maps a
+    block and a rate to columns read off the block's stacks, and every check
+    to a mask over the block's fs, in the order the one-fs functions make
+    them; blocks are cut at every bound of the kinds of work the mode reads
+    (sampling._Source.bounds).  The config is checked, and work that needs
+    no fs done once on the sweep's sampling._Source, here, before any row."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     if mode in ("bounds", "oracle-check") and (cfg.P != 1 or cfg.filters == "optimal"):
@@ -261,81 +295,82 @@ def _sweep(mode: str, cfg: ExperimentConfig):
     branches = cfg.filters if isinstance(cfg.filters, list) else [None] * cfg.P
     src = sampling._Source(cfg.source, cfg.noise, branches)
     src.grid  # read before the first fs: an overflowing level or gain fails the sweep
-    fs_list = cfg.fs_list
+    if mode == "drf" and cfg.filters == "optimal":
+        raise ConfigError("use mode drf-optimal for optimal filters")
+    fs_all, P = np.array(cfg.fs_list), cfg.P
 
-    def periods(build, row=lambda work, i: work.row(i), P=None):
-        """A reader of work built on the blocks of the source's periods (of
-        fs/P, cut at the SNR ratio, when P is given)."""
-        return _rows(fs_list, src.blocks(fs_list, P), build, row)
-
-    def daggers():
-        return _rows(fs_list, src.fs_blocks(fs_list), lambda fs: waterfill._d_dagger(src, fs))
+    # the sampler's curves: the optimal filters' top translates on the
+    # periods of fs/P, one folded curve, or a filter bank's eigenvalue curves
+    optimal = mode in ("drf-optimal", "af-sets") or cfg.filters == "optimal"
+    cuts = [src.fs_bounds(fs_all) if mode == "d-dagger" else
+            src.bounds(fs_all, P if optimal else None)]
+    if optimal:
+        curves, mmse_of = (lambda fs: sampling._top_translates(src.periods(fs, P), P),
+                           lambda c: (c.mmse, c.checks))
+    elif P == 1:
+        curves, mmse_of = lambda fs: sampling._folded(src.periods(fs)), sampling._mmse_single
+    else:
+        curves, mmse_of = lambda fs: sampling._BankCurves(src.periods(fs)), sampling._mmse_multi
 
     if mode == "mmse":
         header = ["fs", "P", "mmse"]
-        if cfg.filters == "optimal":
-            value = periods(lambda per: sampling._top_translates(per, cfg.P),
-                            sampling._mmse_optimal, cfg.P)
-        elif cfg.P == 1:
-            value = periods(sampling._folded,
-                            lambda curves, i: sampling._mmse_and_curve(curves, i)[0])
-        else:
-            value = periods(sampling._BankCurves, sampling._mmse_multi)
 
-        def at_fs(fs):
-            val = value(fs)
-            return lambda R: [[fs, cfg.P, val]]
+        def build(fs):
+            mmse, checks = mmse_of(curves(fs))
+            return checks, lambda R: (_by_fs([fs, P, mmse]), [])
     elif mode in ("drf", "drf-optimal", "d-dagger"):
-        if mode == "drf" and cfg.filters == "optimal":
-            raise ConfigError("use mode drf-optimal for optimal filters")
         header = ["fs", "P", "rate_bits_per_time", "theta", "distortion", "mmse_part",
                   "lossy_part"]
-        p = "inf" if mode == "d-dagger" else cfg.P
-        if mode == "d-dagger":
-            drf_at = daggers()
-        elif mode == "drf-optimal":
-            drf_at = periods(lambda per: waterfill._drf_sampled_optimal(per, cfg.P), P=cfg.P)
-        else:
-            drf_at = periods(waterfill._drf_sampled_single if cfg.P == 1
-                             else waterfill._drf_sampled_multi)
+        p = "inf" if mode == "d-dagger" else P
 
-        def at_fs(fs):
-            drf = drf_at(fs)
+        def build(fs):
+            if mode == "d-dagger":
+                drf, checks = waterfill._d_dagger(src, fs), []
+            else:
+                c = curves(fs)
+                drf, checks = waterfill._WaterfillStack.of_curves(src.sigma2, c), c.checks
 
-            def rows_at(R):
-                sol = drf.solve(R)
-                return [[fs, p, sol.rate, sol.theta, sol.distortion, sol.mmse_part,
-                         sol.lossy_part]]
-            return rows_at
+            def at(R):
+                rate, over = R._per_time(fs)
+                theta, lossy, distortion, solved = drf.solve(rate)
+                return _by_fs([fs, p, rate, theta, distortion, drf.mmse, lossy]), [over, *solved]
+            return checks, at
     elif mode == "af-sets":
         header = ["fs", "P", "branch", "lo", "hi"]
-        sets_at = periods(lambda per: sampling._maximal_af_sets(per, cfg.P),
-                          lambda sets_of, i: sets_of(i), cfg.P)
 
-        def at_fs(fs):
-            rows = [[fs, cfg.P, p, iv.lo, iv.hi]
-                    for p, F in enumerate(sets_at(fs), start=1) for iv in F.intervals]
-            return lambda R: rows
+        def build(fs):
+            sets = sampling._maximal_af_sets(src.periods(fs, P), P)
+            rows = [[[f, P, p, iv.lo, iv.hi] for p, F in enumerate(row, start=1)
+                     for iv in F.intervals] for f, row in zip(fs.tolist(), sets)]
+            return [], lambda R: (rows, [])
     elif mode == "bounds":
         header = ["fs", "rate_bits_per_time", "drf_sampled", "idrf_stationary",
                   "mmse", "d_star_lower", "polyphase_lower", "d_dagger"]
+        N_delta = 64  # offsets per fs at least, as polyphase_lower_bound takes by default
         idrf = waterfill._idrf_stationary(src)  # reads the ratio, once per sweep
-        source = periods(lambda per: (*_folded_and_drf(per),
-                                      waterfill._polyphase_lower_bound(per)), _folded_row)
-        d_star_at = periods(waterfill._d_star_lower_bound, P=1)
-        dagger_at = daggers()
+        # a cell of the source's periods holds the polyphase bound's offsets too
+        cuts = [src.bounds(fs_all, width=N_delta), src.bounds(fs_all, 1), src.fs_bounds(fs_all)]
 
-        def at_fs(fs):
-            mmse, drf, polyphase = source(fs)
-            d_star = d_star_at(fs)
-            dd = dagger_at(fs)
+        def build(fs):
+            folded = curves(fs)
+            mmse, checks = sampling._mmse_single(folded)
+            drf = waterfill._WaterfillStack.of_curves(src.sigma2, folded)
+            polyphase = waterfill._PolyphaseBound(folded.per, N_delta)
+            checks.append(polyphase.check)
+            # the first fs's checks come before the cuts of D*'s periods
+            _raise_first(checks, 0)
+            d_star = waterfill._WaterfillStack.of_curves(
+                src.sigma2, sampling._top_translates(src.periods(fs, 1), 1))
+            dagger = waterfill._d_dagger(src, fs)
 
-            def rows_at(R):
-                r = R.per_time(fs)
-                d = drf.solve(R).distortion
-                return [[fs, r, d, idrf.solve(R, fs).distortion, mmse,
-                         d_star.solve(R).distortion, polyphase(R, d), dd.solve(R).distortion]]
-            return rows_at
+            def at(R):
+                rate, over = R._per_time(fs)
+                (d, a), (di, b), (ds, c), (dd, e) = (
+                    stack.solve(rate)[2:] for stack in (drf, idrf, d_star, dagger))
+                bound, bounded = polyphase(mmse, d, rate)
+                return (_by_fs([fs, rate, d, di, mmse, ds, bound, dd]),
+                        [over, *a, *b, *c, *bounded, *e])
+            return checks, at
     else:  # oracle-check
         header = ["fs", "rate_bits_per_time", "mmse_exact", "mmse_window",
                   "drf_exact", "drf_block"]
@@ -343,40 +378,30 @@ def _sweep(mode: str, cfg: ExperimentConfig):
             segments = oracle._observation_segments(src)
         except SpectrumError as e:
             raise ConfigError(f"mode oracle-check: {e}") from None
-        source = periods(_folded_and_drf, _folded_row)
 
-        def at_fs(fs):
-            mmse, drf = source(fs)
-            orc = oracle._window_oracle(segments, src.sigma2, fs, cfg.oracle_K,
-                                         cfg.oracle_phases)
+        def build(fs):
+            folded = curves(fs)
+            mmse, checks = sampling._mmse_single(folded)
+            drf = waterfill._WaterfillStack.of_curves(src.sigma2, folded)
+            orcs, built = _each(lambda i: oracle._window_oracle(
+                segments, src.sigma2, fs[i].item(), cfg.oracle_K, cfg.oracle_phases), len(fs))
+            window = np.array([orc and orc.mmse_average.value for orc in orcs])
 
-            def rows_at(R):
-                r = R.per_time(fs)
-                return [[fs, r, mmse, orc.mmse_average.value,
-                         drf.solve(R).distortion, orc.distortion(r)]]
-            return rows_at
-    return header, at_fs, rates
-
-
-def _folded_and_drf(per):
-    """A source block's folded curves and drf_sampled_single waterfills."""
-    curves = sampling._folded(per)
-    return curves, waterfill._WaterfillStack.of_curves(per.src.sigma2, curves)
-
-
-def _folded_row(work, i):
-    """(mmse, drf waterfill) of row i of _folded_and_drf's work, and its
-    polyphase bound where the work holds the block's ones after it."""
-    curves, drfs, *polyphase = work
-    mmse, _ = sampling._mmse_and_curve(curves, i)
-    return (mmse, drfs.row(i), *(bound(i, mmse) for bound in polyphase))
+            def at(R):
+                rate, over = R._per_time(fs)
+                distortion, solved = drf.solve(rate)[2:]
+                block, solved_block = _each(
+                    lambda i: orcs[i] and orcs[i].distortion(rate[i].item()), len(fs))
+                return (_by_fs([fs, rate, mmse, window, distortion, np.array(block)]),
+                        [over, *solved, solved_block])
+            return checks + [built], at
+    return header, _rows(cfg.fs_list, cuts, build, rates, [None, None] if point is None else point)
 
 
 def _sweep_rows(mode: str, Sx, Sn, fs_list, rates=(), P: int = 1, filters=None):
     """Every row of one in-memory _sweep, in sweep order: fs, then rate."""
     cfg = ExperimentConfig(Sx, Sn, fs_list, P, filters, [RateSpec(R) for R in rates], None)
-    _, at_fs, rates = _sweep(mode, cfg)
-    return [row for fs in fs_list for rows_at in [at_fs(fs)] for R in rates for row in rows_at(R)]
+    return list(_sweep(mode, cfg)[1])
 
 
 def _line(header, row, fmt: str) -> str:
@@ -422,23 +447,19 @@ def run(config_path: str, mode: str, out: str | None = None,
     Rows are computed one after another in config order.  The output is
     written only once every row has succeeded.
     """
-    fs = R = None  # a failure names as much of its point as it has reached
+    point = [None, None]  # the fs and rate a failure names, as far as it has reached them
     try:
         _check_format(fmt)
         cfg = load_config(config_path)
         out_path = out or cfg.out
         _check_out_dir(out_path)
-        header, at_fs, rates = _sweep(mode, cfg)
-        lines = []
-        for fs in cfg.fs_list:
-            R = None
-            rows_at = at_fs(fs)
-            for R in rates:
-                lines += [_line(header, row, fmt) for row in rows_at(R)]
+        header, rows = _sweep(mode, cfg, point)
+        lines = [_line(header, row, fmt) for row in rows]
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (NumericalFailure, WaterfillError, SpectrumError, LinalgError) as e:
+        fs, R = point
         point = "" if fs is None else f" at fs={fs:.12g}"
         rate = "" if R is None else f", R={R.value:.12g} {R.unit}"
         print(f"numerical failure{point}{rate}: {e}", file=sys.stderr)

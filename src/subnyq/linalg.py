@@ -31,7 +31,7 @@ def _raise_first(checks, at=...) -> None:
     on a matrix at the index at of a stack (by default, anywhere): fails masks
     the matrices that fail it, and error(at) names the first there."""
     for fails, error in checks:
-        if np.any(fails[at]):
+        if fails[at].any():
             raise error(at)
 
 

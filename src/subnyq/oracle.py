@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .linalg import LinalgError
-from .sampling import _Source
+from .sampling import _row_zero, _Source
 from .spectra import (
     BP_TOL,
     ComplexGainProfile,
@@ -36,7 +36,7 @@ from .spectra import (
     _Pw,
     _translate_count,
 )
-from .waterfill import _as_rate, _rate_per_sample, _Waterfill
+from .waterfill import _as_rate, _rate_per_sample, _WaterfillStack
 
 __all__ = [
     "DiscreteSpectrum",
@@ -268,19 +268,19 @@ class WindowOracle:
 
     mmse_average is finite_window_mmse_average over the block's n_phases
     offsets; waterfill holds the eigenvalues of the block's estimator
-    covariance, sorted once, with the block's estimation MMSE, so
-    distortion(R) only reads off one water level.
+    covariance, sorted once, with the block's estimation MMSE, as one row,
+    so distortion(R) only reads off one water level.
     """
 
     K: int
     fs: float
     n_phases: int
     mmse_average: FiniteWindowMmse
-    waterfill: _Waterfill
+    waterfill: _WaterfillStack
 
     def distortion(self, R: float) -> float:
         """block_idrf_oracle at R bits per time unit; WaterfillError for a bad rate."""
-        return self.waterfill.solve(_rate_per_sample(R, self.fs, 2 * self.K + 1)).distortion
+        return _row_zero(*self.waterfill.solve(_rate_per_sample(R, self.fs, 2 * self.K + 1))[2:])
 
 
 def window_oracle(
@@ -325,8 +325,8 @@ def _window_oracle(pieces, sigma2: float, fs: float, K: int, n_phases: int) -> W
     # nonzero eigenvalues of C_UY C_Y^-1 C_YU via the small Gram matrix
     eig = np.clip(np.linalg.eigvalsh(b @ b.T), 0.0, None)
     # idrf_vector's waterfill over n_u coordinates, sorted once for every rate
-    waterfill = _Waterfill((np.ones_like(eig), eig), win.sigma2 - float(eig.sum()) / n_u,
-                           1.0 / n_u)
+    waterfill = _WaterfillStack.of_pieces((np.ones_like(eig), eig),
+                                          win.sigma2 - float(eig.sum()) / n_u, 1.0 / n_u)
     return WindowOracle(K=K, fs=fs, n_phases=n_phases, mmse_average=average,
                         waterfill=waterfill)
 

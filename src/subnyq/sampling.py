@@ -9,18 +9,19 @@ of a private form.  The fs-free pieces of (Sx, Sn, branches) live on a
 _Source, which a sweep builds once.
 
 The per-fs work of a sweep is one stack per block of consecutive fs
-(src.blocks): a _Period holds the periods (-fs/2, fs/2) of a block as rows,
+(src.bounds): a _Period holds the periods (-fs/2, fs/2) of a block as rows,
 cut in one vectorised step (of fs/P, cut at the SNR ratio, for D* and the
 optimal filters and sets), with their translate counts and aliased
 denominator.  Every path reads the block: the folded curves, the top
 translates, the filter bank's eigenvalue curves (_BankCurves, one stacked
-eigen-solve over the block's (rows x cells) P x P matrices), the polyphase
-spectra and the MMSE cross-check (_unfolded_mmse, which shares no cut with
-the folded path); the sets read each row's own cells off it.  Rows are padded
-with zero-width cells and zero translates, which move no bit of a row as its
-sums add in order (spectra._ordered_sum); each check is made per row and
-raised when that row is read, so a row is what the one-fs functions return
-(a one-row block) and a failure names its own fs.
+eigen-solve over the block's (rows x cells) P x P matrices), the MMSEs, the
+polyphase spectra and the MMSE cross-check (_unfolded_mmse, which shares no
+cut with the folded path); the sets read each row's own cells off it.  Rows
+are padded with zero-width cells and zero translates, which move no bit of a
+row as its sums add in order (spectra._ordered_sum).  Each check is a mask
+over the block's rows with the error it raises (a (fails, error) pair, as
+linalg._raise_first takes it), so a row is what the one-fs functions return
+(a one-row block, whose checks they raise) and a failure names its own fs.
 
 Every path is exact: inputs are piecewise-constant, and every grid is cut at
 the translate lattice of the breakpoints before values are read off, so the
@@ -165,12 +166,11 @@ class _Period:
     are summed with _ordered_sum, in ascending k, so the padding moves no bit
     and a row's sums, maxima and sorts come out as in a block of its own."""
 
-    def __init__(self, pw: _Pw, steps, src: _Source | None = None, counts=None, fs=None):
-        """counts, if given, is _translate_counts(pw, steps), as a sweep has it."""
+    def __init__(self, pw: _Pw, steps, src: _Source | None = None, fs=None):
         self.pw, self.src = pw, src
         self.steps = np.asarray(steps, dtype=float)
         self.fs = self.steps if fs is None else np.asarray(fs, dtype=float)
-        kmax, ok = _translate_counts(pw, self.steps) if counts is None else counts
+        kmax, ok = _translate_counts(pw, self.steps)
         if not ok.all():  # the first failing step raises its own error
             first = np.argmin(ok)
             step, fs = float(self.steps[first]), float(self.fs[first])
@@ -287,27 +287,24 @@ class _Source:
         pw, steps, fs = self._cut(fs, P)
         return _Period(pw, steps, self, fs=fs)
 
-    def blocks(self, fs_list, P: int | None = None):
-        """periods(fs_list, P) as blocks of consecutive fs, in order, each built
-        when its first fs is read, so a sweep builds one at a time.  A cell of
-        the source's periods holds a filter bank's P x P matrix entries too."""
-        pw, steps, fs = self._cut(fs_list, P)
-        kmax, ok = _translate_counts(pw, steps)
-        entries = len(self.branches) ** 2 if P is None else 1  # of a bank's matrices
-        for start, stop in _block_bounds(pw, kmax, ok, entries):
-            rows = slice(start, stop)
-            yield _Period(pw, steps[rows], self, (kmax[rows], ok[rows]), fs[rows])
+    def bounds(self, fs, P: int | None = None, width: int = 1):
+        """(start, stop) of the blocks of consecutive fs of fs, in order, on
+        which periods(fs[start:stop], P) keeps within _block_bounds' budget: a
+        cell of the source's periods holds a bank's P x P matrix entries too,
+        and each cell width entries at least (the polyphase bound's offsets)."""
+        pw, steps, _ = self._cut(fs, P)
+        width = max(width, len(self.branches) ** 2) if P is None else width
+        yield from _block_bounds(pw, *_translate_counts(pw, steps), width)
 
-    def fs_blocks(self, fs_list):
-        """fs_list as blocks of consecutive fs for D-dagger, whose (rows x
-        pieces) stay within _MAX_BLOCK_ENTRIES.  A row holds fewer than 4n
-        pieces of the ratio's n segments: on each side of 0, n disjoint
-        segment halves meet at most n disjoint set intervals (each begins at
-        a segment it takes) in fewer than 2n places."""
-        fs = np.asarray(fs_list, dtype=float)
+    def fs_bounds(self, fs):
+        """(start, stop) of the blocks of consecutive fs of fs for D-dagger,
+        whose (rows x pieces) stay within _MAX_BLOCK_ENTRIES.  A row holds
+        fewer than 4n pieces of the ratio's n segments: on each side of 0, n
+        disjoint segment halves meet at most n disjoint set intervals (each
+        begins at a segment it takes) in fewer than 2n places."""
         rows = max(1, _MAX_BLOCK_ENTRIES // (4 * len(self.ratio.segments) + 1))
         for start in range(0, len(fs), rows):
-            yield fs[start:start + rows]
+            yield start, min(start + rows, len(fs))
 
 
 def _safe_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -324,14 +321,16 @@ class _Curves:
     cells of per.grid[i], whose widths are w[i]; padding cells have zero width
     and value, and a row with fewer translates than curves has zero curves
     first.  Sums over a row run in order (_ordered_sum), so that padding moves
-    no bit of them.  check(i) raises row i's failure, if it has one: a folded
-    row above its translate bound, marked in over.  For a folded block,
-    unfolded holds each row's MMSE cross-check (_unfolded_mmse), made for the
-    whole block when first read."""
+    no bit of them: integral holds each row's, and mmse the source power less
+    it (_mmse).  checks fails on the folded rows above their translate bound,
+    marked in over.  For a folded block, unfolded holds each row's MMSE
+    cross-check (_unfolded_mmse), made for the whole block when first read."""
 
     def __init__(self, per: _Period, values: np.ndarray, over=None):
         self.per, self.values, self.over = per, values, over
         self.w = np.diff(per.grid, axis=1)
+        self.checks = [] if over is None else [(over, lambda i: SpectrumError(
+            "conditional spectrum exceeded its translate bound"))]
 
     def pieces(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, v), each (rows, curves x cells): each row's pieces, curve by curve."""
@@ -339,17 +338,13 @@ class _Curves:
         return np.broadcast_to(self.w[:, None, :], self.values.shape).reshape(v.shape), v
 
     unfolded = cached_property(lambda self: _unfolded_mmse(self.per.src, self.per.steps))
-
-    def integral(self, i: int) -> float:
-        return float(_ordered_sum((self.w[i] * self.values[i]).ravel()))
-
-    def check(self, i: int) -> None:
-        if self.over is not None and self.over[i]:
-            raise SpectrumError("conditional spectrum exceeded its translate bound")
+    integral = cached_property(lambda self: _ordered_sum(np.multiply(*self.pieces())))
+    mmse = cached_property(lambda self: _mmse(self.per.src.sigma2, self.integral))
 
     def curve(self, i: int) -> ScalarCurve:
-        """Row i's first curve on its own cells: s_tilde_single, for a folded row."""
-        self.check(i)
+        """Row i's first curve on its own cells, once the row passes its
+        checks: s_tilde_single, for a folded row."""
+        _raise_first(self.checks, i)
         c = self.per.cells[i]
         return ScalarCurve(self.per.grid[i, :c + 1], self.values[i, 0, :c])
 
@@ -471,16 +466,20 @@ def _mmse(sigma2, integral):
     return np.maximum(sigma2 - integral, 0.0)
 
 
-def _mmse_and_curve(curves: _Curves, i: int) -> tuple[float, ScalarCurve]:
-    """mmse_single and the s_tilde_single curve on row i of a folded block."""
-    curve = curves.curve(i)
-    sigma2 = curves.per.src.sigma2
-    value = float(_mmse(sigma2, curve.integral()))
-    alt = float(curves.unfolded[i])
-    # written so that a NaN residual fails too
-    if not abs(alt - value) <= 1e-10 * max(1.0, sigma2):
-        raise SpectrumError(f"mmse cross-check failed: folded {value} vs unfolded {alt}")
-    return value, curve
+def _mmse_single(curves: _Curves) -> tuple[np.ndarray, list]:
+    """mmse_single on every row of a folded block, and its checks in the order
+    they are made: the translate bound, then the cross-check against the
+    unfolded MMSE (written so that a NaN residual fails too)."""
+    sigma2, value, alt = curves.per.src.sigma2, curves.mmse, curves.unfolded
+    off = ~(np.abs(alt - value) <= 1e-10 * max(1.0, sigma2))
+    return value, curves.checks + [(off, lambda i: SpectrumError(
+        f"mmse cross-check failed: folded {float(value[i])} vs unfolded {float(alt[i])}"))]
+
+
+def _row_zero(column: np.ndarray, checks: list) -> float:
+    """Row 0 of a one-row block's column, once the row passes its checks."""
+    _raise_first(checks, 0)
+    return float(column[0])
 
 
 def mmse_single(
@@ -490,7 +489,7 @@ def mmse_single(
     fs: float,
 ) -> float:
     """MMSE of estimating the source from single-branch samples at rate fs."""
-    return _mmse_and_curve(_folded(_Source(Sx, Sn, [H]).periods([_check_fs(fs)])), 0)[0]
+    return _row_zero(*_mmse_single(_folded(_Source(Sx, Sn, [H]).periods([_check_fs(fs)]))))
 
 
 def _branch_matrices(src: _Source, steps, pts: np.ndarray, kmax: int) -> np.ndarray:
@@ -539,10 +538,10 @@ class _BankCurves:
     """A filter bank's eigenvalue curves on the rows of a period block, from one
     stacked solve of its (rows x cells) P x P matrices: lam (rows, cells, P),
     ascending and clipped at 0.  pieces() lays a row's out cell by cell, as
-    EigenCurves.pieces does, and integral holds their sums in order.  check(i)
-    raises row i's first failure in the order its checks are made: S_Y
-    Hermitian and PSD, S_Y^-1/2 and S_Y^-1/2 K S_Y^-1/2 Hermitian, no
-    eigenvalue below 0 past round-off, and the trace bound."""
+    EigenCurves.pieces does, and integral holds their sums in order.  checks
+    are made in this order: S_Y Hermitian and PSD, S_Y^-1/2 and S_Y^-1/2 K
+    S_Y^-1/2 Hermitian, no eigenvalue below 0 past round-off, and the trace
+    bound."""
 
     def __init__(self, per: _Period):
         self.per, sigma2, P = per, per.src.sigma2, len(per.src.branches)
@@ -564,9 +563,6 @@ class _BankCurves:
     def pieces(self) -> tuple[np.ndarray, np.ndarray]:
         return self.w, self.lam.reshape(self.w.shape)
 
-    def check(self, i: int) -> None:
-        _raise_first(self.checks, i)
-
 
 def eigen_curves_multi(
     Sx: SpectralDensity,
@@ -581,30 +577,31 @@ def eigen_curves_multi(
     all cells go through one stacked eigen-solve.
     """
     curves = _BankCurves(_Source(Sx, Sn, spec.branches).periods([spec.fs]))
-    curves.check(0)
+    _raise_first(curves.checks, 0)
     return EigenCurves(curves.per.grid[0], curves.lam[0])
 
 
-def _mmse_multi(curves: _BankCurves, i: int) -> float:
-    """mmse_multi on row i of a bank block: the source power less the row's
-    integral, which its waterfills' mmse reads too."""
-    curves.check(i)
-    sigma2, integral = curves.per.src.sigma2, float(curves.integral[i])
-    if sigma2 - integral < -1e-9 * max(1.0, sigma2):
-        raise SpectrumError(f"negative mmse {sigma2 - integral}")
-    return float(_mmse(sigma2, integral))
+def _mmse_multi(curves: _BankCurves) -> tuple[np.ndarray, list]:
+    """mmse_multi on every row of a bank block, which its waterfills' mmse
+    reads too, and its checks: the bank's, then the MMSE not below 0 past
+    round-off."""
+    sigma2 = curves.per.src.sigma2
+    low = (residual := sigma2 - curves.integral) < -1e-9 * max(1.0, sigma2)
+    return _mmse(sigma2, curves.integral), curves.checks + [
+        (low, lambda i: SpectrumError(f"negative mmse {residual[i]}"))]
 
 
 def mmse_multi(Sx: SpectralDensity, Sn: SpectralDensity, spec: SamplerSpec) -> float:
     """MMSE of estimating the source from the samples of a P-branch filter bank."""
-    return _mmse_multi(_BankCurves(_Source(Sx, Sn, spec.branches).periods([spec.fs])), 0)
+    return _row_zero(*_mmse_multi(_BankCurves(_Source(Sx, Sn, spec.branches).periods([spec.fs]))))
 
 
-def _maximal_af_sets(per: _Period, P: int):
-    """maximal_af_sets on the rows of a block of the SNR ratio's periods of d =
-    fs/P, as a function of the row i, which reads the row's own cells from 0
-    up: a first point within BP_TOL above 0 merges into 0 as in [0, d/2]."""
-    def sets_of(i: int) -> list[FrequencySet]:
+def _maximal_af_sets(per: _Period, P: int) -> list[list[FrequencySet]]:
+    """maximal_af_sets on each row of a block of the SNR ratio's periods of d
+    = fs/P, read off the row's own cells from 0 up: a first point within
+    BP_TOL above 0 merges into 0 as in [0, d/2]."""
+    out = []
+    for i in range(len(per)):
         d, kmax, grid = float(per.steps[i]), int(per.kmax[i]), per.grid[i, :per.cells[i] + 1]
         bp = np.concatenate(([0.0], grid[grid > BP_TOL]))
         mids = 0.5 * (bp[:-1] + bp[1:])
@@ -619,8 +616,8 @@ def _maximal_af_sets(per: _Period, P: int):
             off = (rows[keep] - kmax) * d
             lo, hi = bp[:-1][keep] + off, bp[1:][keep] + off
             sets.append(FrequencySet(zip(np.concatenate([lo, -hi]), np.concatenate([hi, -lo]))))
-        return sets + [FrequencySet()] * (P - len(sets))
-    return sets_of
+        out.append(sets + [FrequencySet()] * (P - len(sets)))
+    return out
 
 
 def maximal_af_sets(
@@ -636,7 +633,7 @@ def maximal_af_sets(
     symmetric so an indicator filter on it has a real impulse response.
     """
     _check_count(P, "P")
-    return _maximal_af_sets(_Period(_pw_from_density(ratio), [_check_fs(fs) / P], fs=[fs]), P)(0)
+    return _maximal_af_sets(_Period(_pw_from_density(ratio), [_check_fs(fs) / P], fs=[fs]), P)[0]
 
 
 def _top_translates(per: _Period, P: int) -> _Curves:
@@ -647,17 +644,13 @@ def _top_translates(per: _Period, P: int) -> _Curves:
     return _Curves(per, np.sort(per.translates(per.pw), axis=1)[:, -P:])
 
 
-def _mmse_optimal(curves: _Curves, i: int) -> float:
-    return float(_mmse(curves.per.src.sigma2, curves.integral(i)))
-
-
 def mmse_optimal(
     Sx: SpectralDensity, Sn: SpectralDensity, fs: float, P: int = 1
 ) -> tuple[float, list[FrequencySet]]:
     """Minimal sampling MMSE over all P-branch filter banks, plus the supports."""
     _check_count(P, "P")
     per = _Source(Sx, Sn).periods([_check_fs(fs)], P)
-    return _mmse_optimal(_top_translates(per, P), 0), _maximal_af_sets(per, P)(0)
+    return float(_top_translates(per, P).mmse[0]), _maximal_af_sets(per, P)[0]
 
 
 def landau_mmse_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float) -> float:

@@ -9,16 +9,18 @@ pair on a piecewise-constant curve (or a family of eigenvalue curves):
 R(theta) is piecewise log-linear, so the water level is read off values
 sorted once and their cumulative sums, in closed form at any rate.  A
 _WaterfillStack sorts a stack of curves at once, one per row, and solves a
-rate for every row in one vectorised step.  Each row's sums add its pieces
-in order (spectra._ordered_sum), so the zero pieces that pad a row in a block
-move no bit and it solves to the bit as its one-row case.  A _Waterfill is
-one row of a stack and reads its solution off the stack's level at any rate;
-a row's failure at a rate is raised only when that row is read there.  Each
-one-rate function f has a private form _f without R over a block of fs (a
-sampling._Period, or the fs themselves for D-dagger): a stack with a row per
-fs, or for the polyphase bound a function of the row.  The public function
-is the one-row case.  Logarithms are base 2 throughout, so rates are in bits
-and the flat-spectrum closed forms come out exact.
+rate for every row in one vectorised step: theta, the lossy part and the
+distortion of each row, with the checks of a solution (the rate attained,
+distortion = mmse + lossy) as masks over the rows, which the sweep raises
+at the point that fails them.  Each row's sums add its pieces in order
+(spectra._ordered_sum), so the zero pieces that pad a row in a block move no
+bit and it solves to the bit as its one-row case.  The block forms take a
+block of fs (a sampling._Period's curves, or the fs themselves for D-dagger)
+and give a stack with a row per fs, or for the polyphase bound a function of
+each row's (mmse, d, R).  Each public one-rate function is the one-row case,
+read as a WaterfillSolution (_WaterfillStack.solution).  Logarithms are base
+2 throughout, so rates are in bits and the flat-spectrum closed forms come
+out exact.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _raise_first
 from .sampling import (
     EigenCurves,
     SamplerSpec,
@@ -35,9 +38,10 @@ from .sampling import (
     _BankCurves,
     _folded,
     _mmse,
-    _mmse_and_curve,
+    _mmse_single,
     _Period,
     _polyphase_values,
+    _row_zero,
     _Source,
     _top_translates,
     s_tilde_single,
@@ -109,12 +113,17 @@ class RateSpec:
         WaterfillError, naming the rate and fs, where that overflows."""
         if self.unit != BITS_PER_SAMPLE:
             return self.value
-        with np.errstate(over="ignore"):  # named below instead
-            rate = self.value * fs
-        if (over := np.asarray(rate) == math.inf).any():
-            raise WaterfillError(f"rate R = {self.value:g} bits per sample at fs = "
-                                 f"{np.asarray(fs)[over][0]:g} overflows per time")
-        return rate
+        rate, check = self._per_time(np.atleast_1d(fs))
+        _raise_first([check], np.argmax(check[0]))  # the first fs where it overflows
+        return rate if np.ndim(fs) else float(rate[0])
+
+    def _per_time(self, fs: np.ndarray):
+        """per_time at each fs of an array, inf where it overflows, and the
+        check of those fs, as linalg._raise_first takes it."""
+        with np.errstate(over="ignore"):  # named by the check instead
+            rate = self.value * fs if self.unit == BITS_PER_SAMPLE else np.full(len(fs), self.value)
+        return rate, (rate == math.inf, lambda i: WaterfillError(
+            f"rate R = {self.value:g} bits per sample at fs = {fs[i]:g} overflows per time"))
 
 
 def _check_rate(R) -> None:
@@ -134,13 +143,30 @@ def _as_rate(R, fs: float | None = None) -> float:
     return R
 
 
+def _per_sample(rate: np.ndarray, fs: np.ndarray, samples: int = 1):
+    """Rates in bits per time at fs in bits per sample, over a block of
+    samples, per entry, inf where that overflows, and the check of those
+    entries, as linalg._raise_first takes it."""
+    with np.errstate(over="ignore"):  # named by the check instead
+        out = rate * samples / fs
+    return out, (out == math.inf, lambda i: WaterfillError(
+        f"rate R = {rate[i]:g} bits per time at fs = {fs[i]:g} overflows per sample"))
+
+
 def _rate_per_sample(R, fs: float, samples: int = 1) -> float:
     """_as_rate(R, fs) in bits per sample at fs, over a block of samples;
     WaterfillError, naming the rate and fs, where that overflows."""
-    R = _as_rate(R, fs)
-    if (rate := R * samples / fs) == math.inf:
-        raise WaterfillError(f"rate R = {R:g} bits per time at fs = {fs:g} overflows per sample")
-    return rate
+    rate, check = _per_sample(np.array([_as_rate(R, fs)]), np.array([fs]), samples)
+    _raise_first([check], 0)
+    return float(rate[0])
+
+
+def _decomposition(distortion, mmse, lossy):
+    """The check that each distortion is its mmse plus its lossy part, as
+    linalg._raise_first takes it; NaN fails too."""
+    gap = np.abs(distortion - mmse - lossy)
+    return ~(gap <= 1e-10 * np.maximum(1.0, np.abs(distortion))), lambda at: WaterfillError(
+        f"distortion decomposition off by {float(gap[at])}")
 
 
 @dataclass(frozen=True)
@@ -152,9 +178,7 @@ class WaterfillSolution:
     lossy_part: float
 
     def __post_init__(self):
-        gap = abs(self.distortion - self.mmse_part - self.lossy_part)
-        if not gap <= 1e-10 * max(1.0, abs(self.distortion)):  # NaN fails too
-            raise WaterfillError(f"distortion decomposition off by {gap}")
+        _raise_first([_decomposition(self.distortion, self.mmse_part, self.lossy_part)])
 
 
 def _pieces(curves) -> tuple[np.ndarray, np.ndarray]:
@@ -223,12 +247,10 @@ class _WaterfillStack:
 
     A row of a block may carry padding pieces of zero width or value; its
     sums add its pieces in order, so they move no bit, and a row solves to
-    the bit as it would in a stack of its own.  mmse (per row), scale (of the
-    lossy integral) and fs (per row, for rates in bits per sample) are 0, 1
-    and None unless set.
+    the bit as it would in a stack of its own.  mmse (per row) and scale (of
+    the lossy integral) are 0 and 1 unless set.
     """
 
-    fs = None
     scale = 1.0
 
     def __init__(self, w: np.ndarray, values: np.ndarray):
@@ -254,28 +276,30 @@ class _WaterfillStack:
         # is never read
         self.W[~self.attains, 0] = 1.0
         self.mmse = np.zeros(len(values))
-        self._levels = {}
-
-    def check(self, i: int) -> None:
-        """Raises row i's failure, if it has one; of_source's check replaces it."""
 
     @classmethod
-    def of_source(cls, sigma2: float, w: np.ndarray, v: np.ndarray, check=None,
-                  fs=None) -> "_WaterfillStack":
+    def of_source(cls, sigma2: float, w: np.ndarray, v: np.ndarray) -> "_WaterfillStack":
         """Rows whose mmse is sigma2, the source power, less the row's integral
-        (sampling._mmse); check, if given, replaces the method of that name."""
+        (sampling._mmse)."""
         stack = cls(w, v)
-        stack.fs = fs
-        if check is not None:
-            stack.check = check
         stack.mmse = _mmse(sigma2, stack._row_sums())
         return stack
 
     @classmethod
     def of_curves(cls, sigma2: float, curves) -> "_WaterfillStack":
-        """of_source over the rows of a sampling._Curves, checked as it checks
-        them, at the sampling rates of its periods."""
-        return cls.of_source(sigma2, *curves.pieces(), curves.check, curves.per.fs)
+        """of_source over the rows of a sampling._Curves or _BankCurves."""
+        return cls.of_source(sigma2, *curves.pieces())
+
+    @classmethod
+    def of_pieces(cls, curves, mmse: float = 0.0, scale: float = 1.0) -> "_WaterfillStack":
+        """One row, of any supported curve description (_pieces), whose
+        distortion is mmse plus scale times the lossy integral."""
+        w, v = _pieces(curves)
+        if not w.size:  # one piece of zero width stands for none
+            w, v = np.zeros(1), np.zeros(1)
+        stack = cls(w, v[None])
+        stack.mmse, stack.scale = np.array([mmse], dtype=float), scale
+        return stack
 
     def _row_sums(self, theta=None) -> np.ndarray:
         """Per row, the sum of w * v over its pieces in order, or of
@@ -283,78 +307,49 @@ class _WaterfillStack:
         v = self.v if theta is None else np.minimum(self.v, theta[:, None])
         return _ordered_sum(self.w * v)
 
-    def level(self, R) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(theta, lossy, attained, rate) per row at R, a rate in bits per
-        time, a RateSpec, which in bits per sample gives each row its own rate
-        at its fs, or an array of rates, one per row (rate is then one per
-        row, else one number).  attained is False where a row's rate is
-        positive and the row attains none.  The level at a RateSpec is kept,
-        as every row of a block reads it in turn."""
-        spec = isinstance(R, RateSpec)
-        if spec and (out := self._levels.get(R)) is not None:
-            return out
-        rate = R if isinstance(R, np.ndarray) else _as_rate(R, self.fs)
-        zero = np.asarray(R.value if spec else rate) == 0  # the level is the row maximum
+    def level(self, rate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(theta, lossy, attained) per row at rate, in bits per time: one
+        number, or an array of them, one per row (or, on a one-row stack, one
+        per level wanted).  attained is False where a row's rate is positive
+        and the row attains none."""
+        zero = np.asarray(rate) == 0  # the level is the row maximum
         k = (self.rate_at_next_value < np.reshape(rate, (-1, 1))).sum(axis=1)
-        theta = np.where(zero, self.top,
-                         np.exp2((self.S[self.rows, k] - 2.0 * rate) / self.W[self.rows, k]))
-        attained = zero | self.attains
+        with np.errstate(over="ignore"):  # 2R past the float range: theta is 0
+            theta = np.where(zero, self.top,
+                             np.exp2((self.S[self.rows, k] - 2.0 * rate) / self.W[self.rows, k]))
         lossy = self._row_sums(theta)
-        out = theta, lossy if self.scale == 1.0 else self.scale * lossy, attained, rate
-        if spec:
-            self._levels[R] = out
-        return out
+        return theta, lossy if self.scale == 1.0 else self.scale * lossy, zero | self.attains
 
-    def row(self, i: int) -> "_Waterfill":
-        """Row i as a _Waterfill, once the row passes its check."""
-        self.check(i)
-        wf = _Waterfill.__new__(_Waterfill)
-        wf.stack, wf.i = self, i
-        return wf
+    def solve(self, rate) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+        """(theta, lossy, distortion, checks) per row at rate, as level takes
+        it: distortion is mmse + lossy, and checks are a solution's, in the
+        order they are made, as linalg._raise_first takes them: the rate
+        attained, then the decomposition."""
+        theta, lossy, attained = self.level(rate)
+        distortion = self.mmse + lossy
+        return theta, lossy, distortion, [
+            (~attained, lambda i: UnattainableRateError(_UNATTAINABLE)),
+            _decomposition(distortion, self.mmse, lossy)]
 
-
-class _Waterfill:
-    """Reverse waterfill over one curve: row i of a _WaterfillStack, solved at
-    any rate by reading the stack's level there, or a stack of its own when
-    built from curves.  The distortion is mmse plus scale times the lossy
-    integral."""
-
-    def __init__(self, curves, mmse: float = 0.0, scale: float = 1.0):
-        w, v = _pieces(curves)
-        if not w.size:  # one piece of zero width stands for none
-            w, v = np.zeros(1), np.zeros(1)
-        self.stack, self.i = _WaterfillStack(w, v[None]), 0
-        self.stack.mmse, self.stack.scale = np.array([mmse], dtype=float), scale
-
-    @classmethod
-    def of_source(cls, sigma2: float, curves) -> "_Waterfill":
-        """Waterfill whose mmse is sigma2, the source power, less the curves'
-        integral (sampling._mmse), summed as a stack's row sums it."""
-        w, v = _pieces(curves)
-        return cls((w, v), float(_mmse(sigma2, _ordered_sum(w * v))))
-
-    def solve(self, R, fs: float | None = None) -> WaterfillSolution:
-        """The solution at R, in bits per time, or per sample at fs (by
-        default, the row's own)."""
-        if fs is not None and isinstance(R, RateSpec) and R.unit == BITS_PER_SAMPLE:
-            R = R.per_time(fs)
-        theta, lossy, attained, rate = self.stack.level(R)
-        if not attained[self.i]:
-            raise UnattainableRateError(_UNATTAINABLE)
-        mmse, lossy = float(self.stack.mmse[self.i]), float(lossy[self.i])
-        if isinstance(rate, np.ndarray):
-            rate = rate[self.i]
-        return WaterfillSolution(float(theta[self.i]), float(rate), mmse + lossy, mmse, lossy)
+    def solution(self, R, fs: float | None = None, i: int = 0) -> WaterfillSolution:
+        """Row i's solution at R, in bits per time, or per sample at fs; the
+        row's failure there raises."""
+        rate = _as_rate(R, fs)
+        theta, lossy, distortion, checks = self.solve(rate)
+        _raise_first(checks, i)
+        return WaterfillSolution(float(theta[i]), float(rate), float(distortion[i]),
+                                 float(self.mmse[i]), float(lossy[i]))
 
 
 def solve_theta_for_rate(curves, R, fs: float | None = None) -> float:
     """Water level theta with rate_of_theta(theta) = R, in closed form."""
-    return _Waterfill(curves).solve(R, fs).theta
+    return _WaterfillStack.of_pieces(curves).solution(R, fs).theta
 
 
-def _idrf_stationary(src: _Source):
+def _idrf_stationary(src: _Source) -> _WaterfillStack:
+    """idrf_stationary's waterfill, one row for every fs."""
     w, v = _density_pieces(src.ratio, None if src.H is None else src.H.support())
-    return _Waterfill.of_source(src.sigma2, (w, v))
+    return _WaterfillStack.of_source(src.sigma2, w, v[None])
 
 
 def idrf_stationary(
@@ -368,7 +363,7 @@ def idrf_stationary(
     This is the no-sampling baseline: waterfilling over the conditional
     spectrum Sx^2 |H|^2 / ((Sx+Sn)|H|^2) on the whole line.
     """
-    return _idrf_stationary(_Source(Sx, Sn, [H])).solve(R)
+    return _idrf_stationary(_Source(Sx, Sn, [H])).solution(R)
 
 
 def idrf_vector(curves, M: int, rate_per_symbol, mmse: float) -> WaterfillSolution:
@@ -379,11 +374,14 @@ def idrf_vector(curves, M: int, rate_per_symbol, mmse: float) -> WaterfillSoluti
     """
     _check_count(M, "M", error=WaterfillError)
     mmse = _as_finite(mmse, "mmse", WaterfillError)
-    return _Waterfill(curves, mmse, 1.0 / M).solve(rate_per_symbol)
+    return _WaterfillStack.of_pieces(curves, mmse, 1.0 / M).solution(rate_per_symbol)
 
 
-def _drf_sampled_single(per: _Period) -> _WaterfillStack:
-    return _WaterfillStack.of_curves(per.src.sigma2, _folded(per))
+def _solve_one(curves, R, fs: float) -> WaterfillSolution:
+    """The waterfill over a one-row block of curves at R (per sample at fs),
+    once the row passes the curves' checks."""
+    _raise_first(curves.checks, 0)
+    return _WaterfillStack.of_curves(curves.per.src.sigma2, curves).solution(R, fs)
 
 
 def drf_sampled_single(
@@ -394,11 +392,8 @@ def drf_sampled_single(
     R,
 ) -> WaterfillSolution:
     """Minimal distortion at rate R bits/time from single-branch samples at fs."""
-    return _drf_sampled_single(_Source(Sx, Sn, [H]).periods([_check_fs(fs)])).row(0).solve(R)
-
-
-def _drf_sampled_multi(per: _Period) -> _WaterfillStack:
-    return _WaterfillStack.of_curves(per.src.sigma2, _BankCurves(per))
+    fs = _check_fs(fs)
+    return _solve_one(_folded(_Source(Sx, Sn, [H]).periods([fs])), R, fs)
 
 
 def drf_sampled_multi(
@@ -408,12 +403,7 @@ def drf_sampled_multi(
     R,
 ) -> WaterfillSolution:
     """Same as drf_sampled_single but for a P-branch filter bank."""
-    return _drf_sampled_multi(_Source(Sx, Sn, spec.branches).periods([spec.fs])).row(0).solve(R)
-
-
-def _drf_sampled_optimal(per: _Period, P: int) -> _WaterfillStack:
-    """On a block of the source's periods of fs/P cut at the SNR ratio."""
-    return _WaterfillStack.of_curves(per.src.sigma2, _top_translates(per, P))
+    return _solve_one(_BankCurves(_Source(Sx, Sn, spec.branches).periods([spec.fs])), R, spec.fs)
 
 
 def drf_sampled_optimal(
@@ -430,15 +420,15 @@ def drf_sampled_optimal(
     largest translates of the ratio by fs/P on one period.  No set is built.
     """
     _check_count(P, "P")
-    return _drf_sampled_optimal(_Source(Sx, Sn).periods([_check_fs(fs)], P), P).row(0).solve(R)
+    fs = _check_fs(fs)
+    return _solve_one(_top_translates(_Source(Sx, Sn).periods([fs], P), P), R, fs)
 
 
 def _d_dagger(src: _Source, fs: np.ndarray) -> _WaterfillStack:
     """d_dagger's waterfills, one row per fs: the SNR ratio's pieces on its
     best superlevel set of measure fs, zero-padded to one length."""
     sets = [superlevel_set_of_measure(src.ratio, f)[0] for f in fs.tolist()]
-    w, v = _set_pieces(src.ratio, sets)
-    return _WaterfillStack.of_source(src.sigma2, w, v, fs=fs)
+    return _WaterfillStack.of_source(src.sigma2, *_set_pieces(src.ratio, sets))
 
 
 def d_dagger(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> WaterfillSolution:
@@ -447,11 +437,8 @@ def d_dagger(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> Waterfil
     Waterfills the SNR ratio over its best superlevel set of measure fs; a
     lower bound on every finite-P optimum.
     """
-    return _d_dagger(_Source(Sx, Sn), np.array([_check_fs(fs)])).row(0).solve(R)
-
-
-def _d_star_lower_bound(per: _Period) -> _WaterfillStack:
-    return _drf_sampled_optimal(per, 1)  # the sup over translates is the top-1 row
+    fs = _check_fs(fs)
+    return _d_dagger(_Source(Sx, Sn), np.array([fs])).solution(R, fs)
 
 
 def d_star_lower_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -> float:
@@ -459,46 +446,43 @@ def d_star_lower_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -
 
     No single-branch sampler at fs can do better than this, whatever the
     filter; the bound is met by the indicator of the maximal aliasing-free
-    set, so it is drf_sampled_optimal at P = 1, bit for bit.
+    set, so it is drf_sampled_optimal at P = 1, bit for bit: the sup over
+    translates is the top-1 row.
     """
-    fs = _check_fs(fs)
-    return _d_star_lower_bound(_Source(Sx, Sn).periods([fs], 1)).row(0).solve(R).distortion
+    return drf_sampled_optimal(Sx, Sn, fs, 1, R).distortion
 
 
-def _polyphase_lower_bound(per: _Period, N_delta: int = 64):
-    """The bound on the rows of a block of the source's periods, as a function
-    of a row i and its sampling MMSE that gives the bound at that fs as a
-    function of R and the distortion d of drf_sampled_single at R.  Row i has
-    n = max(N_delta, 2*kmax + 1) offsets j/n; the offset spectra of all rows
-    are one stack, sorted here once and solved once per R for all rows, each
-    at its own rate per sample.  A row over the cap is not built, and raises
-    when read."""
-    translates = 2 * per.kmax + 1
-    # a row with more offsets than the cap fails it, so n stops past the cap
-    n = np.maximum(min(N_delta, _MAX_OFFSET_ENTRIES + 1), translates)
-    fits = n * np.maximum(translates, per.cells) <= _MAX_OFFSET_ENTRIES
-    v = _polyphase_values(per, [np.arange(m) / m if ok else [] for m, ok in zip(n, fits)])
-    w = np.diff(per.grid / per.steps[:, None], axis=1)
-    offsets, lossy = _WaterfillStack(np.tile(w, (len(v), 1)), v.reshape(-1, w.shape[1])), {}
+class _PolyphaseBound:
+    """The polyphase bound on the rows of a block of the source's periods.
+    Row i has n = max(N_delta, 2*kmax + 1) offsets j/n; the offset spectra of
+    all rows are one stack, sorted here once and solved once per rate for all
+    rows, each at its own rate per sample.  check fails on the rows whose
+    offsets exceed the cap, which are not built."""
 
-    def row(i: int, mmse: float):
-        if not fits[i]:
-            raise WaterfillError(f"{max(N_delta, translates[i])} offsets by {translates[i]} "
-                                 f"translates and {per.cells[i]} cells exceed the cap of "
-                                 f"{_MAX_OFFSET_ENTRIES} entries")
+    def __init__(self, per: _Period, N_delta: int):
+        self.per, translates = per, 2 * per.kmax + 1
+        # a row with more offsets than the cap fails it, so n stops past the cap
+        self.n = np.maximum(min(N_delta, _MAX_OFFSET_ENTRIES + 1), translates)
+        fits = self.n * np.maximum(translates, per.cells) <= _MAX_OFFSET_ENTRIES
+        v = _polyphase_values(per, [np.arange(m) / m if ok else [] for m, ok in zip(self.n, fits)])
+        w = np.diff(per.grid / per.steps[:, None], axis=1)
+        self.offsets = _WaterfillStack(np.tile(w, (len(v), 1)), v.reshape(-1, w.shape[1]))
+        self.check = (~fits, lambda i: WaterfillError(
+            f"{max(N_delta, translates[i])} offsets by {translates[i]} translates and "
+            f"{per.cells[i]} cells exceed the cap of {_MAX_OFFSET_ENTRIES} entries"))
 
-        def at_rate(R, d: float) -> float:
-            _rate_per_sample(R, float(per.steps[i]))  # raises where that overflows
-            if R not in lossy:  # per row, added in offset order, as n waterfills would be
-                with np.errstate(over="ignore"):  # a row whose rate overflows raises when read
-                    rate = np.tile(_as_rate(R, per.fs) / per.steps, len(v))
-                lossy[R] = _ordered_sum(offsets.level(rate)[1].reshape(len(v), -1), axis=0) / n
-            bound = mmse + float(lossy[R][i])
-            if not bound <= d + 1e-10 * max(1.0, per.src.sigma2):  # NaN fails too
-                raise SpectrumError(f"polyphase bound {bound} exceeds the distortion {d}")
-            return bound
-        return at_rate
-    return row
+    def __call__(self, mmse: np.ndarray, d: np.ndarray, rate: np.ndarray):
+        """(bound, checks) per row, given its sampling MMSE, the distortion d of
+        drf_sampled_single and the rate in bits per time; checks, as _raise_first
+        takes them: the rate per sample overflows, then the bound exceeds d."""
+        per = self.per
+        rate, over = _per_sample(rate, per.steps)
+        lossy = self.offsets.level(np.tile(rate, len(self.offsets.rows) // len(per)))[1]
+        # per row, added in offset order, as n waterfills would be
+        bound = mmse + _ordered_sum(lossy.reshape(-1, len(per)), axis=0) / self.n
+        above = ~(bound <= d + 1e-10 * max(1.0, per.src.sigma2))  # NaN fails too
+        return bound, [over, (above, lambda i: SpectrumError(
+            f"polyphase bound {float(bound[i])} exceeds the distortion {float(d[i])}"))]
 
 
 def polyphase_lower_bound(
@@ -523,11 +507,12 @@ def polyphase_lower_bound(
     """
     _check_count(N_delta, "N_delta", 8, WaterfillError)
     R = _as_rate(R, fs)
-    per = _Source(Sx, Sn, [H]).periods([_check_fs(fs)])
-    curves = _folded(per)
-    mmse, _ = _mmse_and_curve(curves, 0)
-    d = _WaterfillStack.of_curves(per.src.sigma2, curves).row(0).solve(R).distortion
-    return _polyphase_lower_bound(per, N_delta)(0, mmse)(R, d)
+    curves = _folded(_Source(Sx, Sn, [H]).periods([_check_fs(fs)]))
+    mmse = _row_zero(*_mmse_single(curves))
+    d = _WaterfillStack.of_curves(curves.per.src.sigma2, curves).solution(R).distortion
+    bound = _PolyphaseBound(curves.per, N_delta)
+    _raise_first([bound.check], 0)
+    return _row_zero(*bound(np.array([mmse]), np.array([d]), np.array([R])))
 
 
 def drf_of_estimator(
@@ -543,4 +528,4 @@ def drf_of_estimator(
     so the solution is pure lossy part; adding mmse_single reconstitutes
     drf_sampled_single at the same rate (separation).
     """
-    return _Waterfill(s_tilde_single(Sx, Sn, H, fs)).solve(R, fs)
+    return _WaterfillStack.of_pieces(s_tilde_single(Sx, Sn, H, fs)).solution(R, fs)

@@ -6,23 +6,41 @@ from fractions import Fraction
 
 import numpy as np
 
-from subnyq import oracle, waterfill
+from subnyq import oracle, sampling, spectra, waterfill
 from subnyq.cli import BIMODAL_SEGMENTS
-from subnyq.linalg import NotHermitianError, NotPositiveSemidefiniteError, hermitian, inv_sqrt_psd
-from subnyq.sampling import EigenCurves, maximal_af_sets, mmse_optimal, mmse_single
+from subnyq.linalg import (
+    LinalgError,
+    NotHermitianError,
+    NotPositiveSemidefiniteError,
+    hermitian,
+    inv_sqrt_psd,
+)
+from subnyq.sampling import (
+    EigenCurves,
+    SamplerSpec,
+    eigen_curves_multi,
+    maximal_af_sets,
+    mmse_multi,
+    mmse_optimal,
+    mmse_single,
+    s_tilde_single,
+)
 from subnyq.spectra import BP_TOL, ComplexGainProfile, FrequencySet, SpectralDensity
 from subnyq.spectra import _dedup, _pw_eval, _pw_support_radius, _Pw
-from subnyq.spectra import SpectrumError, _translate_count, _translates
+from subnyq.spectra import SpectrumError, _translate_count, _translates, snr_ratio
 from subnyq.waterfill import (
     UnattainableRateError,
     WaterfillError,
     WaterfillSolution,
     _rate_per_sample,
-    _Waterfill,
     _WaterfillStack,
     d_dagger,
+    d_star_lower_bound,
+    drf_sampled_multi,
     drf_sampled_optimal,
     drf_sampled_single,
+    idrf_stationary,
+    polyphase_lower_bound,
     rate_of_theta,
 )
 
@@ -224,8 +242,8 @@ def window_oracle_loop(pieces, sigma2, fs, K, n_phases):
     average = oracle._mmse_average(sigma2, np.ascontiguousarray(b[:, K::len(n)].T), regularized)
     eig = np.clip(np.linalg.eigvalsh(b @ b.T), 0.0, None)
     n_u = len(n) * n_phases
-    return average, _Waterfill((np.ones_like(eig), eig), sigma2 - float(eig.sum()) / n_u,
-                               1.0 / n_u)
+    return average, _WaterfillStack.of_pieces((np.ones_like(eig), eig),
+                                              sigma2 - float(eig.sum()) / n_u, 1.0 / n_u)
 
 
 # Loop references for the translate kernel: the per-k forms the library used
@@ -368,7 +386,7 @@ def eigen_curves_loop(src, fs):
 
 
 def polyphase_bound_loop(src, fs, mmse, N_delta=64):
-    """Loop reference for waterfill._polyphase_lower_bound at one fs, as the
+    """Loop reference for waterfill._PolyphaseBound at one fs, as the
     per-fs path built it: the n = max(N_delta, 2*kmax + 1) offset spectra of
     the period alone, those not all 0 as one stack of their own, and at R
     bits per time the offsets' lossy integrals added in order over n, plus
@@ -390,7 +408,7 @@ def polyphase_bound_loop(src, fs, mmse, N_delta=64):
     offsets = _WaterfillStack(np.diff(grid / fs), v[v.max(axis=1) > 0])
 
     def at_rate(R, d):
-        _, lossy, attained, _ = offsets.level(_rate_per_sample(R, fs))
+        _, lossy, attained = offsets.level(_rate_per_sample(R, fs))
         assert attained.all()
         bound = mmse + sum(lossy.tolist()) / n
         if not bound <= d + 1e-10 * max(1.0, src.sigma2):
@@ -532,6 +550,14 @@ def unfolded_mmse_loop(src, fs):
     return float(np.sum(np.diff(bp) * x) - np.sum(np.diff(bp) * frac))
 
 
+def source_waterfill(sigma2, w, v):
+    """A one-row waterfill over the pieces (w, v) whose mmse is sigma2 less
+    their integral, summed in order as a sweep's stacks sum it (_mmse)."""
+    w, v = (np.asarray(x, dtype=float) for x in (w, v))
+    return _WaterfillStack.of_pieces((w, v), float(sampling._mmse(sigma2,
+                                                                  spectra._ordered_sum(w * v))))
+
+
 def row_solve_loop(w, v, mmse, R):
     """Loop reference for one row's waterfill at R bits per time, solved on
     its own as the per-row path solved it: the row's pieces sorted once, the
@@ -556,3 +582,56 @@ def row_solve_loop(w, v, mmse, R):
         theta = float(np.exp2((S[k] - 2.0 * R) / W[k]))
     lossy = float(np.cumsum(w * np.minimum(v, theta))[-1])
     return WaterfillSolution(theta, R, mmse + lossy, mmse, lossy)
+
+
+def sweep_rows_loop(mode, Sx, Sn, fs_list, rates, P=1, filters=None):
+    """Loop reference for the rows of cli._sweep in every mode but
+    oracle-check: the public one-fs functions, one call per value, in the
+    order the sweep reads them, fs by fs, each fs's own checks (those of the
+    curves or periods a mode reads) before those of its rates (RateSpecs).
+    Returns the rows in sweep order, or (fs, R, error type, message) of the
+    first failure, R None for one at fs alone.  The polyphase bound's cap on
+    its offsets is read at (fs, R) here; these sweeps do not reach it."""
+    branches = filters if isinstance(filters, list) else [None] * P
+    H, spec = branches[0], lambda fs: SamplerSpec(fs, branches)
+    rows = []
+    for fs in fs_list:
+        R = None
+        try:
+            if mode == "mmse":
+                rows.append([fs, P, mmse_optimal(Sx, Sn, fs, P)[0] if filters == "optimal" else
+                             mmse_single(Sx, Sn, H, fs) if P == 1 else
+                             mmse_multi(Sx, Sn, spec(fs))])
+                continue
+            if mode == "af-sets":
+                rows += [[fs, P, p, iv.lo, iv.hi]
+                         for p, F in enumerate(maximal_af_sets(snr_ratio(Sx, Sn), fs, P), start=1)
+                         for iv in F.intervals]
+                continue
+            if mode == "bounds":  # the MMSE's checks, then the cut of D*'s periods
+                mmse = mmse_single(Sx, Sn, H, fs)
+                mmse_optimal(Sx, Sn, fs, 1)
+            elif mode == "drf-optimal":
+                mmse_optimal(Sx, Sn, fs, P)
+            elif mode == "drf" and P == 1:
+                s_tilde_single(Sx, Sn, H, fs)
+            elif mode == "drf":
+                eigen_curves_multi(Sx, Sn, spec(fs))
+            for R in rates:
+                if mode == "bounds":
+                    r = R.per_time(fs)
+                    d = drf_sampled_single(Sx, Sn, H, fs, R).distortion
+                    rows.append([fs, r, d, idrf_stationary(Sx, Sn, H, r).distortion, mmse,
+                                 d_star_lower_bound(Sx, Sn, fs, R),
+                                 polyphase_lower_bound(Sx, Sn, H, fs, R),
+                                 d_dagger(Sx, Sn, fs, R).distortion])
+                    continue
+                s = (d_dagger(Sx, Sn, fs, R) if mode == "d-dagger" else
+                     drf_sampled_optimal(Sx, Sn, fs, P, R) if mode == "drf-optimal" else
+                     drf_sampled_single(Sx, Sn, H, fs, R) if P == 1 else
+                     drf_sampled_multi(Sx, Sn, spec(fs), R))
+                rows.append([fs, "inf" if mode == "d-dagger" else P, s.rate, s.theta,
+                             s.distortion, s.mmse_part, s.lossy_part])
+        except (WaterfillError, SpectrumError, LinalgError) as e:
+            return fs, R, type(e), str(e)
+    return rows

@@ -3,22 +3,25 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import subnyq
 from subnyq import cli, oracle, sampling, spectra, waterfill
 from subnyq.cli import BIMODAL_SEGMENTS, load_config, main, reproduce_figure, run
 from subnyq.cli import FIGURES, MODES, ConfigError, NumericalFailure, _figure_rows, _fmt
-from subnyq.cli import _sweep, _sweep_rows
+from subnyq.cli import ExperimentConfig, _sweep, _sweep_rows
+from subnyq.linalg import LinalgError
 from subnyq.oracle import block_idrf_oracle, finite_window_mmse_average
 from subnyq.sampling import SamplerSpec, mmse_single
-from subnyq.spectra import SpectralDensity
-from subnyq.waterfill import RateSpec
-from support import figure_rows_loop
+from subnyq.spectra import ComplexGainProfile, SpectralDensity, SpectrumError
+from subnyq.waterfill import BITS_PER_SAMPLE, BITS_PER_TIME, RateSpec, WaterfillError
+from support import figure_rows_loop, sweep_rows_loop
 
 RECT_CONFIG = {
     "schema_version": 1,
@@ -318,11 +321,10 @@ class TestRunModes:
         Sx = SpectralDensity(BIMODAL_SEGMENTS)
         Sn = SpectralDensity(((0.0, 1.6, 0.05),))
         rates = [0.0, 0.5, 4.0]
-        real_init, real_solve = waterfill._WaterfillStack.__init__, waterfill._Waterfill.solve
+        real_init, real_solve = waterfill._WaterfillStack.__init__, waterfill._WaterfillStack.solve
         real_sums = waterfill._WaterfillStack._row_sums
-        real_bound = waterfill._polyphase_lower_bound
-        monkeypatch.setattr(waterfill, "_polyphase_lower_bound",
-                            lambda per: real_bound(per, N_delta))
+        real_bound = waterfill._PolyphaseBound
+        monkeypatch.setattr(waterfill, "_PolyphaseBound", lambda per, _: real_bound(per, N_delta))
         for budget in (None, 30):
             stacks, solves, sums = [], [], []
 
@@ -330,9 +332,9 @@ class TestRunModes:
                 stacks.append(self)
                 real_init(self, *args)
 
-            def solve(self, R, fs=None):
-                solves.append((self.stack, self.i))
-                return real_solve(self, R, fs)
+            def solve(self, rate):
+                solves.append(self)
+                return real_solve(self, rate)
 
             def row_sums(self, theta=None):  # once for the mmse, once per level
                 sums.append(self)
@@ -341,7 +343,7 @@ class TestRunModes:
                 if budget:
                     mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
                 mp.setattr(waterfill._WaterfillStack, "__init__", init)
-                mp.setattr(waterfill._Waterfill, "solve", solve)
+                mp.setattr(waterfill._WaterfillStack, "solve", solve)
                 mp.setattr(waterfill._WaterfillStack, "_row_sums", row_sums)
                 offsets = count_calls(mp, "_polyphase_values")
                 rows = _sweep_rows("bounds", Sx, Sn, fs_list, rates)
@@ -352,27 +354,24 @@ class TestRunModes:
             # idrf_stationary once per sweep, as one row; drf, D* and D-dagger
             # one stack per block, with a row per fs; the polyphase offsets one
             # stack per block, with a row per offset of each fs (padded to the
-            # block's most), solved whole once at each rate
+            # block's most)
             idrf, *others = stacks
-            row_stacks = {id(st): st for st, _ in solves if st is not idrf}
+            row_stacks = [st for st in others if st in solves]
             n_blocks = len(fs_list) if budget else 1
             assert len(idrf.rows) == 1 and len(row_stacks) == 3 * n_blocks
-            assert sum(len(st.rows) for st in row_stacks.values()) == 3 * len(fs_list)
+            assert sum(len(st.rows) for st in row_stacks) == 3 * len(fs_list)
             assert len(others) == 4 * n_blocks
-            offset_stacks = [st for st in others if id(st) not in row_stacks]
+            offset_stacks = [st for st in others if st not in row_stacks]
             assert sum(len(st.rows) for st in offset_stacks) == sum(
                 len(deltas) * max(map(len, deltas)) for _, deltas in offsets)
+            # every stack is solved whole once at each rate, for all of its
+            # rows, and no row on its own: drf, D* and D-dagger after their
+            # mmse, the offsets at one level, and idrf once per block
+            assert [solves.count(st) for st in row_stacks] == [len(rates)] * (3 * n_blocks)
+            assert [sums.count(st) for st in row_stacks] == [1 + len(rates)] * (3 * n_blocks)
             assert [sums.count(st) for st in offset_stacks] == [len(rates)] * n_blocks
-            # each row solves drf, D* and D-dagger once at each rate, and idrf once
-            row_solves = [(id(st), i) for st, i in solves if st is not idrf]
-            assert sorted(row_solves.count(key) for key in set(row_solves)) == (
-                [len(rates)] * (3 * len(fs_list)))
-            assert [i for st, i in solves if st is idrf] == [0] * len(rows)
-            # but a stack finds its level once per rate, for all of its rows:
-            # idrf's rates are in bits per time, so once per sweep
-            assert [sums.count(st) for st in row_stacks.values()] == [1 + len(rates)] * (
-                3 * n_blocks)
-            assert sums.count(idrf) == len(rates)
+            assert solves.count(idrf) == len(rates) * n_blocks
+            assert sums.count(idrf) == 1 + len(rates) * n_blocks
 
     @pytest.mark.parametrize("n_fs", [1, 4])
     @pytest.mark.parametrize("mode, P, filters", [
@@ -441,17 +440,60 @@ class TestRunModes:
         assert [r[5] for r in _sweep_rows("bounds", Sx, Sn, fs_list, rates)] == [
             waterfill.d_star_lower_bound(Sx, Sn, fs, R) for fs in fs_list for R in rates]
 
-    @pytest.mark.parametrize("P, filters", [(3, BANK_FILTERS), (2, None)])
+    @pytest.mark.parametrize("P, filters", [(3, BANK_FILTERS), (2, None), (1, None)])
     def test_one_mmse_for_a_bank(self, P, filters):
         # mmse mode and drf's mmse_part read the same sum of the same pieces,
         # so they agree to the bit; with the bank at P = 3 they differed in
-        # the last bits at half of these fs
+        # the last bits at half of these fs, and at P = 1 at 18 of them
         Sx, Sn = SpectralDensity(BIMODAL_SEGMENTS), SpectralDensity(((0.0, 1.6, 0.05),))
         fs_list = [round(0.04 * i, 2) for i in range(2, 101)]
         bank = filters and cli._filters_from(filters, P)
         mmse = [row[2] for row in _sweep_rows("mmse", Sx, Sn, fs_list, P=P, filters=bank)]
         drf = [row[5] for row in _sweep_rows("drf", Sx, Sn, fs_list, [0.5], P=P, filters=bank)]
         assert mmse == drf
+
+    def test_bounds_block_memory_is_bounded(self):
+        # 327 fs of 10 cells and 5 translates make one block by translates,
+        # but each fs has 64 polyphase offsets: counted in the block budget,
+        # they cap the sweep's peak, which was 19 MB with the offsets left out
+        Sx, Sn = SpectralDensity(BIMODAL_SEGMENTS), SpectralDensity(((0.0, 1.6, 0.05),))
+        fs_list = [round(3.2 + 0.001 * i, 3) for i in range(327)]
+        _sweep_rows("bounds", Sx, Sn, fs_list[:2], [1.0])  # the fs-free work's caches
+        tracemalloc.start()
+        try:
+            rows = _sweep_rows("bounds", Sx, Sn, fs_list, [1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == len(fs_list)
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("mode, P, filters", [
+        *(pytest.param(mode, 1, None, id=mode) for mode in MODES),
+        *(pytest.param(mode, 3, None, id=f"{mode}-P3")
+          for mode in MODES if mode not in ("bounds", "oracle-check")),
+        *(pytest.param(mode, 3, "bank", id=f"{mode}-bank") for mode in ("mmse", "drf")),
+        pytest.param("mmse", 2, "optimal", id="mmse-P2-optimal"),
+    ])
+    def test_run_builds_no_solution_objects(self, tmp_path, monkeypatch, mode, P, filters):
+        # the sweep reads its columns off the blocks' stacks: no row is
+        # solved on its own into a WaterfillSolution, whose check the stacks
+        # make as one comparison per block
+        built = []
+        real = waterfill._WaterfillStack.solution
+        monkeypatch.setattr(waterfill._WaterfillStack, "solution",
+                            lambda *args: built.append("row") or real(*args))
+        monkeypatch.setattr(waterfill.WaterfillSolution, "__post_init__",
+                            lambda self: built.append("solution"))
+        Sx, Sn = SpectralDensity(BIMODAL_SEGMENTS), SpectralDensity(((0.0, 1.6, 0.05),))
+        waterfill.drf_sampled_single(Sx, Sn, None, 0.5, 1.0)  # each is counted
+        assert built == ["row", "solution"]
+        built.clear()
+        doc = dict(BIMODAL_CONFIG, rates={"values": [0.5, 2.0]})
+        doc["sampler"] = {"fs": [0.32, 1.92, 0.8], "P": P,
+                          "filters": BANK_FILTERS if filters == "bank" else filters}
+        assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
+        assert built == []
 
     def test_deterministic_output(self, tmp_path):
         doc = dict(RECT_CONFIG)
@@ -586,6 +628,17 @@ class TestExitCodes:
         assert "rate R = 1e+308 bits per sample at fs = 2 overflows" in err
         assert "inf" not in err and "RuntimeWarning" not in err
 
+    @pytest.mark.parametrize("mode", ["drf", "drf-optimal", "d-dagger", "bounds"])
+    def test_rate_per_time_overflow_names_its_own_fs(self, tmp_path, capsys, mode):
+        # the block of both fs is solved at once; the overflow is at 1e300
+        # alone, and the fs = 0.5 row before it was named
+        doc = dict(RECT_CONFIG, sampler={"fs": [0.5, 1e300], "P": 1},
+                   rates={"values": [1e10], "unit": "bits-per-sample"})
+        assert run(write_config(tmp_path, doc), mode) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure at fs=1e+300, R=10000000000 bits-per-sample: rate R = 1e+10 "
+            "bits per sample at fs = 1e+300 overflows per time\n")
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_fmt_rejects_infinity(self, value):
         with pytest.raises(NumericalFailure):
@@ -702,12 +755,12 @@ class TestExitCodes:
         fs_list = [round(0.3 + 0.02 * i, 2) for i in range(40)]
         real_level = waterfill._WaterfillStack.level
 
-        def level(self, R):
-            theta, lossy, attained, rate = real_level(self, R)
-            if len(self.rows) == 40 and R == RateSpec(2.0):
+        def level(self, rate):
+            theta, lossy, attained = real_level(self, rate)
+            if len(self.rows) == 40 and np.all(rate == 2.0):
                 lossy = lossy.copy()
                 lossy[2] = math.nan
-            return theta, lossy, attained, rate
+            return theta, lossy, attained
         monkeypatch.setattr(waterfill._WaterfillStack, "level", level)
         doc = dict(RECT_CONFIG, noise={"segments": [[0.0, 0.5, 0.2]]})
         doc["sampler"] = {"fs": fs_list, "P": 1}
@@ -734,13 +787,13 @@ class TestExitCodes:
     def test_rate_dependent_failure_names_the_rate(self, tmp_path, capsys, monkeypatch):
         # above the Nyquist rate the polyphase bound equals D, so a raised
         # MMSE term puts it above D, which is checked at every rate
-        real = sampling._mmse_and_curve
+        real = sampling._mmse_single
 
-        def raised(*args):
-            mmse, curve = real(*args)
-            return mmse + 1e-6, curve
+        def raised(curves):
+            mmse, checks = real(curves)
+            return mmse + 1e-6, checks
 
-        monkeypatch.setattr(sampling, "_mmse_and_curve", raised)
+        monkeypatch.setattr(sampling, "_mmse_single", raised)
         doc = dict(RECT_CONFIG)
         doc["sampler"] = {"fs": [1.2]}
         out = str(tmp_path / "x.csv")
@@ -929,6 +982,60 @@ class TestExitCodes:
     def test_unknown_figure(self, tmp_path, capsys):
         assert reproduce_figure("nope", str(tmp_path)) == 2
         capsys.readouterr()
+
+
+# Spectra on a 1/16 grid of [0, 2] with levels from a small pool that holds
+# 0, so values tie and a source may be all 0 (noise only: no positive rate)
+SPECTRA = st.lists(st.tuples(st.integers(0, 31), st.sampled_from([0.0, 0.05, 0.3, 1.0, 1.7])),
+                   max_size=3, unique_by=lambda seg: seg[0]).map(
+    lambda segs: SpectralDensity([(k / 16, (k + 1) / 16, v) for k, v in sorted(segs)]))
+# (P, filters): all-pass branches, the optimal filters, the bank, one low-pass
+SAMPLERS = st.sampled_from([(1, None), (2, None), (3, None), (1, "optimal"), (3, "optimal"),
+                            (3, "bank"), (1, "low-pass")])
+# fs that repeat, need more translates than the cap (1e-6), or lie anywhere
+SWEEP_FS = st.lists(st.one_of(st.sampled_from([0.08, 0.3, 0.5, 1.92, 3.3, 1e-6]),
+                              st.floats(0.05, 4.0)), min_size=1, max_size=6)
+
+
+class TestSweepLoop:
+    """Each sweep row, and the first failure with its point, is what the
+    public one-fs functions give in the sweep's order (support.sweep_rows_loop)."""
+
+    @given(st.sampled_from([mode for mode in MODES if mode != "oracle-check"]), SPECTRA, SPECTRA,
+           SAMPLERS, SWEEP_FS,
+           st.lists(st.one_of(st.sampled_from([0.0, 0.5, 2.0]), st.floats(0.0, 8.0)),
+                    min_size=1, max_size=3),
+           st.sampled_from([BITS_PER_TIME, BITS_PER_SAMPLE]),
+           # None keeps the module's budget; 60 puts nearly every fs in a
+           # block of its own, and 400 makes blocks of a few fs
+           st.sampled_from([None, 60, 400]))
+    # a rate that overflows per time at the second fs of a block
+    @example("drf", SpectralDensity(((0.0, 0.5, 1.0),)), SpectralDensity(()), (1, None),
+             [0.5, 1e300], [1e10], BITS_PER_SAMPLE, None)
+    # noise only: no positive rate, at the first fs, before the translate cap
+    @example("bounds", SpectralDensity(()), SpectralDensity(((0.0, 0.5, 1.0),)), (1, None),
+             [0.5, 1e-6, 0.3], [0.0, 1.0], BITS_PER_TIME, 400)
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_rows_are_the_one_fs_loop(self, mode, Sx, Sn, sampler, fs_list, values, unit,
+                                            budget):
+        P, filters = sampler
+        filters = {"bank": cli._filters_from(BANK_FILTERS, 3),
+                   "low-pass": [ComplexGainProfile([(-0.6, 0.6, 1.0)])]}.get(filters, filters)
+        rates = [RateSpec(v, unit) for v in values]
+        point = [None, None]
+        with pytest.MonkeyPatch.context() as mp:
+            if budget:
+                mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
+            try:
+                _, rows = _sweep(mode, ExperimentConfig(Sx, Sn, fs_list, P, filters, rates, None),
+                                 point)
+            except ConfigError:  # a sampler the mode does not take
+                return
+            try:
+                got = list(rows)
+            except (WaterfillError, SpectrumError, LinalgError) as e:
+                got = (*point, type(e), str(e))
+        assert got == sweep_rows_loop(mode, Sx, Sn, fs_list, rates, P, filters)
 
 
 class TestFigures:

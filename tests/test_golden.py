@@ -57,10 +57,7 @@ def config_rows(tmp_path: Path, name: str, doc: dict, mode: str) -> list[list]:
     """Every row of the CLI sweep of doc in mode, in sweep order."""
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
-    cfg = load_config(str(path))
-    _, at_fs, rates = _sweep(mode, cfg)
-    return [row for fs in cfg.fs_list for rows_at in (at_fs(fs),) for R in rates
-            for row in rows_at(R)]
+    return list(_sweep(mode, load_config(str(path)))[1])
 
 
 def oracle_check_rows(tmp_path: Path, case: str) -> list[list[float]]:

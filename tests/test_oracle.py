@@ -246,7 +246,7 @@ class TestToeplitzWindow:
         average, wf = window_oracle_loop(pieces, src.sigma2, fs, K, n_phases)
         assert orc.mmse_average.regularized == average.regularized
         return ([orc.mmse_average.value] + [orc.distortion(R) for R in self.RATES],
-                [average.value] + [wf.solve(R * (2 * K + 1) / fs).distortion
+                [average.value] + [wf.solution(R * (2 * K + 1) / fs).distortion
                                    for R in self.RATES])
 
     @given(window_cases(st.sampled_from([1, 2, 4, 8, 16]), bounded_below=False))

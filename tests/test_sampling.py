@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -8,13 +9,12 @@ from hypothesis import strategies as st
 
 from subnyq import oracle, sampling, spectra, waterfill
 from subnyq.cli import BIMODAL_SEGMENTS as BIMODAL
-from subnyq.linalg import LinalgError, hermitian, inv_sqrt_psd
+from subnyq.linalg import LinalgError, _raise_first, hermitian, inv_sqrt_psd
 from subnyq.waterfill import (
     BITS_PER_SAMPLE,
     RateSpec,
     UnattainableRateError,
     WaterfillError,
-    _Waterfill,
     _WaterfillStack,
     d_dagger,
     drf_sampled_optimal,
@@ -62,6 +62,7 @@ from support import (
     rect_density,
     rect_noise,
     row_solve_loop,
+    source_waterfill,
     triangular_density,
     unfolded_mmse_loop,
     whitened_eigenvalues_loop,
@@ -485,7 +486,7 @@ class TestTranslateKernel:
             assert got == [pieces, pieces]
             return
         w, v = pieces
-        want = [outcome(lambda: _Waterfill.of_source(sigma2, (w, v)).solve(R).distortion),
+        want = [outcome(lambda: source_waterfill(sigma2, w, v).solution(R).distortion),
                 sigma2 - float(np.sum(w * v))]
         for a, b in zip(got, want):
             if isinstance(b, type):
@@ -752,10 +753,17 @@ BUDGETS = st.sampled_from([None, 60, 400])
 
 
 def blocks_of(src, fs_list, budget, P=None):
+    """The periods of the blocks that src.bounds cuts fs_list into."""
+    fs = np.array(fs_list, dtype=float)
     with pytest.MonkeyPatch.context() as mp:
         if budget:
             mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
-        return list(src.blocks(fs_list, P))
+        return [src.periods(fs[start:stop], P) for start, stop in src.bounds(fs, P)]
+
+
+def per_time(R, fs):
+    """R, a RateSpec or a number of bits per time, at each fs of an array."""
+    return (R if isinstance(R, RateSpec) else RateSpec(R))._per_time(fs)[0]
 
 
 # rates in bits per time, and in bits per sample, which give each row its own
@@ -791,9 +799,9 @@ def assert_rows_solve_as_loop(rows, sigma2):
                 want = row_solve_loop(w, v, mmse, r)
             except UnattainableRateError:
                 with pytest.raises(UnattainableRateError):
-                    stack.row(i).solve(R)
+                    stack.solution(R, fs, i)
                 continue
-            assert stack.row(i).solve(R) == want
+            assert stack.solution(R, fs, i) == want
 
 
 class TestBlocks:
@@ -831,16 +839,16 @@ class TestBlocks:
                 continue
             assert np.array_equal(got.curve(i).bp, want.curve(0).bp)
             assert np.array_equal(got.curve(i).vals, want.curve(0).vals)
-            drf, drf_alone = drfs[id(per)].row(i), _WaterfillStack.of_curves(
-                src.sigma2, want).row(0)
+            drf = functools.partial(drfs[id(per)].solution, i=i)
+            drf_alone = _WaterfillStack.of_curves(src.sigma2, want).solution
             for R in (0.0, 0.3, 5.0):
                 try:
-                    sol = drf_alone.solve(R)
+                    sol = drf_alone(R)
                 except WaterfillError as e:
                     with pytest.raises(type(e)):
-                        drf.solve(R)
+                        drf(R)
                     continue
-                assert drf.solve(R) == sol
+                assert drf(R) == sol
 
     @given(densities(), st.one_of(densities(), densities(hi=3)),
            st.lists(gains(), min_size=1, max_size=3), st.booleans(), FS_LISTS, BUDGETS)
@@ -863,7 +871,8 @@ class TestBlocks:
         src = _Source(Sx, Sn, branches)
         rows = []  # (stack, i, fs, own widths, own values)
         for per in blocks_of(src, fs_list, budget):
-            bank, drf = sampling._BankCurves(per), waterfill._drf_sampled_multi(per)
+            bank = sampling._BankCurves(per)
+            drf = _WaterfillStack.of_curves(src.sigma2, bank)
             for i, fs in enumerate(per.fs.tolist()):
                 got = [(bank, i), (sampling._BankCurves(src.periods([fs])), 0)]
                 try:
@@ -871,18 +880,18 @@ class TestBlocks:
                 except (LinalgError, SpectrumError) as e:
                     for curves, j in got:
                         with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
-                            curves.check(j)
-                    with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
-                        drf.row(i)
+                            _raise_first(curves.checks, j)
+                        with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+                            _raise_first(sampling._mmse_multi(curves)[1], j)
                     continue
                 c = per.cells[i]
                 for curves, j in got:
-                    curves.check(j)
+                    _raise_first(curves.checks, j)
                     assert np.array_equal(curves.per.grid[j, :c + 1], want.bp)
                     assert np.array_equal(curves.lam[j, :c], want.lam)
                     assert not curves.lam[j, c:].any()
                     assert curves.integral[j] == integral
-                    assert sampling._mmse_multi(curves, j) == drf.row(i).solve(0.0).mmse_part
+                    assert sampling._mmse_multi(curves)[0][j] == drf.solution(0.0, i=i).mmse_part
                 rows.append((drf, i, fs, *want.pieces()))
         assert_rows_solve_as_loop(rows, src.sigma2)
 
@@ -900,26 +909,30 @@ class TestBlocks:
             if cap:
                 mp.setattr(waterfill, "_MAX_OFFSET_ENTRIES", cap)
             for per in blocks_of(src, fs_list, budget):
-                curves = sampling._folded(per)
-                bound = waterfill._polyphase_lower_bound(per, N_delta)
+                mmse, checks = sampling._mmse_single(sampling._folded(per))
+                bound = waterfill._PolyphaseBound(per, N_delta)
                 for i, fs in enumerate(per.fs.tolist()):
                     try:
-                        mmse, _ = sampling._mmse_and_curve(curves, i)
+                        _raise_first(checks, i)
                     except SpectrumError:  # no bound is read past a failed MMSE
                         continue
-                    alone = waterfill._polyphase_lower_bound(src.periods([fs]), N_delta)
-                    got = [lambda: bound(i, mmse), lambda: alone(0, mmse)]
+                    alone = waterfill._PolyphaseBound(src.periods([fs]), N_delta)
+                    # (bound, its row, the mmse of each row of its block)
+                    got = [(bound, i, mmse), (alone, 0, mmse[i:i + 1])]
                     try:
-                        want = polyphase_bound_loop(src, fs, mmse, N_delta)
+                        want = polyphase_bound_loop(src, fs, mmse[i], N_delta)
                     except WaterfillError as e:
-                        for row in got:
+                        for b, j, _ in got:
                             with pytest.raises(WaterfillError, match=f"^{re.escape(str(e))}$"):
-                                row()
+                                _raise_first([b.check], j)
                         continue
-                    for row in got:
-                        at_rate = row()
+                    for b, j, m in got:
+                        _raise_first([b.check], j)
                         for R in RATES:
-                            assert at_rate(R, math.inf) == want(R, math.inf)
+                            value, checks_at = b(m, np.full(len(m), math.inf),
+                                                 per_time(R, b.per.fs))
+                            _raise_first(checks_at, j)
+                            assert value[j] == want(R, math.inf)
 
     @given(densities(4, TIED_LEVELS), densities(levels=TIED_LEVELS), FS_LISTS, BUDGETS,
            st.integers(1, 4))
@@ -937,18 +950,19 @@ class TestBlocks:
             want = sampling._top_translates(src.periods([fs], P), P)
             for got, ref in zip(own(tops[id(per)], i, P), own(want, 0, P)):
                 assert np.array_equal(got, ref)
-            assert tops[id(per)].integral(i) == want.integral(0)
-            one = _WaterfillStack.of_curves(src.sigma2, want).row(0)
-            dagger = waterfill._d_dagger(src, np.array([fs])).row(0)
+            assert tops[id(per)].integral[i] == want.integral[0]
+            one = _WaterfillStack.of_curves(src.sigma2, want).solution
+            dagger = waterfill._d_dagger(src, np.array([fs])).solution
             for R in (0.0, 0.4, 3.0):
-                for a, b in ((stacks[id(per)].row(i), one), (daggers.row(n), dagger)):
+                for a, b in ((functools.partial(stacks[id(per)].solution, i=i), one),
+                             (functools.partial(daggers.solution, i=n), dagger)):
                     try:
-                        sol = b.solve(R)
+                        sol = b(R)
                     except WaterfillError as e:
                         with pytest.raises(type(e)):
-                            a.solve(R)
+                            a(R)
                         continue
-                    assert a.solve(R) == sol
+                    assert a(R) == sol
 
     @given(densities(), st.one_of(densities(), densities(hi=3)), gains(), FS_LISTS, BUDGETS)
     @settings(max_examples=80, deadline=None)
@@ -992,7 +1006,7 @@ class TestBlocks:
         Sx = SpectralDensity(((0.0, 0.25, 1.0), (0.25, 0.5, 0.3)))
         src = _Source(Sx, rect_noise())
         fs_list = [3.0, 0.2, 4.0]
-        (per,) = src.blocks(fs_list, P)
+        (per,) = blocks_of(src, fs_list, None, P)
         assert [2 * k + 1 < P for k in per.kmax] == [True, False, True]
         tops = sampling._top_translates(per, P)
         drf = _WaterfillStack.of_curves(src.sigma2, tops)
@@ -1001,8 +1015,8 @@ class TestBlocks:
         for i, fs in enumerate(fs_list):
             want = sampling._top_translates(src.periods([fs], P), P)
             assert [x.tolist() for x in own(tops, i, P)] == [x.tolist() for x in own(want, 0, P)]
-            assert sampling._mmse_optimal(tops, i) == mmse_optimal(Sx, rect_noise(), fs, P)[0]
-            assert drf.row(i).solve(0.8) == drf_sampled_optimal(Sx, rect_noise(), fs, P, 0.8)
+            assert tops.mmse[i] == mmse_optimal(Sx, rect_noise(), fs, P)[0]
+            assert drf.solution(0.8, i=i) == drf_sampled_optimal(Sx, rect_noise(), fs, P, 0.8)
 
     def test_one_cell_row_sums_translates_in_ascending_k(self):
         # every breakpoint of the band lands on the edges of the period of
@@ -1035,15 +1049,16 @@ class TestBlocks:
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
         assert all(stop - start == 1 or (stop - start) * entries[start:stop].max()
                    <= sampling._MAX_BLOCK_ENTRIES for start, stop in bounds)
-        per = next(src.blocks(steps.tolist()))
+        start, stop = next(src.bounds(steps))
+        per = src.periods(steps[start:stop])
         assert len(per) * (2 * per.kmax.max() + 1) * per.mids.shape[1] <= (
             sampling._MAX_BLOCK_ENTRIES)
 
     def test_failing_fs_is_a_block_of_its_own(self):
         # a row over the translate cap, or not positive, fails only when read
         src = _Source(rect_density(), rect_noise())
-        blocks = src.blocks([0.3, 0.5, 1e-6, 0.7, 0.7])
-        assert len(next(blocks)) == 2
+        fs = np.array([0.3, 0.5, 1e-6, 0.7, 0.7])
+        assert list(src.bounds(fs)) == [(0, 2), (2, 3), (3, 5)]
         with pytest.raises(SpectrumError, match=r"^fs = 1e-06 needs 5e\+05 translates"):
-            next(blocks)
-        assert [len(per) for per in src.blocks([0.7, 0.7])] == [2]
+            src.periods(fs[2:3])
+        assert list(src.bounds(fs[3:])) == [(0, 2)]

@@ -57,6 +57,7 @@ from support import (
     rect_density,
     rect_drf_closed,
     rect_noise,
+    source_waterfill,
     triangular_density,
     zero_density,
 )
@@ -156,15 +157,15 @@ class TestParametricCore:
     @settings(max_examples=200, deadline=None)
     def test_one_waterfill_matches_fresh_solves(self, pieces, rates):
         w, v = (np.array(x) for x in zip(*pieces))
-        wf = waterfill._Waterfill((w, v), 0.3, 0.5)
+        wf = waterfill._WaterfillStack.of_pieces((w, v), 0.3, 0.5)
         for R in rates:
             if R > 0 and not np.any((w > 0) & (v > 0)):
-                for solve in (wf.solve, lambda R: solve_theta_for_rate((w, v), R)):
+                for solve in (wf.solution, lambda R: solve_theta_for_rate((w, v), R)):
                     with pytest.raises(UnattainableRateError):
                         solve(R)
                 continue
-            assert wf.solve(R) == idrf_vector((w, v), 2, R, 0.3)
-            assert wf.solve(R).theta == solve_theta_for_rate((w, v), R)
+            assert wf.solution(R) == idrf_vector((w, v), 2, R, 0.3)
+            assert wf.solution(R).theta == solve_theta_for_rate((w, v), R)
 
     # the rows share widths (zero widths too); values from a small pool tie
     # and zeros fall inside rows or fill them; rates up to 60 bits pass the
@@ -187,17 +188,17 @@ class TestParametricCore:
     def test_stack_matches_one_waterfill_per_row(self, stack, rates):
         w, values = np.array(stack[0]), np.array(stack[1])
         wfs = waterfill._WaterfillStack(w, values)
-        rows = [waterfill._Waterfill((w, v)) for v in values]
+        rows = [waterfill._WaterfillStack.of_pieces((w, v)) for v in values]
         for R in rates:
-            theta, lossy, attained, _ = wfs.level(R)
+            theta, lossy, attained = wfs.level(R)
             for t, lo, ok, wf in zip(theta.tolist(), lossy.tolist(), attained, rows):
-                if R > 0 and not np.any((w > 0) & (wf.stack.v > 0)):
+                if R > 0 and not np.any((w > 0) & (wf.v > 0)):
                     assert not ok
                     with pytest.raises(UnattainableRateError):
-                        wf.solve(R)
+                        wf.solution(R)
                     continue
                 assert ok
-                sol = wf.solve(R)
+                sol = wf.solution(R)
                 assert math.isclose(t, sol.theta, rel_tol=1e-14)
                 assert math.isclose(lo, sol.lossy_part, rel_tol=1e-14)
 
@@ -210,7 +211,8 @@ class TestParametricCore:
         pytest.param(lambda: distortion_of_theta(1.0, TWO, math.nan), id="distortion-of-theta"),
         pytest.param(lambda: idrf_vector(TWO, 1, 1.0, mmse=math.nan), id="idrf-vector-mmse"),
         pytest.param(lambda: WaterfillSolution(0.1, 1.0, math.nan, 0.3, 0.3), id="solution"),
-        pytest.param(lambda: waterfill._Waterfill(TWO, math.nan).solve(0.5), id="waterfill"),
+        pytest.param(lambda: waterfill._WaterfillStack.of_pieces(TWO, math.nan).solution(0.5),
+                     id="waterfill"),
     ])
     def test_nan_fails_the_checks(self, call):
         # each returned 0.0 or a solution with a NaN distortion
@@ -483,17 +485,17 @@ class TestDaggerPrefix:
             assert is_padded_row(w[i], v[i], (want_w, want_v))
             if not want_v.any():  # the loop's one empty piece
                 continue
-            want = waterfill._Waterfill.of_source(Sx.total_power(), (want_w, want_v))
+            want = source_waterfill(Sx.total_power(), want_w, want_v)
             got = d_dagger(Sx, Sn, m, 0.7)
-            assert got == want.solve(0.7, m)
+            assert got == want.solution(0.7, m)
 
     @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
     def test_figure_rows_match_set_route(self, R):
         Sx, Sn = SpectralDensity(BIMODAL_SEGMENTS), zero_density()
         ratio = snr_ratio(Sx, Sn)
         for fs in [i * 0.08 for i in range(1, 41)]:
-            want = waterfill._Waterfill.of_source(Sx.total_power(), set_route_pieces(ratio, fs))
-            assert d_dagger(Sx, Sn, fs, R) == want.solve(R, fs)
+            want = source_waterfill(Sx.total_power(), *set_route_pieces(ratio, fs))
+            assert d_dagger(Sx, Sn, fs, R) == want.solution(R, fs)
 
     def test_memory_is_linear_in_segments(self):
         # a dense (rows x segments x segments) cut of the ratio peaks at
@@ -588,13 +590,13 @@ class TestDStarAndPolyphaseBounds:
     def test_polyphase_above_drf_raises(self, monkeypatch):
         # above the Nyquist rate the bound equals D, so a raised MMSE term
         # puts it above D
-        real = waterfill._mmse_and_curve
+        real = waterfill._mmse_single
 
-        def raised(*args):
-            mmse, curve = real(*args)
-            return mmse + 1e-6, curve
+        def raised(curves):
+            mmse, checks = real(curves)
+            return mmse + 1e-6, checks
 
-        monkeypatch.setattr(waterfill, "_mmse_and_curve", raised)
+        monkeypatch.setattr(waterfill, "_mmse_single", raised)
         with pytest.raises(SpectrumError, match="polyphase bound"):
             polyphase_lower_bound(rect_density(), zero_density(), None, 1.2, 1.0)
 
