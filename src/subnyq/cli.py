@@ -5,11 +5,11 @@ the sampler and the rate points.  A sweep runs over fs, and for each fs over
 the rates where the mode takes one.  _sweep, the one driver of modes and
 figures, builds the fs-free pieces once (a sampling._Source) and the per-fs
 work of every mode but the oracles' once per block of consecutive fs, as one
-stack, solved once per rate; each mode maps a block and a rate to columns and
-every check to a mask over the block's fs, and one writer, _rows, walks the
-rows in sweep order, raising the first failing check at its own point.  Every
-row is what the one-fs functions return, so output is deterministic byte for
-byte.
+stack, which solves a group of rates in one call; sampling._plan sizes both.
+Each mode maps a block and its rates to (rates x fs) columns and every check
+to a mask of that shape, and one writer, _rows, walks the rows in sweep
+order, raising the first failing check at its own point.  Every row is what
+the one-fs functions return, so output is deterministic byte for byte.
 
 Exit codes: 0 success, 2 config problem (reported before any point is
 computed; an output file that cannot be written is one too), 3 numerical
@@ -166,12 +166,14 @@ def _filters_from(doc, P: int):
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
+    except (OSError, UnicodeDecodeError) as e:  # a folder, unreadable, not UTF-8
+        raise ConfigError(f"cannot read config file {path}: {e}")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     if doc.get("schema_version") != 1:
@@ -218,71 +220,70 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _rows(fs_list, cuts, build, rates, point):
-    """Every output row of a sweep, in sweep order: fs, then rate.  fs_list
-    is cut at every stop of cuts, iterables of (start, stop), into blocks
-    built in turn: build(fs) returns (checks, at) for a block's fs, and at(R)
-    (rows, checks) for all of them at rate R, rows[i] the output rows of fs
-    i.  checks are (fails, error) pairs over the block's fs, as
+def _rows(fs_list, kinds, build, rates, point):
+    """Every output row of a sweep, in sweep order: fs, then rate.  Each block
+    that sampling._plan cuts by kinds is built in turn: build(fs) returns
+    (checks, at) for its fs, and at(group), for each of the plan's groups of
+    rates, (rows, checks), rows[j][i] the output rows at rate j and fs i.
+    checks are (fails, error) pairs, over the block's fs or (rates x fs), as
     linalg._raise_first takes them; each fs raises the first it fails, at fs
-    for build's, then at (fs, R) for a rate's.  point holds the fs and rate
+    for build's, then at (fs, R) for a group's.  point holds the fs and rate
     reached, for a failure to name; a block is built at its first fs."""
-    stops = sorted({stop for bounds in cuts for _, stop in bounds})
-    for start, stop in zip([0, *stops], stops):
+    for start, stop, n in sampling._plan(len(rates), *kinds):
         fs = fs_list[start:stop]
         point[:] = fs[0], None
         checks, at = build(np.array(fs))
-        tables = [(rows, rate_checks, _fails(rate_checks, len(fs)))
-                  for rows, rate_checks in (at(R) for R in rates)]
-        for i, (f, failing) in enumerate(zip(fs, _fails(checks, len(fs)))):
+        groups = [(r, *at(rates[r:r + n])) for r in range(0, len(rates), n)]
+        per_rate = [(rates[r + j], rows[j], fails, group_checks, j)  # j: its place in the group
+                    for r, rows, group_checks in groups
+                    for j, fails in enumerate(_fails(group_checks, (len(rows), len(fs))))]
+        for i, (f, failing) in enumerate(zip(fs, _fails(checks, (len(fs),)))):
             point[:] = f, None
             if failing:
                 _raise_first(checks, i)
-            for R, (rows, rate_checks, fails) in zip(rates, tables):
+            for R, rows, fails, group_checks, j in per_rate:
                 point[1] = R
                 if fails[i]:
-                    _raise_first(rate_checks, i)
+                    _raise_first(group_checks, (j, i))
                 yield from rows[i]
 
 
-def _fails(checks, n: int) -> list:
-    """Whether each of n rows fails any of checks, (fails, error) pairs
-    whose masks may hold more entries per row (a bank's, per matrix)."""
-    fails = np.zeros(n, dtype=bool)
+def _fails(checks, shape: tuple) -> list:
+    """Whether each entry of shape fails any of checks, as nested lists; a bank's are per matrix."""
+    fails = np.zeros(shape, dtype=bool)
     for check, _ in checks:
-        fails |= check if check.ndim == 1 else check.reshape(n, -1).any(axis=1)
+        fails |= check if check.shape == shape else check.reshape(*shape, -1).any(axis=-1)
     return fails.tolist()
 
 
-def _by_fs(columns) -> list:
-    """One output row per fs of a block, of its columns: each an array with
-    an entry per fs, or one value for all."""
-    n = next(len(c) for c in columns if isinstance(c, np.ndarray))
-    columns = [c.tolist() if isinstance(c, np.ndarray) else [c] * n for c in columns]
-    return [[list(row)] for row in zip(*columns)]
+def _table(*columns) -> list:
+    """rows[j][i] at rate j and fs i, of columns (rates x fs), per fs like the first, or one."""
+    rates, n = next((c.shape for c in columns if np.ndim(c) == 2), (1, len(columns[0])))
+    columns = [c.tolist() if isinstance(c, np.ndarray) and c.ndim == 2 else
+               [c.tolist() if isinstance(c, np.ndarray) else [c] * n] * rates for c in columns]
+    return [[[list(row)] for row in zip(*rate)] for rate in zip(*columns)]
 
 
-def _each(call, n: int):
-    """([call(i) for i in range(n)], check): None where a call raised a
-    numerical failure, and the check of those rows, as linalg._raise_first
-    takes it, which raises what the call raised."""
-    values, errors = [None] * n, {}
-    for i in range(n):
+def _each(call, shape: tuple):
+    """(values, check): call(*at) at each index of shape, None where it raised
+    a numerical failure, and the check that raises that, as _raise_first takes it."""
+    values, errors = np.full(shape, None), np.full(shape, None)
+    for at in np.ndindex(shape):
         try:
-            values[i] = call(i)
+            values[at] = call(*at)
         except (WaterfillError, SpectrumError, LinalgError) as e:
-            errors[i] = e
-    return values, (np.array([i in errors for i in range(n)], dtype=bool), errors.get)
+            errors[at] = e
+    return values, (errors.astype(bool), errors.__getitem__)
 
 
 def _sweep(mode: str, cfg: ExperimentConfig, point=None):
     """(header, rows): rows yields the sweep's output rows through _rows, and
     point (a list, if given) holds the fs and rate reached.  Each mode maps a
-    block and a rate to columns read off the block's stacks, and every check
-    to a mask over the block's fs, in the order the one-fs functions make
-    them; blocks are cut at every bound of the kinds of work the mode reads
-    (sampling._Source.bounds).  The config is checked, and work that needs
-    no fs done once on the sweep's sampling._Source, here, before any row."""
+    block and a group of rates to (rates x fs) columns read off the block's
+    stacks, and every check to a mask over the block's fs or (rates x fs), in
+    the order the one-fs functions make them; sampling._plan sizes both from
+    each kind of work the mode does.  The config is checked, and work that
+    needs no fs done once on the sweep's sampling._Source, here, before any row."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     if mode in ("bounds", "oracle-check") and (cfg.P != 1 or cfg.filters == "optimal"):
@@ -302,8 +303,8 @@ def _sweep(mode: str, cfg: ExperimentConfig, point=None):
     # the sampler's curves: the optimal filters' top translates on the
     # periods of fs/P, one folded curve, or a filter bank's eigenvalue curves
     optimal = mode in ("drf-optimal", "af-sets") or cfg.filters == "optimal"
-    cuts = [src.fs_bounds(fs_all) if mode == "d-dagger" else
-            src.bounds(fs_all, P if optimal else None)]
+    kinds = [src.dagger_entries(fs_all) if mode == "d-dagger" else
+             src.entries(fs_all, P if optimal else None)]
     if optimal:
         curves, mmse_of = (lambda fs: sampling._top_translates(src.periods(fs, P), P),
                            lambda c: (c.mmse, c.checks))
@@ -317,7 +318,7 @@ def _sweep(mode: str, cfg: ExperimentConfig, point=None):
 
         def build(fs):
             mmse, checks = mmse_of(curves(fs))
-            return checks, lambda R: (_by_fs([fs, P, mmse]), [])
+            return checks, lambda rates: (_table(fs, P, mmse), [])
     elif mode in ("drf", "drf-optimal", "d-dagger"):
         header = ["fs", "P", "rate_bits_per_time", "theta", "distortion", "mmse_part",
                   "lossy_part"]
@@ -330,10 +331,10 @@ def _sweep(mode: str, cfg: ExperimentConfig, point=None):
                 c = curves(fs)
                 drf, checks = waterfill._WaterfillStack.of_curves(src.sigma2, c), c.checks
 
-            def at(R):
-                rate, over = R._per_time(fs)
+            def at(rates):
+                rate, over = waterfill._per_time(rates, fs)
                 theta, lossy, distortion, solved = drf.solve(rate)
-                return _by_fs([fs, p, rate, theta, distortion, drf.mmse, lossy]), [over, *solved]
+                return _table(fs, p, rate, theta, distortion, drf.mmse, lossy), [over, *solved]
             return checks, at
     elif mode == "af-sets":
         header = ["fs", "P", "branch", "lo", "hi"]
@@ -342,20 +343,19 @@ def _sweep(mode: str, cfg: ExperimentConfig, point=None):
             sets = sampling._maximal_af_sets(src.periods(fs, P), P)
             rows = [[[f, P, p, iv.lo, iv.hi] for p, F in enumerate(row, start=1)
                      for iv in F.intervals] for f, row in zip(fs.tolist(), sets)]
-            return [], lambda R: (rows, [])
+            return [], lambda rates: ([rows], [])
     elif mode == "bounds":
         header = ["fs", "rate_bits_per_time", "drf_sampled", "idrf_stationary",
                   "mmse", "d_star_lower", "polyphase_lower", "d_dagger"]
-        N_delta = 64  # offsets per fs at least, as polyphase_lower_bound takes by default
         idrf = waterfill._idrf_stationary(src)  # reads the ratio, once per sweep
-        # a cell of the source's periods holds the polyphase bound's offsets too
-        cuts = [src.bounds(fs_all, width=N_delta), src.bounds(fs_all, 1), src.fs_bounds(fs_all)]
+        kinds = [src.entries(fs_all, offsets=waterfill.N_DELTA), src.entries(fs_all, 1),
+                 src.dagger_entries(fs_all)]
 
         def build(fs):
             folded = curves(fs)
             mmse, checks = sampling._mmse_single(folded)
             drf = waterfill._WaterfillStack.of_curves(src.sigma2, folded)
-            polyphase = waterfill._PolyphaseBound(folded.per, N_delta)
+            polyphase = waterfill._PolyphaseBound(folded.per, waterfill.N_DELTA)
             checks.append(polyphase.check)
             # the first fs's checks come before the cuts of D*'s periods
             _raise_first(checks, 0)
@@ -363,12 +363,12 @@ def _sweep(mode: str, cfg: ExperimentConfig, point=None):
                 src.sigma2, sampling._top_translates(src.periods(fs, 1), 1))
             dagger = waterfill._d_dagger(src, fs)
 
-            def at(R):
-                rate, over = R._per_time(fs)
+            def at(rates):
+                rate, over = waterfill._per_time(rates, fs)
                 (d, a), (di, b), (ds, c), (dd, e) = (
                     stack.solve(rate)[2:] for stack in (drf, idrf, d_star, dagger))
                 bound, bounded = polyphase(mmse, d, rate)
-                return (_by_fs([fs, rate, d, di, mmse, ds, bound, dd]),
+                return (_table(fs, rate, d, di, mmse, ds, bound, dd),
                         [over, *a, *b, *c, *bounded, *e])
             return checks, at
     else:  # oracle-check
@@ -384,18 +384,18 @@ def _sweep(mode: str, cfg: ExperimentConfig, point=None):
             mmse, checks = sampling._mmse_single(folded)
             drf = waterfill._WaterfillStack.of_curves(src.sigma2, folded)
             orcs, built = _each(lambda i: oracle._window_oracle(
-                segments, src.sigma2, fs[i].item(), cfg.oracle_K, cfg.oracle_phases), len(fs))
+                segments, src.sigma2, fs[i].item(), cfg.oracle_K, cfg.oracle_phases), fs.shape)
             window = np.array([orc and orc.mmse_average.value for orc in orcs])
 
-            def at(R):
-                rate, over = R._per_time(fs)
+            def at(rates):
+                rate, over = waterfill._per_time(rates, fs)
                 distortion, solved = drf.solve(rate)[2:]
                 block, solved_block = _each(
-                    lambda i: orcs[i] and orcs[i].distortion(rate[i].item()), len(fs))
-                return (_by_fs([fs, rate, mmse, window, distortion, np.array(block)]),
+                    lambda j, i: orcs[i] and orcs[i].distortion(rate[j, i].item()), rate.shape)
+                return (_table(fs, rate, mmse, window, distortion, block),
                         [over, *solved, solved_block])
             return checks + [built], at
-    return header, _rows(cfg.fs_list, cuts, build, rates, [None, None] if point is None else point)
+    return header, _rows(cfg.fs_list, kinds, build, rates, [None, None] if point is None else point)
 
 
 def _sweep_rows(mode: str, Sx, Sn, fs_list, rates=(), P: int = 1, filters=None):

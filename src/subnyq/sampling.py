@@ -8,9 +8,9 @@ polyphase decomposition.  Each curve, MMSE and set function is a thin caller
 of a private form.  The fs-free pieces of (Sx, Sn, branches) live on a
 _Source, which a sweep builds once.
 
-The per-fs work of a sweep is one stack per block of consecutive fs
-(src.bounds): a _Period holds the periods (-fs/2, fs/2) of a block as rows,
-cut in one vectorised step (of fs/P, cut at the SNR ratio, for D* and the
+The per-fs work of a sweep is one stack per block of consecutive fs, sized
+by _plan: a _Period holds the periods (-fs/2, fs/2) of a block as rows, cut
+in one vectorised step (of fs/P, cut at the SNR ratio, for D* and the
 optimal filters and sets), with their translate counts and aliased
 denominator.  Every path reads the block: the folded curves, the top
 translates, the filter bank's eigenvalue curves (_BankCurves, one stacked
@@ -56,6 +56,7 @@ from .spectra import (
     _pw_from_gain,
     _pw_support_radius,
     _Pw,
+    _superlevel_sets,
     _translate_count,
     _translate_counts,
     _translates,
@@ -192,28 +193,6 @@ class _Period:
     den = cached_property(lambda self: _ordered_sum(self.translates(self.pw), axis=1))
 
 
-def _block_bounds(pw: _Pw, kmax: np.ndarray, ok: np.ndarray, width: int = 1):
-    """(start, stop) of the blocks of consecutive rows, in order, given each
-    row's translate count and check (_translate_counts): as many rows as keep
-    rows x cells x (the larger of a row's translates and width, the entries a
-    cell holds besides) within _MAX_BLOCK_ENTRIES, where a row's cells are
-    taken at their most, one more than pw's breakpoints (each lands inside a
-    period once at most).  A row that fails its check is a block of its own,
-    whose _Period raises its error."""
-    cells = len(pw.bp) + 1
-    most = _MAX_BLOCK_ENTRIES // (max(5, width) * cells) + 1  # kmax >= 2: 5 translates at least
-    start = 0
-    while start < len(kmax):
-        rows = slice(start, start + most)
-        fits = np.logical_and.accumulate(ok[rows]) & (
-            np.arange(1, len(kmax[rows]) + 1)
-            * np.maximum.accumulate(np.maximum(2 * kmax[rows] + 1, width))
-            <= _MAX_BLOCK_ENTRIES // cells)
-        stop = start + max(1, int(fits.sum()))
-        yield start, stop
-        start = stop
-
-
 class _Source:
     """The pieces of (Sx, Sn, branches) that need no fs, each built when first
     read, so a sweep builds each once and a mode only those it uses.  A gain
@@ -231,6 +210,7 @@ class _Source:
     px = cached_property(lambda self: _pw_from_density(self.Sx))  # Sx on the full line
     ratio = cached_property(lambda self: self.grid and snr_ratio(self.Sx, self.Sn))
     ratio_pw = cached_property(lambda self: _pw_from_density(self.ratio))  # on the full line
+    superlevel = cached_property(lambda self: _superlevel_sets(self.ratio))  # ranked once
 
     @cached_property
     def grid(self):
@@ -287,24 +267,37 @@ class _Source:
         pw, steps, fs = self._cut(fs, P)
         return _Period(pw, steps, self, fs=fs)
 
-    def bounds(self, fs, P: int | None = None, width: int = 1):
-        """(start, stop) of the blocks of consecutive fs of fs, in order, on
-        which periods(fs[start:stop], P) keeps within _block_bounds' budget: a
-        cell of the source's periods holds a bank's P x P matrix entries too,
-        and each cell width entries at least (the polyphase bound's offsets)."""
+    def entries(self, fs, P: int | None = None, offsets: int = 0) -> np.ndarray:
+        """Per fs, the most entries a stack on its periods(fs, P) holds: cells
+        (at most one more than the cut's breakpoints) x its translates, or a
+        cell's offsets or a bank's P x P if more; inf if the fs fails the cut."""
         pw, steps, _ = self._cut(fs, P)
-        width = max(width, len(self.branches) ** 2) if P is None else width
-        yield from _block_bounds(pw, *_translate_counts(pw, steps), width)
+        kmax, ok = _translate_counts(pw, steps)
+        width = max(offsets, len(self.branches) ** 2 if P is None else 1)
+        return np.where(ok, (len(pw.bp) + 1) * np.maximum(2 * kmax + 1, width), np.inf)
 
-    def fs_bounds(self, fs):
-        """(start, stop) of the blocks of consecutive fs of fs for D-dagger,
-        whose (rows x pieces) stay within _MAX_BLOCK_ENTRIES.  A row holds
-        fewer than 4n pieces of the ratio's n segments: on each side of 0, n
-        disjoint segment halves meet at most n disjoint set intervals (each
-        begins at a segment it takes) in fewer than 2n places."""
-        rows = max(1, _MAX_BLOCK_ENTRIES // (4 * len(self.ratio.segments) + 1))
-        for start in range(0, len(fs), rows):
-            yield start, min(start + rows, len(fs))
+    def dagger_entries(self, fs) -> np.ndarray:
+        """entries for D-dagger, whose rows hold fewer than 4n pieces of the
+        ratio's n segments: on each side of 0, n segment halves meet at most n
+        set intervals, each beginning at a segment it takes, in under 2n places."""
+        return np.full(len(fs), 4 * len(self.ratio.segments) + 1)
+
+
+def _plan(n_rates: int, *kinds):
+    """(start, stop, rates) of the blocks of consecutive rows of a sweep, in
+    order, from each kind of work's entries per row (_Source.entries): a block
+    takes rows while rows x its most entries stay within _MAX_BLOCK_ENTRIES,
+    and a call on it solves as many of n_rates rates as keep rates x that
+    within it too.  A row alone past it, or failing its cut, is one block."""
+    entries = np.maximum.reduce(kinds)
+    most = int(_MAX_BLOCK_ENTRIES // entries.min(initial=_MAX_BLOCK_ENTRIES)) + 1
+    start = 0
+    while start < len(entries):
+        top = np.maximum.accumulate(entries[start:start + most])  # rows x top only grows
+        rows = max(1, int((np.arange(1, len(top) + 1) * top <= _MAX_BLOCK_ENTRIES).sum()))
+        rates = max(1, int(_MAX_BLOCK_ENTRIES // (rows * top[rows - 1])))
+        yield start, start + rows, min(rates, n_rates)
+        start += rows
 
 
 def _safe_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -383,25 +383,33 @@ def superlevel_set_of_measure(
     """
     if not (m := _as_real(m, "measure budget")) >= 0:  # NaN fails too
         raise SpectrumError(f"measure budget must be >= 0, got {m}")
+    return _superlevel_sets(S)(m)
+
+
+def _superlevel_sets(S: SpectralDensity):
+    """superlevel_set_of_measure on S as a function of m, S ranked once."""
     ranked = sorted(S.segments, key=lambda s: (-s[1], s[0].lo))
-    chosen = []
-    integral = 0.0
-    budget = m
-    for iv, v in ranked:
-        pair = 2.0 * iv.width  # segment plus its mirror
-        if pair <= budget + BP_TOL:
-            chosen.append(iv)
-            integral += pair * v
-            budget -= pair
-        elif budget > BP_TOL:
-            half = budget / 2.0
-            if iv.lo + half > iv.lo:
-                chosen.append(FrequencyInterval(iv.lo, iv.lo + half))
-                integral += budget * v
-            budget = 0.0
-        else:
-            break
-    return FrequencySet(chosen).mirrored(), integral
+
+    def of_measure(m: float) -> tuple[FrequencySet, float]:
+        chosen = []
+        integral = 0.0
+        budget = m
+        for iv, v in ranked:
+            pair = 2.0 * iv.width  # segment plus its mirror
+            if pair <= budget + BP_TOL:
+                chosen.append(iv)
+                integral += pair * v
+                budget -= pair
+            elif budget > BP_TOL:
+                half = budget / 2.0
+                if iv.lo + half > iv.lo:
+                    chosen.append(FrequencyInterval(iv.lo, iv.lo + half))
+                    integral += budget * v
+                budget = 0.0
+            else:
+                break
+        return FrequencySet(chosen).mirrored(), integral
+    return of_measure
 
 
 class ComplexGainProfile:

@@ -8,10 +8,10 @@ pair on a piecewise-constant curve (or a family of eigenvalue curves):
 
 R(theta) is piecewise log-linear, so the water level is read off values
 sorted once and their cumulative sums, in closed form at any rate.  A
-_WaterfillStack sorts a stack of curves at once, one per row, and solves a
-rate for every row in one vectorised step: theta, the lossy part and the
-distortion of each row, with the checks of a solution (the rate attained,
-distortion = mmse + lossy) as masks over the rows, which the sweep raises
+_WaterfillStack sorts a stack of curves at once, one per row, and solves
+(rates x rows) rates in one vectorised step: theta, the lossy part and the
+distortion of each, with the checks of a solution (the rate attained,
+distortion = mmse + lossy) as masks of that shape, which the sweep raises
 at the point that fails them.  Each row's sums add its pieces in order
 (spectra._ordered_sum), so the zero pieces that pad a row in a block move no
 bit and it solves to the bit as its one-row case.  The block forms take a
@@ -57,7 +57,6 @@ from .spectra import (
     _density_pieces,
     _ordered_sum,
     _set_pieces,
-    superlevel_set_of_measure,
 )
 
 __all__ = [
@@ -82,6 +81,7 @@ __all__ = [
 # Most entries of the polyphase bound's (offsets x translates) phases and
 # (offsets x cells) spectra, as the CLI caps the oracle's cross covariance.
 _MAX_OFFSET_ENTRIES = 10_000_000
+N_DELTA = 64  # the polyphase bound's least offsets per fs, by default and in sweeps
 
 BITS_PER_TIME = "bits-per-time-unit"
 BITS_PER_SAMPLE = "bits-per-sample"
@@ -111,19 +111,19 @@ class RateSpec:
     def per_time(self, fs):
         """The rate in bits per time at fs, a number or an array of them;
         WaterfillError, naming the rate and fs, where that overflows."""
-        if self.unit != BITS_PER_SAMPLE:
-            return self.value
-        rate, check = self._per_time(np.atleast_1d(fs))
-        _raise_first([check], np.argmax(check[0]))  # the first fs where it overflows
-        return rate if np.ndim(fs) else float(rate[0])
+        rate, check = _per_time([self], np.atleast_1d(fs))
+        _raise_first([check], (0, np.argmax(check[0][0])))  # the first fs where it overflows
+        return rate[0] if np.ndim(fs) else float(rate[0, 0])
 
-    def _per_time(self, fs: np.ndarray):
-        """per_time at each fs of an array, inf where it overflows, and the
-        check of those fs, as linalg._raise_first takes it."""
-        with np.errstate(over="ignore"):  # named by the check instead
-            rate = self.value * fs if self.unit == BITS_PER_SAMPLE else np.full(len(fs), self.value)
-        return rate, (rate == math.inf, lambda i: WaterfillError(
-            f"rate R = {self.value:g} bits per sample at fs = {fs[i]:g} overflows per time"))
+
+def _per_time(rates, fs: np.ndarray):
+    """RateSpecs in bits per time at an array of fs, (rates x fs), inf where
+    that overflows, and the check of those entries, as _raise_first takes it."""
+    with np.errstate(over="ignore"):  # named by the check instead
+        rate = np.array([R.value * fs if R.unit == BITS_PER_SAMPLE else np.full(len(fs), R.value)
+                         for R in rates])
+    return rate, (rate == math.inf, lambda at: WaterfillError(f"rate R = {rates[at[0]].value:g} "
+                  f"bits per sample at fs = {fs[at[1]]:g} overflows per time"))
 
 
 def _check_rate(R) -> None:
@@ -229,9 +229,9 @@ def distortion_of_theta(sigma2: float, curves, theta: float) -> WaterfillSolutio
 
 
 class _WaterfillStack:
-    """Reverse waterfills over a stack of curves, one per row of values, each
-    sorted once for every rate; w holds the widths, one row per row of values
-    or one row for all.
+    """Reverse waterfills over a stack of curves, one per row of values (its
+    last axis; the rows may run over more than one axis), each sorted once
+    for every rate; w holds the widths, and broadcasts against values.
 
     With the k largest values of a row active, 2R = S_k - W_k log2(theta),
     where W_k and S_k are the cumulative sums of w and w log2(v) over the row's
@@ -239,10 +239,10 @@ class _WaterfillStack:
     below R; it is not a binary search, as float ties can leave those rates out
     of order.  R = 0 gives the row maximum.  Theta comes from its log2, so it
     underflows to 0.0 only below the smallest subnormal.  The rows share one
-    stable argsort along axis 1, and every rate one count per row, one exp2 and
-    one sum per row.  Pieces of zero width or value sort last and are masked:
-    their log2 is never taken and their next-value rate is inf, so they are
-    never active.  A row with no positive piece has theta 0 at R = 0 and
+    stable argsort along their last axis, and a call one count, one exp2 and
+    one sum per (rate, row).  Pieces of zero width or value sort last and are
+    masked: their log2 is never taken and their next-value rate is inf, so they
+    are never active.  A row with no positive piece has theta 0 at R = 0 and
     attains no positive rate.
 
     A row of a block may carry padding pieces of zero width or value; its
@@ -256,26 +256,25 @@ class _WaterfillStack:
     def __init__(self, w: np.ndarray, values: np.ndarray):
         self.w, self.v = w, values
         key = np.where((w > 0) & (values > 0), -values, np.inf)
-        order = key.argsort(axis=1, kind="stable")
-        self.rows = np.arange(len(values))
-        at = self.rows[:, None], order
+        self.index = np.indices(values.shape[:-1], sparse=True)  # each row's, to read it at k
+        at = (*(i[..., None] for i in self.index), key.argsort(axis=-1, kind="stable"))
         key = key[at]
         kept, v = key < np.inf, -key
-        w = w[order] if w.ndim == 1 else w[at]
+        w = w[at[-w.ndim:]]  # w's rows are the trailing ones of values
         log_v = np.log2(np.where(kept, v, 1.0))
-        self.top = np.where(kept[:, 0], v[:, 0], 0.0)
-        self.attains = kept[:, 0]
+        self.top = np.where(kept[..., 0], v[..., 0], 0.0)
+        self.attains = kept[..., 0]
         # past a row's last kept piece W and S are never read, and may overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            self.W = w.cumsum(axis=1)
-            self.S = (w * log_v).cumsum(axis=1)
+            self.W = w.cumsum(axis=-1)
+            self.S = (w * log_v).cumsum(axis=-1)
             self.rate_at_next_value = np.where(
-                kept[:, 1:], 0.5 * (self.S[:, :-1] - self.W[:, :-1] * log_v[:, 1:]), np.inf)
+                kept[..., 1:], 0.5 * (self.S[..., :-1] - self.W[..., :-1] * log_v[..., 1:]), np.inf)
         # a row reads W at a kept piece, where it is positive, or, with none
         # kept, at its first: 1 there spares a division by 0 in a level that
         # is never read
         self.W[~self.attains, 0] = 1.0
-        self.mmse = np.zeros(len(values))
+        self.mmse = np.zeros(values.shape[:-1])
 
     @classmethod
     def of_source(cls, sigma2: float, w: np.ndarray, v: np.ndarray) -> "_WaterfillStack":
@@ -304,27 +303,25 @@ class _WaterfillStack:
     def _row_sums(self, theta=None) -> np.ndarray:
         """Per row, the sum of w * v over its pieces in order, or of
         w * min(v, theta) given a level per row."""
-        v = self.v if theta is None else np.minimum(self.v, theta[:, None])
+        v = self.v if theta is None else np.minimum(self.v, theta[..., None])
         return _ordered_sum(self.w * v)
 
     def level(self, rate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(theta, lossy, attained) per row at rate, in bits per time: one
-        number, or an array of them, one per row (or, on a one-row stack, one
-        per level wanted).  attained is False where a row's rate is positive
-        and the row attains none."""
+        """(theta, lossy, attained) at rate, in bits per time: one number, or
+        an array of (rates x rows), or of rows; each in that broadcast shape.
+        attained is False where a row's rate is positive and it attains none."""
         zero = np.asarray(rate) == 0  # the level is the row maximum
-        k = (self.rate_at_next_value < np.reshape(rate, (-1, 1))).sum(axis=1)
+        at = (*self.index, (self.rate_at_next_value < np.asarray(rate)[..., None]).sum(axis=-1))
         with np.errstate(over="ignore"):  # 2R past the float range: theta is 0
-            theta = np.where(zero, self.top,
-                             np.exp2((self.S[self.rows, k] - 2.0 * rate) / self.W[self.rows, k]))
+            theta = np.where(zero, self.top, np.exp2((self.S[at] - 2.0 * rate) / self.W[at]))
         lossy = self._row_sums(theta)
         return theta, lossy if self.scale == 1.0 else self.scale * lossy, zero | self.attains
 
     def solve(self, rate) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-        """(theta, lossy, distortion, checks) per row at rate, as level takes
-        it: distortion is mmse + lossy, and checks are a solution's, in the
-        order they are made, as linalg._raise_first takes them: the rate
-        attained, then the decomposition."""
+        """(theta, lossy, distortion, checks) at rate, as level takes it:
+        distortion is mmse + lossy, and checks are a solution's, in the order
+        they are made, as linalg._raise_first takes them: the rate attained,
+        then the decomposition."""
         theta, lossy, attained = self.level(rate)
         distortion = self.mmse + lossy
         return theta, lossy, distortion, [
@@ -425,9 +422,9 @@ def drf_sampled_optimal(
 
 
 def _d_dagger(src: _Source, fs: np.ndarray) -> _WaterfillStack:
-    """d_dagger's waterfills, one row per fs: the SNR ratio's pieces on its
-    best superlevel set of measure fs, zero-padded to one length."""
-    sets = [superlevel_set_of_measure(src.ratio, f)[0] for f in fs.tolist()]
+    """d_dagger's waterfills, one row per fs: the SNR ratio's pieces on its best
+    superlevel set of measure fs (src.superlevel, ranked once), zero-padded to one length."""
+    sets = [src.superlevel(f)[0] for f in fs.tolist()]
     return _WaterfillStack.of_source(src.sigma2, *_set_pieces(src.ratio, sets))
 
 
@@ -455,9 +452,9 @@ def d_star_lower_bound(Sx: SpectralDensity, Sn: SpectralDensity, fs: float, R) -
 class _PolyphaseBound:
     """The polyphase bound on the rows of a block of the source's periods.
     Row i has n = max(N_delta, 2*kmax + 1) offsets j/n; the offset spectra of
-    all rows are one stack, sorted here once and solved once per rate for all
-    rows, each at its own rate per sample.  check fails on the rows whose
-    offsets exceed the cap, which are not built."""
+    all rows are one (offsets x rows) stack, sorted here once and solved in
+    one call at every rate, each row at its own rate per sample.  check fails
+    on the rows whose offsets exceed the cap, which are not built."""
 
     def __init__(self, per: _Period, N_delta: int):
         self.per, translates = per, 2 * per.kmax + 1
@@ -466,20 +463,20 @@ class _PolyphaseBound:
         fits = self.n * np.maximum(translates, per.cells) <= _MAX_OFFSET_ENTRIES
         v = _polyphase_values(per, [np.arange(m) / m if ok else [] for m, ok in zip(self.n, fits)])
         w = np.diff(per.grid / per.steps[:, None], axis=1)
-        self.offsets = _WaterfillStack(np.tile(w, (len(v), 1)), v.reshape(-1, w.shape[1]))
+        self.offsets = _WaterfillStack(w, v)
         self.check = (~fits, lambda i: WaterfillError(
             f"{max(N_delta, translates[i])} offsets by {translates[i]} translates and "
             f"{per.cells[i]} cells exceed the cap of {_MAX_OFFSET_ENTRIES} entries"))
 
     def __call__(self, mmse: np.ndarray, d: np.ndarray, rate: np.ndarray):
-        """(bound, checks) per row, given its sampling MMSE, the distortion d of
-        drf_sampled_single and the rate in bits per time; checks, as _raise_first
-        takes them: the rate per sample overflows, then the bound exceeds d."""
+        """(bound, checks) per (rate, row), given the rows' sampling MMSE, the
+        distortion d of drf_sampled_single and the rate in bits per time; checks,
+        as _raise_first takes them: the rate per sample overflows, then bound > d."""
         per = self.per
-        rate, over = _per_sample(rate, per.steps)
-        lossy = self.offsets.level(np.tile(rate, len(self.offsets.rows) // len(per)))[1]
+        rate, over = _per_sample(rate, np.broadcast_to(per.steps, np.shape(rate)))
+        lossy = self.offsets.level(rate[..., None, :])[1]
         # per row, added in offset order, as n waterfills would be
-        bound = mmse + _ordered_sum(lossy.reshape(-1, len(per)), axis=0) / self.n
+        bound = mmse + _ordered_sum(lossy, axis=-2) / self.n
         above = ~(bound <= d + 1e-10 * max(1.0, per.src.sigma2))  # NaN fails too
         return bound, [over, (above, lambda i: SpectrumError(
             f"polyphase bound {float(bound[i])} exceeds the distortion {float(d[i])}"))]
@@ -491,7 +488,7 @@ def polyphase_lower_bound(
     H: ComplexGainProfile | None,
     fs: float,
     R,
-    N_delta: int = 64,
+    N_delta: int = N_DELTA,
 ) -> float:
     """Lower bound on drf_sampled_single via the polyphase decomposition.
 

@@ -635,3 +635,40 @@ def sweep_rows_loop(mode, Sx, Sn, fs_list, rates, P=1, filters=None):
         except (WaterfillError, SpectrumError, LinalgError) as e:
             return fs, R, type(e), str(e)
     return rows
+
+
+def block_count_loop(mode, src, fs_list, P=1, optimal=False):
+    """The number of blocks that a sweep of mode cut fs_list into when each
+    kind of work it read made its own cut, and the sweep's blocks ran between
+    every stop of every kind.  A kind of period (pw cut at steps, with width
+    entries per cell besides its translates) took consecutive fs while rows
+    x cells x the largest of their 2*kmax + 1 and width stayed within
+    sampling._MAX_BLOCK_ENTRIES, its cells counted as pw's breakpoints plus
+    one, and an fs that failed its translate count alone; D-dagger took
+    chunks of as many fs as keep rows x (4n + 1) within it, for the ratio's
+    n segments."""
+    budget, fs = sampling._MAX_BLOCK_ENTRIES, np.array(fs_list, dtype=float)
+
+    def cut(pw, steps, width):
+        stops, rows, most = {len(steps)}, 0, 0
+        for i, step in enumerate(steps.tolist()):
+            try:
+                n = max(2 * _translate_count(pw, step, step / 2.0) + 1, width)
+            except SpectrumError:
+                stops |= {i, i + 1}
+                rows = most = 0
+                continue
+            if rows and (rows + 1) * max(most, n) * (len(pw.bp) + 1) > budget:
+                stops.add(i)
+                rows = most = 0
+            rows, most = rows + 1, max(most, n)
+        return stops - {0}
+
+    chunk = max(1, budget // (4 * len(src.ratio.segments) + 1))
+    dagger = {len(fs), *range(chunk, len(fs), chunk)}
+    bank = len(src.branches) ** 2
+    kinds = ([dagger] if mode == "d-dagger" else
+             [cut(src.period_pw, fs, max(64, bank)), cut(src.ratio_pw, fs, 1), dagger]
+             if mode == "bounds" else
+             [cut(src.ratio_pw, fs / P, 1)] if optimal else [cut(src.period_pw, fs, bank)])
+    return len(set().union(*kinds))

@@ -21,7 +21,7 @@ from subnyq.oracle import block_idrf_oracle, finite_window_mmse_average
 from subnyq.sampling import SamplerSpec, mmse_single
 from subnyq.spectra import ComplexGainProfile, SpectralDensity, SpectrumError
 from subnyq.waterfill import BITS_PER_SAMPLE, BITS_PER_TIME, RateSpec, WaterfillError
-from support import figure_rows_loop, sweep_rows_loop
+from support import block_count_loop, figure_rows_loop, sweep_rows_loop
 
 RECT_CONFIG = {
     "schema_version": 1,
@@ -358,20 +358,23 @@ class TestRunModes:
             idrf, *others = stacks
             row_stacks = [st for st in others if st in solves]
             n_blocks = len(fs_list) if budget else 1
-            assert len(idrf.rows) == 1 and len(row_stacks) == 3 * n_blocks
-            assert sum(len(st.rows) for st in row_stacks) == 3 * len(fs_list)
+            assert len(idrf.v) == 1 and len(row_stacks) == 3 * n_blocks
+            assert sum(len(st.v) for st in row_stacks) == 3 * len(fs_list)
             assert len(others) == 4 * n_blocks
             offset_stacks = [st for st in others if st not in row_stacks]
-            assert sum(len(st.rows) for st in offset_stacks) == sum(
-                len(deltas) * max(map(len, deltas)) for _, deltas in offsets)
-            # every stack is solved whole once at each rate, for all of its
-            # rows, and no row on its own: drf, D* and D-dagger after their
-            # mmse, the offsets at one level, and idrf once per block
-            assert [solves.count(st) for st in row_stacks] == [len(rates)] * (3 * n_blocks)
-            assert [sums.count(st) for st in row_stacks] == [1 + len(rates)] * (3 * n_blocks)
-            assert [sums.count(st) for st in offset_stacks] == [len(rates)] * n_blocks
-            assert solves.count(idrf) == len(rates) * n_blocks
-            assert sums.count(idrf) == 1 + len(rates) * n_blocks
+            assert [st.v.shape[:-1] for st in offset_stacks] == [
+                (max(map(len, deltas)), len(deltas)) for _, deltas in offsets]
+            # every stack is solved whole once per group of rates, for all of
+            # its rows and all the group's rates, and no row or rate on its
+            # own: drf, D* and D-dagger after their mmse, the offsets at one
+            # level, and idrf once per block.  A group holds every rate, or
+            # under a budget of 30 entries one.
+            groups = len(rates) if budget else 1
+            assert [solves.count(st) for st in row_stacks] == [groups] * (3 * n_blocks)
+            assert [sums.count(st) for st in row_stacks] == [1 + groups] * (3 * n_blocks)
+            assert [sums.count(st) for st in offset_stacks] == [groups] * n_blocks
+            assert solves.count(idrf) == groups * n_blocks
+            assert sums.count(idrf) == 1 + groups * n_blocks
 
     @pytest.mark.parametrize("n_fs", [1, 4])
     @pytest.mark.parametrize("mode, P, filters", [
@@ -394,6 +397,23 @@ class TestRunModes:
         # Sx, Sn and the SNR ratio on the full line, and one gain per branch
         assert len(densities) <= 3 and len(gains) <= P and len(segments) <= 1
         assert len(ratios) <= 1
+
+    @pytest.mark.parametrize("mode", ["d-dagger", "bounds"])
+    def test_d_dagger_ranks_the_ratio_once(self, tmp_path, monkeypatch, mode):
+        # every superlevel set of a sweep, in one block or one per fs, reads
+        # the one ranking of the ratio's segments on the sweep's source, and
+        # none goes through the public function, which ranks on every call
+        doc = dict(BIMODAL_CONFIG, sampler={"fs": [0.32, 1.92, 0.8, 0.32], "P": 1})
+        for budget in (None, 30):
+            with monkeypatch.context() as mp:
+                if budget:
+                    mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
+                ranks = count_calls(mp, "_superlevel_sets")
+                public = count_calls(mp, "superlevel_set_of_measure")
+                blocks = count_calls(mp, "_d_dagger")
+                assert run(write_config(tmp_path, doc), mode, out=str(tmp_path / "x.csv")) == 0
+            assert len(ranks) == 1 and not public
+            assert len(blocks) == (4 if budget else 1)
 
     @pytest.mark.parametrize("P", [1, 3])
     @pytest.mark.parametrize("mode, filters", [("drf-optimal", None), ("mmse", "optimal")])
@@ -467,6 +487,25 @@ class TestRunModes:
             tracemalloc.stop()
         assert len(rows) == len(fs_list)
         assert peak < 4e6
+
+    @pytest.mark.parametrize("mode, n_rates, most", [("bounds", 2_000, 13.0e6),
+                                                     ("drf", 20_000, 48.5e6)])
+    def test_many_rates_stay_bounded(self, mode, n_rates, most):
+        # a block solves its rates in groups of at most _MAX_BLOCK_ENTRIES
+        # entries, and its checks are (rates x fs) masks; solved one rate at
+        # a time, with a table and checks per rate, these sweeps peaked at
+        # 13.0 MB and 48.5 MB
+        Sx, Sn = SpectralDensity(BIMODAL_SEGMENTS), SpectralDensity(((0.0, 1.6, 0.05),))
+        rates = [4.0 * i / n_rates for i in range(n_rates)]
+        _sweep_rows(mode, Sx, Sn, [0.32, 1.92], rates[:2])  # the fs-free work's caches
+        tracemalloc.start()
+        try:
+            rows = _sweep_rows(mode, Sx, Sn, [0.32, 1.92], rates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [row[1 if mode == "bounds" else 2] for row in rows] == rates * 2
+        assert peak <= most
 
     @pytest.mark.parametrize("mode, P, filters", [
         *(pytest.param(mode, 1, None, id=mode) for mode in MODES),
@@ -594,6 +633,20 @@ class TestExitCodes:
     def test_unknown_mode(self, tmp_path, capsys):
         assert run(write_config(tmp_path, RECT_CONFIG), "nonsense") == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("case", ["directory", "not-utf-8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, case):
+        # a config that cannot be opened or decoded is a config error, named
+        # with its path, not a traceback
+        path = tmp_path / "cfg.json"
+        if case == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(json.dumps(RECT_CONFIG).encode().replace(b"[0.5]", b'"\xff"'))
+        out = tmp_path / "x.csv"
+        assert main(["drf", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {path}: ")
+        assert not out.exists()
 
     def test_rates_required(self, tmp_path, capsys):
         doc = dict(RECT_CONFIG)
@@ -750,16 +803,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("mode", ["drf", "drf-optimal", "d-dagger", "bounds"])
     def test_rate_failure_mid_block_names_its_point(self, tmp_path, capsys, monkeypatch, mode):
-        # each rate is solved once for the whole 40-fs block; a failure of the
-        # third row at the second rate is raised when that row is read there
+        # the rates are solved in one call for the whole 40-fs block; a failure
+        # of the third row at the second rate is raised when that row is read
+        # there
         fs_list = [round(0.3 + 0.02 * i, 2) for i in range(40)]
         real_level = waterfill._WaterfillStack.level
 
         def level(self, rate):
             theta, lossy, attained = real_level(self, rate)
-            if len(self.rows) == 40 and np.all(rate == 2.0):
-                lossy = lossy.copy()
-                lossy[2] = math.nan
+            if len(self.v) == 40:  # the third row, at the second rate
+                lossy = np.where((rate == 2.0) & (np.arange(40) == 2), math.nan, lossy)
             return theta, lossy, attained
         monkeypatch.setattr(waterfill._WaterfillStack, "level", level)
         doc = dict(RECT_CONFIG, noise={"segments": [[0.0, 0.5, 0.2]]})
@@ -995,6 +1048,10 @@ SAMPLERS = st.sampled_from([(1, None), (2, None), (3, None), (1, "optimal"), (3,
 # fs that repeat, need more translates than the cap (1e-6), or lie anywhere
 SWEEP_FS = st.lists(st.one_of(st.sampled_from([0.08, 0.3, 0.5, 1.92, 3.3, 1e-6]),
                               st.floats(0.05, 4.0)), min_size=1, max_size=6)
+# None keeps the module's budget; 60 puts nearly every fs in a block of its
+# own, 400 makes blocks of a few fs, and 2000 blocks of a few fs whose rates
+# split into groups
+BUDGETS = st.sampled_from([None, 60, 400, 2000])
 
 
 class TestSweepLoop:
@@ -1004,17 +1061,21 @@ class TestSweepLoop:
     @given(st.sampled_from([mode for mode in MODES if mode != "oracle-check"]), SPECTRA, SPECTRA,
            SAMPLERS, SWEEP_FS,
            st.lists(st.one_of(st.sampled_from([0.0, 0.5, 2.0]), st.floats(0.0, 8.0)),
-                    min_size=1, max_size=3),
-           st.sampled_from([BITS_PER_TIME, BITS_PER_SAMPLE]),
-           # None keeps the module's budget; 60 puts nearly every fs in a
-           # block of its own, and 400 makes blocks of a few fs
-           st.sampled_from([None, 60, 400]))
+                    min_size=1, max_size=8),
+           st.sampled_from([BITS_PER_TIME, BITS_PER_SAMPLE]), BUDGETS)
     # a rate that overflows per time at the second fs of a block
     @example("drf", SpectralDensity(((0.0, 0.5, 1.0),)), SpectralDensity(()), (1, None),
              [0.5, 1e300], [1e10], BITS_PER_SAMPLE, None)
     # noise only: no positive rate, at the first fs, before the translate cap
     @example("bounds", SpectralDensity(()), SpectralDensity(((0.0, 0.5, 1.0),)), (1, None),
              [0.5, 1e-6, 0.3], [0.0, 1.0], BITS_PER_TIME, 400)
+    # eight rates in groups: blocks of one fs that solve two, one and three
+    # rates per call, and a bounds block of two fs that solves three
+    @example("drf", SpectralDensity(((0.0, 0.5, 1.0),)), SpectralDensity(()), (1, None),
+             [0.5, 0.3, 1.92], [0.0, 0.5, 2.0, 0.1, 1.0, 4.0, 0.25, 8.0], BITS_PER_SAMPLE, 60)
+    @example("bounds", SpectralDensity(((0.0, 0.5, 1.0),)), SpectralDensity(((0.0, 0.5, 0.3),)),
+             (1, None), [0.5, 1.92], [0.0, 0.5, 2.0, 0.1, 1.0, 4.0, 0.25, 8.0], BITS_PER_TIME,
+             2000)
     @settings(max_examples=150, deadline=None)
     def test_sweep_rows_are_the_one_fs_loop(self, mode, Sx, Sn, sampler, fs_list, values, unit,
                                             budget):
@@ -1036,6 +1097,43 @@ class TestSweepLoop:
             except (WaterfillError, SpectrumError, LinalgError) as e:
                 got = (*point, type(e), str(e))
         assert got == sweep_rows_loop(mode, Sx, Sn, fs_list, rates, P, filters)
+
+    @given(st.sampled_from(MODES), SPECTRA, SPECTRA, SAMPLERS, SWEEP_FS, st.integers(1, 8),
+           BUDGETS)
+    @settings(max_examples=150, deadline=None)
+    def test_plan_is_no_finer_than_the_cuts_of_each_kind(self, mode, Sx, Sn, sampler, fs_list,
+                                                         n_rates, budget):
+        # one planner for every kind of work a mode does gives no more blocks
+        # than the union of each kind's own cut (support.block_count_loop),
+        # and covers the fs in order with groups of one rate up to all
+        P, filters = sampler
+        filters = {"bank": cli._filters_from(BANK_FILTERS, 3),
+                   "low-pass": [ComplexGainProfile([(-0.6, 0.6, 1.0)])]}.get(filters, filters)
+        plans, real = [], sampling._plan
+
+        def plan(*kinds):
+            plans.append(list(real(*kinds)))
+            return plans[-1]
+        with pytest.MonkeyPatch.context() as mp:
+            if budget:
+                mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
+            mp.setattr(sampling, "_plan", plan)
+            cfg = ExperimentConfig(Sx, Sn, fs_list, P, filters, [RateSpec(1.0)] * n_rates, None)
+            try:
+                next(_sweep(mode, cfg)[1], None)  # the plan comes before the first block
+            except ConfigError:  # a sampler the mode does not take
+                return
+            except (WaterfillError, SpectrumError, LinalgError):  # the first block fails
+                pass
+            src = sampling._Source(Sx, Sn, filters if isinstance(filters, list) else [None] * P)
+            optimal = mode in ("drf-optimal", "af-sets") or filters == "optimal"
+            most = block_count_loop(mode, src, fs_list, P, optimal)
+        (plan,) = plans
+        assert [0] + [stop for _, stop, _ in plan] == [start for start, _, _ in plan] + [
+            len(fs_list)]
+        assert len(plan) <= most
+        n = 1 if mode in ("mmse", "af-sets") else n_rates
+        assert all(1 <= rates <= n for _, _, rates in plan)
 
 
 class TestFigures:

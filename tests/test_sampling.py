@@ -753,17 +753,18 @@ BUDGETS = st.sampled_from([None, 60, 400])
 
 
 def blocks_of(src, fs_list, budget, P=None):
-    """The periods of the blocks that src.bounds cuts fs_list into."""
+    """The periods of the blocks that sampling._plan cuts fs_list into."""
     fs = np.array(fs_list, dtype=float)
     with pytest.MonkeyPatch.context() as mp:
         if budget:
             mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
-        return [src.periods(fs[start:stop], P) for start, stop in src.bounds(fs, P)]
+        return [src.periods(fs[start:stop], P)
+                for start, stop, _ in sampling._plan(1, src.entries(fs, P))]
 
 
 def per_time(R, fs):
     """R, a RateSpec or a number of bits per time, at each fs of an array."""
-    return (R if isinstance(R, RateSpec) else RateSpec(R))._per_time(fs)[0]
+    return waterfill._per_time([R if isinstance(R, RateSpec) else RateSpec(R)], fs)[0][0]
 
 
 # rates in bits per time, and in bits per sample, which give each row its own
@@ -1037,19 +1038,20 @@ class TestBlocks:
         assert sampling._folded(per).curve(0).vals.tolist() == [want_num / want_den]
 
     def test_long_fs_range_stays_bounded(self):
-        # 100,000 steps: no block passes the budget, and the bounds are found
-        # without building any block
+        # 100,000 steps: no block passes the budget, nor does a call on its
+        # rates, and the plan is made without building any block
         src = _Source(SpectralDensity(BIMODAL), SpectralDensity(((0.0, 1.6, 0.05),)))
         steps = 0.01 + 0.0001 * np.arange(100_000)
         pw = src.period_pw
-        kmax, ok = spectra._translate_counts(pw, steps)
+        kmax, _ = spectra._translate_counts(pw, steps)
         entries = (2 * kmax + 1) * (len(pw.bp) + 1)
-        bounds = list(sampling._block_bounds(pw, kmax, ok))
-        assert bounds[0][0] == 0 and bounds[-1][1] == len(steps)
-        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-        assert all(stop - start == 1 or (stop - start) * entries[start:stop].max()
-                   <= sampling._MAX_BLOCK_ENTRIES for start, stop in bounds)
-        start, stop = next(src.bounds(steps))
+        plan = list(sampling._plan(6, src.entries(steps)))
+        assert plan[0][0] == 0 and plan[-1][1] == len(steps)
+        assert all(a[1] == b[0] for a, b in zip(plan, plan[1:]))
+        assert all(stop - start == 1 or rates * (stop - start) * entries[start:stop].max()
+                   <= sampling._MAX_BLOCK_ENTRIES for start, stop, rates in plan)
+        assert {rates for _, _, rates in plan} <= set(range(1, 7))
+        start, stop, _ = plan[0]
         per = src.periods(steps[start:stop])
         assert len(per) * (2 * per.kmax.max() + 1) * per.mids.shape[1] <= (
             sampling._MAX_BLOCK_ENTRIES)
@@ -1058,7 +1060,8 @@ class TestBlocks:
         # a row over the translate cap, or not positive, fails only when read
         src = _Source(rect_density(), rect_noise())
         fs = np.array([0.3, 0.5, 1e-6, 0.7, 0.7])
-        assert list(src.bounds(fs)) == [(0, 2), (2, 3), (3, 5)]
+        assert [block[:2] for block in sampling._plan(3, src.entries(fs))] == [
+            (0, 2), (2, 3), (3, 5)]
         with pytest.raises(SpectrumError, match=r"^fs = 1e-06 needs 5e\+05 translates"):
             src.periods(fs[2:3])
-        assert list(src.bounds(fs[3:])) == [(0, 2)]
+        assert [block[:2] for block in sampling._plan(3, src.entries(fs[3:]))] == [(0, 2)]
