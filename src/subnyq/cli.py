@@ -4,17 +4,17 @@ A config is a single JSON document describing the source and noise spectra,
 the sampler and the rate points.  A sweep runs over fs, and for each fs over
 the rates where the mode takes one.  _sweep, the one driver of modes and
 figures, builds the fs-free pieces once (a sampling._Source) and the per-fs
-work of every mode but the oracles' once per block of consecutive fs, as one
+work once per block of consecutive fs (the oracles' windows fs by fs), as one
 stack, which solves a group of rates in one call; sampling._plan sizes both.
-Each mode maps a block and its rates to (rates x fs) columns and every check
-to a mask of that shape, and one writer, _rows, walks the rows in sweep
-order, raising the first failing check at its own point.  Every row is what
-the one-fs functions return, so output is deterministic byte for byte.
+Each mode maps a block and its rates to (rates x fs) columns and every check,
+the columns' finiteness last, to a mask of that shape; one writer, _rows,
+raises the first failing check with its point.  Every row is what the
+one-fs functions return, so output is deterministic byte for byte.
 
-Exit codes: 0 success, 2 config problem (reported before any point is
-computed; an output file that cannot be written is one too), 3 numerical
-failure (reported with the failing point, if the failing work has one, and
-no output is written).
+Exit codes, from the one handler (_emit) of modes and figures: 0 success, 2
+config problem (reported before any point is computed; an output file that
+cannot be written is one too), 3 numerical failure (reported with the
+failing point, if the failing work has one, and no output is written).
 """
 
 from __future__ import annotations
@@ -194,6 +194,9 @@ def load_config(path: str) -> ExperimentConfig:
     except (ConfigError, WaterfillError) as e:
         raise ConfigError(f"rates.values invalid: {e}") from None
     orc = _section(doc, "oracle")
+    out = doc.get("output")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"output must be a file path, got {out!r}")
     cfg = ExperimentConfig(
         source=_density_from(doc, "source"),
         noise=_density_from(doc, "noise"),
@@ -201,7 +204,7 @@ def load_config(path: str) -> ExperimentConfig:
         P=P,
         filters=_filters_from(sampler.get("filters"), P),
         rates=rates,
-        out=doc.get("output"),
+        out=out,
         oracle_K=_int_from(orc.get("K", 32), "oracle.K", 1),
         oracle_phases=_int_from(orc.get("phases", 8), "oracle.phases", 1),
     )
@@ -210,42 +213,36 @@ def load_config(path: str) -> ExperimentConfig:
     return cfg
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, int):
-        return str(x)
-    if not math.isfinite(x):
-        raise NumericalFailure(f"{x} in results")
-    return f"{x:.12g}"
-
-
-def _rows(fs_list, kinds, build, rates, point):
+def _rows(fs_list, kinds, build, rates):
     """Every output row of a sweep, in sweep order: fs, then rate.  Each block
     that sampling._plan cuts by kinds is built in turn: build(fs) returns
     (checks, at) for its fs, and at(group), for each of the plan's groups of
     rates, (rows, checks), rows[j][i] the output rows at rate j and fs i.
     checks are (fails, error) pairs, over the block's fs or (rates x fs), as
     linalg._raise_first takes them; each fs raises the first it fails, at fs
-    for build's, then at (fs, R) for a group's.  point holds the fs and rate
-    reached, for a failure to name; a block is built at its first fs."""
-    for start, stop, n in sampling._plan(len(rates), *kinds):
-        fs = fs_list[start:stop]
-        point[:] = fs[0], None
-        checks, at = build(np.array(fs))
-        groups = [(r, *at(rates[r:r + n])) for r in range(0, len(rates), n)]
-        per_rate = [(rates[r + j], rows[j], fails, group_checks, j)  # j: its place in the group
-                    for r, rows, group_checks in groups
-                    for j, fails in enumerate(_fails(group_checks, (len(rows), len(fs))))]
-        for i, (f, failing) in enumerate(zip(fs, _fails(checks, (len(fs),)))):
-            point[:] = f, None
-            if failing:
-                _raise_first(checks, i)
-            for R, rows, fails, group_checks, j in per_rate:
-                point[1] = R
-                if fails[i]:
-                    _raise_first(group_checks, (j, i))
-                yield from rows[i]
+    for build's, then at (fs, R) for a group's.  The error carries the (fs, R)
+    reached as its point; a block and its groups are solved at its first fs."""
+    f = R = None
+    try:
+        for start, stop, n in sampling._plan(len(rates), *kinds):
+            fs = fs_list[start:stop]
+            f, R = fs[0], None
+            checks, at = build(np.array(fs))
+            groups = [(r, *at(rates[r:r + n])) for r in range(0, len(rates), n)]
+            per_rate = [(rates[r + j], rows[j], fails, group_checks, j)  # j: its place in the group
+                        for r, rows, group_checks in groups
+                        for j, fails in enumerate(_fails(group_checks, (len(rows), len(fs))))]
+            for i, (f, failing) in enumerate(zip(fs, _fails(checks, (len(fs),)))):
+                R = None
+                if failing:
+                    _raise_first(checks, i)
+                for R, rows, fails, group_checks, j in per_rate:
+                    if fails[i]:
+                        _raise_first(group_checks, (j, i))
+                    yield from rows[i]
+    except (NumericalFailure, WaterfillError, SpectrumError, LinalgError) as e:
+        e.point = f, R
+        raise
 
 
 def _fails(checks, shape: tuple) -> list:
@@ -256,33 +253,31 @@ def _fails(checks, shape: tuple) -> list:
     return fails.tolist()
 
 
-def _table(*columns) -> list:
-    """rows[j][i] at rate j and fs i, of columns (rates x fs), per fs like the first, or one."""
+def _table(checks: list, *columns) -> tuple[list, list]:
+    """(rows, checks): rows[j][i] at rate j and fs i, of columns (rates x fs),
+    per fs like the first, or one (an array column holds the floats), and
+    checks with, last, the (rates x fs) check that every float is finite,
+    made only for a block that holds one that is not."""
     rates, n = next((c.shape for c in columns if np.ndim(c) == 2), (1, len(columns[0])))
+    arrays = [c for c in columns if isinstance(c, np.ndarray)]
+    finite = np.isfinite(np.concatenate([c.ravel() for c in arrays])).all()
     columns = [c.tolist() if isinstance(c, np.ndarray) and c.ndim == 2 else
                [c.tolist() if isinstance(c, np.ndarray) else [c] * n] * rates for c in columns]
-    return [[[list(row)] for row in zip(*rate)] for rate in zip(*columns)]
+    rows = [[[list(row)] for row in zip(*rate)] for rate in zip(*columns)]
+    if finite:
+        return rows, checks
+    bad = ~np.isfinite([np.broadcast_to(c, (rates, n)) for c in arrays]).all(axis=0)
+    return rows, [*checks, (bad, lambda at: NumericalFailure("{} in results".format(next(
+        v for v in rows[at[0]][at[1]][0] if isinstance(v, float) and not math.isfinite(v)))))]
 
 
-def _each(call, shape: tuple):
-    """(values, check): call(*at) at each index of shape, None where it raised
-    a numerical failure, and the check that raises that, as _raise_first takes it."""
-    values, errors = np.full(shape, None), np.full(shape, None)
-    for at in np.ndindex(shape):
-        try:
-            values[at] = call(*at)
-        except (WaterfillError, SpectrumError, LinalgError) as e:
-            errors[at] = e
-    return values, (errors.astype(bool), errors.__getitem__)
-
-
-def _sweep(mode: str, cfg: ExperimentConfig, point=None):
-    """(header, rows): rows yields the sweep's output rows through _rows, and
-    point (a list, if given) holds the fs and rate reached.  Each mode maps a
-    block and a group of rates to (rates x fs) columns read off the block's
-    stacks, and every check to a mask over the block's fs or (rates x fs), in
-    the order the one-fs functions make them; sampling._plan sizes both from
-    each kind of work the mode does.  The config is checked, and work that
+def _sweep(mode: str, cfg: ExperimentConfig):
+    """(header, rows): rows yields the sweep's output rows through _rows.
+    Each mode maps a block and a group of rates to (rates x fs) columns read
+    off the block's stacks (_table), and every check to a mask over the
+    block's fs or (rates x fs), in the order the one-fs functions make them,
+    the finiteness of the columns last; sampling._plan sizes both from each
+    kind of work the mode does.  The config is checked, and work that
     needs no fs done once on the sweep's sampling._Source, here, before any row."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
@@ -318,7 +313,7 @@ def _sweep(mode: str, cfg: ExperimentConfig, point=None):
 
         def build(fs):
             mmse, checks = mmse_of(curves(fs))
-            return checks, lambda rates: (_table(fs, P, mmse), [])
+            return checks, lambda rates: _table([], fs, P, mmse)
     elif mode in ("drf", "drf-optimal", "d-dagger"):
         header = ["fs", "P", "rate_bits_per_time", "theta", "distortion", "mmse_part",
                   "lossy_part"]
@@ -334,13 +329,15 @@ def _sweep(mode: str, cfg: ExperimentConfig, point=None):
             def at(rates):
                 rate, over = waterfill._per_time(rates, fs)
                 theta, lossy, distortion, solved = drf.solve(rate)
-                return _table(fs, p, rate, theta, distortion, drf.mmse, lossy), [over, *solved]
+                return _table([over, *solved], fs, p, rate, theta, distortion, drf.mmse, lossy)
             return checks, at
     elif mode == "af-sets":
         header = ["fs", "P", "branch", "lo", "hi"]
 
         def build(fs):
             sets = sampling._maximal_af_sets(src.periods(fs, P), P)
+            # each set lies where the ratio is positive, on its finite
+            # support, so every edge is finite and no row needs that check
             rows = [[[f, P, p, iv.lo, iv.hi] for p, F in enumerate(row, start=1)
                      for iv in F.intervals] for f, row in zip(fs.tolist(), sets)]
             return [], lambda rates: ([rows], [])
@@ -368,8 +365,8 @@ def _sweep(mode: str, cfg: ExperimentConfig, point=None):
                 (d, a), (di, b), (ds, c), (dd, e) = (
                     stack.solve(rate)[2:] for stack in (drf, idrf, d_star, dagger))
                 bound, bounded = polyphase(mmse, d, rate)
-                return (_table(fs, rate, d, di, mmse, ds, bound, dd),
-                        [over, *a, *b, *c, *bounded, *e])
+                return _table([over, *a, *b, *c, *bounded, *e],
+                              fs, rate, d, di, mmse, ds, bound, dd)
             return checks, at
     else:  # oracle-check
         header = ["fs", "rate_bits_per_time", "mmse_exact", "mmse_window",
@@ -379,23 +376,38 @@ def _sweep(mode: str, cfg: ExperimentConfig, point=None):
         except SpectrumError as e:
             raise ConfigError(f"mode oracle-check: {e}") from None
 
+        samples = 2 * cfg.oracle_K + 1  # of a window; its bit budget is R * samples / fs
+        no_oracle = waterfill._WaterfillStack(np.ones(samples), np.zeros((1, samples)))
+
         def build(fs):
             folded = curves(fs)
             mmse, checks = sampling._mmse_single(folded)
             drf = waterfill._WaterfillStack.of_curves(src.sigma2, folded)
-            orcs, built = _each(lambda i: oracle._window_oracle(
-                segments, src.sigma2, fs[i].item(), cfg.oracle_K, cfg.oracle_phases), fs.shape)
-            window = np.array([orc and orc.mmse_average.value for orc in orcs])
+            orcs, errors = [None] * len(fs), np.full(len(fs), None)
+            for i, f in enumerate(fs.tolist()):
+                try:
+                    orcs[i] = oracle._window_oracle(segments, src.sigma2, f, cfg.oracle_K,
+                                                    cfg.oracle_phases)
+                except (WaterfillError, SpectrumError, LinalgError) as e:
+                    errors[i] = e  # raised when its fs is read
+            window = np.array([orc.mmse_average.value if orc else math.nan for orc in orcs])
+            # the oracles' eigenvalue waterfills as one stack, a row per fs
+            # (of zeros where the oracle failed, as that fs raises first)
+            rows = [orc.waterfill if orc else no_oracle for orc in orcs]
+            block = waterfill._WaterfillStack(no_oracle.w, np.concatenate([r.v for r in rows]))
+            block.mmse = np.concatenate([r.mmse for r in rows])
+            block.scale = 1.0 / (samples * cfg.oracle_phases)
 
             def at(rates):
                 rate, over = waterfill._per_time(rates, fs)
                 distortion, solved = drf.solve(rate)[2:]
-                block, solved_block = _each(
-                    lambda j, i: orcs[i] and orcs[i].distortion(rate[j, i].item()), rate.shape)
-                return (_table(fs, rate, mmse, window, distortion, block),
-                        [over, *solved, solved_block])
-            return checks + [built], at
-    return header, _rows(cfg.fs_list, kinds, build, rates, [None, None] if point is None else point)
+                per_sample, overflows = waterfill._per_sample(
+                    rate, np.broadcast_to(fs, rate.shape), samples)
+                distortion_block, solved_block = block.solve(per_sample)[2:]
+                return _table([over, *solved, overflows, *solved_block],
+                              fs, rate, mmse, window, distortion, distortion_block)
+            return checks + [(errors.astype(bool), errors.__getitem__)], at
+    return header, _rows(cfg.fs_list, kinds, build, rates)
 
 
 def _sweep_rows(mode: str, Sx, Sn, fs_list, rates=(), P: int = 1, filters=None):
@@ -405,15 +417,38 @@ def _sweep_rows(mode: str, Sx, Sn, fs_list, rates=(), P: int = 1, filters=None):
 
 
 def _line(header, row, fmt: str) -> str:
-    """One output record; NumericalFailure if a value is not finite."""
+    """One output record, each number to 12 significant digits."""
     if fmt == "csv":
-        return ",".join(_fmt(v) for v in row)
-    return json.dumps({k: (float(_fmt(v)) if isinstance(v, float) else v)
+        return ",".join(v if isinstance(v, str) else format(v, ".12g") for v in row)
+    return json.dumps({k: float(format(v, ".12g")) if isinstance(v, float) else v
                        for k, v in zip(header, row)}, sort_keys=True)
 
 
-def _write(header, lines, out_path: str | None, fmt: str) -> int:
-    """Write the records to out_path, else to stdout; returns the exit code."""
+def _check_out_dir(out_path):
+    folder = os.path.dirname(out_path) if out_path else ""
+    if folder and not os.path.isdir(folder):
+        raise ConfigError(f"output directory does not exist: {folder}")
+
+
+def _emit(fmt: str, sweep) -> int:
+    """Write the records of sweep(), which returns (header, rows, out_path),
+    to out_path, else to stdout, once every row has succeeded; returns the
+    exit code: 2 for a config error (an output file that cannot be written
+    too), 3 for a numerical failure, named with its point if it has one."""
+    try:
+        if fmt not in FORMATS:
+            raise ConfigError(f"unknown output format {fmt!r}")
+        header, rows, out_path = sweep()
+        lines = [_line(header, row, fmt) for row in rows]
+    except (ConfigError, OSError) as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except (NumericalFailure, WaterfillError, SpectrumError, LinalgError) as e:
+        fs, R = getattr(e, "point", (None, None))
+        point = "" if fs is None else f" at fs={fs:.12g}"
+        rate = "" if R is None else f", R={R.value:.12g} {R.unit}"
+        print(f"numerical failure{point}{rate}: {e}", file=sys.stderr)
+        return 3
     text = "\n".join([",".join(header), *lines] if fmt == "csv" else lines) + "\n"
     if not out_path:
         sys.stdout.write(text)
@@ -427,19 +462,6 @@ def _write(header, lines, out_path: str | None, fmt: str) -> int:
     return 0
 
 
-def _check_format(fmt: str):
-    if fmt not in FORMATS:
-        raise ConfigError(f"unknown output format {fmt!r}")
-
-
-def _check_out_dir(out_path):
-    if out_path is not None and not isinstance(out_path, str):
-        raise ConfigError(f"output must be a file path, got {out_path!r}")
-    folder = os.path.dirname(out_path) if out_path else ""
-    if folder and not os.path.isdir(folder):
-        raise ConfigError(f"output directory does not exist: {folder}")
-
-
 def run(config_path: str, mode: str, out: str | None = None,
         fmt: str = "csv") -> int:
     """Execute one sweep; returns the process exit code.
@@ -447,24 +469,12 @@ def run(config_path: str, mode: str, out: str | None = None,
     Rows are computed one after another in config order.  The output is
     written only once every row has succeeded.
     """
-    point = [None, None]  # the fs and rate a failure names, as far as it has reached them
-    try:
-        _check_format(fmt)
+    def sweep():
         cfg = load_config(config_path)
         out_path = out or cfg.out
         _check_out_dir(out_path)
-        header, rows = _sweep(mode, cfg, point)
-        lines = [_line(header, row, fmt) for row in rows]
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except (NumericalFailure, WaterfillError, SpectrumError, LinalgError) as e:
-        fs, R = point
-        point = "" if fs is None else f" at fs={fs:.12g}"
-        rate = "" if R is None else f", R={R.value:.12g} {R.unit}"
-        print(f"numerical failure{point}{rate}: {e}", file=sys.stderr)
-        return 3
-    return _write(header, lines, out_path, fmt)
+        return (*_sweep(mode, cfg), out_path)
+    return _emit(fmt, sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -513,29 +523,18 @@ def _figure_rows(name: str):
     raise ConfigError(f"unknown figure {name!r}")
 
 
-def _check_figure_dir(out_dir: str):
-    """out_dir may be missing if its parent folder exists, but may not be a file."""
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise ConfigError(f"output path is not a directory: {out_dir}")
-    _check_out_dir(os.path.normpath(out_dir))
-
-
 def reproduce_figure(name: str, out_dir: str = ".", fmt: str = "csv") -> int:
     """Write the figure's CSV (or NDJSON) into out_dir, which is made if only
     its last folder is missing; returns the exit code."""
-    try:
-        _check_format(fmt)
-        _check_figure_dir(out_dir)
+    def sweep():
+        # out_dir may be missing if its parent folder exists, but may not be a file
+        if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+            raise ConfigError(f"output path is not a directory: {out_dir}")
+        _check_out_dir(os.path.normpath(out_dir))
         header, rows = _figure_rows(name)
         os.makedirs(out_dir, exist_ok=True)
-        lines = [_line(header, row, fmt) for row in rows]
-    except (ConfigError, OSError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except NumericalFailure as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 3
-    return _write(header, lines, os.path.join(out_dir, f"{name}.{fmt}"), fmt)
+        return header, rows, os.path.join(out_dir, f"{name}.{fmt}")
+    return _emit(fmt, sweep)
 
 
 @functools.cache

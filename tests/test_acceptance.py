@@ -209,13 +209,14 @@ def test_criterion_7_property_battery():
 
 def test_readme_example_runs_as_stated():
     """The README's library example runs, and each call gives the value its
-    comment states (`# 0.5`, `# .distortion = 0.53125`)."""
+    comment states (`# 0.5`, `# .distortion = 0.53125`), each name it uses
+    imported as written there."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
     ns = {}
     exec(block, ns)
     stated = re.findall(r"^(\w+\(.*\))\s+# (?:\.(\w+) = )?([-\d.e]+)$", block, re.M)
-    assert len(stated) == 2
+    assert len(stated) == 3
     for call, attr, value in stated:
         got = eval(call, ns)
         assert (getattr(got, attr) if attr else got) == pytest.approx(float(value), abs=1e-15)

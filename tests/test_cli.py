@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import subnyq
 from subnyq import cli, oracle, sampling, spectra, waterfill
 from subnyq.cli import BIMODAL_SEGMENTS, load_config, main, reproduce_figure, run
-from subnyq.cli import FIGURES, MODES, ConfigError, NumericalFailure, _figure_rows, _fmt
+from subnyq.cli import FIGURES, MODES, ConfigError, NumericalFailure, _figure_rows, _line
 from subnyq.cli import ExperimentConfig, _sweep, _sweep_rows
 from subnyq.linalg import LinalgError
 from subnyq.oracle import block_idrf_oracle, finite_window_mmse_average
@@ -246,6 +246,54 @@ class TestRunModes:
             for key, ref in refs.items():
                 assert abs(row[key] - ref) <= 1e-12 * max(1.0, abs(ref)), (key, fs, R)
 
+    def test_oracle_block_column_is_the_one_fs_oracle(self):
+        # in memory, so that == holds drf_block bit for bit: fs repeats
+        # non-adjacently, rate 0 is the row maximum, and 1e307 bits per time
+        # overflows per sample at the last fs alone, where the sweep fails
+        # with block_idrf_oracle's own error, named at its point
+        Sx, Sn = SpectralDensity(((0.0, 0.5, 0.9),)), SpectralDensity(((0.0, 0.5, 0.2),))
+        fs_list, rates = [1.92, 0.7, 1.92, 0.3], [RateSpec(v) for v in (0.0, 0.5, 1e307)]
+        cfg = ExperimentConfig(Sx, Sn, fs_list, 1, None, rates, None, oracle_K=4, oracle_phases=2)
+        rows = []
+        with pytest.raises(WaterfillError) as failure:
+            rows.extend(_sweep("oracle-check", cfg)[1])
+        points = [(fs, R.value) for fs in fs_list for R in rates][:len(rows)]
+        assert [(r[0], r[1]) for r in rows] == points and len(rows) == 11
+        assert [r[5] for r in rows] == [block_idrf_oracle(Sx, Sn, None, fs, R, 4, 2)
+                                        for fs, R in points]
+        assert failure.value.point == (0.3, rates[2])
+        with pytest.raises(WaterfillError) as direct:
+            block_idrf_oracle(Sx, Sn, None, 0.3, 1e307, 4, 2)
+        assert str(failure.value) == str(direct.value)
+
+    @pytest.mark.parametrize("budget", [None, 60, 400])
+    def test_one_oracle_solve_per_rate_group(self, monkeypatch, budget):
+        # the block's oracles are one stack, solved once per group of rates
+        # (the only stack whose lossy part is scaled, by 1/(2K+1)/phases)
+        solves, plans = [], []
+        real_solve, real_plan = waterfill._WaterfillStack.solve, sampling._plan
+
+        def solve(self, rate):
+            if self.scale != 1.0:
+                solves.append((self.v.shape, np.shape(rate)))
+            return real_solve(self, rate)
+
+        def plan(*kinds):
+            plans.append(list(real_plan(*kinds)))
+            return plans[-1]
+        monkeypatch.setattr(waterfill._WaterfillStack, "solve", solve)
+        monkeypatch.setattr(sampling, "_plan", plan)
+        if budget:
+            monkeypatch.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
+        Sx, Sn = SpectralDensity(((0.0, 0.5, 0.9),)), SpectralDensity(((0.0, 0.5, 0.2),))
+        rates = [RateSpec(v) for v in (0.0, 0.5, 1.0, 2.0)]
+        cfg = ExperimentConfig(Sx, Sn, [0.3, 0.7, 0.3], 1, None, rates, None, oracle_K=4,
+                               oracle_phases=2)
+        assert len(list(_sweep("oracle-check", cfg)[1])) == 12
+        (plan,) = plans
+        assert solves == [((stop - start, 9), (min(n, 4 - r), stop - start))
+                          for start, stop, n in plan for r in range(0, 4, n)]
+
     @pytest.mark.parametrize("n_rates", [1, 6])
     @pytest.mark.parametrize("mode, P", [("bounds", 1), ("drf", 1), ("drf", 3),
                                          ("oracle-check", 1)])
@@ -439,7 +487,7 @@ class TestRunModes:
         # and the rows at fs = 1e308 print as those at fs = 1e20, apart from
         # the fs column
         Sx, Sn = SpectralDensity(BIMODAL_SEGMENTS), SpectralDensity(((0.0, 1.6, 0.05),))
-        huge, big = [[[_fmt(v) for v in row[1:]]
+        huge, big = [[_line([], row[1:], "csv")
                       for row in _sweep_rows(mode, Sx, Sn, [fs], [0.5, 2.0], P, filters)]
                      for fs in (1e308, 1e20)]
         assert huge == big
@@ -692,10 +740,38 @@ class TestExitCodes:
             "numerical failure at fs=1e+300, R=10000000000 bits-per-sample: rate R = 1e+10 "
             "bits per sample at fs = 1e+300 overflows per time\n")
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf])
-    def test_fmt_rejects_infinity(self, value):
-        with pytest.raises(NumericalFailure):
-            _fmt(value)
+    @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+    @pytest.mark.parametrize("mode", ["drf", "mmse"])
+    def test_non_finite_value_names_its_point(self, tmp_path, capsys, monkeypatch, mode, fmt):
+        # a NaN theta at one (fs, R) of a 40-fs block, or an infinite MMSE at
+        # one fs, passes every other check, and is raised at its own point,
+        # after that point's other checks
+        fs_list = [round(0.3 + 0.02 * i, 2) for i in range(40)]
+        if mode == "drf":
+            real_level = waterfill._WaterfillStack.level
+
+            def level(self, rate):
+                theta, lossy, attained = real_level(self, rate)
+                theta = np.where((rate == 2.0) & (np.arange(40) == 2), math.nan, theta)
+                return theta, lossy, attained
+            monkeypatch.setattr(waterfill._WaterfillStack, "level", level)
+            cause = f"fs={fs_list[2]}, R=2 bits-per-time-unit: nan"
+        else:
+            real_mmse = sampling._mmse_single
+
+            def mmse_single(curves):
+                mmse, checks = real_mmse(curves)
+                return np.where(np.arange(40) == 2, -math.inf, mmse), checks
+            monkeypatch.setattr(sampling, "_mmse_single", mmse_single)
+            cause = f"fs={fs_list[2]}: -inf"
+        doc = dict(RECT_CONFIG, noise={"segments": [[0.0, 0.5, 0.2]]})
+        doc["sampler"] = {"fs": fs_list, "P": 1}
+        doc["rates"] = {"values": [1.0, 2.0, 3.0]}
+        out = tmp_path / f"x.{fmt}"
+        assert main([mode, "--config", write_config(tmp_path, doc), "--out", str(out),
+                     "--format", fmt]) == 3
+        assert capsys.readouterr().err == f"numerical failure at {cause} in results\n"
+        assert not out.exists()
 
     def test_linalg_error_exits_3(self, tmp_path, capsys):
         # an ill-conditioned S_Y: S_Y^-1/2 K S_Y^-1/2 fails the Hermitian check
@@ -963,7 +1039,8 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {cause}\n"
         assert not Path(out).exists()
 
-    @pytest.mark.parametrize("case", ["missing-directory", "directory", "not-a-path"])
+    @pytest.mark.parametrize("case", ["missing-directory", "directory", "not-a-path",
+                                      "not-a-path-with-out"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch, case):
         doc = dict(RECT_CONFIG)
         argv = []
@@ -972,11 +1049,15 @@ class TestExitCodes:
             argv = ["--out", str(tmp_path / "missing" / "x.csv")]
         elif case == "directory":
             argv = ["--out", str(tmp_path)]
-        else:
+        else:  # a config error even where --out overrides it
             doc["output"] = 5
+            if case == "not-a-path-with-out":
+                argv = ["--out", str(tmp_path / "x.csv")]
         assert main(["drf", "--config", write_config(tmp_path, doc), *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
+        if doc.get("output") == 5:
+            assert err == "config error: output must be a file path, got 5\n"
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
         if case == "missing-directory":  # found with the config errors, before any curve
             assert builds == []
@@ -1083,19 +1164,17 @@ class TestSweepLoop:
         filters = {"bank": cli._filters_from(BANK_FILTERS, 3),
                    "low-pass": [ComplexGainProfile([(-0.6, 0.6, 1.0)])]}.get(filters, filters)
         rates = [RateSpec(v, unit) for v in values]
-        point = [None, None]
         with pytest.MonkeyPatch.context() as mp:
             if budget:
                 mp.setattr(sampling, "_MAX_BLOCK_ENTRIES", budget)
             try:
-                _, rows = _sweep(mode, ExperimentConfig(Sx, Sn, fs_list, P, filters, rates, None),
-                                 point)
+                _, rows = _sweep(mode, ExperimentConfig(Sx, Sn, fs_list, P, filters, rates, None))
             except ConfigError:  # a sampler the mode does not take
                 return
             try:
                 got = list(rows)
             except (WaterfillError, SpectrumError, LinalgError) as e:
-                got = (*point, type(e), str(e))
+                got = (*e.point, type(e), str(e))
         assert got == sweep_rows_loop(mode, Sx, Sn, fs_list, rates, P, filters)
 
     @given(st.sampled_from(MODES), SPECTRA, SPECTRA, SAMPLERS, SWEEP_FS, st.integers(1, 8),
@@ -1141,6 +1220,16 @@ class TestFigures:
     def test_rows_match_the_one_rate_loops(self, name):
         # rows, their order and every value bit for bit
         assert _figure_rows(name) == figure_rows_loop(name)
+
+    def test_library_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a figure's sweep fails as a mode's does: exit 3, named with its
+        # point (its first block's rates are solved at its first fs), no file
+        def solve(self, rate):
+            raise WaterfillError("no water level")
+        monkeypatch.setattr(waterfill._WaterfillStack, "solve", solve)
+        assert main(["figure", "--figure", "rect", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "numerical failure at fs=0.1: no water level\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_nonmonotone_is_nonmonotone(self, tmp_path):
         assert reproduce_figure("nonmonotone", str(tmp_path)) == 0
