@@ -8,14 +8,17 @@ Run from the repository root:
 
 The parent is a git revision, whose src/ is extracted with `git archive` into
 a temporary folder, or a folder holding a tree; the change is a folder, this
-checkout by default.  Each side gets one long-lived worker process that pins
-itself, and only itself, to one CPU (the same one for both, as they never run
-at once), imports its tree's `subnyq` and this checkout's
+checkout by default.  Each side gets a long-lived worker process that pins
+itself, and only itself, to one CPU with `perfbench/run.py`'s
+`pin_to_one_cpu` (the same CPU for both, as they never run at once), imports
+its tree's `subnyq` and this checkout's `perfbench/run.py` and
 `perfbench/workloads.py`, read-only, and runs a workload's sweeps through
-`subnyq.cli.main`, as `perfbench/run.py` does.  Rounds alternate between the
-two workers, each running `--sweeps` sweeps, and which side goes first
-alternates from round to round, so both sides see the same drift of the
-machine.
+`subnyq.cli.main` with `run_sweep`, as `perfbench/run.py` does.  Rounds
+alternate between the two workers, each running the workload's `SWEEPS`
+sweeps, and which side goes first alternates from round to round, so both
+sides see the same drift of the machine.  Each workload's rounds run in two
+halves on fresh workers, the parent's spawned first in one and the change's
+in the other, so that neither side gains from being spawned first.
 
 Per workload and side, the report gives the min, the 10th percentile and the
 median wall time per sweep, the median CPU time per sweep, and the number of
@@ -41,23 +44,26 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("figures", "bounds", "bank", "staircase")
+SIDES = ("parent", "change")
 # sweeps per round, so that a round of each workload takes a few tenths of a
 # second on a 2-vCPU VM
 SWEEPS = {"figures": 8, "bounds": 40, "bank": 40, "staircase": 20}
 
 
-def worker(tree: str, cpu: int) -> None:
+def worker(tree: str) -> None:
     """Serve timing requests on stdin, one JSON line each, until it closes.
 
     A request {"workload", "seed", "sweeps"} runs that many sweeps of the
     workload (after one untimed sweep, the first time it is asked for) and
     answers {"wall": [...], "cpu": [...]} in seconds per sweep, or
-    {"error": ...} if a CLI call exits non-zero."""
-    os.sched_setaffinity(0, {cpu})  # before numpy is imported, so BLAS is pinned too
+    {"error": ...} if a CLI call exits non-zero.  Pinning, the sweep loop and
+    the environment are perfbench/run.py's, imported read-only."""
+    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(ROOT, "perfbench")]
+    import run as bench
+
+    bench.pin_to_one_cpu()  # before numpy is imported, so BLAS is pinned too
     proto = os.fdopen(os.dup(sys.stdout.fileno()), "w")
     sys.stdout = sys.stderr  # the CLI's own output never reaches the protocol
-    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(ROOT, "perfbench")]
-    import numpy
     from subnyq import cli
     import workloads
 
@@ -66,16 +72,16 @@ def worker(tree: str, cpu: int) -> None:
         proto.flush()
 
     def sweep_once(sweep):
-        for job in sweep.jobs:
-            code = cli.main(list(job.argv))
-            if code != 0:
-                return f"{' '.join(job.argv[:1])} exited {code}"
-        return None
+        c0 = time.process_time()
+        wall, codes = bench.run_sweep(cli, sweep)
+        cpu_s = time.process_time() - c0
+        error = next((f"{job.argv[0]} exited {code}"
+                      for job, code in zip(sweep.jobs, codes) if code), None)
+        return wall, cpu_s, error
 
     if os.path.commonpath([cli.__file__, tree]) != tree:  # another subnyq came first
         raise RuntimeError(f"subnyq imported from {cli.__file__}, not from {tree}")
-    send({"numpy": numpy.__version__, "python": platform.python_version(),
-          "cpus_used": sorted(os.sched_getaffinity(0))})
+    send(bench.environment(cli))
     sweeps = {}
     with tempfile.TemporaryDirectory(prefix="pairs-") as work:
         for line in sys.stdin:
@@ -84,16 +90,15 @@ def worker(tree: str, cpu: int) -> None:
             if key not in sweeps:
                 sweeps[key] = workloads.make_sweep(
                     *key, os.path.join(work, f"{req['workload']}-{req['seed']}"))
-                error = sweep_once(sweeps[key])  # warm-up, untimed
+                error = sweep_once(sweeps[key])[2]  # warm-up, untimed
                 if error:
                     send({"error": error})
                     continue
             wall, cpu_s, error = [], [], None
             for _ in range(req["sweeps"]):
-                t0, c0 = time.perf_counter(), time.process_time()
-                error = sweep_once(sweeps[key])
-                wall.append(time.perf_counter() - t0)
-                cpu_s.append(time.process_time() - c0)
+                w, c, error = sweep_once(sweeps[key])
+                wall.append(w)
+                cpu_s.append(c)
                 if error:
                     break
             send({"error": error} if error else {"wall": wall, "cpu": cpu_s})
@@ -102,9 +107,9 @@ def worker(tree: str, cpu: int) -> None:
 class Worker:
     """One worker process on a tree, and its protocol."""
 
-    def __init__(self, tree: str, cpu: int):
+    def __init__(self, tree: str):
         self.proc = subprocess.Popen(
-            [sys.executable, os.path.abspath(__file__), "--worker", tree, "--cpu", str(cpu)],
+            [sys.executable, os.path.abspath(__file__), "--worker", tree],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, cwd=ROOT,
             env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
         self.hello = self._read()
@@ -171,23 +176,38 @@ def summary(wall: list, cpu_s: list) -> dict:
             "cpu_median_ms": ms(statistics.median(cpu_s))}
 
 
-def pairs(parent: Worker, change: Worker, workload: str, seed: int, rounds: int,
-          sweeps: int) -> dict:
-    """Alternating rounds of one workload on both workers, and their summary."""
-    times = {"parent": ([], []), "change": ([], [])}
-    better = 0
-    for r in range(rounds):
-        order = [("parent", parent), ("change", change)]
-        medians = {}
-        for side, w in order if r % 2 == 0 else order[::-1]:
-            answer = w.run(workload, seed, sweeps)
-            times[side][0].extend(answer["wall"])
-            times[side][1].extend(answer["cpu"])
-            medians[side] = statistics.median(answer["wall"])
-        better += medians["change"] < medians["parent"]
-    return {"workload": workload, "seed": seed, "rounds": rounds, "sweeps_per_round": sweeps,
-            "change_better_rounds": better,
-            **{side: summary(*times[side]) for side in ("parent", "change")}}
+def pairs(trees: dict, workload: str, seed: int, rounds: int) -> tuple[dict, dict]:
+    """Alternating rounds of one workload on both trees: the run's summary,
+    and the environment the last change worker reported.
+
+    The rounds run in two halves, each on a fresh worker per tree: the
+    parent's worker is spawned first in the first half and the change's in
+    the second, as the worker spawned first can read lower times (seen on
+    `bounds`).  Within the run, which side goes first alternates by round."""
+    times = {side: ([], []) for side in SIDES}
+    better, halves = 0, []
+    for half, spawn in enumerate((SIDES, SIDES[::-1])):
+        workers = {}
+        try:
+            for side in spawn:
+                workers[side] = Worker(trees[side])
+            for r in range(half * rounds // 2, (half + 1) * rounds // 2):
+                medians = {}
+                for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+                    answer = workers[side].run(workload, seed, SWEEPS[workload])
+                    times[side][0].extend(answer["wall"])
+                    times[side][1].extend(answer["cpu"])
+                    medians[side] = statistics.median(answer["wall"])
+                better += medians["change"] < medians["parent"]
+        finally:
+            for w in workers.values():
+                w.close()
+        halves.append({"first_spawned": spawn[0], "rounds": rounds // 2})
+    run = {"workload": workload, "seed": seed, "rounds": rounds,
+           "sweeps_per_round": SWEEPS[workload], "halves": halves,
+           "change_better_rounds": better,
+           **{side: summary(*times[side]) for side in SIDES}}
+    return run, workers["change"].hello
 
 
 def main(argv=None) -> int:
@@ -197,23 +217,19 @@ def main(argv=None) -> int:
                         "this checkout)")
     parser.add_argument("--workload", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--sweeps", type=int, help="sweeps per round (default: per workload)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="JSON file to write the report to")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
-    parser.add_argument("--cpu", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        worker(args.worker, args.cpu)
+        worker(args.worker)
         return 0
     if not args.parent:
         parser.error("--parent is required")
-    if args.rounds < 2:
-        parser.error("--rounds must be at least 2, so each side goes first once")
-    if args.sweeps is not None and args.sweeps < 1:
-        parser.error("--sweeps must be at least 1")
+    if args.rounds < 2 or args.rounds % 2:
+        parser.error("--rounds must be even and at least 2, so each side is spawned "
+                     "first and goes first equally often")
 
-    cpu = max(os.sched_getaffinity(0))
     with tempfile.TemporaryDirectory(prefix="pairs-parent-") as tmp:
         if os.path.isdir(args.parent):
             parent_tree, parent_rev = os.path.abspath(args.parent), revision(args.parent)
@@ -221,31 +237,29 @@ def main(argv=None) -> int:
             archive = os.path.join(tmp, "src.tar")
             git("archive", "--format=tar", "-o", archive, args.parent, "src")
             with tarfile.open(archive) as tar:
-                tar.extractall(tmp, filter="data")
+                # the "data" filter exists from Python 3.10.12 and 3.11.4 on
+                tar.extractall(tmp, **({"filter": "data"} if hasattr(tarfile, "data_filter")
+                                       else {}))
             parent_tree, parent_rev = tmp, {"rev": git("rev-parse", args.parent + "^{commit}")}
         change_tree = os.path.abspath(args.change)
-        sides = [Worker(parent_tree, cpu)]
-        try:
-            sides.append(Worker(change_tree, cpu))
-            runs = [pairs(*sides, name, args.seed, args.rounds, args.sweeps or SWEEPS[name])
-                    for name in args.workload]
-        finally:
-            for w in sides:
-                w.close()
+        trees = {"parent": parent_tree, "change": change_tree}
+        runs = []
+        for name in args.workload:
+            run, hello = pairs(trees, name, args.seed, args.rounds)
+            runs.append(run)
         report = {
             "what": "tools/pairs.py " + " ".join(sys.argv[1:] if argv is None else argv),
             "parent": {**parent_rev, "src_sha256": src_digest(parent_tree)},
             "change": {**revision(change_tree), "src_sha256": src_digest(change_tree)},
-            "environment": {**sides[1].hello, "os.cpu_count": os.cpu_count(),
-                            "nproc": len(os.sched_getaffinity(0)),
-                            "machine": platform.machine()},
+            "environment": {**hello, "machine": platform.machine()},
             "in_process_pairs": {
-                "what": "one long-lived worker per tree, both pinned to one CPU, each running "
-                        "perfbench/workloads.py's sweeps in-process through subnyq.cli.main; "
-                        "they alternate rounds of sweeps_per_round sweeps, which side goes "
-                        "first alternating; times are per sweep (p10 by inclusive quantiles); "
-                        "change_better_rounds counts rounds whose median sweep is lower at "
-                        "the change",
+                "what": "per workload, two halves of rounds, each on a fresh long-lived worker "
+                        "per tree (first_spawned: the side whose worker was spawned first), "
+                        "both pinned to one CPU, each running perfbench/workloads.py's sweeps "
+                        "in-process through subnyq.cli.main; the workers alternate rounds of "
+                        "sweeps_per_round sweeps, which side goes first alternating; times "
+                        "are per sweep (p10 by inclusive quantiles); change_better_rounds "
+                        "counts rounds whose median sweep is lower at the change",
                 "runs": runs},
         }
     for run in runs:
